@@ -22,7 +22,7 @@ from .chebyshab import (MoreThanTwoCriticalValues, RamificationProfile,
 from .constructor import (InfeasibleDegree, chebyshev_endo,
                           cyclic_galois_endo, solve_kr32)
 from .endo import (build_from_params, degree_of, etale_certificate,
-                   jacobian_spotcheck, map_to_json, params_from_json)
+                   map_to_json, params_from_json)
 from .family import FamilySpec, ec_equivalent, family_member, family_pairwise_distinct
 from .miyanishi import MiyParams, UnsupportedN, miy_b_check, miy_b_find, miy_eta0, miy_lift_check
 from .numfield import QQ, field_from_string

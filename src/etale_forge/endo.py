@@ -2,9 +2,8 @@
 
 A SurfaceMap holds three coordinate polynomials in the source variables
 (possibly with extra parameter variables, which carry torus weight zero).
-Construction runs a cheap sampled on-surface gate and the exact gate: the
-target relation composed with the coordinates must reduce to zero in the
-source coordinate ring.
+Construction runs one exact gate: the target relation composed with the
+coordinates must reduce to zero in the source coordinate ring.
 
 The etale decision for the parametric family is certificate-based: the
 conditions (C1)-(C5) recorded in EtaleCertificate are exactly the necessary
@@ -15,9 +14,11 @@ and sufficient conditions for the formula
      z^alpha * R1(1-z^k))
 
 to define a torus-equivariant etale endomorphism of tilde(k, r) of degree d
-descending to the quotient with parameter a.  The Jacobian spot-check is an
-independent rational-point oracle, never the decision procedure: degrees are
-computed through the base polynomial, not by fiber counting.
+descending to the quotient with parameter a.  The Jacobian oracle is an
+independent exact check, never the decision procedure: it decides whether
+the map pulls the nowhere-vanishing 2-form of the surface back to a nonzero
+constant multiple of itself.  Degrees are computed through the base
+polynomial, not by fiber counting.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from fractions import Fraction
 
 from .numfield import QQ, FieldElement, NumberField, field_from_string
 from .polyalg import Poly, compose, is_separable
-from .surface import (SplitMix64, SurfacePoint, SurfaceSpec, hyper_surface,
-                      normal_form, sample_point, tilde_surface, weight_of)
+from .surface import (SurfacePoint, SurfaceSpec, hyper_surface, normal_form,
+                      relation_poly, tilde_surface, weight_of)
 
 
 class NotAMorphism(ValueError):
@@ -95,36 +96,20 @@ class SurfaceMap:
 
 
 def make_map(source: SurfaceSpec, target: SurfaceSpec, coords,
-             meta=None, declared_degree: int | None = None,
-             gate_points: int = 20, gate_seed: int = 0) -> SurfaceMap:
+             meta=None, declared_degree: int | None = None) -> SurfaceMap:
     """Validate and build a SurfaceMap.
 
-    Gate 1 (cheap): the target relation vanishes at the image of sampled
-    rational points.  Gate 2 (exact): the pullback of the target relation
-    reduces to zero modulo the source ideal.
+    The exact gate: the pullback of the target relation reduces to zero
+    modulo the source ideal, for every value of any parameter variables.
+    NotAMorphism carries the nonzero normal form as its witness.
     """
     coords = tuple(coords)
     if len(coords) != 3:
         raise ValueError("a surface map has three coordinates")
     m = SurfaceMap(source, target, coords, meta=meta, cached_degree=declared_degree)
-
-    rng = SplitMix64(gate_seed)
-    extras = m.extra_variables()
-    rel = target.relation(m.field)
-    gate_failed = False
-    for _ in range(gate_points):
-        pt = sample_point(source, seed=0, rng=rng)
-        env = dict(zip(source.vars, pt.coords))
-        for v in extras:
-            env[v] = QQ.elem(rng.fraction())
-        image = tuple(c.evaluate(env) for c in coords)
-        if not rel.evaluate(dict(zip(target.vars, image))).is_zero():
-            gate_failed = True
-            break
-
-    pullback = rel.substitute(dict(zip(target.vars, coords)))
-    witness = normal_form(pullback, source)
-    if gate_failed or not witness.is_zero():
+    rel = relation_poly(target, m.field, target.vars)
+    witness = normal_form(rel.substitute(dict(zip(target.vars, coords))), source)
+    if not witness.is_zero():
         raise NotAMorphism(witness)
     return m
 
@@ -484,37 +469,28 @@ def build_from_params(p: EtaleParams) -> BuildResult:
 
 
 # -- independent Jacobian oracle -----------------------------------------------------
+#
+# On a surface F = 0 of either model, omega = d(first) ^ d(last) / F_mid, with
+# F_mid the partial derivative of F by the middle variable, is a 2-form
+# without zeros or poles.  For a map f = (f1, f2, f3) into a surface G = 0,
+# d(f1) ^ d(f3) = T * dx^dz / (-F_mid) on the source with
+# T = (grad f1 x grad f3) . grad F, so f*omega = J * omega with J = -T / D,
+# D = G_mid o f.  J is a regular function and the only units of these
+# coordinate rings are the nonzero constants, so f is etale everywhere iff
+# J is a nonzero constant.
 
 
-def _chart_rational(p: Poly, s: SurfaceSpec) -> tuple[Poly, int]:
-    """p with the middle variable eliminated on the chart {first var != 0}.
-
-    Returns (N, e) with p = N / first^e on the chart, where the middle
-    variable was replaced using the surface relation (y = (z^k-1)/x^r on
-    tilde, v = (w^k-u)/u^(rbar+1) on hyper).
-    """
-    first, middle, last = s.vars
-    field = p.field
-    f = Poly.variable(first, field, (first, last))
-    l = Poly.variable(last, field, (first, last))
-    if s.model == "tilde":
-        num = l ** s.k - 1
-        den_pow = s.r
-    else:
-        num = l ** s.k - f
-        den_pow = s.r + 1
-    m = p.degree_in(middle) if middle in p.variables else 0
-    m = max(m, 0)
-    out = Poly.zero(field, (first, last))
-    for key, c in p.terms.items():
-        exps = dict(zip(p.variables, key))
-        a = exps.get(first, 0)
-        b = exps.get(middle, 0)
-        cc = exps.get(last, 0)
-        term = Poly.constant(c, field, (first, last))
-        term = term * f ** (a + den_pow * (m - b)) * (num ** b) * l ** cc
-        out = out + term
-    return out, den_pow * m
+def _pullback_numerator(m: SurfaceMap) -> Poly:
+    """T = (grad f1 x grad f3) . grad F over the source variables."""
+    if m.extra_variables():
+        raise ValueError("the Jacobian oracle needs numeric coordinates, not parameters")
+    vs = m.source.vars
+    a, b = (c.drop_unused().with_variables(vs) for c in (m.coords[0], m.coords[2]))
+    n = relation_poly(m.source, m.field, vs)
+    ga, gb, gn = ([p.derivative(v) for v in vs] for p in (a, b, n))
+    return (gn[0] * (ga[1] * gb[2] - ga[2] * gb[1])
+            + gn[1] * (ga[2] * gb[0] - ga[0] * gb[2])
+            + gn[2] * (ga[0] * gb[1] - ga[1] * gb[0]))
 
 
 def jacobian_det_at(m: SurfaceMap, pt: SurfacePoint) -> FieldElement:
@@ -523,55 +499,52 @@ def jacobian_det_at(m: SurfaceMap, pt: SurfacePoint) -> FieldElement:
     The chart solves the middle variable from the relation on {first != 0};
     both pt and its image must lie in the chart (ChartDegenerate otherwise).
     The first and last variables are etale coordinates there, so the map is
-    etale at pt iff this determinant is nonzero.
+    etale at pt iff this determinant, -T(pt) / F_mid(pt), is nonzero.
     """
-    if m.extra_variables():
-        raise ValueError("spot-check needs numeric coordinates, not parameters")
+    t = _pullback_numerator(m)
     if pt.coords[0].is_zero():
         raise ChartDegenerate("sample has vanishing first coordinate")
-    image = apply_map(m, pt)
-    if image.coords[0].is_zero():
+    if apply_map(m, pt).coords[0].is_zero():
         raise ChartDegenerate("image has vanishing first coordinate")
-    first, _, last = m.source.vars
-    env = {first: pt.coords[0], last: pt.coords[2]}
-    x0 = pt.coords[0]
-
-    rows = []
-    for idx in (0, 2):
-        num, e = _chart_rational(m.coords[idx], m.source)
-        n_val = num.evaluate(env)
-        dx_val = num.derivative(first).evaluate(env)
-        dz_val = num.derivative(last).evaluate(env)
-        # d/dx (N/x^e) = (N' x - e N)/x^(e+1);  d/dz (N/x^e) = N_z / x^e
-        rows.append(((dx_val * x0 - e * n_val) / x0 ** (e + 1),
-                     dz_val / x0 ** e))
-    return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    s = m.source
+    env = dict(zip(s.vars, pt.coords))
+    f_mid = relation_poly(s, m.field, s.vars).derivative(s.vars[1])
+    return -t.evaluate(env) / f_mid.evaluate(env)
 
 
-def jacobian_spotcheck(m: SurfaceMap, n: int = 25, seed: int = 0,
-                       max_retries: int = 200) -> bool:
-    """True iff the chart Jacobian determinant is nonzero at n seeded points.
+@dataclass(frozen=True)
+class OracleVerdict:
+    """Outcome of the Jacobian oracle; true iff the map is etale.
 
-    Points (or images) falling off the chart are redrawn, with a bounded
-    number of retries.
+    jacobian is the constant J with f*omega = J * omega when J is a nonzero
+    constant, else None.  residual is normal_form(T + c*D) for the only
+    candidate c (c = 1 when T or D reduces to zero): zero when the map is
+    etale, the witness that J is not a nonzero constant otherwise.
     """
-    rng = SplitMix64(seed)
-    checked = 0
-    retries = 0
-    while checked < n:
-        pt = sample_point(m.source, seed=0, rng=rng)
-        try:
-            det = jacobian_det_at(m, pt)
-        except ChartDegenerate:
-            retries += 1
-            if retries > max_retries:
-                raise ChartDegenerate(
-                    f"could not find {n} chart-valid samples after {max_retries} retries")
-            continue
-        if det.is_zero():
-            return False
-        checked += 1
-    return True
+    jacobian: FieldElement | None
+    residual: Poly
+
+    def __bool__(self):
+        return self.jacobian is not None
+
+
+def jacobian_spotcheck(m: SurfaceMap) -> OracleVerdict:
+    """Decide exactly whether m pulls omega back to a nonzero constant
+    multiple of omega, i.e. whether m is etale everywhere.
+
+    T + c*D reduces to zero for some constant c exactly when J = c; the
+    leading coefficients of the normal forms of T and D fix the only
+    candidate c.
+    """
+    t = normal_form(_pullback_numerator(m), m.source)
+    target = m.target
+    g_mid = relation_poly(target, m.field, target.vars).derivative(target.vars[1])
+    d = normal_form(g_mid.substitute(dict(zip(target.vars, m.coords))), m.source)
+    if t.is_zero() or d.is_zero():
+        return OracleVerdict(None, t + d)
+    c = -t.leading_coeff() / d.leading_coeff()
+    residual = t + d * c
+    return OracleVerdict(c if residual.is_zero() else None, residual)
 
 
 # -- map serialization ------------------------------------------------------------

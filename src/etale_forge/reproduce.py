@@ -221,7 +221,12 @@ def ramified_nonexample():
     return make_map(s, s, (x, y * (z ** 2 + 1), z ** 2))
 
 
-def check_oracle_cross_validation(corpus=None, n_points: int = 25, seed: int = 0) -> str:
+def _assert_oracle_etale(label: str, m) -> None:
+    verdict = jacobian_spotcheck(m)
+    assert verdict, f"{label}: J is not a nonzero constant; residual {verdict.residual}"
+
+
+def check_oracle_cross_validation(corpus=None) -> str:
     corpus = corpus if corpus is not None else build_corpus()
     total = 0
     for name, params in corpus:
@@ -231,14 +236,13 @@ def check_oracle_cross_validation(corpus=None, n_points: int = 25, seed: int = 0
         for tag, m in (("tilde", built.tilde_map), ("hyper", built.hyper_map)):
             if m is None:
                 continue
-            assert jacobian_spotcheck(m, n_points, seed=seed), \
-                f"{name}/{tag}: spot-check found a singular point"
+            _assert_oracle_etale(f"{name}/{tag}", m)
             total += 1
-    # family members are spot-checked too
+    # family members go through the oracle too
     base, _ = cyclic_galois_endo(2)
-    for av in ((), (QQ.elem(1),), (QQ.elem(2),), (QQ.elem(1), QQ.elem(1))):
-        m = family_member(FamilySpec(2, 1, base, av))
-        assert jacobian_spotcheck(m, n_points, seed=seed)
+    avectors = ((), (QQ.elem(1),), (QQ.elem(2),), (QQ.elem(1), QQ.elem(1)))
+    for i, av in enumerate(avectors):
+        _assert_oracle_etale(f"family member {i}", family_member(FamilySpec(2, 1, base, av)))
         total += 1
     assert total >= 30, f"corpus too small: {total}"
     # the deliberately ramified non-example, detected on its locus z = 0
@@ -251,9 +255,9 @@ def check_oracle_cross_validation(corpus=None, n_points: int = 25, seed: int = 0
         found_zero = found_zero or det.is_zero()
         assert det.is_zero(), "determinant should vanish on the ramification locus"
     assert found_zero
-    assert jacobian_spotcheck(bad, n_points, seed=seed), \
-        "generic samples miss the codimension-one locus"
-    return f"{total} maps; ramified non-example detected on z = 0"
+    assert not jacobian_spotcheck(bad), "oracle accepts the ramified non-example"
+    return (f"{total} maps with nonzero constant J; ramified non-example: "
+            f"J not constant, detected on z = 0")
 
 
 # -- fixture items -----------------------------------------------------------------
@@ -278,7 +282,7 @@ def _verify_params_fixture(data: dict) -> str:
     if expect.get("has_hyper"):
         assert built.hyper_map is not None
         assert degree_of(built.hyper_map) == params.d
-    assert jacobian_spotcheck(built.tilde_map, 25, seed=0)
+    _assert_oracle_etale("tilde map", built.tilde_map)
     return ", ".join(details) or "certified"
 
 
@@ -406,7 +410,7 @@ def _check_family(fixture_dir: Path) -> str:
     assert family_pairwise_distinct(specs), "members not pairwise distinct"
     for m in members:
         assert degree_of(m) == 2
-        assert jacobian_spotcheck(m, 25, seed=0)
+        _assert_oracle_etale("family member", m)
         assert not cstar_equivariant(m)
     h = hyper_surface(2, 1)
     pt = SurfacePoint(h, tuple(QQ.elem(Fraction(c)) for c in data["point"]["at"]))
@@ -488,7 +492,7 @@ def reproduce_paper(fixture_dir: Path | None = None, seed: int = 0) -> dict:
         _item("miyanishi_n3", lambda: _check_miyanishi(fdir, "miy_n3.json")),
         _item("profile_consistency", lambda: check_profile_consistency(corpus)),
         _item("oracle_cross_validation",
-              lambda: check_oracle_cross_validation(corpus, seed=seed)),
+              lambda: check_oracle_cross_validation(corpus)),
         _item("ramified_nonexample", lambda: _check_ramified(fdir)),
     ]
     return {

@@ -18,6 +18,7 @@ canonical normal form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,16 +96,26 @@ def normal_form(p: Poly, s: SurfaceSpec) -> Poly:
     """
     order = tuple(list(s.vars) + [v for v in p.variables if v not in s.vars])
     aligned = p.with_variables(order)
-    rel = s.relation(aligned.field).with_variables(order)
-    _, r = divmod_poly(aligned, rel)
+    _, r = divmod_poly(aligned, relation_poly(s, aligned.field, order))
     return r
+
+
+@functools.cache
+def relation_poly(s: SurfaceSpec, field: NumberField,
+                  order: tuple[str, ...]) -> Poly:
+    """The relation of s over field, in the variable order `order`.
+
+    Built once per (spec, field, order) and shared by every caller, which
+    is safe because Poly operations never mutate their operands.
+    """
+    return s.relation(field).with_variables(order)
 
 
 def on_surface(pt, s: SurfaceSpec) -> bool:
     """Exact test relation(pt) == 0. pt is a triple of field elements."""
     coords = _as_elements(pt)
     field = coords[0].field
-    rel = s.relation(field if not field.is_rational else QQ)
+    rel = relation_poly(s, field if not field.is_rational else QQ, s.vars)
     return rel.evaluate(dict(zip(s.vars, coords))).is_zero()
 
 

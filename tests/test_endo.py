@@ -46,6 +46,15 @@ def test_make_map_examples():
     assert not err.value.witness.is_zero()
 
 
+def test_make_map_gate_covers_parameter_variables():
+    # y + a1 is a morphism only for a1 = 0; the exact gate shows x^2*a1
+    xyza = S22.vars + ("a1",)
+    x, y, z, a1 = (Poly.variable(v, QQ, xyza) for v in xyza)
+    with pytest.raises(NotAMorphism) as err:
+        make_map(S22, S22, (x, y + a1, z))
+    assert err.value.witness == x ** 2 * a1
+
+
 def test_apply_examples():
     pt = SurfacePoint(S22, (QQ.elem(1), QQ.elem(3), QQ.elem(2)))
     img = apply_map(cheb_map(3), pt)
@@ -223,13 +232,13 @@ def test_certified_builds_small_grid():
         built = build_from_params(params)
         assert cstar_equivariant(built.tilde_map)
         assert degree_of(built.tilde_map) == params.d
-        assert jacobian_spotcheck(built.tilde_map, 25, seed=1)
+        assert jacobian_spotcheck(built.tilde_map)
         expect = "equivariant" if params.alpha == 1 else "invariant"
         assert zk_compatible(built.tilde_map, params.a).kind == expect
 
 
 def test_jacobian_examples():
-    assert jacobian_spotcheck(cheb_map(3), 25, seed=0)
+    assert jacobian_spotcheck(cheb_map(3))
     ident = identity_map(S22)
     pt = SurfacePoint(S22, (QQ.elem(2), QQ.elem(Fraction(3, 4)), QQ.elem(2)))
     assert jacobian_det_at(ident, pt) == QQ.elem(1)
@@ -239,8 +248,77 @@ def test_jacobian_examples():
     assert jacobian_det_at(bad, on_locus).is_zero()
     off_locus = SurfacePoint(S22, (QQ.elem(1), QQ.elem(3), QQ.elem(2)))
     assert not jacobian_det_at(bad, off_locus).is_zero()
-    assert jacobian_spotcheck(bad, 25, seed=0)  # generic samples miss z = 0
+    assert not jacobian_spotcheck(bad)  # J = 2z is not constant
     assert not etale_certificate_of_bad_map()
+
+
+def test_oracle_constant_jacobian():
+    # the identity pulls omega back to itself; the degree-d Chebyshev map
+    # built with lambda pulls it back to d*lambda*omega on both models
+    for s in (S22, H21):
+        verdict = jacobian_spotcheck(identity_map(s))
+        assert verdict.jacobian == QQ.elem(1) and verdict.residual.is_zero()
+    from etale_forge.constructor import chebyshev_endo
+    for d in (3, 5, 7, 9, 11, 13):
+        for lam in (1, 2):
+            built = build_from_params(chebyshev_endo(d, QQ.elem(lam)))
+            for m in (built.tilde_map, built.hyper_map):
+                assert jacobian_spotcheck(m).jacobian == QQ.elem(d * lam)
+
+
+def test_oracle_witness_for_ramified_map():
+    # J = 2z: T = -2x^2*z and D = x^2 give c = 2 and the residual 2x^2(1 - z)
+    from etale_forge.reproduce import _assert_oracle_etale
+    bad = make_map(S22, S22, (X, Y * (Z ** 2 + 1), Z ** 2))
+    verdict = jacobian_spotcheck(bad)
+    assert verdict.jacobian is None
+    assert verdict.residual == 2 * X ** 2 * (1 - Z)
+    # a report item that meets this map names the residual
+    with pytest.raises(AssertionError, match=r"residual -2\*x\^2\*z \+ 2\*x\^2"):
+        _assert_oracle_etale("ramified", bad)
+
+
+def _sympy_chart_det(m, pt, sympy):
+    """Chart determinant with the middle variable eliminated by sympy."""
+    s = m.source
+    first, middle, last = (sympy.Symbol(v) for v in s.vars)
+    if s.model == "tilde":
+        solved = (last ** s.k - 1) / first ** s.r
+    else:
+        solved = (last ** s.k - first) / first ** (s.r + 1)
+    f1, f3 = (sympy.sympify(str(c).replace("^", "**")).subs(middle, solved)
+              for c in (m.coords[0], m.coords[2]))
+    det = sympy.Matrix([[sympy.diff(f, v) for v in (first, last)]
+                        for f in (f1, f3)]).det()
+    at = {first: sympy.Rational(str(pt.coords[0])),
+          last: sympy.Rational(str(pt.coords[2]))}
+    value = sympy.Rational(det.subs(at))
+    return Fraction(int(value.p), int(value.q))
+
+
+def test_jacobian_det_matches_sympy_elimination():
+    sympy = pytest.importorskip("sympy")
+    from etale_forge.constructor import chebyshev_endo, cyclic_galois_endo
+    from etale_forge.family import FamilySpec, family_member
+    from etale_forge.surface import sample_point
+    maps = [make_map(S22, S22, (X, Y * (Z ** 2 + 1), Z ** 2))]
+    for params in (chebyshev_endo(3), chebyshev_endo(5, QQ.elem(2)),
+                   cyclic_galois_endo(2)[0]):
+        built = build_from_params(params)
+        maps += [built.tilde_map, built.hyper_map]
+    maps.append(family_member(FamilySpec(2, 1, cyclic_galois_endo(2)[0],
+                                         (QQ.elem(1),))))
+    checked = 0
+    for i, m in enumerate(maps):
+        for seed in range(4):
+            pt = sample_point(m.source, 100 * i + seed)
+            try:
+                det = jacobian_det_at(m, pt)
+            except ChartDegenerate:
+                continue
+            assert det.as_fraction() == _sympy_chart_det(m, pt, sympy), (m, pt)
+            checked += 1
+    assert checked >= 30
 
 
 def etale_certificate_of_bad_map() -> bool:

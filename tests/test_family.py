@@ -96,7 +96,7 @@ def test_family_members_degrees_and_oracle():
     for spec in s2_members():
         m = family_member(spec)
         assert degree_of(m) == 2
-        assert jacobian_spotcheck(m, 25, seed=11)
+        assert jacobian_spotcheck(m)
         assert not cstar_equivariant(m)
 
 
