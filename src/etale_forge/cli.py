@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -206,7 +207,13 @@ def _cmd_shabat(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     fdir = Path(args.fixture_dir) if args.fixture_dir else default_fixture_dir()
-    report = reproduce_paper(fdir, seed=args.seed)
+    timings = {} if args.timings else None
+    start = time.perf_counter()
+    report = reproduce_paper(fdir, seed=args.seed, timings=timings)
+    if timings is not None:
+        timings["total"] = time.perf_counter() - start
+        for name, seconds in timings.items():
+            print(f"{name} {seconds:.3f}", file=sys.stderr)
 
     def text(rep):
         for item in rep["items"]:
@@ -322,6 +329,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reproduce-paper", help="run the full verification report")
     p.add_argument("--fixture-dir")
+    p.add_argument("--timings", action="store_true",
+                   help="write 'name seconds' per item and the total to stderr")
     p.set_defaults(fn=_cmd_reproduce)
     _common_flags(p, suppress=True)
 

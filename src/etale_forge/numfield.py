@@ -376,6 +376,21 @@ def parse_minpoly(text: str):
     return out, gen
 
 
+def power(base, n: int):
+    """base**n for n >= 1 by left-to-right square-and-multiply.
+
+    Makes exactly n.bit_length() + n.bit_count() - 2 multiplies and returns
+    base itself for n = 1, which is safe because neither FieldElement nor
+    Poly is ever mutated.  Shared by FieldElement.__pow__ and Poly.__pow__.
+    """
+    result = base
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * base
+    return result
+
+
 class FieldElement:
     """An element of a NumberField, reduced mod the minimal polynomial."""
 
@@ -456,6 +471,8 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
+        if len(self.coords) == 1:
+            return FieldElement(self.field, (1 / self.coords[0],))
         g, u, _ = _poly_xgcd(_trim(list(self.coords)), list(self.field.minpoly))
         if len(g) != 1:
             raise ReduciblePolynomial(
@@ -473,18 +490,14 @@ class FieldElement:
         return self.field.elem(other) / self
 
     def __pow__(self, n: int):
+        """self**n; a negative n inverts first.  See power() for the cost."""
         if n < 0:
             return self.inverse() ** (-n)
         if len(self.coords) == 1:
             return FieldElement(self.field, (self.coords[0] ** n,))
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return self.field.one()
+        return power(self, n)
 
     # -- comparison, hashing, display -----------------------------------
 
@@ -533,21 +546,6 @@ def element_from_json(data: dict) -> FieldElement:
 def rational(x) -> FieldElement:
     """The rational constant x as an element of QQ."""
     return QQ.elem(x)
-
-
-def nf_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Field arithmetic dispatch: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if isinstance(b, FieldElement) and b.is_zero():
-            raise DivisionByZero("division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 @lru_cache(maxsize=None)

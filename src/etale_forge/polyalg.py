@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numfield import (QQ, FieldElement, FieldMismatch, NumberField,
+from .numfield import (QQ, FieldElement, FieldMismatch, NumberField, power,
                        rational_roots)
 
 
@@ -242,16 +242,12 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self**n for n >= 0: the constant 1 for n = 0, else numfield.power."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.constant(1, self.field, self.variables)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return Poly.constant(1, self.field, self.variables)
+        return power(self, n)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -354,16 +350,6 @@ def variables(names: str, field: NumberField = QQ) -> tuple[Poly, ...]:
     return tuple(Poly.variable(v, field, vs) for v in vs)
 
 
-def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def compose(outer: Poly, inner: Poly) -> Poly:
     """Exact substitution outer(inner) for univariate outer (Horner)."""
     if not outer.is_univariate():
@@ -383,28 +369,38 @@ def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     Returns (q, r) with a = q*b + r and no monomial of r divisible by the
     leading monomial of b.  For a single divisor this remainder is canonical
     ({b} is a Groebner basis of the principal ideal (b)).
+
+    The leading coefficient of b is inverted once per call, and the
+    dividend is reduced in one working term map: each step pops its leading
+    term and subtracts shift * (b - lt(b)) in place.
     """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     a, b = a._pair(b)
     lm = b.leading_monomial()
-    lc = b.leading_coeff()
-    q = Poly.zero(a.field, a.variables)
-    r = Poly.zero(a.field, a.variables)
-    p = a
-    while not p.is_zero():
-        k = p.leading_monomial()
-        c = p.terms[k]
+    inv_lc = b.terms[lm].inverse()
+    tail = [(k, c) for k, c in b.terms.items() if k != lm]
+    p = dict(a.terms)
+    q: dict[tuple[int, ...], FieldElement] = {}
+    r: dict[tuple[int, ...], FieldElement] = {}
+    while p:
+        k = max(p)
+        c = p.pop(k)
         if all(x >= y for x, y in zip(k, lm)):
             shift = tuple(x - y for x, y in zip(k, lm))
-            factor = Poly(a.field, a.variables, {shift: c / lc})
-            q = q + factor
-            p = p - factor * b
+            f = c * inv_lc
+            q[shift] = f
+            for kb, cb in tail:
+                m = tuple(x + y for x, y in zip(shift, kb))
+                s = p.get(m)
+                s = -(f * cb) if s is None else s - f * cb
+                if s.is_zero():
+                    p.pop(m, None)
+                else:
+                    p[m] = s
         else:
-            mono = Poly(a.field, a.variables, {k: c})
-            r = r + mono
-            p = p - mono
-    return q, r
+            r[k] = c
+    return Poly(a.field, a.variables, q), Poly(a.field, a.variables, r)
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:

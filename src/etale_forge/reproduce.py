@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,9 +126,10 @@ def check_theta_group_law(seed: int = 0) -> str:
             for e in range(0, 5):
                 p = p + Poly.constant(rng.fraction(20), QQ, ("x",)) * x ** e
                 q = q + Poly.constant(rng.fraction(20), QQ, ("x",)) * x ** e
-            lhs = compose_maps(theta(p, s), theta(q, s))
+            theta_p = theta(p, s)
+            lhs = compose_maps(theta_p, theta(q, s))
             assert maps_equal(lhs, theta(p + q, s)), "theta group law fails"
-            assert theta(p, s).coords[0] == Poly.variable("x", QQ, s.vars)
+            assert theta_p.coords[0] == Poly.variable("x", QQ, s.vars)
     return "20 pairs on tilde(2,2) and tilde(3,3)"
 
 
@@ -461,8 +463,13 @@ def _check_ramified(fixture_dir: Path) -> str:
     return f"{len(data['locus_points'])} locus points detected"
 
 
-def reproduce_paper(fixture_dir: Path | None = None, seed: int = 0) -> dict:
-    """Run the whole verification suite; returns a machine-readable report."""
+def reproduce_paper(fixture_dir: Path | None = None, seed: int = 0,
+                    timings: dict[str, float] | None = None) -> dict:
+    """Run the whole verification suite; returns a machine-readable report.
+
+    When a dict is passed as timings, it receives the wall seconds of each
+    item by name; the report itself never contains times.
+    """
     fdir = Path(fixture_dir) if fixture_dir else default_fixture_dir()
     corpus = None
     try:
@@ -470,31 +477,37 @@ def reproduce_paper(fixture_dir: Path | None = None, seed: int = 0) -> dict:
     except Exception:
         corpus = None  # individual items will report the failure
 
-    items = [
-        _item("chebyshev_identities", check_chebyshev_identities),
-        _item("congruence_law", check_congruence_law),
-        _item("s2_galois", lambda: _check_s2_galois(fdir)),
-        _item("galois_k3", lambda: _verify_params_fixture(_load(fdir, "galois_k3.json"))),
-        _item("cheb_d3", lambda: _verify_params_fixture(_load(fdir, "cheb_d3.json"))),
-        _item("cheb_d5", lambda: _verify_params_fixture(_load(fdir, "cheb_d5.json"))),
-        _item("cheb_d7", lambda: _verify_params_fixture(_load(fdir, "cheb_d7.json"))),
-        _item("cheb_d9", lambda: _verify_params_fixture(_load(fdir, "cheb_d9.json"))),
-        _item("cheb_point_fixture", lambda: _check_cheb_point(fdir)),
-        _item("kr32_d01_solver", lambda: _check_kr32_solver(fdir)),
-        _item("kr32_d02_verification", lambda: _check_kr32_d02(fdir)),
-        _item("alpha0_k2r2_d4",
-              lambda: _verify_params_fixture(_load(fdir, "alpha0_k2r2_d4.json"))),
-        _item("factorization_law", _check_factorization_law),
-        _item("deformation_family", lambda: _check_family(fdir)),
-        _item("remark_cube_roots", check_remark_cube_roots),
-        _item("theta_group_law", lambda: check_theta_group_law(seed)),
-        _item("miyanishi_n2", lambda: _check_miyanishi(fdir, "miy_n2.json")),
-        _item("miyanishi_n3", lambda: _check_miyanishi(fdir, "miy_n3.json")),
-        _item("profile_consistency", lambda: check_profile_consistency(corpus)),
-        _item("oracle_cross_validation",
-              lambda: check_oracle_cross_validation(corpus)),
-        _item("ramified_nonexample", lambda: _check_ramified(fdir)),
+    checks = [
+        ("chebyshev_identities", check_chebyshev_identities),
+        ("congruence_law", check_congruence_law),
+        ("s2_galois", lambda: _check_s2_galois(fdir)),
+        ("galois_k3", lambda: _verify_params_fixture(_load(fdir, "galois_k3.json"))),
+        ("cheb_d3", lambda: _verify_params_fixture(_load(fdir, "cheb_d3.json"))),
+        ("cheb_d5", lambda: _verify_params_fixture(_load(fdir, "cheb_d5.json"))),
+        ("cheb_d7", lambda: _verify_params_fixture(_load(fdir, "cheb_d7.json"))),
+        ("cheb_d9", lambda: _verify_params_fixture(_load(fdir, "cheb_d9.json"))),
+        ("cheb_point_fixture", lambda: _check_cheb_point(fdir)),
+        ("kr32_d01_solver", lambda: _check_kr32_solver(fdir)),
+        ("kr32_d02_verification", lambda: _check_kr32_d02(fdir)),
+        ("alpha0_k2r2_d4",
+         lambda: _verify_params_fixture(_load(fdir, "alpha0_k2r2_d4.json"))),
+        ("factorization_law", _check_factorization_law),
+        ("deformation_family", lambda: _check_family(fdir)),
+        ("remark_cube_roots", check_remark_cube_roots),
+        ("theta_group_law", lambda: check_theta_group_law(seed)),
+        ("miyanishi_n2", lambda: _check_miyanishi(fdir, "miy_n2.json")),
+        ("miyanishi_n3", lambda: _check_miyanishi(fdir, "miy_n3.json")),
+        ("profile_consistency", lambda: check_profile_consistency(corpus)),
+        ("oracle_cross_validation",
+         lambda: check_oracle_cross_validation(corpus)),
+        ("ramified_nonexample", lambda: _check_ramified(fdir)),
     ]
+    items = []
+    for name, fn in checks:
+        start = time.perf_counter()
+        items.append(_item(name, fn))
+        if timings is not None:
+            timings[name] = time.perf_counter() - start
     return {
         "items": items,
         "all_pass": all(i["status"] == "pass" for i in items),

@@ -181,3 +181,16 @@ def test_reproduce_paper_with_missing_fixture(tmp_path):
     assert "miy_n3.json" in by_name["miyanishi_n3"]["detail"]
     assert by_name["miyanishi_n2"]["status"] == "pass"
     assert report["all_pass"] is False
+
+
+@pytest.mark.slow
+def test_reproduce_paper_timings_go_to_stderr():
+    plain = run_cli("reproduce-paper", "--json")
+    timed = run_cli("reproduce-paper", "--json", "--timings")
+    assert plain.returncode == timed.returncode == 0
+    assert timed.stdout == plain.stdout          # byte-identical report
+    assert plain.stderr == ""
+    names = [item["name"] for item in json.loads(plain.stdout)["items"]]
+    rows = [line.split() for line in timed.stderr.splitlines()]
+    assert [name for name, _ in rows] == names + ["total"]
+    assert all(float(seconds) >= 0 for _, seconds in rows)

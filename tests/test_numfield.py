@@ -4,12 +4,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from etale_forge.numfield import (QQ, DivisionByZero, FieldMismatch,
-                                  NumberField, ReduciblePolynomial,
+from etale_forge.numfield import (QQ, DivisionByZero, FieldElement,
+                                  FieldMismatch, NumberField,
+                                  ReduciblePolynomial, _poly_xgcd,
                                   cyclotomic_field, element_from_json,
-                                  field_from_string, nf_arith,
-                                  rational_roots, root_of_unity_power)
+                                  field_from_string, rational_roots,
+                                  root_of_unity_power)
 from etale_forge.surface import SplitMix64
 
 F_SQRT_M2 = NumberField([2, 0, 1])          # theta^2 + 2
@@ -34,14 +37,14 @@ def test_inverse_via_extended_euclid():
     assert th * inv == F_SQRT_M2.one()
 
 
-def test_nf_arith_dispatch_and_division_by_zero():
+def test_field_operators_and_division_by_zero():
     a, b = F_SQRT_M2.elem(3), F_SQRT_M2.gen()
-    assert nf_arith(a, b, "add") == a + b
-    assert nf_arith(a, b, "sub") == a - b
-    assert nf_arith(a, b, "mul") == a * b
-    assert nf_arith(a, b, "div") * b == a
+    assert a + b == F_SQRT_M2.from_coords([3, 1])
+    assert a - b == F_SQRT_M2.from_coords([3, -1])
+    assert a * b == F_SQRT_M2.from_coords([0, 3])
+    assert (a / b) * b == a
     with pytest.raises(DivisionByZero):
-        nf_arith(a, F_SQRT_M2.zero(), "div")
+        a / F_SQRT_M2.zero()
 
 
 def test_field_mismatch():
@@ -143,3 +146,58 @@ def test_degree_one_field_is_rational():
     f1 = cyclotomic_field(1)
     assert f1.gen() == f1.elem(1)       # zeta = 1 in Q[zeta]/(zeta - 1)
     assert f1.gen().as_fraction() == 1
+
+
+# -- powering and inversion against a second computation -----------------------
+
+RATIONALS = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+def elements(field):
+    return st.lists(RATIONALS, min_size=field.degree,
+                    max_size=field.degree).map(field.from_coords)
+
+
+@pytest.mark.parametrize("field", [F_SQRT_M2, F_ZETA3])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_power_matches_repeated_multiplication(field, data):
+    a = data.draw(elements(field))
+    acc = field.one()
+    for n in range(13):
+        assert a ** n == acc, n
+        acc = acc * a
+    if not a.is_zero():
+        inv, acc = a.inverse(), field.one()
+        for n in range(13):
+            assert a ** -n == acc, -n
+            acc = acc * inv
+
+
+def test_power_multiply_count(monkeypatch):
+    calls = []
+    mul = FieldElement.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting)
+    a = F_ZETA3.from_coords([2, Fraction(-1, 3)])
+    for n in range(70):
+        calls.clear()
+        a ** n
+        expected = n.bit_length() + bin(n).count("1") - 2 if n else 0
+        assert len(calls) == expected, n
+
+
+@pytest.mark.parametrize("field", [
+    QQ, cyclotomic_field(1), NumberField([5, 1]),
+    NumberField([Fraction(-3, 7), 1])])
+@given(c=RATIONALS.filter(lambda c: c != 0))
+def test_degree_one_inverse_matches_extended_euclid(field, c):
+    a = field.from_coords([c])
+    g, u, _ = _poly_xgcd([c], list(field.minpoly))
+    assert g == [1]
+    assert a.inverse() == FieldElement(field, field._reduce(u))
+    assert a * a.inverse() == field.one()

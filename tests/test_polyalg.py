@@ -3,12 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U
 from etale_forge.numfield import QQ, NumberField
 from etale_forge.polyalg import (ArityError, NotDivisible, Poly, compose,
-                                 critical_values, exact_div, gcd_univariate,
-                                 monic, multiplicity_profile, poly_arith,
+                                 critical_values, divmod_poly, exact_div,
+                                 gcd_univariate, monic, multiplicity_profile,
                                  squarefree_decomposition, variables)
 from etale_forge.surface import SplitMix64
 
@@ -28,12 +30,12 @@ def _random_poly(rng, max_deg=8, field=QQ, var="x"):
 def test_ring_arithmetic_examples():
     t2, t4 = chebyshev_T(2), chebyshev_T(4)
     # T2^2 - T4 = -4x^4 + 4x^2 = -4x^2(x^2 - 1), expanded both ways
-    diff = poly_arith(t2 * t2, t4, "sub")
+    diff = t2 * t2 - t4
     assert diff == -4 * X ** 4 + 4 * X ** 2
     assert diff == -4 * X ** 2 * (X ** 2 - 1)
     p = 3 * X ** 2 - X + 7
-    assert poly_arith(p, Poly.zero(QQ, ("x",)), "add") == p
-    assert poly_arith(X - 1, X + 1, "mul") == X ** 2 - 1
+    assert p + Poly.zero(QQ, ("x",)) == p
+    assert (X - 1) * (X + 1) == X ** 2 - 1
 
 
 def test_compose_examples():
@@ -162,3 +164,102 @@ def test_chebyshev_relation_suite_small():
         un1 = chebyshev_U(n - 1)
         assert n * un1 == tn.derivative()
         assert tn * tn - 1 == (X ** 2 - 1) * un1 * un1
+
+
+# -- powering and division against a second computation ------------------------
+
+F_SQRT_M2 = NumberField([2, 0, 1])          # theta^2 + 2
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def polys(field, names, max_terms=4, max_exp=3):
+    """Sparse polynomials with at most max_terms terms over field."""
+    coeff = st.lists(RATIONALS, min_size=field.degree,
+                     max_size=field.degree).map(field.from_coords)
+    mono = st.tuples(*[st.integers(0, max_exp)] * len(names))
+    return st.dictionaries(mono, coeff, max_size=max_terms).map(
+        lambda terms: Poly(field, names, {k: c for k, c in terms.items()
+                                          if not c.is_zero()}))
+
+
+RINGS = [(QQ, ("x",)), (QQ, ("x", "y")), (F_SQRT_M2, ("x",)),
+         (F_SQRT_M2, ("x", "y"))]
+
+
+@pytest.mark.parametrize("field,names", RINGS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_power_matches_repeated_multiplication(field, names, data):
+    p = data.draw(polys(field, names, max_terms=3, max_exp=2))
+    acc = Poly.constant(1, field, names)
+    for n in range(13):
+        assert p ** n == acc, n
+        acc = acc * p
+
+
+def test_power_multiply_count(monkeypatch):
+    calls = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    for n in range(70):
+        calls.clear()
+        (X + 1) ** n
+        expected = n.bit_length() + bin(n).count("1") - 2 if n else 0
+        assert len(calls) == expected, n
+
+
+def _assert_division(a, b, q, r):
+    assert a == q * b + r
+    lm = b.leading_monomial()
+    for k in r.terms:
+        assert not all(x >= y for x, y in zip(k, lm)), (k, lm)
+
+
+@pytest.mark.parametrize("field,names", RINGS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_divmod_non_monic_divisor(field, names, data):
+    a = data.draw(polys(field, names, max_terms=6, max_exp=4))
+    b = data.draw(polys(field, names))
+    assume(not b.is_zero() and b.leading_coeff() != 1)
+    q, r = divmod_poly(a, b)
+    _assert_division(a, b, q, r)
+
+
+def _to_sympy(p, gens, domain, theta):
+    import sympy
+    terms = {k: sum((domain.convert(sympy.Rational(v.numerator, v.denominator))
+                     * theta ** i for i, v in enumerate(c.coords)), domain.zero)
+             for k, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms or {(0,) * len(gens): domain.zero},
+                                *gens, domain=domain)
+
+
+@pytest.mark.parametrize("field,names", RINGS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_divmod_matches_sympy_reduced(field, names, data):
+    sympy = pytest.importorskip("sympy")
+    a = data.draw(polys(field, names, max_terms=6, max_exp=4))
+    b = data.draw(polys(field, names))
+    assume(not b.is_zero())
+    gens = sympy.symbols(names)
+    if field == QQ:
+        domain, theta = sympy.QQ, sympy.QQ.one
+    else:
+        domain = sympy.QQ.algebraic_field(sympy.sqrt(-2))
+        theta = domain.from_sympy(sympy.sqrt(-2))
+    quotients, sr = sympy.reduced(_to_sympy(a, gens, domain, theta),
+                                  [_to_sympy(b, gens, domain, theta)],
+                                  order="lex")
+    q, r = divmod_poly(a, b)
+    assert _to_sympy(r, gens, domain, theta) == sr
+    if quotients:
+        assert _to_sympy(q, gens, domain, theta) == quotients[0]
+    else:                       # sympy returns no quotient when a is zero
+        assert q.is_zero()
