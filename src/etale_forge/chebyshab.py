@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .numfield import QQ, FieldElement
-from .polyalg import ArityError, Poly, compose, multiplicity_profile
+from .polyalg import ArityError, Poly, multiplicity_profile
 
 
 _T_CACHE: list[Poly] = []
@@ -140,10 +140,3 @@ def extract_profile(phi: Poly):
     if found != d + 1:
         return MoreThanTwoCriticalValues(found, d + 1)
     return RamificationProfile((field.zero(), field.one()), (lam0, lam1), d)
-
-
-def chebyshev_shabat(n: int) -> Poly:
-    """T_n renormalized to branch points {0, 1}: t -> (1 + T_n(2t - 1))/2."""
-    t = Poly.variable("t", QQ)
-    half = Poly.constant(QQ.elem("1/2"), QQ, ("t",))
-    return (compose(chebyshev_T(n), 2 * t - 1) + 1) * half

@@ -3,8 +3,9 @@ and fixture reproduction.  JSON is the stable machine interface; text output
 is human-oriented.
 
 Exit codes: 0 success / verdict true, 2 verdict false, 1 usage or parse
-error.  All randomness flows from --seed (or ETALE_FORGE_SEED), which only
-affects sample points, never exact identities.
+error.  --seed (or ETALE_FORGE_SEED) picks the random shear polynomials on
+which reproduce-paper checks the theta group law; it never changes an output
+byte.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .endo import (build_from_params, degree_of, etale_certificate,
                    map_to_json, params_from_json)
 from .family import FamilySpec, ec_equivalent, family_member, family_pairwise_distinct
 from .miyanishi import MiyParams, UnsupportedN, miy_b_check, miy_b_find, miy_eta0, miy_lift_check
-from .numfield import QQ, field_from_string
+from .numfield import QQ, field_from_string, rationals
 from .polyparse import PolyParseError, parse_poly, print_poly
 from .reproduce import default_fixture_dir, reproduce_paper
 
@@ -54,7 +55,7 @@ def _emit(payload: dict, args, text_fn=None) -> None:
 
 def _load_params(path: str):
     data = json.loads(Path(path).read_text())
-    if "params" in data:
+    if isinstance(data, dict) and "params" in data:
         data = data["params"]
     return params_from_json(data)
 
@@ -106,8 +107,8 @@ def _cmd_family(args) -> int:
             base = _load_params(args.base)
         else:
             base, _ = cyclic_galois_endo(args.k)
-        avec = tuple(base.field.elem(Fraction(str(a)))
-                     for a in json.loads(args.avec))
+        avec = tuple(map(base.field.elem,
+                         rationals(json.loads(args.avec), "--avec")))
         spec = FamilySpec(args.k, args.rbar, base, avec)
         member = family_member(spec)
         payload = {"map": map_to_json(member), "degree": degree_of(member)}
@@ -131,8 +132,11 @@ def _cmd_family(args) -> int:
     else:
         base, _ = cyclic_galois_endo(args.k)
     avecs = json.loads(args.avecs)
+    if not isinstance(avecs, list):
+        raise ValueError("--avecs must be a list of a-vectors, "
+                         f"got {type(avecs).__name__}")
     specs = [FamilySpec(args.k, args.rbar, base,
-                        tuple(base.field.elem(Fraction(str(a))) for a in av))
+                        tuple(map(base.field.elem, rationals(av, "an a-vector"))))
              for av in avecs]
     distinct = family_pairwise_distinct(specs)
     _emit({"pairwise_distinct": distinct}, args)
@@ -231,8 +235,9 @@ def _common_flags(parser, suppress: bool) -> None:
                     else int(os.environ.get("ETALE_FORGE_SEED", "0")))
     out_default = argparse.SUPPRESS if suppress else "text"
     parser.add_argument("--seed", type=int, default=seed_default,
-                        help="seed for sample points (default: "
-                             "ETALE_FORGE_SEED or 0)")
+                        help="seed of the theta-group-law shears in "
+                             "reproduce-paper; output bytes do not depend "
+                             "on it (default: ETALE_FORGE_SEED or 0)")
     parser.add_argument("--output", choices=["json", "text"],
                         default=out_default)
     parser.add_argument("--json", dest="output", action="store_const",

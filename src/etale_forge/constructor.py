@@ -14,13 +14,12 @@ searched for (full factoring over number fields is out of scope here).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .chebyshab import chebyshev_T, chebyshev_U
-from .endo import (EtaleParams, SurfaceMap, build_from_params,
-                   etale_certificate, make_map, ri_degrees)
+from .endo import (EtaleParams, SurfaceMap, etale_certificate, make_map,
+                   ri_degrees, zk_to_t)
 from .numfield import (QQ, FieldElement, NumberField, cyclotomic_field,
                        rational_roots)
 from .polyalg import (NotDivisible, Poly, compose, divmod_poly, exact_div,
@@ -80,21 +79,6 @@ def degrees_from(k: int, r: int, alpha: int, d: int):
     return triple
 
 
-def _even_part_in_t(q: Poly, k: int, field: NumberField) -> Poly:
-    """Rewrite q(z), a polynomial in z^k, as a polynomial in t = 1 - z^k."""
-    t = Poly.variable("t", field)
-    out = Poly.zero(field, ("t",))
-    if q.is_zero():
-        return out
-    idx = q.variables.index("z") if "z" in q.variables else None
-    for key, c in q.terms.items():
-        e = key[idx] if idx is not None else 0
-        if e % k != 0:
-            raise ValueError(f"{q} is not a polynomial in z^{k}")
-        out = out + Poly.constant(c, field, ("t",)) * (1 - t) ** (e // k)
-    return out
-
-
 def chebyshev_endo(d: int, lam: FieldElement | int = 1) -> EtaleParams:
     """Parameters of the degree-d Chebyshev endomorphism of tilde(2, 2).
 
@@ -111,8 +95,8 @@ def chebyshev_endo(d: int, lam: FieldElement | int = 1) -> EtaleParams:
     Td = chebyshev_T(d).with_field(field).substitute({"x": z})
     Ud1 = chebyshev_U(d - 1).with_field(field).substitute({"x": z})
     # T_d(z) = z * G(z^2) and U_(d-1)(z) = H(z^2) for odd d
-    r1 = _even_part_in_t(exact_div(Td, z), 2, field)
-    r2 = _even_part_in_t(Ud1, 2, field) * Poly.constant(
+    r1 = zk_to_t(exact_div(Td, z), 2)
+    r2 = zk_to_t(Ud1, 2) * Poly.constant(
         field.elem(Fraction(1, d)), field, ("t",))
     r0 = Poly.constant(d * d, field, ("t",))
     return EtaleParams(k=2, r=2, a=1, alpha=1, d=d,

@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numfield import QQ, FieldElement, NumberField, field_from_string
+from .numfield import (QQ, FieldElement, NumberField, field_from_string,
+                       rationals)
 from .polyalg import Poly, compose, is_separable
 from .surface import (SurfacePoint, SurfaceSpec, hyper_surface, normal_form,
                       relation_poly, tilde_surface, weight_of)
@@ -244,16 +245,22 @@ def base_polynomial(m: SurfaceMap) -> Poly:
         q = normal_form(-(psi1 ** s.r) * psi2, cover)
     if q.is_zero():
         raise DegreeUndetermined("degenerate (non-dominant) map")
+    return zk_to_t(q.with_field(field), k)
+
+
+def zk_to_t(q: Poly, k: int) -> Poly:
+    """Rewrite q, a polynomial in z^k, as a polynomial in t = 1 - z^k."""
     if any(v != "z" for v in q.support_variables()):
-        raise DegreeUndetermined("base pullback is not a function of the base")
+        raise DegreeUndetermined(f"{q} is not a function of z alone")
+    field = q.field
     t = Poly.variable("t", field)
-    eta_rho = Poly.zero(field, ("t",))
+    out = Poly.zero(field, ("t",))
     for key, c in q.terms.items():
         e = key[q.variables.index("z")] if "z" in q.variables else 0
         if e % k != 0:
-            raise DegreeUndetermined("base pullback is not a polynomial in z^k")
-        eta_rho = eta_rho + Poly.constant(c, field, ("t",)) * (1 - t) ** (e // k)
-    return eta_rho
+            raise DegreeUndetermined(f"{q} is not a polynomial in z^{k}")
+        out = out + Poly.constant(c, field, ("t",)) * (1 - t) ** (e // k)
+    return out
 
 
 def degree_of(m: SurfaceMap) -> int:
@@ -344,13 +351,28 @@ class EtaleParams:
         }
 
 
+_PARAM_FIELDS = {"k": int, "r": int, "a": int, "alpha": int, "d": int,
+                 "field": str, "lambda": list, "R0": str, "R1": str, "R2": str}
+
+
 def params_from_json(data: dict) -> EtaleParams:
+    """The inverse of EtaleParams.to_json; a missing or ill-typed field
+    raises ValueError naming it."""
     from .polyparse import parse_poly
+    if not isinstance(data, dict):
+        raise ValueError("parameter document must be an object, "
+                         f"got {type(data).__name__}")
+    for name, kind in _PARAM_FIELDS.items():
+        if name not in data:
+            raise ValueError(f"parameter document lacks {name!r}")
+        if not isinstance(data[name], kind) or isinstance(data[name], bool):
+            raise ValueError(f"parameter {name!r} must be {kind.__name__}, "
+                             f"got {type(data[name]).__name__}")
     field = field_from_string(data["field"])
-    lam = field.from_coords([Fraction(c) for c in data["lambda"]])
+    lam = field.from_coords(rationals(data["lambda"], "parameter 'lambda'"))
     return EtaleParams(
-        k=int(data["k"]), r=int(data["r"]), a=int(data["a"]),
-        alpha=int(data["alpha"]), d=int(data["d"]), lam=lam,
+        k=data["k"], r=data["r"], a=data["a"],
+        alpha=data["alpha"], d=data["d"], lam=lam,
         R0=parse_poly(data["R0"], ("t",), field),
         R1=parse_poly(data["R1"], ("t",), field),
         R2=parse_poly(data["R2"], ("t",), field),

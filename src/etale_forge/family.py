@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .constructor import PreconditionViolated, factor_through_cover
 from .endo import EtaleParams, SurfaceMap, compose_maps, make_map
-from .numfield import QQ, FieldElement, NumberField, cyclotomic_field
+from .numfield import QQ, FieldElement
 from .polyalg import ArityError, Poly
 from .surface import SurfaceSpec, hyper_surface, tilde_surface
 
@@ -216,34 +216,23 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _canonical_avector(av: tuple[FieldElement, ...]) -> tuple[FieldElement, ...]:
-    out = list(av)
-    while out and out[-1].is_zero():
-        out.pop()
-    return tuple(out)
-
-
 def family_pairwise_distinct(f_list: list[FamilySpec]) -> bool:
     """True iff all members are pairwise inequivalent modulo automorphisms.
 
-    Canonicalizes a-vectors by stripping trailing zeros (duplicates make the
-    family degenerate, hence False) and decides each pair through the
-    deformation polynomials; for F with F(0) = 1 in C[x^r] the criterion
-    collapses to equality of the F's.
+    Every deformation polynomial has F(0) = 1 and lies in C[x^r], so
+    F1(x) = lam^r F2(lam x) forces lam^r = 1 and then F1 = F2: members are
+    equivalent exactly when their a-vectors agree after stripping trailing
+    zeros.
     """
     if not f_list:
         return True
     k, rbar, base = f_list[0].k, f_list[0].rbar, f_list[0].base
+    canon = set()
     for f in f_list:
         if (f.k, f.rbar) != (k, rbar) or f.base != base:
             raise ValueError("family members must share (k, rbar, base)")
-    canon = [_canonical_avector(f.avector) for f in f_list]
-    for i in range(len(canon)):
-        for j in range(i + 1, len(canon)):
-            if canon[i] == canon[j]:
-                return False
-            r = rbar * k
-            if ec_equivalent(f_list[i].deformation_poly(),
-                             f_list[j].deformation_poly(), r).equivalent:
-                return False
-    return True
+        av = list(f.avector)
+        while av and av[-1].is_zero():
+            av.pop()
+        canon.add(tuple(av))
+    return len(canon) == len(f_list)

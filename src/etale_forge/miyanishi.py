@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numfield import QQ, FieldElement, NumberField
-from .polyalg import (NotDivisible, Poly, exact_div, gcd_univariate,
-                      squarefree_decomposition)
+from .numfield import QQ, NumberField
+from .polyalg import NotDivisible, Poly, exact_div, gcd_univariate
 from .chebyshab import chebyshev_T, chebyshev_U
 
 

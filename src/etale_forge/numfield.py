@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 from fractions import Fraction
 from functools import lru_cache
 
@@ -306,27 +307,31 @@ class NumberField:
         return tuple(out)
 
     def minpoly_str(self) -> str:
-        return _format_univariate(self.minpoly, self.gen_name)
+        return format_terms(reversed(power_terms(self.minpoly, self.gen_name)))
 
 
-def _format_univariate(coeffs, name: str) -> str:
+def power_terms(coeffs, name: str) -> list[tuple[str, Fraction]]:
+    """(name^e, coefficient) pairs of a constant-first coefficient list."""
+    return [("" if e == 0 else name if e == 1 else f"{name}^{e}", c)
+            for e, c in enumerate(coeffs)]
+
+
+def format_terms(terms) -> str:
+    """Join (monomial text, rational coefficient) pairs in the given order.
+
+    Zero terms are skipped, a unit magnitude is dropped before a monomial,
+    and each sign goes into the separator; nothing left prints as "0".
+    """
     parts = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
+    for mono, c in terms:
         if c == 0:
             continue
-        mono = "" if e == 0 else (name if e == 1 else f"{name}^{e}")
         mag = abs(c)
-        if mono and mag == 1:
-            body = mono
-        elif mono:
-            body = f"{mag}*{mono}"
-        else:
-            body = str(mag)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
+        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
+        if parts:
             parts.append(f" + {body}" if c > 0 else f" - {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
     return "".join(parts) if parts else "0"
 
 
@@ -516,7 +521,7 @@ class FieldElement:
             return "0"
         if self.field.degree == 1 or self.is_rational():
             return str(self.coords[0])
-        return _format_univariate(self.coords, self.field.gen_name)
+        return format_terms(reversed(power_terms(self.coords, self.field.gen_name)))
 
     def __repr__(self):
         return f"FieldElement({self})"
@@ -543,9 +548,20 @@ def element_from_json(data: dict) -> FieldElement:
     return field.from_coords([Fraction(c) for c in data["coords"]])
 
 
-def rational(x) -> FieldElement:
-    """The rational constant x as an element of QQ."""
-    return QQ.elem(x)
+def rationals(values, what: str) -> list[Fraction]:
+    """A JSON list of numbers or numeric strings as Fractions; anything else
+    raises ValueError naming what."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of rationals, "
+                         f"got {type(values).__name__}")
+    try:
+        if all(isinstance(v, (int, float, str)) and not isinstance(v, bool)
+               for v in values):
+            return [Fraction(str(v)) for v in values]
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{what} must be a list of rationals, "
+                     f"got {reprlib.repr(values)}")
 
 
 @lru_cache(maxsize=None)
@@ -565,9 +581,3 @@ def cyclotomic_field(k: int) -> NumberField:
     if k < 1:
         raise ValueError("k must be a positive integer")
     return NumberField(list(_cyclotomic_coeffs(k)), gen="zeta", note="cyclotomic")
-
-
-def root_of_unity_power(k: int, j: int) -> FieldElement:
-    """zeta_k^(j mod k) reduced in the k-th cyclotomic field."""
-    field = cyclotomic_field(k)
-    return field.gen() ** (j % k)

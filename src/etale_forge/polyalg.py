@@ -12,10 +12,8 @@ representation favors clarity: dense exponent vectors, sparse term maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .numfield import (QQ, FieldElement, FieldMismatch, NumberField, power,
-                       rational_roots)
+from .numfield import QQ, FieldElement, FieldMismatch, NumberField, power
 
 
 class ArityError(ValueError):
@@ -126,10 +124,6 @@ class Poly:
         if not self.terms:
             return self.field.zero()
         return self.terms[max(self.terms)]
-
-    def coeff_of(self, **exps) -> FieldElement:
-        key = tuple(exps.get(v, 0) for v in self.variables)
-        return self.terms.get(key, self.field.zero())
 
     def univariate_coeffs(self) -> list[FieldElement]:
         """Dense coefficient list (constant first) of a univariate Poly."""
@@ -486,133 +480,3 @@ def multiplicity_profile(phi: Poly, c) -> tuple[int, ...]:
     for mf in squarefree_decomposition(shifted):
         parts.extend([mf.multiplicity] * mf.factor.total_degree())
     return tuple(sorted(parts, reverse=True))
-
-
-# -- critical values -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CriticalValues:
-    """Critical values found in the coefficient field.
-
-    complete is True when these are provably all critical values of phi
-    (even if some critical points are irrational); when phi' has roots whose
-    values could not be certified inside the field, complete is False and
-    the set may be partial.
-    """
-    values: frozenset
-    complete: bool
-
-
-def _charpoly_of_value_map(phi: Poly, h: Poly) -> list[FieldElement]:
-    """Characteristic polynomial of multiplication by phi on F[x]/(h).
-
-    Its roots are phi(x_i) over the roots x_i of h (with multiplicity),
-    so critical values over irrational critical points can be read off
-    without leaving the field.  Coefficients returned constant-first.
-    """
-    field = _common_field(phi.field, h.field)
-    phi = phi.with_field(field)
-    h = monic(h.with_field(field))
-    n = h.total_degree()
-    var = h.support_variables()[0]
-    x = Poly.variable(var, field)
-    # multiplication matrix in the power basis of F[x]/(h)
-    cols = []
-    for j in range(n):
-        _, rem = divmod_poly(phi * x ** j, h)
-        coeffs = rem.univariate_coeffs() if not rem.is_zero() else []
-        col = [coeffs[i] if i < len(coeffs) else field.zero() for i in range(n)]
-        cols.append(col)
-    m = [[cols[j][i] for j in range(n)] for i in range(n)]
-    # Faddeev-LeVerrier: exact in characteristic zero
-    coeffs = [field.one()]
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        tr = sum((mk[i][i] for i in range(n)), field.zero())
-        ck = -(tr / field.elem(k))
-        coeffs.append(ck)
-        if k == n:
-            break
-        for i in range(n):
-            mk[i][i] = mk[i][i] + ck
-        mk = [[sum((m[i][t] * mk[t][j] for t in range(n)), field.zero())
-               for j in range(n)] for i in range(n)]
-    # coeffs are [1, c1, ..., cn] with charpoly = y^n + c1 y^(n-1) + ...
-    return list(reversed(coeffs))
-
-
-def _field_roots(coeffs: list[FieldElement], field: NumberField):
-    """Roots in the field, found without factoring over extensions.
-
-    Handles the degree-one factor directly and uses the rational root
-    theorem when all coefficients are rational.  Returns (roots with
-    multiplicity, degree of the unsplit cofactor).
-    """
-    cs = list(coeffs)
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    deg = len(cs) - 1
-    if deg <= 0:
-        return [], 0
-    if deg == 1:
-        return [-cs[0] / cs[1]], 0
-    roots = []
-    if all(c.is_rational() for c in cs):
-        for r in rational_roots([c.as_fraction() for c in cs]):
-            root = field.elem(r)
-            # deflate to capture multiplicity
-            while True:
-                quot, rem = _deflate(cs, root, field)
-                if rem.is_zero():
-                    roots.append(root)
-                    cs = quot
-                else:
-                    break
-    deg_left = len(cs) - 1
-    if deg_left == 1:
-        roots.append(-cs[0] / cs[1])
-        deg_left = 0
-    return roots, deg_left
-
-
-def _deflate(cs: list[FieldElement], root: FieldElement, field: NumberField):
-    n = len(cs) - 1
-    out = [field.zero()] * n
-    acc = field.zero()
-    for i in range(n, 0, -1):
-        acc = cs[i] + acc * root
-        out[i - 1] = acc
-    rem = cs[0] + acc * root
-    return out, rem
-
-
-def critical_values(phi: Poly) -> CriticalValues:
-    """Values of phi at the roots of phi', certified inside the field.
-
-    Never factors over extensions: values over irrational critical points
-    are recovered from the characteristic polynomial of multiplication by
-    phi modulo the relevant squarefree factor of phi'.
-    """
-    if phi.total_degree() < 1:
-        raise ValueError("critical values need deg(phi) >= 1")
-    if not phi.is_univariate():
-        raise ArityError(f"{phi} is not univariate")
-    field = phi.field
-    dphi = phi.derivative()
-    values = set()
-    complete = True
-    if dphi.is_zero():
-        return CriticalValues(frozenset(), True)
-    for mf in squarefree_decomposition(dphi):
-        f = mf.factor
-        if f.total_degree() == 1:
-            cs = f.univariate_coeffs()
-            values.add(phi.evaluate({f.support_variables()[0]: -cs[0] / cs[1]}))
-            continue
-        vpoly = _charpoly_of_value_map(phi, f)
-        roots, left = _field_roots(vpoly, field)
-        values.update(roots)
-        if left > 0:
-            complete = False
-    return CriticalValues(frozenset(values), complete)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numfield import QQ, FieldElement, NumberField
+from .numfield import QQ, NumberField, format_terms, power_terms
 from .polyalg import Poly
 
 
@@ -206,32 +206,6 @@ def parse_poly(text: str, vars, field: NumberField = QQ) -> Poly:
 # -- printing ----------------------------------------------------------------
 
 
-def _format_rational(q: Fraction) -> str:
-    return str(q)
-
-
-def _format_coeff_field(c: FieldElement) -> str:
-    """A general field coefficient, parenthesized and re-parseable."""
-    parts = []
-    name = c.field.gen_name
-    for e, q in enumerate(c.coords):
-        if q == 0:
-            continue
-        mono = "" if e == 0 else (name if e == 1 else f"{name}^{e}")
-        mag = abs(q)
-        if mono and mag == 1:
-            body = mono
-        elif mono:
-            body = f"{mag}*{mono}"
-        else:
-            body = str(mag)
-        if not parts:
-            parts.append(body if q > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if q > 0 else f" - {body}")
-    return "(" + "".join(parts) + ")"
-
-
 def _format_monomial(variables: tuple[str, ...], exps: tuple[int, ...]) -> str:
     pieces = []
     for v, e in zip(variables, exps):
@@ -246,31 +220,16 @@ def print_poly(p: Poly) -> str:
 
     Terms in descending lexicographic order of the exponent vectors;
     rational coefficients contribute their sign to the term separator,
-    proper field coefficients are parenthesized.
+    proper field coefficients are parenthesized in ascending powers of the
+    generator and printed as a positive unit term.
     """
-    if p.is_zero():
-        return "0"
-    out = []
+    terms = []
     for exps in sorted(p.terms, reverse=True):
         c = p.terms[exps]
         mono = _format_monomial(p.variables, exps)
         if c.is_rational():
-            q = c.coords[0]
-            mag = abs(q)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            negative = q < 0
+            terms.append((mono, c.coords[0]))
         else:
-            body = _format_coeff_field(c)
-            if mono:
-                body = f"{body}*{mono}"
-            negative = False
-        if not out:
-            out.append(f"-{body}" if negative else body)
-        else:
-            out.append(f" - {body}" if negative else f" + {body}")
-    return "".join(out)
+            coeff = "(" + format_terms(power_terms(c.coords, c.field.gen_name)) + ")"
+            terms.append((f"{coeff}*{mono}" if mono else coeff, 1))
+    return format_terms(terms)

@@ -11,15 +11,13 @@ certificate-vs-Jacobian cross-validation over them.
 from __future__ import annotations
 
 import json
-import math
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from .chebyshab import (MoreThanTwoCriticalValues, RamificationProfile,
-                        chebyshev_T, chebyshev_U, extract_profile,
-                        thom_feasible)
-from .constructor import (DegreeTriple, Infeasible, chebyshev_endo,
+from .chebyshab import (RamificationProfile, chebyshev_T, chebyshev_U,
+                        extract_profile, thom_feasible)
+from .constructor import (DegreeTriple, chebyshev_endo,
                           cyclic_galois_endo, degrees_from,
                           factor_through_cover, solve_kr32)
 from .endo import (EtaleParams, apply_map, base_polynomial, build_from_params,

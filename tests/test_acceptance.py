@@ -9,9 +9,14 @@ reproduce its printed R0's exactly, while the literal printed values
 provably violate them.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from etale_forge.reproduce import reproduce_paper
+
+GOLDEN = Path(__file__).parent / "golden" / "reproduce_paper.json"
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +100,10 @@ def test_every_report_item_passes(report):
            for i in report["items"] if i["status"] != "pass"]
     assert not bad, bad
     assert report["all_pass"]
+
+
+def test_report_matches_golden_bytes(report):
+    # a change that alters the report on purpose regenerates this file with
+    # json.dumps(reproduce_paper(seed=0), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert text == GOLDEN.read_text()

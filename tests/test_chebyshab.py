@@ -4,14 +4,19 @@ import pytest
 
 from etale_forge.chebyshab import (MoreThanTwoCriticalValues,
                                    RamificationProfile, chebyshev_T,
-                                   chebyshev_U, chebyshev_shabat,
-                                   extract_profile, is_chebyshev_normalized,
-                                   thom_feasible)
+                                   chebyshev_U, extract_profile,
+                                   is_chebyshev_normalized, thom_feasible)
 from etale_forge.numfield import QQ
 from etale_forge.polyalg import Poly, compose
 
 X = Poly.variable("x", QQ)
 T = Poly.variable("t", QQ)
+
+
+def chebyshev_shabat(n: int) -> Poly:
+    """T_n renormalized to branch points {0, 1}: t -> (1 + T_n(2t - 1))/2."""
+    half = Poly.constant(QQ.elem("1/2"), QQ, ("t",))
+    return (compose(chebyshev_T(n), 2 * T - 1) + 1) * half
 
 
 def test_chebyshev_T_examples():

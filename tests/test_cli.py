@@ -168,6 +168,27 @@ def test_usage_errors_exit_one():
     assert res.returncode == 1                        # parse error in input
 
 
+@pytest.mark.parametrize("argv,docs,names", [
+    (["verify-endo", "--params", "FIXTURES/miy_n2.json"], {}, "'k'"),
+    (["verify-endo", "--params", "TMP/k2.json"], {"k2.json": '{"k": 2}'}, "'r'"),
+    (["verify-endo", "--params", "TMP/list.json"], {"list.json": "[1, 2]"}, "object"),
+    (["family", "distinct", "--k", "2", "--rbar", "1", "--avecs", "[1]"], {}, "a-vector"),
+    (["family", "gen", "--k", "2", "--rbar", "1", "--avec", "{}"], {}, "--avec"),
+], ids=["other-fixture", "missing-field", "not-an-object", "avecs-not-nested",
+        "avec-not-a-list"])
+def test_malformed_input_is_one_error_line(tmp_path, argv, docs, names):
+    for name, text in docs.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.replace("FIXTURES", str(default_fixture_dir())).replace("TMP", str(tmp_path))
+            for a in argv]
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0]
+
+
 @pytest.mark.slow
 def test_reproduce_paper_with_missing_fixture(tmp_path):
     trimmed = tmp_path / "fixtures"

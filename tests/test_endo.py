@@ -13,7 +13,7 @@ from etale_forge.endo import (CertificateRequired, ChartDegenerate,
                               etale_certificate, identity_map,
                               jacobian_det_at, jacobian_spotcheck, make_map,
                               map_from_json, map_to_json, maps_equal,
-                              params_from_json, zk_compatible)
+                              params_from_json, zk_compatible, zk_to_t)
 from etale_forge.numfield import QQ, NumberField
 from etale_forge.polyalg import Poly, compose, variables
 from etale_forge.surface import (SurfacePoint, hyper_surface, normal_form,
@@ -138,6 +138,20 @@ def test_degree_multiplicativity():
     assert degree_of(c) == degree_of(m3) ** 2
 
 
+def test_zk_to_t_examples():
+    z = Poly.variable("z", QQ)
+    assert zk_to_t(z ** 2, 2) == 1 - T
+    assert zk_to_t(z ** 3, 3) == 1 - T
+    assert zk_to_t(3 * z ** 4 - 1, 2) == 3 * (1 - T) ** 2 - 1
+    assert zk_to_t(Poly.zero(QQ, ("z",)), 2).is_zero()
+    with pytest.raises(DegreeUndetermined):
+        zk_to_t(z ** 3, 2)
+    with pytest.raises(ValueError):
+        zk_to_t(z ** 3, 2)
+    with pytest.raises(DegreeUndetermined):
+        zk_to_t(X * Z ** 2, 2)
+
+
 def test_base_polynomial_identity_both_ways():
     galois = build_from_params(s2_galois_params()).hyper_map
     eta_rho = base_polynomial(galois)
@@ -201,6 +215,24 @@ def test_params_validation():
     with pytest.raises(ValueError):
         EtaleParams(k=3, r=3, a=2, alpha=0, d=3, lam=QQ.elem(1),
                     R0=1, R1=1, R2=1)      # alpha = 0 forces a = 1
+
+
+def test_params_from_json_names_bad_fields():
+    doc = s2_galois_params().to_json()
+    assert params_from_json(doc) == s2_galois_params()
+    for name in ("k", "lambda", "R2"):
+        missing = {key: v for key, v in doc.items() if key != name}
+        with pytest.raises(ValueError, match=repr(name)):
+            params_from_json(missing)
+    for name, bad in (("d", "2"), ("alpha", True), ("field", 1), ("lambda", "1"),
+                      ("R0", ["4"])):
+        with pytest.raises(ValueError, match=repr(name)):
+            params_from_json({**doc, name: bad})
+    for lam in (["x"], ["1/0"], [None], [[1]]):
+        with pytest.raises(ValueError, match="lambda"):
+            params_from_json({**doc, "lambda": lam})
+    with pytest.raises(ValueError, match="object"):
+        params_from_json([1, 2])
 
 
 def test_build_from_params_requires_certificate():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etale_forge.constructor import cyclic_galois_endo
 from etale_forge.endo import (apply_map, compose_maps, cstar_equivariant,
@@ -118,6 +120,38 @@ def test_family_pairwise_distinct_examples():
     assert not family_pairwise_distinct([specs[1], dup])
     padded = FamilySpec(2, 1, base, (QQ.elem(1), QQ.elem(0)))
     assert not family_pairwise_distinct([specs[1], padded])
+
+
+def _bases():
+    # (k, rbar, base, coefficient pool): QQ at k = 2, Q(zeta_3) at k = 3
+    qq_base, _ = cyclic_galois_endo(2)
+    z3_base, _ = cyclic_galois_endo(3)
+    zeta = z3_base.field.gen()
+    return [(2, 1, qq_base, [QQ.elem(c) for c in (0, 1, -1, 2)]),
+            (3, 1, z3_base, [z3_base.field.elem(0), z3_base.field.elem(1),
+                             zeta, zeta * zeta, -zeta])]
+
+
+BASES = _bases()
+
+
+@pytest.mark.parametrize("case", range(len(BASES)))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_family_pairwise_distinct_matches_pairwise_equivalence(case, data):
+    # a-vectors drawn from a small pool, so duplicates, trailing-zero
+    # padding and interior zeros all occur; the reference is the pairwise
+    # decision modulo automorphisms
+    k, rbar, base, pool = BASES[case]
+    entry = st.sampled_from(pool)
+    avec = st.tuples(st.lists(entry, max_size=2),
+                     st.integers(0, 2)).map(lambda p: tuple(p[0]) + (pool[0],) * p[1])
+    avecs = data.draw(st.lists(avec, max_size=4))
+    specs = [FamilySpec(k, rbar, base, av) for av in avecs]
+    polys = [f.deformation_poly() for f in specs]
+    reference = not any(ec_equivalent(polys[i], polys[j], rbar * k).equivalent
+                        for i in range(len(polys)) for j in range(i + 1, len(polys)))
+    assert family_pairwise_distinct(specs) == reference
 
 
 def test_symbolic_family_matches_printed_formulas():

@@ -11,8 +11,7 @@ from etale_forge.numfield import (QQ, DivisionByZero, FieldElement,
                                   FieldMismatch, NumberField,
                                   ReduciblePolynomial, _poly_xgcd,
                                   cyclotomic_field, element_from_json,
-                                  field_from_string, rational_roots,
-                                  root_of_unity_power)
+                                  field_from_string, rational_roots)
 from etale_forge.surface import SplitMix64
 
 F_SQRT_M2 = NumberField([2, 0, 1])          # theta^2 + 2
@@ -60,15 +59,31 @@ def test_cyclotomic_small_cases():
     assert cyclotomic_field(1).degree == 1
 
 
-def test_root_of_unity_powers():
-    assert root_of_unity_power(2, 1) == cyclotomic_field(2).elem(-1)
-    assert root_of_unity_power(4, 2) == cyclotomic_field(4).elem(-1)
-    assert root_of_unity_power(3, 3) == cyclotomic_field(3).elem(1)
+def test_minpoly_and_element_strings_exact():
+    # descending powers; the sign goes into the separator, a unit magnitude
+    # is dropped before a power of the generator
+    assert NumberField([2, 0, 1]).minpoly_str() == "theta^2 + 2"
+    assert NumberField([-3, 0, 1]).minpoly_str() == "theta^2 - 3"
+    assert NumberField([1, -1, 1]).minpoly_str() == "theta^2 - theta + 1"
+    assert NumberField([-2, 0, 0, 1], gen="a").minpoly_str() == "a^3 - 2"
+    assert NumberField([Fraction(1, 2), 0, 1]).minpoly_str() == "theta^2 + 1/2"
+    assert (NumberField([Fraction(-1, 3), Fraction(2, 3), 0, 1]).minpoly_str()
+            == "theta^3 + 2/3*theta - 1/3")
+    z3 = cyclotomic_field(3)
+    strings = {(-1, 1): "zeta - 1", (0, -1): "-zeta", ("3/2", -2): "-2*zeta + 3/2",
+               ("-5/3", 0): "-5/3", (0, 1): "zeta", (1, 1): "zeta + 1",
+               (-1, -1): "-zeta - 1", (0, 0): "0"}
+    for coords, text in strings.items():
+        assert str(z3.from_coords([Fraction(q) for q in coords])) == text
+    cube = NumberField([-2, 0, 0, 1])
+    elem = cube.from_coords([Fraction(1, 2), Fraction(-1), Fraction(-3, 4)])
+    assert str(elem) == "-3/4*theta^2 - theta + 1/2"
+    assert str(QQ.elem(Fraction(-7, 2))) == "-7/2"
 
 
 def test_primitive_roots_up_to_24():
     for k in range(1, 25):
-        z = root_of_unity_power(k, 1)
+        z = cyclotomic_field(k).gen()
         one = z.field.elem(1)
         assert z ** k == one
         for m in range(1, k):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U
 from etale_forge.numfield import QQ, NumberField
 from etale_forge.polyalg import (ArityError, NotDivisible, Poly, compose,
-                                 critical_values, divmod_poly, exact_div,
-                                 gcd_univariate, monic, multiplicity_profile,
+                                 divmod_poly, exact_div, gcd_univariate,
+                                 monic, multiplicity_profile,
                                  squarefree_decomposition, variables)
 from etale_forge.surface import SplitMix64
 
@@ -129,33 +129,6 @@ def test_multiplicity_profile_sums_to_degree():
             continue
         for c in (0, 1, -2):
             assert sum(multiplicity_profile(p, c)) == p.total_degree()
-
-
-def test_critical_values_examples():
-    cv = critical_values(chebyshev_T(3))
-    assert cv.complete and cv.values == frozenset({QQ.elem(1), QQ.elem(-1)})
-    cv = critical_values(X ** 2)
-    assert cv.complete and cv.values == frozenset({QQ.elem(0)})
-    # T4' = 16x(2x^2-1) has irrational roots +-1/sqrt(2), yet the values
-    # are certified inside Q
-    cv = critical_values(chebyshev_T(4))
-    assert cv.complete and cv.values == frozenset({QQ.elem(1), QQ.elem(-1)})
-
-
-def test_critical_values_incomplete_flag():
-    # phi' = 3x^2 + 1 has irrational roots with irrational values
-    cv = critical_values(X ** 3 + X)
-    assert not cv.complete
-    assert cv.values == frozenset()
-
-
-def test_critical_values_over_extension():
-    field = NumberField([2, 0, 1])
-    x = Poly.variable("x", field)
-    th = Poly.constant(field.gen(), field, ("x",))
-    # phi = (x - theta)^2 + 5: critical point theta, value 5
-    cv = critical_values((x - th) ** 2 + 5)
-    assert cv.complete and cv.values == frozenset({field.elem(5)})
 
 
 def test_chebyshev_relation_suite_small():

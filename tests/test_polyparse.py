@@ -106,3 +106,24 @@ def test_field_coefficient_printing_round_trip():
     zeta = Poly.constant(z3.gen(), z3, ("x",))
     p = (2 * zeta - 1) * x ** 3 - zeta * x + 5
     assert parse_poly(print_poly(p), ("x",), z3) == p
+
+
+@pytest.mark.parametrize("field", [F_SQRT_M2, cyclotomic_field(3)])
+def test_print_field_coefficients_exact(field):
+    # proper field coefficients print in ascending powers of the generator,
+    # in parentheses, as a positive unit term; rational ones carry the sign
+    g = field.gen_name
+    vars = ("x", "y")
+    x, y = (Poly.variable(v, field, vars) for v in vars)
+
+    def c(*coords):
+        return Poly.constant(field.from_coords([Fraction(q) for q in coords]),
+                             field, vars)
+
+    p = (c(-1, 1) * x ** 2 * y + c(0, -1) * x * y + c("3/2", -2) * y ** 2
+         - x + c(0, 1) + c(-7, "1/3"))
+    assert print_poly(p) == (f"(-1 + {g})*x^2*y + (-{g})*x*y - x"
+                             f" + (3/2 - 2*{g})*y^2 + (-7 + 4/3*{g})")
+    assert print_poly(c(0, 1) * x - 3 * y + 2) == f"({g})*x - 3*y + 2"
+    assert print_poly(c(1, -1)) == f"(1 - {g})"
+    assert print_poly(c(-1, 0) * x) == "-x"
