@@ -3,14 +3,14 @@
 T_n is generated by the recurrence T_n = 2x T_(n-1) - T_(n-2) with T_0 = 1
 and T_1 = x; U_n is the rescaled derivative T_(n+1)'/(n+1).  The feasibility
 test for a ramification profile over an ordered branching locus checks the
-two counting conditions for branched self-covers of the affine line; the
-Chebyshev recognizer decides the normalized characterization through the
-exact identity P^2 - 1 = (x^2 - 1)(P'/n)^2 together with P(1) = 1.
+two counting conditions for branched self-covers of the affine line, and
+the profile of a polynomial over {0, 1} is read off two exact squarefree
+decompositions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .numfield import QQ, FieldElement
 from .polyalg import ArityError, Poly, multiplicity_profile
@@ -83,35 +83,6 @@ def thom_feasible(profile: RamificationProfile) -> ThomResult:
         problems.append(
             f"condition (2): {total_parts} parts, expected (n-1)d+1 = {expected}")
     return ThomResult(not problems, tuple(problems))
-
-
-@dataclass(frozen=True)
-class ChebyshevVerdict:
-    is_chebyshev: bool
-    n: int | None = None
-    reason: str | None = None
-
-
-def is_chebyshev_normalized(P: Poly) -> ChebyshevVerdict:
-    """Decide P == T_n for n = deg P, in the normalized form.
-
-    Exact criterion: P^2 - 1 = (x^2 - 1) Q^2 with Q = P'/n forces P = +-T_n
-    (the identity bootstraps the Chebyshev differential equation), and
-    P(1) = 1 picks the sign.  No search over affine reparameterizations.
-    """
-    if not P.is_univariate() or P.total_degree() < 1:
-        raise ArityError("expected a univariate polynomial of degree >= 1")
-    n = P.total_degree()
-    used = P.support_variables()
-    var = used[0]
-    x = Poly.variable(var, P.field)
-    Q = P.derivative() * Poly.constant(P.field.elem(1) / P.field.elem(n), P.field)
-    if P * P - 1 != (x * x - 1) * Q * Q:
-        return ChebyshevVerdict(False, reason="P^2 - 1 != (x^2 - 1)(P'/n)^2")
-    one = P.field.one()
-    if P.evaluate({var: one}) != one:
-        return ChebyshevVerdict(False, reason="P(1) != 1 (P = -T_n)")
-    return ChebyshevVerdict(True, n=n)
 
 
 @dataclass(frozen=True)

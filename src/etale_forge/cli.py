@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 import time
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .endo import (build_from_params, degree_of, etale_certificate,
                    map_to_json, params_from_json)
 from .family import FamilySpec, ec_equivalent, family_member, family_pairwise_distinct
 from .miyanishi import MiyParams, UnsupportedN, miy_b_check, miy_b_find, miy_eta0, miy_lift_check
-from .numfield import QQ, field_from_string, rationals
+from .numfield import QQ, field_from_string, json_fields, rationals
 from .polyparse import PolyParseError, parse_poly, print_poly
 from .reproduce import default_fixture_dir, reproduce_paper
 
@@ -90,11 +91,14 @@ def _cmd_construct(args) -> int:
     else:  # kr32
         candidates = None
         if args.candidates:
-            raw = json.loads(Path(args.candidates).read_text())
-            candidates = [{"minpoly": [Fraction(c) for c in cand["minpoly"]],
-                           "a1": [Fraction(c) for c in cand["a1"]],
-                           "a2": [Fraction(c) for c in cand["a2"]]}
-                          for cand in raw["candidates"]]
+            raw = json_fields(json.loads(Path(args.candidates).read_text()),
+                              {"candidates": list}, "candidates file")
+            names = ("minpoly", "a1", "a2")
+            candidates = []
+            for cand in raw["candidates"]:
+                json_fields(cand, dict.fromkeys(names, list), "candidate")
+                candidates.append({name: rationals(cand[name], f"candidate {name!r}")
+                                   for name in names})
         sols = solve_kr32(args.d0, candidates)
         payload = {"solutions": [p.to_json() for p in sols]}
     _emit(payload, args)
@@ -185,12 +189,18 @@ def _cmd_shabat(args) -> int:
         text = args.profile
         if text.startswith("@"):
             text = Path(text[1:]).read_text()
-        data = json.loads(text)
-        field = QQ
+        data = json_fields(json.loads(text), {"branch_points": list,
+                                              "partitions": list, "degree": int},
+                           "profile")
+        partitions = data["partitions"]
+        if not all(isinstance(part, list) and all(
+                type(e) is int for e in part) for part in partitions):
+            raise ValueError("profile field 'partitions' must be a list of "
+                             f"lists of integers, got {reprlib.repr(partitions)}")
         profile = RamificationProfile(
-            tuple(field.elem(Fraction(str(b))) for b in data["branch_points"]),
-            tuple(tuple(part) for part in data["partitions"]),
-            data["degree"])
+            tuple(map(QQ.elem, rationals(data["branch_points"],
+                                         "profile field 'branch_points'"))),
+            tuple(map(tuple, partitions)), data["degree"])
         res = thom_feasible(profile)
         _emit({"feasible": res.feasible, "diagnostics": list(res.diagnostics)}, args)
         return EXIT_OK if res.feasible else EXIT_FALSE

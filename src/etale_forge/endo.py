@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numfield import (QQ, FieldElement, NumberField, field_from_string,
-                       rationals)
+                       json_fields, rationals)
 from .polyalg import Poly, compose, is_separable
 from .surface import (SurfacePoint, SurfaceSpec, hyper_surface, normal_form,
                       relation_poly, tilde_surface, weight_of)
@@ -259,7 +259,7 @@ def zk_to_t(q: Poly, k: int) -> Poly:
         e = key[q.variables.index("z")] if "z" in q.variables else 0
         if e % k != 0:
             raise DegreeUndetermined(f"{q} is not a polynomial in z^{k}")
-        out = out + Poly.constant(c, field, ("t",)) * (1 - t) ** (e // k)
+        out = out + Poly(field, ("t",), {(0,): c}) * (1 - t) ** (e // k)
     return out
 
 
@@ -359,15 +359,7 @@ def params_from_json(data: dict) -> EtaleParams:
     """The inverse of EtaleParams.to_json; a missing or ill-typed field
     raises ValueError naming it."""
     from .polyparse import parse_poly
-    if not isinstance(data, dict):
-        raise ValueError("parameter document must be an object, "
-                         f"got {type(data).__name__}")
-    for name, kind in _PARAM_FIELDS.items():
-        if name not in data:
-            raise ValueError(f"parameter document lacks {name!r}")
-        if not isinstance(data[name], kind) or isinstance(data[name], bool):
-            raise ValueError(f"parameter {name!r} must be {kind.__name__}, "
-                             f"got {type(data[name]).__name__}")
+    json_fields(data, _PARAM_FIELDS, "parameter document")
     field = field_from_string(data["field"])
     lam = field.from_coords(rationals(data["lambda"], "parameter 'lambda'"))
     return EtaleParams(

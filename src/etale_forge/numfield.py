@@ -3,7 +3,10 @@
 A field is presented by a monic minimal polynomial m over Q, stored densely
 as a tuple of Fractions, constant term first.  Elements are residue classes
 represented by their unique coordinate vector of length deg(m) in the power
-basis 1, theta, ..., theta^(deg m - 1).
+basis 1, theta, ..., theta^(deg m - 1).  NumberField.mul and NumberField.inv
+are the one implementation of multiplication and inversion on these
+coordinate tuples: FieldElement wraps them, and Poly applies them to its
+term values directly.
 
 The rationals are the degree-one field QQ = Q[theta]/(theta).  Ints and
 Fractions coerce into any field as constants; elements of two distinct
@@ -22,7 +25,7 @@ import reprlib
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
+Coords = tuple[Fraction, ...]
 
 
 class FieldMismatch(ValueError):
@@ -306,6 +309,26 @@ class NumberField:
                         out[i] += c * row[i]
         return tuple(out)
 
+    def mul(self, a: Coords, b: Coords) -> Coords:
+        """Product of two coordinate tuples: the one field multiply."""
+        if len(a) == 1:
+            return (a[0] * b[0],)
+        return self._reduce(_poly_mul(a, b))
+
+    def inv(self, a: Coords) -> Coords:
+        """Inverse of a coordinate tuple, by the extended Euclidean algorithm
+        against the minimal polynomial (1/a[0] in degree one)."""
+        if not any(a):
+            raise DivisionByZero("inverse of zero")
+        if len(a) == 1:
+            return (1 / a[0],)
+        g, u, _ = _poly_xgcd(_trim(list(a)), list(self.minpoly))
+        if len(g) != 1:
+            raise ReduciblePolynomial(
+                f"{self.minpoly_str()} is reducible: "
+                f"gcd with {FieldElement(self, a)} is non-constant")
+        return self._reduce(u)
+
     def minpoly_str(self) -> str:
         return format_terms(reversed(power_terms(self.minpoly, self.gen_name)))
 
@@ -466,24 +489,12 @@ class FieldElement:
         if not self._operand_ok(other):
             return NotImplemented
         a, b = self._pair(other)
-        if len(a.coords) == 1:
-            return FieldElement(a.field, (a.coords[0] * b.coords[0],))
-        prod = _poly_mul(list(a.coords), list(b.coords))
-        return FieldElement(a.field, a.field._reduce(prod))
+        return FieldElement(a.field, a.field.mul(a.coords, b.coords))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero")
-        if len(self.coords) == 1:
-            return FieldElement(self.field, (1 / self.coords[0],))
-        g, u, _ = _poly_xgcd(_trim(list(self.coords)), list(self.field.minpoly))
-        if len(g) != 1:
-            raise ReduciblePolynomial(
-                f"{self.field.minpoly_str()} is reducible: "
-                f"gcd with {self} is non-constant")
-        return FieldElement(self.field, self.field._reduce(u))
+        return FieldElement(self.field, self.field.inv(self.coords))
 
     def __truediv__(self, other):
         if not self._operand_ok(other):
@@ -526,12 +537,6 @@ class FieldElement:
     def __repr__(self):
         return f"FieldElement({self})"
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        name = "QQ" if self.field == QQ else self.field.minpoly_str()
-        return {"field": name, "coords": [str(c) for c in self.coords]}
-
 
 QQ = NumberField([0, 1], gen="theta")
 
@@ -541,11 +546,6 @@ def field_from_string(text: str) -> NumberField:
         return QQ
     coeffs, gen = parse_minpoly(text)
     return NumberField(coeffs, gen=gen)
-
-
-def element_from_json(data: dict) -> FieldElement:
-    field = field_from_string(data["field"])
-    return field.from_coords([Fraction(c) for c in data["coords"]])
 
 
 def rationals(values, what: str) -> list[Fraction]:
@@ -562,6 +562,21 @@ def rationals(values, what: str) -> list[Fraction]:
         pass
     raise ValueError(f"{what} must be a list of rationals, "
                      f"got {reprlib.repr(values)}")
+
+
+def json_fields(data, fields: dict[str, type], what: str) -> dict:
+    """data, checked to be a JSON object holding each named field with the
+    given type (a bool is not an int); anything else raises ValueError
+    naming what and the field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {type(data).__name__}")
+    for name, kind in fields.items():
+        if name not in data:
+            raise ValueError(f"{what} lacks {name!r}")
+        if not isinstance(data[name], kind) or isinstance(data[name], bool):
+            raise ValueError(f"{what} field {name!r} must be {kind.__name__}, "
+                             f"got {type(data[name]).__name__}")
+    return data
 
 
 @lru_cache(maxsize=None)

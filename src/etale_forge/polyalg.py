@@ -1,19 +1,29 @@
 """Uni- and multivariate polynomial arithmetic over an exact coefficient field.
 
-A Poly is a term map {exponent vector: nonzero FieldElement} over an ordered
-tuple of variable names; the coefficient field is shared by all terms.  The
-monomial order is lexicographic in the variable order, so exponent tuples
-compare directly.  Zero coefficients are never stored.
+A Poly is a term map {exponent vector: coordinate tuple} over an ordered
+tuple of variable names and one coefficient field shared by all terms.  A
+coordinate tuple holds the Fractions of a coefficient in the field's power
+basis 1, theta, ..., theta^(deg - 1), the same tuple a FieldElement keeps in
+`coords`; the ring operations add tuples coordinatewise and multiply and
+invert them with NumberField.mul and NumberField.inv, so no FieldElement is
+built per term.  A term is zero when no coordinate is nonzero, and zero
+terms are never stored.  FieldElement is the type at the boundary: the
+coefficient queries, evaluate and Poly.constant take or return FieldElements.
 
-Degrees in this project stay small (a few hundred at most), so the
-representation favors clarity: dense exponent vectors, sparse term maps.
+The monomial order is lexicographic in the variable order, so exponent
+tuples compare directly.  Degrees in this project stay small (a few hundred
+at most), so the representation favors clarity: dense exponent vectors,
+sparse term maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add, neg, sub
 
-from .numfield import QQ, FieldElement, FieldMismatch, NumberField, power
+from .numfield import (QQ, Coords, FieldElement, FieldMismatch, NumberField,
+                       power)
 
 
 class ArityError(ValueError):
@@ -40,12 +50,16 @@ def _common_field(f1: NumberField, f2: NumberField) -> NumberField:
 
 
 class Poly:
-    """Multivariate polynomial with exact field coefficients."""
+    """Multivariate polynomial with exact field coefficients.
+
+    `terms` maps each exponent vector to the nonzero coordinate tuple of its
+    coefficient in the power basis of `field` (see the module docstring).
+    """
 
     __slots__ = ("field", "variables", "terms")
 
     def __init__(self, field: NumberField, variables: tuple[str, ...],
-                 terms: dict[tuple[int, ...], FieldElement]):
+                 terms: dict[tuple[int, ...], Coords]):
         self.field = field
         self.variables = variables
         self.terms = terms
@@ -60,10 +74,9 @@ class Poly:
     def constant(value, field: NumberField = QQ,
                  variables: tuple[str, ...] = ()) -> "Poly":
         c = value if isinstance(value, FieldElement) else field.elem(value)
-        field = c.field
         if c.is_zero():
-            return Poly(field, tuple(variables), {})
-        return Poly(field, tuple(variables), {(0,) * len(variables): c})
+            return Poly(c.field, tuple(variables), {})
+        return Poly(c.field, tuple(variables), {(0,) * len(variables): c.coords})
 
     @staticmethod
     def variable(name: str, field: NumberField = QQ,
@@ -72,7 +85,7 @@ class Poly:
         if name not in vs:
             raise ValueError(f"{name} not among variables {vs}")
         exps = tuple(1 if v == name else 0 for v in vs)
-        return Poly(field, vs, {exps: field.one()})
+        return Poly(field, vs, {exps: field.one().coords})
 
     def clone_const(self, value) -> "Poly":
         return Poly.constant(value, self.field, self.variables)
@@ -86,7 +99,8 @@ class Poly:
         return all(all(e == 0 for e in k) for k in self.terms)
 
     def constant_coeff(self) -> FieldElement:
-        return self.terms.get((0,) * len(self.variables), self.field.zero())
+        c = self.terms.get((0,) * len(self.variables))
+        return self.field.zero() if c is None else FieldElement(self.field, c)
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -123,7 +137,7 @@ class Poly:
     def leading_coeff(self) -> FieldElement:
         if not self.terms:
             return self.field.zero()
-        return self.terms[max(self.terms)]
+        return FieldElement(self.field, self.terms[max(self.terms)])
 
     def univariate_coeffs(self) -> list[FieldElement]:
         """Dense coefficient list (constant first) of a univariate Poly."""
@@ -138,7 +152,7 @@ class Poly:
         d = max(k[i] for k in self.terms)
         out = [self.field.zero()] * (d + 1)
         for k, c in self.terms.items():
-            out[k[i]] = c
+            out[k[i]] = FieldElement(self.field, c)
         return out
 
     # -- alignment ---------------------------------------------------------
@@ -171,10 +185,17 @@ class Poly:
         return Poly(self.field, used, terms)
 
     def with_field(self, field: NumberField) -> "Poly":
+        """The same polynomial over field; only rational coefficients move
+        to another field, so a nonzero Poly over an extension raises."""
         if field == self.field:
             return self
+        if self.terms and not self.field.is_rational:
+            raise FieldMismatch(
+                f"cannot mix elements of {self.field.minpoly_str()} "
+                f"and {field.minpoly_str()}")
+        pad = (Fraction(0),) * (field.degree - 1)
         return Poly(field, self.variables,
-                    {k: field.coerce(c) for k, c in self.terms.items()})
+                    {k: c + pad for k, c in self.terms.items()})
 
     def _pair(self, other) -> tuple["Poly", "Poly"]:
         if not isinstance(other, Poly):
@@ -197,18 +218,18 @@ class Poly:
         terms = dict(a.terms)
         for k, c in b.terms.items():
             s = terms.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(k, None)
-            else:
+            s = c if s is None else tuple(map(add, s, c))
+            if any(s):
                 terms[k] = s
+            else:
+                del terms[k]
         return Poly(a.field, a.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
         return Poly(self.field, self.variables,
-                    {k: -c for k, c in self.terms.items()})
+                    {k: tuple(map(neg, c)) for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -220,18 +241,16 @@ class Poly:
 
     def __mul__(self, other):
         a, b = self._pair(other)
-        terms: dict[tuple[int, ...], FieldElement] = {}
+        mul = a.field.mul
+        terms: dict[tuple[int, ...], Coords] = {}
         for k1, c1 in a.terms.items():
             for k2, c2 in b.terms.items():
-                k = tuple(x + y for x, y in zip(k1, k2))
-                c = c1 * c2
+                k = tuple(map(add, k1, k2))
+                c = mul(c1, c2)
                 s = terms.get(k)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    terms.pop(k, None)
-                else:
-                    terms[k] = s
-        return Poly(a.field, a.variables, terms)
+                terms[k] = c if s is None else tuple(map(add, s, c))
+        return Poly(a.field, a.variables,
+                    {k: c for k, c in terms.items() if any(c)})
 
     __rmul__ = __mul__
 
@@ -255,7 +274,7 @@ class Poly:
     def __hash__(self):
         used = sorted(self.support_variables())
         idx = [self.variables.index(v) for v in used]
-        items = sorted((tuple(k[i] for i in idx), c.coords)
+        items = sorted((tuple(k[i] for i in idx), c)
                        for k, c in self.terms.items())
         return hash((self.field, tuple(used), tuple(items)))
 
@@ -284,9 +303,7 @@ class Poly:
                 continue
             nk = list(k)
             nk[i] -= 1
-            nc = c * k[i]
-            if not nc.is_zero():
-                terms[tuple(nk)] = nc
+            terms[tuple(nk)] = tuple(k[i] * x for x in c)
         return Poly(self.field, self.variables, terms)
 
     def evaluate(self, values: dict[str, FieldElement]) -> FieldElement:
@@ -307,7 +324,7 @@ class Poly:
                 vals.append(field.coerce(x))
         acc = None
         for k, c in p.terms.items():
-            term = c
+            term = FieldElement(field, c)
             for e, x in zip(k, vals):
                 if e:
                     term = term * (x ** e)
@@ -319,7 +336,7 @@ class Poly:
         out = None
         pow_cache: dict[tuple[str, int], Poly] = {}
         for k, c in self.terms.items():
-            term = Poly.constant(c, self.field)
+            term = Poly(self.field, (), {(): c})
             for v, e in zip(self.variables, k):
                 if e == 0:
                     continue
@@ -371,27 +388,28 @@ def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     a, b = a._pair(b)
+    mul = a.field.mul
+    zero = a.field.zero().coords
     lm = b.leading_monomial()
-    inv_lc = b.terms[lm].inverse()
+    inv_lc = a.field.inv(b.terms[lm])
     tail = [(k, c) for k, c in b.terms.items() if k != lm]
     p = dict(a.terms)
-    q: dict[tuple[int, ...], FieldElement] = {}
-    r: dict[tuple[int, ...], FieldElement] = {}
+    q: dict[tuple[int, ...], Coords] = {}
+    r: dict[tuple[int, ...], Coords] = {}
     while p:
         k = max(p)
         c = p.pop(k)
         if all(x >= y for x, y in zip(k, lm)):
-            shift = tuple(x - y for x, y in zip(k, lm))
-            f = c * inv_lc
+            shift = tuple(map(sub, k, lm))
+            f = mul(c, inv_lc)
             q[shift] = f
             for kb, cb in tail:
-                m = tuple(x + y for x, y in zip(shift, kb))
-                s = p.get(m)
-                s = -(f * cb) if s is None else s - f * cb
-                if s.is_zero():
-                    p.pop(m, None)
-                else:
+                m = tuple(map(add, shift, kb))
+                s = tuple(map(sub, p.get(m, zero), mul(f, cb)))
+                if any(s):
                     p[m] = s
+                else:
+                    p.pop(m, None)
         else:
             r[k] = c
     return Poly(a.field, a.variables, q), Poly(a.field, a.variables, r)

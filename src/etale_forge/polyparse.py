@@ -11,6 +11,9 @@ Grammar (LL(1), whitespace-insensitive, byte offsets in errors):
 Implicit multiplication ("2x") is rejected; rationals are written "p/q";
 exponents are nonnegative integer literals.  Symbols are either declared
 variables or the generator of the coefficient field ("theta", "zeta", ...).
+A power whose degree would exceed MAX_DEGREE is rejected before it is
+expanded; a constant counts as degree one there, so its exponent is bounded
+too.
 """
 
 from __future__ import annotations
@@ -20,6 +23,11 @@ from fractions import Fraction
 
 from .numfield import QQ, NumberField, format_terms, power_terms
 from .polyalg import Poly
+
+# Above every degree this project parses (at most 30 in the fixtures, the
+# report and the benchmark inputs) and low enough that the largest allowed
+# power of a dense univariate binomial expands in seconds.
+MAX_DEGREE = 1000
 
 
 class PolyParseError(ValueError):
@@ -194,7 +202,13 @@ def _ast_to_poly(ast: ExprAST, vars: tuple[str, ...], field: NumberField) -> Pol
         return (_ast_to_poly(ast.children[0], vars, field)
                 * _ast_to_poly(ast.children[1], vars, field))
     if kind == "pow":
-        return _ast_to_poly(ast.children[0], vars, field) ** ast.value
+        base = _ast_to_poly(ast.children[0], vars, field)
+        degree = max(base.total_degree(), 1) * ast.value
+        if degree > MAX_DEGREE:
+            raise PolyParseError(
+                f"power of degree {degree} exceeds the bound {MAX_DEGREE}",
+                ast.position)
+        return base ** ast.value
     raise PolyParseError(f"unknown node kind {kind!r}", ast.position)
 
 
@@ -227,9 +241,9 @@ def print_poly(p: Poly) -> str:
     for exps in sorted(p.terms, reverse=True):
         c = p.terms[exps]
         mono = _format_monomial(p.variables, exps)
-        if c.is_rational():
-            terms.append((mono, c.coords[0]))
+        if not any(c[1:]):
+            terms.append((mono, c[0]))
         else:
-            coeff = "(" + format_terms(power_terms(c.coords, c.field.gen_name)) + ")"
+            coeff = "(" + format_terms(power_terms(c, p.field.gen_name)) + ")"
             terms.append((f"{coeff}*{mono}" if mono else coeff, 1))
     return format_terms(terms)

@@ -5,7 +5,7 @@ import pytest
 from etale_forge.chebyshab import (MoreThanTwoCriticalValues,
                                    RamificationProfile, chebyshev_T,
                                    chebyshev_U, extract_profile,
-                                   is_chebyshev_normalized, thom_feasible)
+                                   thom_feasible)
 from etale_forge.numfield import QQ
 from etale_forge.polyalg import Poly, compose
 
@@ -68,20 +68,6 @@ def test_profile_validation():
         RamificationProfile((QQ.elem(0),), ((1, 2),), 3)   # not non-increasing
     with pytest.raises(ValueError):
         RamificationProfile((QQ.elem(0),), (), 3)          # missing partition
-
-
-def test_is_chebyshev_examples():
-    v = is_chebyshev_normalized(chebyshev_T(4))
-    assert v.is_chebyshev and v.n == 4
-    v = is_chebyshev_normalized(X ** 2)
-    assert not v.is_chebyshev
-    v = is_chebyshev_normalized(X)
-    assert v.is_chebyshev and v.n == 1
-    # the identity holds for -T_n but the sign normalization rejects it
-    v = is_chebyshev_normalized(-chebyshev_T(3))
-    assert not v.is_chebyshev and "sign" in v.reason or "P(1)" in v.reason
-    for n in range(1, 13):
-        assert is_chebyshev_normalized(chebyshev_T(n)).n == n
 
 
 def test_extract_profile_examples():

@@ -174,8 +174,18 @@ def test_usage_errors_exit_one():
     (["verify-endo", "--params", "TMP/list.json"], {"list.json": "[1, 2]"}, "object"),
     (["family", "distinct", "--k", "2", "--rbar", "1", "--avecs", "[1]"], {}, "a-vector"),
     (["family", "gen", "--k", "2", "--rbar", "1", "--avec", "{}"], {}, "--avec"),
+    (["shabat", "check-profile", '{"degree": 3}'], {}, "'branch_points'"),
+    (["shabat", "check-profile", "[1]"], {}, "object"),
+    (["shabat", "check-profile",
+      '{"branch_points": [0], "partitions": [["1"]], "degree": 1}'], {}, "'partitions'"),
+    (["construct", "kr32", "--d0", "1", "--candidates", "TMP/c.json"],
+     {"c.json": "[1]"}, "object"),
+    (["construct", "kr32", "--d0", "1", "--candidates", "TMP/c.json"],
+     {"c.json": '{"candidates": [{"minpoly": [7, 0, 1], "a2": [1, 2]}]}'}, "'a1'"),
 ], ids=["other-fixture", "missing-field", "not-an-object", "avecs-not-nested",
-        "avec-not-a-list"])
+        "avec-not-a-list", "profile-missing-field", "profile-not-an-object",
+        "profile-partition-not-int", "candidates-not-an-object",
+        "candidate-missing-a1"])
 def test_malformed_input_is_one_error_line(tmp_path, argv, docs, names):
     for name, text in docs.items():
         (tmp_path / name).write_text(text)

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U
-from etale_forge.numfield import QQ, NumberField
+from etale_forge.numfield import (QQ, FieldElement, FieldMismatch,
+                                  NumberField, cyclotomic_field)
 from etale_forge.polyalg import (ArityError, NotDivisible, Poly, compose,
                                  divmod_poly, exact_div, gcd_univariate,
                                  monic, multiplicity_profile,
@@ -151,7 +152,7 @@ def polys(field, names, max_terms=4, max_exp=3):
                      max_size=field.degree).map(field.from_coords)
     mono = st.tuples(*[st.integers(0, max_exp)] * len(names))
     return st.dictionaries(mono, coeff, max_size=max_terms).map(
-        lambda terms: Poly(field, names, {k: c for k, c in terms.items()
+        lambda terms: Poly(field, names, {k: c.coords for k, c in terms.items()
                                           if not c.is_zero()}))
 
 
@@ -207,32 +208,114 @@ def test_divmod_non_monic_divisor(field, names, data):
 def _to_sympy(p, gens, domain, theta):
     import sympy
     terms = {k: sum((domain.convert(sympy.Rational(v.numerator, v.denominator))
-                     * theta ** i for i, v in enumerate(c.coords)), domain.zero)
+                     * theta ** i for i, v in enumerate(c)), domain.zero)
              for k, c in p.terms.items()}
     return sympy.Poly.from_dict(terms or {(0,) * len(gens): domain.zero},
                                 *gens, domain=domain)
 
 
-@pytest.mark.parametrize("field,names", RINGS)
-@settings(max_examples=15, deadline=None)
-@given(data=st.data())
-def test_divmod_matches_sympy_reduced(field, names, data):
+def _sympy_ring(field, names):
+    """(to_sympy, sympy) for the ring of field[names]; skips without sympy."""
     sympy = pytest.importorskip("sympy")
-    a = data.draw(polys(field, names, max_terms=6, max_exp=4))
-    b = data.draw(polys(field, names))
-    assume(not b.is_zero())
     gens = sympy.symbols(names)
     if field == QQ:
         domain, theta = sympy.QQ, sympy.QQ.one
     else:
         domain = sympy.QQ.algebraic_field(sympy.sqrt(-2))
         theta = domain.from_sympy(sympy.sqrt(-2))
-    quotients, sr = sympy.reduced(_to_sympy(a, gens, domain, theta),
-                                  [_to_sympy(b, gens, domain, theta)],
-                                  order="lex")
+    return (lambda p: _to_sympy(p, gens, domain, theta)), sympy
+
+
+@pytest.mark.parametrize("field,names", RINGS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_divmod_matches_sympy_reduced(field, names, data):
+    to_sympy, sympy = _sympy_ring(field, names)
+    a = data.draw(polys(field, names, max_terms=6, max_exp=4))
+    b = data.draw(polys(field, names))
+    assume(not b.is_zero())
+    quotients, sr = sympy.reduced(to_sympy(a), [to_sympy(b)], order="lex")
     q, r = divmod_poly(a, b)
-    assert _to_sympy(r, gens, domain, theta) == sr
+    assert to_sympy(r) == sr
     if quotients:
-        assert _to_sympy(q, gens, domain, theta) == quotients[0]
+        assert to_sympy(q) == quotients[0]
     else:                       # sympy returns no quotient when a is zero
         assert q.is_zero()
+
+
+UNIVARIATE = [(QQ, ("x",)), (F_SQRT_M2, ("x",))]
+
+
+@pytest.mark.parametrize("field,names", UNIVARIATE)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_gcd_matches_sympy(field, names, data):
+    to_sympy, sympy = _sympy_ring(field, names)
+    g, a, b = (data.draw(polys(field, names, max_terms=3, max_exp=3))
+               for _ in range(3))
+    a, b = a * g, b * g             # a common factor makes the gcd nontrivial
+    assert to_sympy(gcd_univariate(a, b)) == sympy.gcd(to_sympy(a), to_sympy(b))
+
+
+@pytest.mark.parametrize("field,names", UNIVARIATE)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_squarefree_matches_sympy_sqf_list(field, names, data):
+    to_sympy, _ = _sympy_ring(field, names)
+    p = Poly.constant(1, field, names)
+    for m in (1, 2, 3):
+        f = data.draw(polys(field, names, max_terms=3, max_exp=2))
+        if not f.is_zero():
+            p = p * f ** m
+    _, factors = to_sympy(p).sqf_list()
+    assert ([(to_sympy(mf.factor), mf.multiplicity)
+             for mf in squarefree_decomposition(p)]
+            == [(f.monic(), m) for f, m in factors])
+
+
+# -- coercion between QQ and an extension ----------------------------------------
+
+F_ZETA3 = cyclotomic_field(3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_with_field_coerces_each_coefficient(data):
+    p = data.draw(polys(QQ, ("x", "y")))
+    lifted = p.with_field(F_SQRT_M2)
+    assert lifted.field == F_SQRT_M2
+    assert lifted.terms == {k: F_SQRT_M2.coerce(FieldElement(QQ, c)).coords
+                            for k, c in p.terms.items()}
+    u = data.draw(polys(QQ, ("x",)))
+    assert (u.with_field(F_SQRT_M2).univariate_coeffs()
+            == [F_SQRT_M2.coerce(c) for c in u.univariate_coeffs()])
+
+
+def test_with_field_between_extensions_raises():
+    p = Poly.variable("x", F_SQRT_M2) + Poly.constant(F_SQRT_M2.gen(), F_SQRT_M2, ("x",))
+    with pytest.raises(FieldMismatch):
+        p.with_field(F_ZETA3)
+    with pytest.raises(FieldMismatch):
+        p.with_field(QQ)
+    with pytest.raises(FieldMismatch):
+        p + Poly.variable("x", F_ZETA3)
+
+
+@pytest.mark.parametrize("names", [("x",), ("x", "y")])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_mixed_field_operations_match_explicit_coercion(names, data):
+    a = data.draw(polys(QQ, names, max_terms=5))
+    b = data.draw(polys(F_SQRT_M2, names))
+    lifted = a.with_field(F_SQRT_M2)
+    for got, want in ((a + b, lifted + b), (b + a, lifted + b),
+                      (a * b, lifted * b), (b * a, lifted * b),
+                      (a - b, lifted - b)):
+        assert got.field == F_SQRT_M2
+        assert got.terms == want.terms
+    if not b.is_zero():
+        assert divmod_poly(a, b) == divmod_poly(lifted, b)
+    if not a.is_zero():
+        assert divmod_poly(b, a) == divmod_poly(b, lifted)
+    assert isinstance((a * b).leading_coeff(), FieldElement)
+    assert isinstance((a * b).constant_coeff(), FieldElement)

@@ -8,8 +8,9 @@ import pytest
 from etale_forge.chebyshab import chebyshev_T
 from etale_forge.numfield import QQ, NumberField, cyclotomic_field
 from etale_forge.polyalg import Poly
-from etale_forge.polyparse import (NonIntegerExponent, PolyParseError,
-                                   UnknownSymbol, parse_poly, print_poly)
+from etale_forge.polyparse import (MAX_DEGREE, NonIntegerExponent,
+                                   PolyParseError, UnknownSymbol, parse_poly,
+                                   print_poly)
 from etale_forge.surface import SplitMix64
 
 F_SQRT_M2 = NumberField([2, 0, 1])
@@ -127,3 +128,16 @@ def test_print_field_coefficients_exact(field):
     assert print_poly(c(0, 1) * x - 3 * y + 2) == f"({g})*x - 3*y + 2"
     assert print_poly(c(1, -1)) == f"(1 - {g})"
     assert print_poly(c(-1, 0) * x) == "-x"
+
+
+def test_power_degree_bound_rejects_before_expanding(monkeypatch):
+    assert parse_poly(f"x^{MAX_DEGREE}", ["x"]).total_degree() == MAX_DEGREE
+    powers = []
+    pow_ = Poly.__pow__
+    monkeypatch.setattr(Poly, "__pow__",
+                        lambda self, n: powers.append(n) or pow_(self, n))
+    for text in (f"x^{MAX_DEGREE + 1}", f"(1 + x*y)^{MAX_DEGREE // 2 + 1}",
+                 f"2 + 3^{MAX_DEGREE + 1}"):
+        with pytest.raises(PolyParseError, match=f"bound {MAX_DEGREE}"):
+            parse_poly(text, ["x", "y"])
+    assert powers == []

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etale_forge.numfield import QQ, NumberField
 from etale_forge.polyalg import Poly, variables
@@ -142,3 +144,62 @@ def test_normal_form_with_parameter_variables():
     p = (U ** 2 * V) * a1 + U
     nf = normal_form(p, H21)
     assert nf == (W ** 2 - U) * a1 + U
+
+
+# -- normal form against sympy's division ------------------------------------------
+
+F_SQRT_M2 = NumberField([2, 0, 1])          # theta^2 + 2
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def _sympy_domain(field):
+    sympy = pytest.importorskip("sympy")
+    if field == QQ:
+        return sympy, sympy.QQ, sympy.QQ.one
+    domain = sympy.QQ.algebraic_field(sympy.sqrt(-2))
+    return sympy, domain, domain.from_sympy(sympy.sqrt(-2))
+
+
+def _from_terms(field, names, terms):
+    """The Poly with the given (exponents, coordinates) terms, by public ops."""
+    p = Poly.zero(field, names)
+    for exps, coords in terms:
+        mono = Poly.constant(field.from_coords(coords), field, names)
+        for v, e in zip(names, exps):
+            mono = mono * Poly.variable(v, field, names) ** e
+        p = p + mono
+    return p
+
+
+@pytest.mark.parametrize("s", [S22, hyper_surface(3, 1)], ids=str)
+@pytest.mark.parametrize("field", [QQ, F_SQRT_M2], ids=["QQ", "sqrt-2"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_normal_form_matches_sympy_reduced(s, field, data):
+    """Random p in the surface variables and one parameter a, built term by
+    term in both systems; sympy reduces modulo the relation in lex order
+    with the surface variables first."""
+    sympy, domain, theta = _sympy_domain(field)
+    names = s.vars + ("a",)
+    gens = sympy.symbols(names)
+    terms = data.draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(0, 4)] * 4),
+        st.lists(RATIONALS, min_size=field.degree, max_size=field.degree)),
+        max_size=6))
+    sp_terms = {}
+    for exps, coords in terms:
+        c = sum((domain.convert(x) * theta ** i for i, x in enumerate(coords)),
+                domain.zero)
+        sp_terms[exps] = sp_terms.get(exps, domain.zero) + c
+    sp = sympy.Poly.from_dict(sp_terms or {(0,) * 4: domain.zero}, *gens,
+                              domain=domain)
+    rel = sympy.Poly(sympy.sympify(str(s.relation()).replace("^", "**")), *gens,
+                     domain=domain)
+    _, remainder = sympy.reduced(sp, [rel], order="lex")
+    expected = []
+    for exps, c in remainder.rep.to_dict().items():
+        coords = c.to_list()[::-1] if field != QQ else [c]
+        coords = [Fraction(int(x.numerator), int(x.denominator)) for x in coords]
+        expected.append((exps, coords + [Fraction(0)] * (field.degree - len(coords))))
+    assert (normal_form(_from_terms(field, names, terms), s)
+            == _from_terms(field, names, expected))
