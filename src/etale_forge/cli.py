@@ -3,20 +3,16 @@ and fixture reproduction.  JSON is the stable machine interface; text output
 is human-oriented.
 
 Exit codes: 0 success / verdict true, 2 verdict false, 1 usage or parse
-error.  --seed (or ETALE_FORGE_SEED) picks the random shear polynomials on
-which reproduce-paper checks the theta group law; it never changes an output
-byte.
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import reprlib
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .chebyshab import (MoreThanTwoCriticalValues, RamificationProfile,
@@ -29,7 +25,7 @@ from .endo import (build_from_params, degree_of, etale_certificate,
 from .family import FamilySpec, ec_equivalent, family_member, family_pairwise_distinct
 from .miyanishi import MiyParams, UnsupportedN, miy_b_check, miy_b_find, miy_eta0, miy_lift_check
 from .numfield import QQ, field_from_string, json_fields, rationals
-from .polyparse import PolyParseError, parse_poly, print_poly
+from .polyparse import MAX_DEGREE, PolyParseError, parse_poly, print_poly
 from .reproduce import default_fixture_dir, reproduce_paper
 
 EXIT_OK = 0
@@ -61,6 +57,12 @@ def _load_params(path: str):
     return params_from_json(data)
 
 
+def _degree_arg(value: int, flag: str) -> int:
+    if value > MAX_DEGREE:
+        raise ValueError(f"{flag} {value} exceeds the bound {MAX_DEGREE}")
+    return value
+
+
 def _cmd_verify_endo(args) -> int:
     params = _load_params(args.params)
     cert = etale_certificate(params)
@@ -79,8 +81,8 @@ def _cmd_verify_endo(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.what == "chebyshev":
-        lam = QQ.elem(Fraction(args.lam))
-        params = chebyshev_endo(args.d, lam)
+        (lam,) = rationals([args.lam], "--lam")
+        params = chebyshev_endo(_degree_arg(args.d, "--d"), QQ.elem(lam))
         payload = {"params": params.to_json()}
         if args.with_map:
             built = build_from_params(params)
@@ -178,7 +180,8 @@ def _cmd_miyanishi(args) -> int:
 
 
 def _cmd_chebyshev(args) -> int:
-    poly = chebyshev_T(args.n) if args.kind == "T" else chebyshev_U(args.n)
+    n = _degree_arg(args.n, "--n")
+    poly = chebyshev_T(n) if args.kind == "T" else chebyshev_U(n)
     _emit({"kind": args.kind, "n": args.n, "poly": print_poly(poly)}, args,
           lambda p: print(p["poly"]))
     return EXIT_OK
@@ -223,7 +226,7 @@ def _cmd_reproduce(args) -> int:
     fdir = Path(args.fixture_dir) if args.fixture_dir else default_fixture_dir()
     timings = {} if args.timings else None
     start = time.perf_counter()
-    report = reproduce_paper(fdir, seed=args.seed, timings=timings)
+    report = reproduce_paper(fdir, timings=timings)
     if timings is not None:
         timings["total"] = time.perf_counter() - start
         for name, seconds in timings.items():
@@ -241,13 +244,7 @@ def _cmd_reproduce(args) -> int:
 def _common_flags(parser, suppress: bool) -> None:
     # the same flags are legal both before and after the subcommand; the
     # after-position copies use SUPPRESS so they never clobber parsed values
-    seed_default = (argparse.SUPPRESS if suppress
-                    else int(os.environ.get("ETALE_FORGE_SEED", "0")))
     out_default = argparse.SUPPRESS if suppress else "text"
-    parser.add_argument("--seed", type=int, default=seed_default,
-                        help="seed of the theta-group-law shears in "
-                             "reproduce-paper; output bytes do not depend "
-                             "on it (default: ETALE_FORGE_SEED or 0)")
     parser.add_argument("--output", choices=["json", "text"],
                         default=out_default)
     parser.add_argument("--json", dest="output", action="store_const",

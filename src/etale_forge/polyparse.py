@@ -11,13 +11,14 @@ Grammar (LL(1), whitespace-insensitive, byte offsets in errors):
 Implicit multiplication ("2x") is rejected; rationals are written "p/q";
 exponents are nonnegative integer literals.  Symbols are either declared
 variables or the generator of the coefficient field ("theta", "zeta", ...).
-A power whose degree would exceed MAX_DEGREE is rejected before it is
-expanded; a constant counts as degree one there, so its exponent is bounded
-too.
+A power whose degree would exceed MAX_DEGREE, or whose dense term count
+would exceed MAX_TERMS, is rejected before it is expanded; a constant counts
+as degree one there, so its exponent is bounded too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,11 @@ from .polyalg import Poly
 # report and the benchmark inputs) and low enough that the largest allowed
 # power of a dense univariate binomial expands in seconds.
 MAX_DEGREE = 1000
+# Bounds the dense term count C(n + deg, n) of a power of degree deg in n
+# variables: above every count this project parses (at most 3060, the
+# report's printed family formulas) and low enough that the largest allowed
+# power expands in seconds ((1+x+y)^87, 3916 terms: 7.9 s on a 2-vCPU Xeon).
+MAX_TERMS = 4000
 
 
 class PolyParseError(ValueError):
@@ -207,6 +213,11 @@ def _ast_to_poly(ast: ExprAST, vars: tuple[str, ...], field: NumberField) -> Pol
         if degree > MAX_DEGREE:
             raise PolyParseError(
                 f"power of degree {degree} exceeds the bound {MAX_DEGREE}",
+                ast.position)
+        terms = math.comb(len(base.support_variables()) + degree, degree)
+        if terms > MAX_TERMS:
+            raise PolyParseError(
+                f"power of up to {terms} terms exceeds the bound {MAX_TERMS}",
                 ast.position)
         return base ** ast.value
     raise PolyParseError(f"unknown node kind {kind!r}", ast.position)

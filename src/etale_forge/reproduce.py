@@ -10,8 +10,10 @@ certificate-vs-Jacobian cross-validation over them.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,37 +22,18 @@ from .chebyshab import (RamificationProfile, chebyshev_T, chebyshev_U,
 from .constructor import (DegreeTriple, chebyshev_endo,
                           cyclic_galois_endo, degrees_from,
                           factor_through_cover, solve_kr32)
-from .endo import (EtaleParams, apply_map, base_polynomial, build_from_params,
-                   compose_maps, cstar_equivariant, degree_of,
+from .endo import (BuildResult, EtaleParams, apply_map, base_polynomial,
+                   build_from_params, compose_maps, cstar_equivariant, degree_of,
                    etale_certificate, jacobian_det_at, jacobian_spotcheck,
                    make_map, map_from_json, maps_equal, params_from_json,
                    ri_degrees, zk_compatible)
 from .family import (FamilySpec, covering, ec_equivalent, family_member,
                      family_member_symbolic, family_pairwise_distinct, theta)
-from .miyanishi import MiyParams, miy_b_check, miy_lift_check
+from .miyanishi import MiyParams, miy_b_check, miy_eta0, miy_lift_check
 from .numfield import QQ, NumberField, cyclotomic_field, field_from_string
-from .polyalg import Poly, divmod_poly, variables
+from .polyalg import Poly, compose, divmod_poly, variables
 from .polyparse import parse_poly, print_poly
-from .surface import (SplitMix64, SurfacePoint, hyper_surface, normal_form,
-                      tilde_surface)
-
-FIXTURE_FILES = [
-    "s2_galois.json",
-    "galois_k3.json",
-    "cheb_d3.json",
-    "cheb_d5.json",
-    "cheb_d7.json",
-    "cheb_d9.json",
-    "kr32_d01_plus.json",
-    "kr32_d01_minus.json",
-    "kr32_d02.json",
-    "alpha0_k2r2_d4.json",
-    "family_s2.json",
-    "miy_n2.json",
-    "miy_n3.json",
-    "ramified_nonexample.json",
-]
-
+from .surface import SurfacePoint, hyper_surface, normal_form, tilde_surface
 
 def default_fixture_dir() -> Path:
     return Path(__file__).resolve().parent / "fixtures"
@@ -113,22 +96,23 @@ def check_congruence_law(dmax: int = 30) -> str:
     return f"{count} tuples"
 
 
-def check_theta_group_law(seed: int = 0) -> str:
-    rng = SplitMix64(seed)
-    for k, r in ((2, 2), (3, 3)):
+def check_theta_group_law() -> str:
+    """Theta^P o Theta^Q = Theta^(P+Q) for every P, Q in C[x] at once.
+
+    P and Q enter as free parameter variables p and q.  Every shear fixes
+    x, so composing substitutes nothing into p or q, and the identity in
+    Q[x, y, z, p, q] specializes to each pair p = P(x), q = Q(x).
+    """
+    p, q = (Poly.variable(v, QQ, ("x", "p", "q")) for v in ("p", "q"))
+    surfaces = ((2, 2), (3, 3), (2, 3), (4, 2), (5, 5))
+    for k, r in surfaces:
         s = tilde_surface(k, r)
-        x = Poly.variable("x", QQ)
-        for _ in range(20):
-            p = Poly.zero(QQ, ("x",))
-            q = Poly.zero(QQ, ("x",))
-            for e in range(0, 5):
-                p = p + Poly.constant(rng.fraction(20), QQ, ("x",)) * x ** e
-                q = q + Poly.constant(rng.fraction(20), QQ, ("x",)) * x ** e
-            theta_p = theta(p, s)
-            lhs = compose_maps(theta_p, theta(q, s))
-            assert maps_equal(lhs, theta(p + q, s)), "theta group law fails"
-            assert theta_p.coords[0] == Poly.variable("x", QQ, s.vars)
-    return "20 pairs on tilde(2,2) and tilde(3,3)"
+        theta_p, theta_q = theta(p, s), theta(q, s)
+        x = Poly.variable("x", QQ, s.vars)
+        assert theta_p.coords[0] == theta_q.coords[0] == x, "theta moves x"
+        assert maps_equal(compose_maps(theta_p, theta_q), theta(p + q, s)), \
+            f"theta group law fails on tilde({k},{r})"
+    return "symbolic in P and Q on tilde " + ", ".join(map(str, surfaces))
 
 
 def check_remark_cube_roots() -> str:
@@ -165,14 +149,13 @@ def _alpha0_22_params(m: int) -> EtaleParams:
     R1 = T_m(1-2t), R2 = U_(m-1)(1-2t)/m, R0 = 4m^2 (certificate-verified)."""
     t = Poly.variable("t", QQ)
     sub = 1 - 2 * t
-    from .polyalg import compose
     r1 = compose(chebyshev_T(m), sub)
     r2 = compose(chebyshev_U(m - 1), sub) * Poly.constant(Fraction(1, m), QQ, ("t",))
     return EtaleParams(k=2, r=2, a=1, alpha=0, d=2 * m, lam=QQ.elem(1),
                        R0=Poly.constant(4 * m * m, QQ, ("t",)), R1=r1, R2=r2)
 
 
-def build_corpus() -> list[tuple[str, object]]:
+def build_corpus() -> list[tuple[str, EtaleParams]]:
     """Every certified parameter set exercised by the acceptance gate."""
     corpus = []
     for d in (3, 5, 7, 9, 11, 13):
@@ -190,6 +173,21 @@ def build_corpus() -> list[tuple[str, object]]:
     return corpus
 
 
+Build = Callable[[EtaleParams], BuildResult]
+CorpusEntry = tuple[str, EtaleParams, BuildResult]
+
+
+def _built_corpus(build: Build) -> list[CorpusEntry]:
+    """build_corpus() with each entry built; a failed build names its entry."""
+    entries = []
+    for name, params in build_corpus():
+        try:
+            entries.append((name, params, build(params)))
+        except Exception as err:
+            raise AssertionError(f"{name}: {type(err).__name__}: {err}") from err
+    return entries
+
+
 def _expected_profile(p: EtaleParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Partitions over 0 and 1 implied by the certificate data."""
     d0, d1, d2 = (int(v) for v in ri_degrees(p.k, p.r, p.alpha, p.d))
@@ -198,10 +196,8 @@ def _expected_profile(p: EtaleParams) -> tuple[tuple[int, ...], tuple[int, ...]]
     return (tuple(sorted(over0, reverse=True)), tuple(sorted(over1, reverse=True)))
 
 
-def check_profile_consistency(corpus=None) -> str:
-    corpus = corpus if corpus is not None else build_corpus()
-    for name, params in corpus:
-        built = build_from_params(params)
+def check_profile_consistency(corpus: list[CorpusEntry]) -> str:
+    for name, params, built in corpus:
         eta_rho = base_polynomial(built.tilde_map)
         prof = extract_profile(eta_rho)
         assert isinstance(prof, RamificationProfile), f"{name}: third branch point"
@@ -226,13 +222,9 @@ def _assert_oracle_etale(label: str, m) -> None:
     assert verdict, f"{label}: J is not a nonzero constant; residual {verdict.residual}"
 
 
-def check_oracle_cross_validation(corpus=None) -> str:
-    corpus = corpus if corpus is not None else build_corpus()
+def check_oracle_cross_validation(corpus: list[CorpusEntry]) -> str:
     total = 0
-    for name, params in corpus:
-        cert = etale_certificate(params)
-        assert cert.verdict, f"{name}: certificate false: {cert.failing()}"
-        built = build_from_params(params)
+    for name, _, built in corpus:
         for tag, m in (("tilde", built.tilde_map), ("hyper", built.hyper_map)):
             if m is None:
                 continue
@@ -247,14 +239,11 @@ def check_oracle_cross_validation(corpus=None) -> str:
     assert total >= 30, f"corpus too small: {total}"
     # the deliberately ramified non-example, detected on its locus z = 0
     bad = ramified_nonexample()
-    s = bad.source
-    found_zero = False
     for xval in (Fraction(1), Fraction(2), Fraction(-3, 2)):
-        pt = SurfacePoint(s, (QQ.elem(xval), QQ.elem(-1 / xval ** 2), QQ.elem(0)))
-        det = jacobian_det_at(bad, pt)
-        found_zero = found_zero or det.is_zero()
-        assert det.is_zero(), "determinant should vanish on the ramification locus"
-    assert found_zero
+        pt = SurfacePoint(bad.source,
+                          (QQ.elem(xval), QQ.elem(-1 / xval ** 2), QQ.elem(0)))
+        assert jacobian_det_at(bad, pt).is_zero(), \
+            "determinant should vanish on the ramification locus"
     assert not jacobian_spotcheck(bad), "oracle accepts the ramified non-example"
     return (f"{total} maps with nonzero constant J; ramified non-example: "
             f"J not constant, detected on z = 0")
@@ -263,12 +252,10 @@ def check_oracle_cross_validation(corpus=None) -> str:
 # -- fixture items -----------------------------------------------------------------
 
 
-def _verify_params_fixture(data: dict) -> str:
+def _verify_params_fixture(data: dict, build: Build) -> str:
     params = params_from_json(data["params"])
     expect = data.get("expect", {})
-    cert = etale_certificate(params)
-    assert cert.verdict, f"certificate false: {cert.failing()}"
-    built = build_from_params(params)
+    built = build(params)
     details = []
     if "degree" in expect:
         d = degree_of(built.tilde_map)
@@ -286,18 +273,16 @@ def _verify_params_fixture(data: dict) -> str:
     return ", ".join(details) or "certified"
 
 
-def _check_s2_galois(fixture_dir: Path) -> str:
+def _check_s2_galois(fixture_dir: Path, build: Build) -> str:
     data = _load(fixture_dir, "s2_galois.json")
     params = params_from_json(data["params"])
-    cert = etale_certificate(params)
-    assert cert.verdict
     built_params, j = cyclic_galois_endo(2)
     assert built_params == params, "constructor differs from fixture"
     h = hyper_surface(2, 1)
     u, v, w = (Poly.variable(n, QQ, h.vars) for n in h.vars)
     expected_j = make_map(h, tilde_surface(2, 2), (w, 4 * v, 1 + 2 * u * v))
     assert maps_equal(j, expected_j), "j != (w, 4v, 1+2uv)"
-    eta = build_from_params(params).hyper_map
+    eta = build(params).hyper_map
     expected_eta = make_map(h, h, (u * (1 + u * v), 4 * v, w * (1 + 2 * u * v)))
     assert maps_equal(eta, expected_eta), "eta != (u(1+uv), 4v, w(1+2uv))"
     assert degree_of(eta) == 2
@@ -311,16 +296,24 @@ def _check_s2_galois(fixture_dir: Path) -> str:
     return "j, eta, degree 2, base map both ways"
 
 
-def _check_cheb_point(fixture_dir: Path) -> str:
+def _check_cheb_point(fixture_dir: Path, build: Build) -> str:
     data = _load(fixture_dir, "cheb_d3.json")
     params = params_from_json(data["params"])
-    built = build_from_params(params)
+    built = build(params)
     s = tilde_surface(2, 2)
     pt = SurfacePoint(s, (QQ.elem(1), QQ.elem(3), QQ.elem(2)))
     img = apply_map(built.tilde_map, pt)
     got = [c.as_fraction() for c in img.coords]
     assert got == [15, 3, 26], f"eta(1,3,2) = {got}"
     return "eta(1,3,2) = (15, 3, 26)"
+
+
+def _kr32_remainder(r1: Poly) -> Poly:
+    """1 - (1-t) R1^3 mod E^2, E = R1 + 3(t-1) R1': zero iff R1 satisfies
+    the (3,2) divisibility condition."""
+    t = Poly.variable("t", r1.field)
+    e = r1 + 3 * (t - 1) * r1.derivative()
+    return divmod_poly(1 - (1 - t) * r1 ** 3, e * e)[1]
 
 
 def _check_kr32_solver(fixture_dir: Path) -> str:
@@ -339,10 +332,8 @@ def _check_kr32_solver(fixture_dir: Path) -> str:
     field = NumberField([2, 0, 1])
     t = Poly.variable("t", field)
     a1_printed = field.from_coords([Fraction(-7, 3), Fraction(1, 3)])
-    r1 = a1_printed * t + 1
-    e = r1 + 3 * (t - 1) * r1.derivative()
-    _, rem = divmod_poly(1 - (1 - t) * r1 ** 3, e * e)
-    assert not rem.is_zero(), "printed a1 unexpectedly satisfies the condition"
+    assert not _kr32_remainder(a1_printed * t + 1).is_zero(), \
+        "printed a1 unexpectedly satisfies the condition"
     # the published R0 is reproduced exactly by the corrected pair
     r0_paper = parse_poly(plus["paper_R0"], ("t",), field)
     match = [p for p in got
@@ -357,10 +348,7 @@ def _check_kr32_d02(fixture_dir: Path) -> str:
     params = params_from_json(data["params"])
     field = params.field
     t = Poly.variable("t", field)
-    r1 = params.R1
-    e = r1 + 3 * (t - 1) * r1.derivative()
-    _, rem = divmod_poly(1 - (1 - t) * r1 ** 3, e * e)
-    assert rem.is_zero(), "divisibility fails"
+    assert _kr32_remainder(params.R1).is_zero(), "divisibility fails"
     cert = etale_certificate(params)
     assert cert.verdict and params.d == 7
     r0_paper = parse_poly(data["paper_R0"], ("t",), field)
@@ -368,31 +356,29 @@ def _check_kr32_d02(fixture_dir: Path) -> str:
     # as printed (a1 and a2 transposed) the condition fails -- documented erratum
     a1p = field.from_coords([Fraction(87, 24), Fraction(-91, 24)])
     a2p = field.from_coords([Fraction(-139, 24), Fraction(63, 24)])
-    r1p = a2p * t ** 2 + a1p * t + 1
-    ep = r1p + 3 * (t - 1) * r1p.derivative()
-    _, remp = divmod_poly(1 - (1 - t) * r1p ** 3, ep * ep)
-    assert not remp.is_zero(), "printed orientation unexpectedly satisfies the condition"
+    assert not _kr32_remainder(a2p * t ** 2 + a1p * t + 1).is_zero(), \
+        "printed orientation unexpectedly satisfies the condition"
     return "divisibility exact, certificate true, d = 7, printed R0 reproduced"
 
 
-def _check_factorization_law() -> str:
+def _check_factorization_law(build: Build) -> str:
     count = 0
     for k in (2, 3, 4, 5, 6):
         params, j = cyclic_galois_endo(k)
-        _assert_factorization(params, j)
+        _assert_factorization(params, j, build)
         count += 1
     for m in (2, 3):
         params = _alpha0_22_params(m)
         j = factor_through_cover(params)
-        _assert_factorization(params, j)
+        _assert_factorization(params, j, build)
         count += 1
     return f"{count} alpha = 0 builds"
 
 
-def _assert_factorization(params: EtaleParams, j) -> None:
+def _assert_factorization(params: EtaleParams, j, build: Build) -> None:
     rbar = params.r // params.k
     pi = covering(params.k, rbar)
-    eta = build_from_params(params).hyper_map
+    eta = build(params).hyper_map
     assert maps_equal(compose_maps(pi, j), eta), "pi o j != eta"
     dj = degree_of(j)
     assert dj == params.d // params.k
@@ -444,10 +430,8 @@ def _check_miyanishi(fixture_dir: Path, name: str) -> str:
     rep = miy_lift_check(p)
     assert rep.ok, f"lift checks: {rep.checks}"
     # the base map is T_n: degree matches the counterexample degree
-    from .chebyshab import chebyshev_T as _T
-    from .miyanishi import miy_eta0
     first, _ = miy_eta0(p)
-    assert first == _T(p.n).with_field(field).with_variables(("x", "y"))
+    assert first == chebyshev_T(p.n).with_field(field).with_variables(("x", "y"))
     return f"n = {p.n}: b-check, lift checks, base T_n"
 
 
@@ -466,38 +450,42 @@ def reproduce_paper(fixture_dir: Path | None = None, seed: int = 0,
     """Run the whole verification suite; returns a machine-readable report.
 
     When a dict is passed as timings, it receives the wall seconds of each
-    item by name; the report itself never contains times.
+    item by name; the report itself never contains times.  The report uses
+    no randomness: seed is accepted and ignored, only because
+    perfbench/workloads.py still passes it.
     """
     fdir = Path(fixture_dir) if fixture_dir else default_fixture_dir()
-    corpus = None
-    try:
-        corpus = build_corpus()
-    except Exception:
-        corpus = None  # individual items will report the failure
+    # per report, not per process: every item shares one build of each
+    # parameter set and one corpus; a failure is not cached, so it fails
+    # every item that asks for it
+    build = functools.cache(build_from_params)
+    corpus = functools.cache(lambda: _built_corpus(build))
+
+    def params_fixture(name: str) -> str:
+        return _verify_params_fixture(_load(fdir, name), build)
 
     checks = [
         ("chebyshev_identities", check_chebyshev_identities),
         ("congruence_law", check_congruence_law),
-        ("s2_galois", lambda: _check_s2_galois(fdir)),
-        ("galois_k3", lambda: _verify_params_fixture(_load(fdir, "galois_k3.json"))),
-        ("cheb_d3", lambda: _verify_params_fixture(_load(fdir, "cheb_d3.json"))),
-        ("cheb_d5", lambda: _verify_params_fixture(_load(fdir, "cheb_d5.json"))),
-        ("cheb_d7", lambda: _verify_params_fixture(_load(fdir, "cheb_d7.json"))),
-        ("cheb_d9", lambda: _verify_params_fixture(_load(fdir, "cheb_d9.json"))),
-        ("cheb_point_fixture", lambda: _check_cheb_point(fdir)),
+        ("s2_galois", lambda: _check_s2_galois(fdir, build)),
+        ("galois_k3", lambda: params_fixture("galois_k3.json")),
+        ("cheb_d3", lambda: params_fixture("cheb_d3.json")),
+        ("cheb_d5", lambda: params_fixture("cheb_d5.json")),
+        ("cheb_d7", lambda: params_fixture("cheb_d7.json")),
+        ("cheb_d9", lambda: params_fixture("cheb_d9.json")),
+        ("cheb_point_fixture", lambda: _check_cheb_point(fdir, build)),
         ("kr32_d01_solver", lambda: _check_kr32_solver(fdir)),
         ("kr32_d02_verification", lambda: _check_kr32_d02(fdir)),
-        ("alpha0_k2r2_d4",
-         lambda: _verify_params_fixture(_load(fdir, "alpha0_k2r2_d4.json"))),
-        ("factorization_law", _check_factorization_law),
+        ("alpha0_k2r2_d4", lambda: params_fixture("alpha0_k2r2_d4.json")),
+        ("factorization_law", lambda: _check_factorization_law(build)),
         ("deformation_family", lambda: _check_family(fdir)),
         ("remark_cube_roots", check_remark_cube_roots),
-        ("theta_group_law", lambda: check_theta_group_law(seed)),
+        ("theta_group_law", check_theta_group_law),
         ("miyanishi_n2", lambda: _check_miyanishi(fdir, "miy_n2.json")),
         ("miyanishi_n3", lambda: _check_miyanishi(fdir, "miy_n3.json")),
-        ("profile_consistency", lambda: check_profile_consistency(corpus)),
+        ("profile_consistency", lambda: check_profile_consistency(corpus())),
         ("oracle_cross_validation",
-         lambda: check_oracle_cross_validation(corpus)),
+         lambda: check_oracle_cross_validation(corpus())),
         ("ramified_nonexample", lambda: _check_ramified(fdir)),
     ]
     items = []

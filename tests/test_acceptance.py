@@ -9,19 +9,21 @@ reproduce its printed R0's exactly, while the literal printed values
 provably violate them.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from etale_forge.reproduce import reproduce_paper
+from etale_forge import reproduce
+from etale_forge.reproduce import build_corpus, reproduce_paper
 
 GOLDEN = Path(__file__).parent / "golden" / "reproduce_paper.json"
 
 
 @pytest.fixture(scope="module")
 def report():
-    return reproduce_paper(seed=0)
+    return reproduce_paper()
 
 
 def _criterion(report, number, label, item_names):
@@ -104,6 +106,35 @@ def test_every_report_item_passes(report):
 
 def test_report_matches_golden_bytes(report):
     # a change that alters the report on purpose regenerates this file with
-    # json.dumps(reproduce_paper(seed=0), sort_keys=True, indent=2) + "\n"
+    # json.dumps(reproduce_paper(), sort_keys=True, indent=2) + "\n"
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert text == GOLDEN.read_text()
+
+
+def test_report_builds_each_corpus_map_once(monkeypatch):
+    built = []
+    original = reproduce.build_from_params
+
+    def counting(params):
+        built.append(params)
+        return original(params)
+
+    monkeypatch.setattr(reproduce, "build_from_params", counting)
+    assert reproduce_paper()["all_pass"]
+    counts = {name: built.count(params) for name, params in build_corpus()}
+    assert counts == dict.fromkeys(counts, 1)
+
+
+def test_failed_corpus_build_fails_both_corpus_items(monkeypatch):
+    def tampered_corpus():
+        corpus = build_corpus()
+        name, params = corpus[-1]
+        corpus[-1] = (name, dataclasses.replace(params, R2=params.R2 + 1))
+        return corpus
+
+    name = build_corpus()[-1][0]
+    monkeypatch.setattr(reproduce, "build_corpus", tampered_corpus)
+    by_name = {item["name"]: item for item in reproduce_paper()["items"]}
+    for item in ("profile_consistency", "oracle_cross_validation"):
+        assert by_name[item]["status"] == "fail"
+        assert by_name[item]["detail"].startswith(f"{name}: CertificateRequired")

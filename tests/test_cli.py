@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from etale_forge.polyparse import MAX_DEGREE
 from etale_forge.reproduce import default_fixture_dir
 
 CLI = [sys.executable, "-m", "etale_forge.cli"]
+GOLDEN = Path(__file__).parent / "golden" / "reproduce_paper.json"
 
 
 def run_cli(*args, **kw):
@@ -82,12 +84,11 @@ def test_verify_endo_fixture_and_tampered(tmp_path):
     assert "C1_identity" in payload["failing"]
 
 
-def test_verify_endo_seed_does_not_change_verdict():
+def test_seed_flag_is_a_usage_error():
     fixture = default_fixture_dir() / "cheb_d3.json"
-    r1 = run_cli("--seed", "1", "verify-endo", "--params", str(fixture), "--json")
-    r2 = run_cli("--seed", "2", "verify-endo", "--params", str(fixture), "--json")
-    assert r1.returncode == r2.returncode == 0
-    assert json.loads(r1.stdout)["verdict"] == json.loads(r2.stdout)["verdict"]
+    res = run_cli("--seed", "1", "verify-endo", "--params", str(fixture), "--json")
+    assert res.returncode == 1
+    assert res.stdout == ""
 
 
 def test_family_gen_equiv_distinct():
@@ -150,15 +151,6 @@ def test_shabat_subcommands():
     assert "condition (2)" in json.loads(res.stdout)["diagnostics"][0]
 
 
-def test_seed_env_var_fallback():
-    import os
-    env = dict(os.environ, ETALE_FORGE_SEED="7")
-    fixture = default_fixture_dir() / "s2_galois.json"
-    res = subprocess.run(CLI + ["verify-endo", "--params", str(fixture)],
-                         capture_output=True, text=True, env=env)
-    assert res.returncode == 0
-
-
 def test_usage_errors_exit_one():
     res = run_cli("construct", "chebyshev")           # missing --d
     assert res.returncode == 1
@@ -182,10 +174,14 @@ def test_usage_errors_exit_one():
      {"c.json": "[1]"}, "object"),
     (["construct", "kr32", "--d0", "1", "--candidates", "TMP/c.json"],
      {"c.json": '{"candidates": [{"minpoly": [7, 0, 1], "a2": [1, 2]}]}'}, "'a1'"),
+    (["construct", "chebyshev", "--d", "3", "--lam", "1/0"], {}, "--lam"),
+    (["construct", "chebyshev", "--d", str(MAX_DEGREE + 1)], {}, "--d"),
+    (["chebyshev", "T", "--n", str(MAX_DEGREE + 1)], {}, "--n"),
 ], ids=["other-fixture", "missing-field", "not-an-object", "avecs-not-nested",
         "avec-not-a-list", "profile-missing-field", "profile-not-an-object",
         "profile-partition-not-int", "candidates-not-an-object",
-        "candidate-missing-a1"])
+        "candidate-missing-a1", "lam-zero-denominator", "d-above-cap",
+        "n-above-cap"])
 def test_malformed_input_is_one_error_line(tmp_path, argv, docs, names):
     for name, text in docs.items():
         (tmp_path / name).write_text(text)
@@ -220,6 +216,7 @@ def test_reproduce_paper_timings_go_to_stderr():
     timed = run_cli("reproduce-paper", "--json", "--timings")
     assert plain.returncode == timed.returncode == 0
     assert timed.stdout == plain.stdout          # byte-identical report
+    assert plain.stdout == GOLDEN.read_text()
     assert plain.stderr == ""
     names = [item["name"] for item in json.loads(plain.stdout)["items"]]
     rows = [line.split() for line in timed.stderr.splitlines()]

@@ -36,6 +36,17 @@ def test_theta_examples():
                       theta(p + q, S22))
 
 
+@pytest.mark.parametrize("k,r", [(2, 2), (3, 2), (2, 3)])
+def test_theta_group_law_symbolic(k, r):
+    # p and q stand for arbitrary P(x), Q(x): theta fixes x
+    p, q = (Poly.variable(v, QQ, ("x", "p", "q")) for v in ("p", "q"))
+    s = tilde_surface(k, r)
+    composite = compose_maps(theta(p, s), theta(q, s))
+    assert maps_equal(composite, theta(p + q, s))
+    assert not maps_equal(composite, theta(p + 2 * q, s))
+    assert not maps_equal(composite, theta(p * q, s))
+
+
 def test_theta_fixes_base_fibration():
     rng = SplitMix64(3)
     for _ in range(5):

@@ -8,7 +8,7 @@ import pytest
 from etale_forge.chebyshab import chebyshev_T
 from etale_forge.numfield import QQ, NumberField, cyclotomic_field
 from etale_forge.polyalg import Poly
-from etale_forge.polyparse import (MAX_DEGREE, NonIntegerExponent,
+from etale_forge.polyparse import (MAX_DEGREE, MAX_TERMS, NonIntegerExponent,
                                    PolyParseError, UnknownSymbol, parse_poly,
                                    print_poly)
 from etale_forge.surface import SplitMix64
@@ -140,4 +140,13 @@ def test_power_degree_bound_rejects_before_expanding(monkeypatch):
                  f"2 + 3^{MAX_DEGREE + 1}"):
         with pytest.raises(PolyParseError, match=f"bound {MAX_DEGREE}"):
             parse_poly(text, ["x", "y"])
+    assert powers == []
+
+
+def test_power_term_count_bound_rejects_before_expanding(monkeypatch):
+    # C(3 + 40, 3) = 12341 dense terms; expanding them takes many seconds
+    powers = []
+    monkeypatch.setattr(Poly, "__pow__", lambda self, n: powers.append(n))
+    with pytest.raises(PolyParseError, match=f"12341 terms exceeds the bound {MAX_TERMS}"):
+        parse_poly("(1+x+y+z)^40", ("x", "y", "z"))
     assert powers == []
