@@ -204,7 +204,8 @@ def _kr32_condition_polys() -> tuple[Poly, Poly]:
             j = exps.get("t", 0)
             coeff_term = Poly(QQ, poly.variables,
                               {tuple(0 if v == "t" else e
-                                     for v, e in zip(poly.variables, key)): c})
+                                     for v, e in zip(poly.variables, key)): c},
+                              poly.den)
             acc = acc + coeff_term * num ** j * den ** (dt - j)
         return acc.drop_unused().with_variables(("a1",))
 

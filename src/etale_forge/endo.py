@@ -249,18 +249,19 @@ def base_polynomial(m: SurfaceMap) -> Poly:
 
 
 def zk_to_t(q: Poly, k: int) -> Poly:
-    """Rewrite q, a polynomial in z^k, as a polynomial in t = 1 - z^k."""
+    """Rewrite q, a polynomial in z^k, as a polynomial in t = 1 - z^k: the
+    polynomial in s = z^k composed with 1 - t by Horner's rule."""
     if any(v != "z" for v in q.support_variables()):
         raise DegreeUndetermined(f"{q} is not a function of z alone")
-    field = q.field
-    t = Poly.variable("t", field)
-    out = Poly.zero(field, ("t",))
+    i = q.variables.index("z") if "z" in q.variables else None
+    terms = {}
     for key, c in q.terms.items():
-        e = key[q.variables.index("z")] if "z" in q.variables else 0
+        e = 0 if i is None else key[i]
         if e % k != 0:
             raise DegreeUndetermined(f"{q} is not a polynomial in z^{k}")
-        out = out + Poly(field, ("t",), {(0,): c}) * (1 - t) ** (e // k)
-    return out
+        terms[(e // k,)] = c
+    t = Poly.variable("t", q.field)
+    return compose(Poly(q.field, ("s",), terms, q.den), 1 - t)
 
 
 def degree_of(m: SurfaceMap) -> int:

@@ -3,10 +3,17 @@
 A field is presented by a monic minimal polynomial m over Q, stored densely
 as a tuple of Fractions, constant term first.  Elements are residue classes
 represented by their unique coordinate vector of length deg(m) in the power
-basis 1, theta, ..., theta^(deg m - 1).  NumberField.mul and NumberField.inv
-are the one implementation of multiplication and inversion on these
-coordinate tuples: FieldElement wraps them, and Poly applies them to its
-term values directly.
+basis 1, theta, ..., theta^(deg m - 1).
+
+FieldElement, the type at the boundary, keeps its coordinates as Fractions.
+The arithmetic kernel works on integer numerators instead: split() turns a
+coordinate tuple into integer numerators over one positive denominator and
+join() turns them back.  NumberField.mul and NumberField.inv are the one
+implementation of multiplication and inversion, on integer tuples:
+mul(a, b) is the product times NumberField.den, the common denominator of
+the reduction rows theta^n, ..., theta^(2n-2) (so 1 for every monic
+integral m), and inv(a) returns the inverse as (numerators, denominator).
+FieldElement wraps both, and Poly applies them to its term numerators.
 
 The rationals are the degree-one field QQ = Q[theta]/(theta).  Ints and
 Fractions coerce into any field as constants; elements of two distinct
@@ -26,6 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 Coords = tuple[Fraction, ...]
+Ints = tuple[int, ...]
 
 
 class FieldMismatch(ValueError):
@@ -50,23 +58,27 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+def split(coords: Coords) -> tuple[Ints, int]:
+    """Rational coordinates as (integer numerators, least common positive
+    denominator); the two are coprime, and zero gives denominator 1."""
+    if len(coords) == 1:
+        c = coords[0]
+        return (c.numerator,), c.denominator
+    den = math.lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (den // c.denominator) for c in coords), den
+
+
+def join(nums: Ints, den: int) -> Coords:
+    """The rational coordinates nums / den; the inverse of split."""
+    return tuple(Fraction(n, den) for n in nums)
+
+
 # -- dense univariate helpers over Q (constant term first) ------------------
 
 def _trim(c: list[Fraction]) -> list[Fraction]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]):
@@ -87,30 +99,24 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]):
     return _trim(q), r
 
 
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
-    """Return (g, u, v) with u*a + v*b = g, g monic (or zero)."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _trim([x - y for x, y in _zip_pad(u0, _poly_mul(q, u1))])
-        v0, v1 = v1, _trim([x - y for x, y in _zip_pad(v0, _poly_mul(q, v1))])
-    if r0:
-        lc = r0[-1]
-        r0 = [c / lc for c in r0]
-        u0 = [c / lc for c in u0]
-        v0 = [c / lc for c in v0]
-    return r0, u0, v0
-
-
-def _zip_pad(a: list[Fraction], b: list[Fraction]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        x = a[i] if i < len(a) else Fraction(0)
-        y = b[i] if i < len(b) else Fraction(0)
-        yield x, y
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every intermediate division is exact."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 def _divisors(n: int) -> list[int]:
@@ -213,6 +219,7 @@ class NumberField:
             raise ValueError("minimal polynomial must be monic")
         self.minpoly = tuple(coeffs)
         self.gen_name = gen
+        self._tail, self.den = self._power_tail()
         self.note = note
         if self.degree <= 4 and note != "cyclotomic":
             if not _is_irreducible_upto_deg4(list(coeffs)):
@@ -232,9 +239,9 @@ class NumberField:
         return self.degree == 1
 
     def __eq__(self, other):
-        return (isinstance(other, NumberField)
-                and self.minpoly == other.minpoly
-                and self.gen_name == other.gen_name)
+        return self is other or (isinstance(other, NumberField)
+                                 and self.minpoly == other.minpoly
+                                 and self.gen_name == other.gen_name)
 
     def __hash__(self):
         return hash((self.minpoly, self.gen_name))
@@ -281,53 +288,67 @@ class NumberField:
                 f"cannot mix elements of {x.field.minpoly_str()} and {self.minpoly_str()}")
         return self.elem(x)
 
-    def _power_tail(self) -> list[tuple[Fraction, ...]]:
-        """Coordinates of theta^(n+j) for j = 0..n-2, cached."""
-        tail = getattr(self, "_tail", None)
-        if tail is None:
-            n = self.degree
-            cur = [-c for c in self.minpoly[:n]]
-            tail = [tuple(cur)]
-            for _ in range(n - 2):
-                top = cur[-1]
-                cur = [Fraction(0)] + cur[:-1]
-                if top:
-                    cur = [a + top * b for a, b in zip(cur, tail[0])]
-                tail.append(tuple(cur))
-            self._tail = tail
-        return tail
-
-    def _reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    def _power_tail(self) -> tuple[list[Ints], int]:
+        """Integer rows T_j and one denominator D with theta^(n+j) equal to
+        T_j / D in the power basis, for j = 0..n-2."""
         n = self.degree
-        out = list(coeffs[:n]) + [Fraction(0)] * max(0, n - len(coeffs))
-        if len(coeffs) > n:
-            tail = self._power_tail()
-            for j, c in enumerate(coeffs[n:]):
-                if c:
-                    row = tail[j]
-                    for i in range(n):
-                        out[i] += c * row[i]
+        if n == 1:
+            return [], 1
+        cur = [-c for c in self.minpoly[:n]]
+        rows = [cur]
+        for _ in range(n - 2):
+            top = cur[-1]
+            cur = [Fraction(0)] + cur[:-1]
+            if top:
+                cur = [a + top * b for a, b in zip(cur, rows[0])]
+            rows.append(cur)
+        den = math.lcm(*(c.denominator for row in rows for c in row))
+        return [tuple(int(c * den) for c in row) for row in rows], den
+
+    def mul(self, a: Ints, b: Ints) -> Ints:
+        """den times the product of two integer coordinate tuples: the one
+        field multiply."""
+        n = len(a)
+        if n == 1:
+            return (a[0] * b[0],)
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        den = self.den
+        out = prod[:n] if den == 1 else [den * x for x in prod[:n]]
+        for x, row in zip(prod[n:], self._tail):
+            if x:
+                for i in range(n):
+                    out[i] += x * row[i]
         return tuple(out)
 
-    def mul(self, a: Coords, b: Coords) -> Coords:
-        """Product of two coordinate tuples: the one field multiply."""
-        if len(a) == 1:
-            return (a[0] * b[0],)
-        return self._reduce(_poly_mul(a, b))
-
-    def inv(self, a: Coords) -> Coords:
-        """Inverse of a coordinate tuple, by the extended Euclidean algorithm
-        against the minimal polynomial (1/a[0] in degree one)."""
+    def inv(self, a: Ints) -> tuple[Ints, int]:
+        """Inverse of a nonzero integer coordinate tuple as (numerators,
+        positive denominator): the solution x of a * x = 1, a linear system
+        whose columns are a * theta^j, by Cramer's rule with integer
+        determinants (1/a[0] in degree one)."""
         if not any(a):
             raise DivisionByZero("inverse of zero")
-        if len(a) == 1:
-            return (1 / a[0],)
-        g, u, _ = _poly_xgcd(_trim(list(a)), list(self.minpoly))
-        if len(g) != 1:
+        n = len(a)
+        if n == 1:
+            return ((1,), a[0]) if a[0] > 0 else ((-1,), -a[0])
+        cols = [self.mul(a, (0,) * j + (1,) + (0,) * (n - 1 - j)) for j in range(n)]
+        det = _det([[col[i] for col in cols] for i in range(n)])
+        if det == 0:
             raise ReduciblePolynomial(
                 f"{self.minpoly_str()} is reducible: "
-                f"gcd with {FieldElement(self, a)} is non-constant")
-        return self._reduce(u)
+                f"{FieldElement(self, join(a, 1))} is a zero divisor")
+        # x_i = det(column i replaced by den * e_0) / det, because mul
+        # scales by den
+        rhs = (self.den,) + (0,) * (n - 1)
+        nums = [_det([[rhs[r] if j == i else cols[j][r] for j in range(n)]
+                      for r in range(n)]) for i in range(n)]
+        if det < 0:
+            det, nums = -det, [-x for x in nums]
+        g = math.gcd(det, *nums)
+        return tuple(x // g for x in nums), det // g
 
     def minpoly_str(self) -> str:
         return format_terms(reversed(power_terms(self.minpoly, self.gen_name)))
@@ -489,12 +510,16 @@ class FieldElement:
         if not self._operand_ok(other):
             return NotImplemented
         a, b = self._pair(other)
-        return FieldElement(a.field, a.field.mul(a.coords, b.coords))
+        (na, da), (nb, db) = split(a.coords), split(b.coords)
+        field = a.field
+        return FieldElement(field, join(field.mul(na, nb), da * db * field.den))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.coords))
+        nums, den = split(self.coords)
+        inv, inv_den = self.field.inv(nums)
+        return FieldElement(self.field, join(tuple(den * x for x in inv), inv_den))
 
     def __truediv__(self, other):
         if not self._operand_ok(other):

@@ -1,14 +1,19 @@
 """Uni- and multivariate polynomial arithmetic over an exact coefficient field.
 
-A Poly is a term map {exponent vector: coordinate tuple} over an ordered
-tuple of variable names and one coefficient field shared by all terms.  A
-coordinate tuple holds the Fractions of a coefficient in the field's power
-basis 1, theta, ..., theta^(deg - 1), the same tuple a FieldElement keeps in
-`coords`; the ring operations add tuples coordinatewise and multiply and
-invert them with NumberField.mul and NumberField.inv, so no FieldElement is
-built per term.  A term is zero when no coordinate is nonzero, and zero
-terms are never stored.  FieldElement is the type at the boundary: the
-coefficient queries, evaluate and Poly.constant take or return FieldElements.
+A Poly is a term map {exponent vector: integer numerator tuple} over one
+positive common denominator `den`, an ordered tuple of variable names and
+one coefficient field shared by all terms.  The coefficient of a term is
+its numerator tuple divided by den, read as coordinates in the field's power
+basis 1, theta, ..., theta^(deg - 1) (numfield.split and join convert to and
+from the Fractions a FieldElement keeps in `coords`).  The ring operations
+run on Python ints: they add numerators coordinatewise after bringing two
+denominators to their lcm, and multiply and invert them with NumberField.mul
+and NumberField.inv, so neither a Fraction nor a FieldElement is built per
+term.  The constructor divides out gcd(den, all numerators), one gcd pass
+per operation, so the representation is canonical: den is coprime to the
+numerators, den is 1 for the zero Poly, and zero terms are never stored.
+FieldElement is the type at the boundary: the coefficient queries, evaluate
+and Poly.constant take or return FieldElements.
 
 The monomial order is lexicographic in the variable order, so exponent
 tuples compare directly.  Degrees in this project stay small (a few hundred
@@ -19,11 +24,11 @@ sparse term maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 from operator import add, neg, sub
 
-from .numfield import (QQ, Coords, FieldElement, FieldMismatch, NumberField,
-                       power)
+from .numfield import (QQ, FieldElement, FieldMismatch, Ints, NumberField,
+                       join, power, split)
 
 
 class ArityError(ValueError):
@@ -52,17 +57,29 @@ def _common_field(f1: NumberField, f2: NumberField) -> NumberField:
 class Poly:
     """Multivariate polynomial with exact field coefficients.
 
-    `terms` maps each exponent vector to the nonzero coordinate tuple of its
-    coefficient in the power basis of `field` (see the module docstring).
+    `terms` maps each exponent vector to the nonzero integer numerators of
+    its coefficient's coordinates, all over the common denominator `den`
+    (see the module docstring).  The constructor takes any positive den and
+    normalizes it against the numerators.
     """
 
-    __slots__ = ("field", "variables", "terms")
+    __slots__ = ("field", "variables", "terms", "den")
 
     def __init__(self, field: NumberField, variables: tuple[str, ...],
-                 terms: dict[tuple[int, ...], Coords]):
+                 terms: dict[tuple[int, ...], Ints], den: int = 1):
+        if den != 1:
+            g = den
+            for c in terms.values():
+                g = gcd(g, *c)
+                if g == 1:
+                    break
+            if g != 1:
+                den //= g
+                terms = {k: tuple(x // g for x in c) for k, c in terms.items()}
         self.field = field
         self.variables = variables
         self.terms = terms
+        self.den = den
 
     # -- constructors ----------------------------------------------------
 
@@ -76,7 +93,8 @@ class Poly:
         c = value if isinstance(value, FieldElement) else field.elem(value)
         if c.is_zero():
             return Poly(c.field, tuple(variables), {})
-        return Poly(c.field, tuple(variables), {(0,) * len(variables): c.coords})
+        nums, den = split(c.coords)
+        return Poly(c.field, tuple(variables), {(0,) * len(variables): nums}, den)
 
     @staticmethod
     def variable(name: str, field: NumberField = QQ,
@@ -85,7 +103,7 @@ class Poly:
         if name not in vs:
             raise ValueError(f"{name} not among variables {vs}")
         exps = tuple(1 if v == name else 0 for v in vs)
-        return Poly(field, vs, {exps: field.one().coords})
+        return Poly(field, vs, {exps: (1,) + (0,) * (field.degree - 1)})
 
     def clone_const(self, value) -> "Poly":
         return Poly.constant(value, self.field, self.variables)
@@ -98,9 +116,12 @@ class Poly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in k) for k in self.terms)
 
+    def _coeff(self, nums: Ints) -> FieldElement:
+        return FieldElement(self.field, join(nums, self.den))
+
     def constant_coeff(self) -> FieldElement:
         c = self.terms.get((0,) * len(self.variables))
-        return self.field.zero() if c is None else FieldElement(self.field, c)
+        return self.field.zero() if c is None else self._coeff(c)
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -137,7 +158,7 @@ class Poly:
     def leading_coeff(self) -> FieldElement:
         if not self.terms:
             return self.field.zero()
-        return FieldElement(self.field, self.terms[max(self.terms)])
+        return self._coeff(self.terms[max(self.terms)])
 
     def univariate_coeffs(self) -> list[FieldElement]:
         """Dense coefficient list (constant first) of a univariate Poly."""
@@ -152,7 +173,7 @@ class Poly:
         d = max(k[i] for k in self.terms)
         out = [self.field.zero()] * (d + 1)
         for k, c in self.terms.items():
-            out[k[i]] = FieldElement(self.field, c)
+            out[k[i]] = self._coeff(c)
         return out
 
     # -- alignment ---------------------------------------------------------
@@ -173,7 +194,7 @@ class Poly:
             for pos, e in zip(idx, k):
                 nk[pos] = e
             terms[tuple(nk)] = c
-        return Poly(self.field, variables, terms)
+        return Poly(self.field, variables, terms, self.den)
 
     def drop_unused(self) -> "Poly":
         """Project away variables that appear in no term."""
@@ -182,7 +203,7 @@ class Poly:
             return self
         idx = [self.variables.index(v) for v in used]
         terms = {tuple(k[i] for i in idx): c for k, c in self.terms.items()}
-        return Poly(self.field, used, terms)
+        return Poly(self.field, used, terms, self.den)
 
     def with_field(self, field: NumberField) -> "Poly":
         """The same polynomial over field; only rational coefficients move
@@ -193,9 +214,9 @@ class Poly:
             raise FieldMismatch(
                 f"cannot mix elements of {self.field.minpoly_str()} "
                 f"and {field.minpoly_str()}")
-        pad = (Fraction(0),) * (field.degree - 1)
+        pad = (0,) * (field.degree - 1)
         return Poly(field, self.variables,
-                    {k: c + pad for k, c in self.terms.items()})
+                    {k: c + pad for k, c in self.terms.items()}, self.den)
 
     def _pair(self, other) -> tuple["Poly", "Poly"]:
         if not isinstance(other, Poly):
@@ -215,21 +236,22 @@ class Poly:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        terms = dict(a.terms)
-        for k, c in b.terms.items():
+        den = a.den if a.den == b.den else lcm(a.den, b.den)
+        terms = _scaled(a.terms, den // a.den)
+        for k, c in (b.terms if den == b.den else _scaled(b.terms, den // b.den)).items():
             s = terms.get(k)
             s = c if s is None else tuple(map(add, s, c))
             if any(s):
                 terms[k] = s
             else:
                 del terms[k]
-        return Poly(a.field, a.variables, terms)
+        return Poly(a.field, a.variables, terms, den)
 
     __radd__ = __add__
 
     def __neg__(self):
         return Poly(self.field, self.variables,
-                    {k: tuple(map(neg, c)) for k, c in self.terms.items()})
+                    {k: tuple(map(neg, c)) for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -241,16 +263,27 @@ class Poly:
 
     def __mul__(self, other):
         a, b = self._pair(other)
-        mul = a.field.mul
-        terms: dict[tuple[int, ...], Coords] = {}
+        field = a.field
+        den = a.den * b.den * field.den
+        if field.degree == 1:
+            # NumberField.mul in degree one, inlined: one int per term
+            acc: dict[tuple[int, ...], int] = {}
+            get = acc.get
+            bt = [(k2, c2[0]) for k2, c2 in b.terms.items()]
+            for k1, (x,) in a.terms.items():
+                for k2, y in bt:
+                    k = tuple(map(add, k1, k2))
+                    acc[k] = get(k, 0) + x * y
+            return Poly(field, a.variables, {k: (c,) for k, c in acc.items() if c}, den)
+        mul = field.mul
+        terms: dict[tuple[int, ...], Ints] = {}
         for k1, c1 in a.terms.items():
             for k2, c2 in b.terms.items():
                 k = tuple(map(add, k1, k2))
                 c = mul(c1, c2)
                 s = terms.get(k)
                 terms[k] = c if s is None else tuple(map(add, s, c))
-        return Poly(a.field, a.variables,
-                    {k: c for k, c in terms.items() if any(c)})
+        return Poly(field, a.variables, {k: c for k, c in terms.items() if any(c)}, den)
 
     __rmul__ = __mul__
 
@@ -269,14 +302,14 @@ class Poly:
             a, b = self._pair(other)
         except FieldMismatch:
             return False
-        return a.terms == b.terms
+        return a.den == b.den and a.terms == b.terms
 
     def __hash__(self):
         used = sorted(self.support_variables())
         idx = [self.variables.index(v) for v in used]
         items = sorted((tuple(k[i] for i in idx), c)
                        for k, c in self.terms.items())
-        return hash((self.field, tuple(used), tuple(items)))
+        return hash((self.field, tuple(used), tuple(items), self.den))
 
     def __repr__(self):
         from .polyparse import print_poly
@@ -304,35 +337,46 @@ class Poly:
             nk = list(k)
             nk[i] -= 1
             terms[tuple(nk)] = tuple(k[i] * x for x in c)
-        return Poly(self.field, self.variables, terms)
+        return Poly(self.field, self.variables, terms, self.den)
 
     def evaluate(self, values: dict[str, FieldElement]) -> FieldElement:
-        """Full evaluation; every supported variable must get a value."""
+        """Full evaluation; every supported variable must get a value.
+
+        Runs on integer numerators: the powers of each value are kept as
+        (numerators, denominator) pairs, each computed once, and the terms
+        are summed over the lcm of their denominators."""
         field = self.field
         for x in values.values():
             if isinstance(x, FieldElement):
                 field = _common_field(field, x.field)
         p = self.with_field(field)
-        vals = []
+        one = ((1,) + (0,) * (field.degree - 1), 1)
+        powers = []
         for v in p.variables:
             x = values.get(v)
-            if x is None:
-                if p.degree_in(v) > 0:
-                    raise ValueError(f"no value for variable {v}")
-                vals.append(field.zero())
-            else:
-                vals.append(field.coerce(x))
-        acc = None
+            if x is None and p.degree_in(v) > 0:
+                raise ValueError(f"no value for variable {v}")
+            powers.append([one] if x is None else [one, split(field.coerce(x).coords)])
+        mul, fd = field.mul, field.den
+        num, den = (0,) * field.degree, 1
         for k, c in p.terms.items():
-            term = FieldElement(field, c)
-            for e, x in zip(k, vals):
+            t, td = c, 1
+            for e, pw in zip(k, powers):
                 if e:
-                    term = term * (x ** e)
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else field.zero()
+                    while len(pw) <= e:
+                        (n, d), (xn, xd) = pw[-1], pw[1]
+                        pw.append((mul(n, xn), d * xd * fd))
+                    t, td = mul(t, pw[e][0]), td * pw[e][1] * fd
+            m = lcm(den, td)
+            num = tuple(a * (m // den) + b * (m // td) for a, b in zip(num, t))
+            den = m
+        return FieldElement(field, join(num, den * p.den))
 
     def substitute(self, mapping: dict[str, "Poly"]) -> "Poly":
-        """Replace variables by polynomials (unmentioned ones stay)."""
+        """Replace variables by polynomials (unmentioned ones stay).
+
+        Each term starts from its integer numerators; the common denominator
+        divides the sum once at the end."""
         out = None
         pow_cache: dict[tuple[str, int], Poly] = {}
         for k, c in self.terms.items():
@@ -349,7 +393,16 @@ class Poly:
                     pow_cache[(v, e)] = cached
                 term = term * cached
             out = term if out is None else out + term
-        return out if out is not None else Poly.zero(self.field, ())
+        if out is None:
+            return Poly.zero(self.field, ())
+        return Poly(out.field, out.variables, out.terms, out.den * self.den)
+
+
+def _scaled(terms: dict[tuple[int, ...], Ints], m: int) -> dict[tuple[int, ...], Ints]:
+    """A copy of a term map with every numerator multiplied by m."""
+    if m == 1:
+        return dict(terms)
+    return {k: tuple(m * x for x in c) for k, c in terms.items()}
 
 
 # -- convenience constructors ------------------------------------------------
@@ -382,27 +435,44 @@ def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     ({b} is a Groebner basis of the principal ideal (b)).
 
     The leading coefficient of b is inverted once per call, and the
-    dividend is reduced in one working term map: each step pops its leading
-    term and subtracts shift * (b - lt(b)) in place.
+    dividend is reduced in one working map of integer numerators over a
+    running denominator, which the quotient and remainder share: each step
+    pops its leading term, records the quotient term and subtracts
+    shift * (b - lt(b)) in place.  When b's leading coefficient or the
+    field's reduction rows are not integral, a step first multiplies all
+    three maps and the denominator by the factor that keeps the subtraction
+    integral.
     """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     a, b = a._pair(b)
-    mul = a.field.mul
-    zero = a.field.zero().coords
+    field = a.field
+    mul = field.mul
+    zero = (0,) * field.degree
     lm = b.leading_monomial()
-    inv_lc = a.field.inv(b.terms[lm])
+    # 1/lc(b) = b.den * inv / inv_den.  With f = mul(c, inv), the quotient
+    # term of a dividend term c / den is b.den * field.den * f / (den * step),
+    # and its product with a tail term cb of b is mul(f, cb) / (den * step),
+    # where step = inv_den * field.den^2
+    inv, inv_den = field.inv(b.terms[lm])
+    step = inv_den * field.den * field.den
+    unit = step == 1 and inv == (1,) + zero[1:]
+    q_factor = b.den * field.den
     tail = [(k, c) for k, c in b.terms.items() if k != lm]
     p = dict(a.terms)
-    q: dict[tuple[int, ...], Coords] = {}
-    r: dict[tuple[int, ...], Coords] = {}
+    den = a.den
+    q: dict[tuple[int, ...], Ints] = {}
+    r: dict[tuple[int, ...], Ints] = {}
     while p:
         k = max(p)
         c = p.pop(k)
         if all(x >= y for x, y in zip(k, lm)):
             shift = tuple(map(sub, k, lm))
-            f = mul(c, inv_lc)
-            q[shift] = f
+            f = c if unit else mul(c, inv)
+            if step != 1:
+                p, q, r = _scaled(p, step), _scaled(q, step), _scaled(r, step)
+                den *= step
+            q[shift] = f if q_factor == 1 else tuple(q_factor * x for x in f)
             for kb, cb in tail:
                 m = tuple(map(add, shift, kb))
                 s = tuple(map(sub, p.get(m, zero), mul(f, cb)))
@@ -412,7 +482,7 @@ def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
                     p.pop(m, None)
         else:
             r[k] = c
-    return Poly(a.field, a.variables, q), Poly(a.field, a.variables, r)
+    return Poly(field, a.variables, q, den), Poly(field, a.variables, r, den)
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numfield import QQ, NumberField, format_terms, power_terms
+from .numfield import QQ, NumberField, format_terms, join, power_terms
 from .polyalg import Poly
 
 # Above every degree this project parses (at most 30 in the fixtures, the
@@ -250,7 +250,7 @@ def print_poly(p: Poly) -> str:
     """
     terms = []
     for exps in sorted(p.terms, reverse=True):
-        c = p.terms[exps]
+        c = join(p.terms[exps], p.den)
         mono = _format_monomial(p.variables, exps)
         if not any(c[1:]):
             terms.append((mono, c[0]))

@@ -22,11 +22,11 @@ from .chebyshab import (RamificationProfile, chebyshev_T, chebyshev_U,
 from .constructor import (DegreeTriple, chebyshev_endo,
                           cyclic_galois_endo, degrees_from,
                           factor_through_cover, solve_kr32)
-from .endo import (BuildResult, EtaleParams, apply_map, base_polynomial,
-                   build_from_params, compose_maps, cstar_equivariant, degree_of,
-                   etale_certificate, jacobian_det_at, jacobian_spotcheck,
-                   make_map, map_from_json, maps_equal, params_from_json,
-                   ri_degrees, zk_compatible)
+from .endo import (BuildResult, EtaleParams, SurfaceMap, apply_map,
+                   base_polynomial, build_from_params, compose_maps,
+                   cstar_equivariant, degree_of, jacobian_det_at,
+                   jacobian_spotcheck, make_map, map_from_json, maps_equal,
+                   params_from_json, ri_degrees, zk_compatible)
 from .family import (FamilySpec, covering, ec_equivalent, family_member,
                      family_member_symbolic, family_pairwise_distinct, theta)
 from .miyanishi import MiyParams, miy_b_check, miy_eta0, miy_lift_check
@@ -155,18 +155,24 @@ def _alpha0_22_params(m: int) -> EtaleParams:
                        R0=Poly.constant(4 * m * m, QQ, ("t",)), R1=r1, R2=r2)
 
 
-def build_corpus() -> list[tuple[str, EtaleParams]]:
-    """Every certified parameter set exercised by the acceptance gate."""
+Galois = Callable[[int], tuple[EtaleParams, SurfaceMap]]
+Kr32 = Callable[[int], list[EtaleParams]]
+
+
+def build_corpus(galois: Galois = cyclic_galois_endo,
+                 kr32: Kr32 = solve_kr32) -> list[tuple[str, EtaleParams]]:
+    """Every certified parameter set exercised by the acceptance gate; the
+    cyclic Galois and (3, 2) parameters come from galois and kr32."""
     corpus = []
     for d in (3, 5, 7, 9, 11, 13):
         for lam in (1, 2):
             corpus.append((f"cheb_d{d}_lam{lam}", chebyshev_endo(d, QQ.elem(lam))))
     for k in (2, 3, 4, 5, 6):
-        params, _ = cyclic_galois_endo(k)
+        params, _ = galois(k)
         corpus.append((f"galois_k{k}", params))
-    for i, params in enumerate(solve_kr32(1)):
+    for i, params in enumerate(kr32(1)):
         corpus.append((f"kr32_d01_{i}", params))
-    for i, params in enumerate(solve_kr32(2)):
+    for i, params in enumerate(kr32(2)):
         corpus.append((f"kr32_d02_{i}", params))
     for m in (2, 3):
         corpus.append((f"alpha0_22_d{2*m}", _alpha0_22_params(m)))
@@ -177,10 +183,11 @@ Build = Callable[[EtaleParams], BuildResult]
 CorpusEntry = tuple[str, EtaleParams, BuildResult]
 
 
-def _built_corpus(build: Build) -> list[CorpusEntry]:
-    """build_corpus() with each entry built; a failed build names its entry."""
+def _built_corpus(build: Build, galois: Galois, kr32: Kr32) -> list[CorpusEntry]:
+    """build_corpus(galois, kr32) with each entry built; a failed build
+    names its entry."""
     entries = []
-    for name, params in build_corpus():
+    for name, params in build_corpus(galois, kr32):
         try:
             entries.append((name, params, build(params)))
         except Exception as err:
@@ -222,7 +229,7 @@ def _assert_oracle_etale(label: str, m) -> None:
     assert verdict, f"{label}: J is not a nonzero constant; residual {verdict.residual}"
 
 
-def check_oracle_cross_validation(corpus: list[CorpusEntry]) -> str:
+def check_oracle_cross_validation(corpus: list[CorpusEntry], galois: Galois) -> str:
     total = 0
     for name, _, built in corpus:
         for tag, m in (("tilde", built.tilde_map), ("hyper", built.hyper_map)):
@@ -231,7 +238,7 @@ def check_oracle_cross_validation(corpus: list[CorpusEntry]) -> str:
             _assert_oracle_etale(f"{name}/{tag}", m)
             total += 1
     # family members go through the oracle too
-    base, _ = cyclic_galois_endo(2)
+    base, _ = galois(2)
     avectors = ((), (QQ.elem(1),), (QQ.elem(2),), (QQ.elem(1), QQ.elem(1)))
     for i, av in enumerate(avectors):
         _assert_oracle_etale(f"family member {i}", family_member(FamilySpec(2, 1, base, av)))
@@ -273,10 +280,10 @@ def _verify_params_fixture(data: dict, build: Build) -> str:
     return ", ".join(details) or "certified"
 
 
-def _check_s2_galois(fixture_dir: Path, build: Build) -> str:
+def _check_s2_galois(fixture_dir: Path, build: Build, galois: Galois) -> str:
     data = _load(fixture_dir, "s2_galois.json")
     params = params_from_json(data["params"])
-    built_params, j = cyclic_galois_endo(2)
+    built_params, j = galois(2)
     assert built_params == params, "constructor differs from fixture"
     h = hyper_surface(2, 1)
     u, v, w = (Poly.variable(n, QQ, h.vars) for n in h.vars)
@@ -316,14 +323,14 @@ def _kr32_remainder(r1: Poly) -> Poly:
     return divmod_poly(1 - (1 - t) * r1 ** 3, e * e)[1]
 
 
-def _check_kr32_solver(fixture_dir: Path) -> str:
+def _check_kr32_solver(fixture_dir: Path, build: Build, kr32: Kr32) -> str:
     plus = _load(fixture_dir, "kr32_d01_plus.json")
     minus = _load(fixture_dir, "kr32_d01_minus.json")
     want = {params_from_json(plus["params"]), params_from_json(minus["params"])}
-    got = set(solve_kr32(1))
+    got = set(kr32(1))
     assert got == want, "solver output differs from fixtures"
     for params in got:
-        assert etale_certificate(params).verdict
+        build(params)       # raises CertificateRequired unless certified
         assert params.d == 4
         d0, d1, d2 = ri_degrees(params.k, params.r, params.alpha, params.d)
         assert (d0, d1, d2) == (1, 1, 1)
@@ -343,14 +350,14 @@ def _check_kr32_solver(fixture_dir: Path) -> str:
     return "conjugate pair (-7 +- 4i sqrt2)/3; printed R0 reproduced"
 
 
-def _check_kr32_d02(fixture_dir: Path) -> str:
+def _check_kr32_d02(fixture_dir: Path, build: Build) -> str:
     data = _load(fixture_dir, "kr32_d02.json")
     params = params_from_json(data["params"])
     field = params.field
     t = Poly.variable("t", field)
     assert _kr32_remainder(params.R1).is_zero(), "divisibility fails"
-    cert = etale_certificate(params)
-    assert cert.verdict and params.d == 7
+    build(params)           # raises CertificateRequired unless certified
+    assert params.d == 7
     r0_paper = parse_poly(data["paper_R0"], ("t",), field)
     assert params.R0 == r0_paper, "R0 differs from print"
     # as printed (a1 and a2 transposed) the condition fails -- documented erratum
@@ -361,10 +368,10 @@ def _check_kr32_d02(fixture_dir: Path) -> str:
     return "divisibility exact, certificate true, d = 7, printed R0 reproduced"
 
 
-def _check_factorization_law(build: Build) -> str:
+def _check_factorization_law(build: Build, galois: Galois) -> str:
     count = 0
     for k in (2, 3, 4, 5, 6):
-        params, j = cyclic_galois_endo(k)
+        params, j = galois(k)
         _assert_factorization(params, j, build)
         count += 1
     for m in (2, 3):
@@ -456,10 +463,12 @@ def reproduce_paper(fixture_dir: Path | None = None, seed: int = 0,
     """
     fdir = Path(fixture_dir) if fixture_dir else default_fixture_dir()
     # per report, not per process: every item shares one build of each
-    # parameter set and one corpus; a failure is not cached, so it fails
-    # every item that asks for it
+    # parameter set, one output of each constructor call and one corpus; a
+    # failure is not cached, so it fails every item that asks for it
     build = functools.cache(build_from_params)
-    corpus = functools.cache(lambda: _built_corpus(build))
+    galois = functools.cache(cyclic_galois_endo)
+    kr32 = functools.cache(solve_kr32)
+    corpus = functools.cache(lambda: _built_corpus(build, galois, kr32))
 
     def params_fixture(name: str) -> str:
         return _verify_params_fixture(_load(fdir, name), build)
@@ -467,17 +476,17 @@ def reproduce_paper(fixture_dir: Path | None = None, seed: int = 0,
     checks = [
         ("chebyshev_identities", check_chebyshev_identities),
         ("congruence_law", check_congruence_law),
-        ("s2_galois", lambda: _check_s2_galois(fdir, build)),
+        ("s2_galois", lambda: _check_s2_galois(fdir, build, galois)),
         ("galois_k3", lambda: params_fixture("galois_k3.json")),
         ("cheb_d3", lambda: params_fixture("cheb_d3.json")),
         ("cheb_d5", lambda: params_fixture("cheb_d5.json")),
         ("cheb_d7", lambda: params_fixture("cheb_d7.json")),
         ("cheb_d9", lambda: params_fixture("cheb_d9.json")),
         ("cheb_point_fixture", lambda: _check_cheb_point(fdir, build)),
-        ("kr32_d01_solver", lambda: _check_kr32_solver(fdir)),
-        ("kr32_d02_verification", lambda: _check_kr32_d02(fdir)),
+        ("kr32_d01_solver", lambda: _check_kr32_solver(fdir, build, kr32)),
+        ("kr32_d02_verification", lambda: _check_kr32_d02(fdir, build)),
         ("alpha0_k2r2_d4", lambda: params_fixture("alpha0_k2r2_d4.json")),
-        ("factorization_law", lambda: _check_factorization_law(build)),
+        ("factorization_law", lambda: _check_factorization_law(build, galois)),
         ("deformation_family", lambda: _check_family(fdir)),
         ("remark_cube_roots", check_remark_cube_roots),
         ("theta_group_law", check_theta_group_law),
@@ -485,7 +494,7 @@ def reproduce_paper(fixture_dir: Path | None = None, seed: int = 0,
         ("miyanishi_n3", lambda: _check_miyanishi(fdir, "miy_n3.json")),
         ("profile_consistency", lambda: check_profile_consistency(corpus())),
         ("oracle_cross_validation",
-         lambda: check_oracle_cross_validation(corpus())),
+         lambda: check_oracle_cross_validation(corpus(), galois)),
         ("ramified_nonexample", lambda: _check_ramified(fdir)),
     ]
     items = []

@@ -111,23 +111,34 @@ def test_report_matches_golden_bytes(report):
     assert text == GOLDEN.read_text()
 
 
+def _record_calls(monkeypatch, name):
+    """The argument tuples of every call the report makes to name."""
+    calls = []
+    original = getattr(reproduce, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(reproduce, name, recording)
+    return calls
+
+
 def test_report_builds_each_corpus_map_once(monkeypatch):
-    built = []
-    original = reproduce.build_from_params
-
-    def counting(params):
-        built.append(params)
-        return original(params)
-
-    monkeypatch.setattr(reproduce, "build_from_params", counting)
+    built = _record_calls(monkeypatch, "build_from_params")
+    galois = _record_calls(monkeypatch, "cyclic_galois_endo")
+    kr32 = _record_calls(monkeypatch, "solve_kr32")
     assert reproduce_paper()["all_pass"]
-    counts = {name: built.count(params) for name, params in build_corpus()}
+    counts = {name: built.count((params,)) for name, params in build_corpus()}
     assert counts == dict.fromkeys(counts, 1)
+    # one constructor call per distinct argument: k = 2..6 and d0 = 1, 2
+    assert sorted(galois) == [(k,) for k in range(2, 7)]
+    assert sorted(kr32) == [(1,), (2,)]
 
 
 def test_failed_corpus_build_fails_both_corpus_items(monkeypatch):
-    def tampered_corpus():
-        corpus = build_corpus()
+    def tampered_corpus(*constructors):
+        corpus = build_corpus(*constructors)
         name, params = corpus[-1]
         corpus[-1] = (name, dataclasses.replace(params, R2=params.R2 + 1))
         return corpus

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U, extract_profile, thom_feasible
 from etale_forge.endo import (CertificateRequired, ChartDegenerate,
@@ -14,7 +16,7 @@ from etale_forge.endo import (CertificateRequired, ChartDegenerate,
                               jacobian_det_at, jacobian_spotcheck, make_map,
                               map_from_json, map_to_json, maps_equal,
                               params_from_json, zk_compatible, zk_to_t)
-from etale_forge.numfield import QQ, NumberField
+from etale_forge.numfield import QQ, FieldElement, NumberField, join
 from etale_forge.polyalg import Poly, compose, variables
 from etale_forge.surface import (SurfacePoint, hyper_surface, normal_form,
                                  tilde_surface)
@@ -150,6 +152,31 @@ def test_zk_to_t_examples():
         zk_to_t(z ** 3, 2)
     with pytest.raises(DegreeUndetermined):
         zk_to_t(X * Z ** 2, 2)
+
+
+def _zk_to_t_per_term(q, k):
+    """The sum over the terms c*z^(k*j) of q of c*(1 - t)^j, each power
+    expanded on its own."""
+    t = Poly.variable("t", q.field)
+    out = Poly.zero(q.field, ("t",))
+    for (e,), c in q.terms.items():
+        out = out + Poly.constant(FieldElement(q.field, join(c, q.den)),
+                                  q.field, ("t",)) * (1 - t) ** (e // k)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, NumberField([2, 0, 1])])
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(2, 5), data=st.data())
+def test_zk_to_t_matches_per_term_expansion(field, k, data):
+    coords = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                      min_size=field.degree, max_size=field.degree)
+    cs = data.draw(st.dictionaries(st.integers(0, 12), coords, max_size=6))
+    z = Poly.variable("z", field)
+    q = Poly.zero(field, ("z",))
+    for j, c in cs.items():
+        q = q + Poly.constant(field.from_coords(c), field, ("z",)) * z ** (k * j)
+    assert zk_to_t(q, k) == _zk_to_t_per_term(q, k)
 
 
 def test_base_polynomial_identity_both_ways():

@@ -17,8 +17,8 @@ from etale_forge.family import (EcEquivalence, FamilySpec, covering,
 from etale_forge.numfield import QQ, cyclotomic_field
 from etale_forge.polyalg import Poly, variables
 from etale_forge.polyparse import parse_poly
-from etale_forge.surface import (SplitMix64, SurfacePoint, hyper_surface,
-                                 normal_form, tilde_surface)
+from etale_forge.surface import (SurfacePoint, hyper_surface, normal_form,
+                                 tilde_surface)
 
 S22 = tilde_surface(2, 2)
 H21 = hyper_surface(2, 1)
@@ -47,14 +47,18 @@ def test_theta_group_law_symbolic(k, r):
     assert not maps_equal(composite, theta(p * q, s))
 
 
-def test_theta_fixes_base_fibration():
-    rng = SplitMix64(3)
-    for _ in range(5):
-        p = sum((Poly.constant(rng.fraction(9), QQ, ("x",)) * X ** e
-                 for e in range(4)), Poly.zero(QQ, ("x",)))
-        th = theta(p, tilde_surface(3, 2))
-        assert th.coords[0] == Poly.variable("x", QQ, ("x", "y", "z"))
-        assert degree_of(th) == 1
+HEIGHT_9 = st.fractions(min_value=-9, max_value=9,
+                        max_denominator=9).filter(lambda c: c != 0)
+
+
+@settings(max_examples=5, deadline=None)
+@given(cs=st.lists(HEIGHT_9, min_size=4, max_size=4))
+def test_theta_fixes_base_fibration(cs):
+    p = sum((Poly.constant(c, QQ, ("x",)) * X ** e for e, c in enumerate(cs)),
+            Poly.zero(QQ, ("x",)))
+    th = theta(p, tilde_surface(3, 2))
+    assert th.coords[0] == Poly.variable("x", QQ, ("x", "y", "z"))
+    assert degree_of(th) == 1
 
 
 def test_covering_examples():
@@ -113,14 +117,11 @@ def test_family_members_degrees_and_oracle():
         assert not cstar_equivariant(m)
 
 
-def test_no_equivariant_member_for_random_nonzero_vectors():
+@settings(max_examples=10, deadline=None)
+@given(av=st.lists(HEIGHT_9.map(QQ.elem), min_size=1, max_size=3).map(tuple))
+def test_no_equivariant_member_for_random_nonzero_vectors(av):
     base, _ = cyclic_galois_endo(2)
-    rng = SplitMix64(2024)
-    for _ in range(10):
-        av = tuple(QQ.elem(rng.fraction(9)) for _ in range(rng.randint(1, 3)))
-        if all(a.is_zero() for a in av):
-            continue
-        assert not cstar_equivariant(family_member(FamilySpec(2, 1, base, av)))
+    assert not cstar_equivariant(family_member(FamilySpec(2, 1, base, av)))
 
 
 def test_family_pairwise_distinct_examples():

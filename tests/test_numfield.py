@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from etale_forge.numfield import (QQ, DivisionByZero, FieldElement,
                                   FieldMismatch, NumberField,
-                                  ReduciblePolynomial, _poly_xgcd,
-                                  cyclotomic_field, field_from_string,
-                                  rational_roots)
-from etale_forge.surface import SplitMix64
+                                  ReduciblePolynomial, cyclotomic_field,
+                                  field_from_string, rational_roots)
 
 F_SQRT_M2 = NumberField([2, 0, 1])          # theta^2 + 2
 F_ZETA3 = cyclotomic_field(3)
@@ -90,32 +88,33 @@ def test_primitive_roots_up_to_24():
             assert z ** m != one, (k, m)
 
 
-def _random_elem(field, rng):
-    return field.from_coords([rng.fraction(50) for _ in range(field.degree)])
+HEIGHT_50 = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+
+
+def _elements(field, coords=HEIGHT_50):
+    return st.lists(coords, min_size=field.degree,
+                    max_size=field.degree).map(field.from_coords)
 
 
 @pytest.mark.parametrize("field", [QQ, F_SQRT_M2, F_ZETA3])
-def test_field_axioms_on_random_triples(field):
-    rng = SplitMix64(20240811)
-    one = field.one()
-    for _ in range(1000):
-        a, b, c = (_random_elem(field, rng) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        if not a.is_zero():
-            assert a * a.inverse() == one
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_field_axioms_on_random_triples(field, data):
+    a, b, c = (data.draw(_elements(field)) for _ in range(3))
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    if not a.is_zero():
+        assert a * a.inverse() == field.one()
 
 
 @pytest.mark.parametrize("field", [QQ, F_SQRT_M2, F_ZETA3])
-def test_div_mul_round_trip(field):
-    rng = SplitMix64(7)
-    for _ in range(300):
-        a = _random_elem(field, rng)
-        b = _random_elem(field, rng)
-        if b.is_zero():
-            continue
-        assert (a / b) * b == a
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_div_mul_round_trip(field, data):
+    a = data.draw(_elements(field))
+    b = data.draw(_elements(field).filter(lambda e: not e.is_zero()))
+    assert (a / b) * b == a
 
 
 def test_irreducibility_gate_degree_le_4():
@@ -136,6 +135,16 @@ def test_irreducibility_gate_degree_le_4():
     assert NumberField([1, 1, 0, 0, 1]).irreducibility == "verified"
     # above degree 4 the constructor records the assertion
     assert NumberField([2, 0, 0, 0, 0, 1]).irreducibility == "asserted"
+
+
+def test_inverse_of_zero_divisor_reports_reducible_minpoly():
+    # above degree 4 irreducibility is asserted, not checked:
+    # theta^6 - 4 theta^3 + 4 = (theta^3 - 2)^2, so theta^3 - 2 has no inverse
+    field = NumberField([4, 0, 0, -4, 0, 0, 1])
+    assert field.irreducibility == "asserted"
+    with pytest.raises(ReduciblePolynomial, match="zero divisor"):
+        field.from_coords([-2, 0, 0, 1, 0, 0]).inverse()
+    assert field.gen() * field.gen().inverse() == field.one()
 
 
 def test_rational_roots_helper():
@@ -165,8 +174,7 @@ RATIONALS = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
 
 def elements(field):
-    return st.lists(RATIONALS, min_size=field.degree,
-                    max_size=field.degree).map(field.from_coords)
+    return _elements(field, RATIONALS)
 
 
 @pytest.mark.parametrize("field", [F_SQRT_M2, F_ZETA3])
@@ -202,16 +210,51 @@ def test_power_multiply_count(monkeypatch):
         assert len(calls) == expected, n
 
 
+def _euclid_inverse(a, m):
+    """u with u * a = 1 mod m, by the extended Euclidean algorithm on dense
+    Fraction lists (constant term first); None when gcd(a, m) != 1."""
+    def trim(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    def sub_shifted(x, c, y, s):          # x - c * t^s * y
+        x = x + [Fraction(0)] * max(0, len(y) + s - len(x))
+        for i, v in enumerate(y):
+            x[i + s] -= c * v
+        return trim(x)
+
+    r0, r1 = trim(list(m)), trim(list(a))
+    u0, u1 = [], [Fraction(1)]
+    while r1:
+        while len(r0) >= len(r1):
+            c, s = r0[-1] / r1[-1], len(r0) - len(r1)
+            r0, u0 = sub_shifted(r0, c, r1, s), sub_shifted(u0, c, u1, s)
+        r0, r1, u0, u1 = r1, r0, u1, u0
+    if len(r0) != 1:
+        return None
+    return [c / r0[0] for c in u0]
+
+
 @pytest.mark.parametrize("field", [
     QQ, cyclotomic_field(1), NumberField([5, 1]),
     NumberField([Fraction(-3, 7), 1])])
 @given(c=RATIONALS.filter(lambda c: c != 0))
 def test_degree_one_inverse_matches_extended_euclid(field, c):
     a = field.from_coords([c])
-    g, u, _ = _poly_xgcd([c], list(field.minpoly))
-    assert g == [1]
-    assert a.inverse() == FieldElement(field, field._reduce(u))
+    assert a.inverse() == field.from_coords(_euclid_inverse([c], field.minpoly))
     assert a * a.inverse() == field.one()
+
+
+@pytest.mark.parametrize("field", [
+    F_SQRT_M2, F_ZETA3, cyclotomic_field(7), NumberField([Fraction(-1, 2), 0, 1]),
+    NumberField([Fraction(1, 3), Fraction(-2, 5), 0, 1])])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_inverse_matches_extended_euclid(field, data):
+    a = data.draw(elements(field).filter(lambda e: not e.is_zero()))
+    u = _euclid_inverse(list(a.coords), field.minpoly)
+    assert a.inverse() == field.from_coords(u + [0] * (field.degree - len(u)))
 
 
 @functools.cache

@@ -1,5 +1,6 @@
 """Polynomial kernel: ring ops, composition, division, Yun, profiles."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,24 +9,40 @@ from hypothesis import strategies as st
 
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U
 from etale_forge.numfield import (QQ, FieldElement, FieldMismatch,
-                                  NumberField, cyclotomic_field)
+                                  NumberField, cyclotomic_field, join, split)
 from etale_forge.polyalg import (ArityError, NotDivisible, Poly, compose,
                                  divmod_poly, exact_div, gcd_univariate,
                                  monic, multiplicity_profile,
                                  squarefree_decomposition, variables)
-from etale_forge.surface import SplitMix64
 
 X = Poly.variable("x", QQ)
 
 
-def _random_poly(rng, max_deg=8, field=QQ, var="x"):
-    x = Poly.variable(var, field)
-    p = Poly.zero(field, (var,))
-    deg = rng.randint(0, max_deg)
-    for e in range(deg + 1):
-        if rng.randint(0, 2):
-            p = p + Poly.constant(field.elem(rng.fraction(20)), field, (var,)) * x ** e
-    return p
+def _from_coeffs(field, names, coeffs):
+    """The Poly with coefficients {exponent vector: FieldElement}: their
+    numerators over one common denominator."""
+    parts = {k: split(c.coords) for k, c in coeffs.items() if not c.is_zero()}
+    den = math.lcm(1, *(d for _, d in parts.values()))
+    return Poly(field, tuple(names),
+                {k: tuple(x * (den // d) for x in n) for k, (n, d) in parts.items()},
+                den)
+
+
+def _coeffs(p):
+    """{exponent vector: FieldElement} of p."""
+    return {k: FieldElement(p.field, join(c, p.den)) for k, c in p.terms.items()}
+
+
+NONZERO = st.fractions(min_value=-20, max_value=20,
+                       max_denominator=20).filter(lambda c: c != 0)
+
+
+def univariate(max_deg=8):
+    """Polynomials in x over QQ with nonzero rational coefficients of height
+    at most 20."""
+    return st.dictionaries(st.integers(0, max_deg), NONZERO,
+                           max_size=max_deg + 1).map(
+        lambda cs: _from_coeffs(QQ, ("x",), {(e,): QQ.elem(c) for e, c in cs.items()}))
 
 
 def test_ring_arithmetic_examples():
@@ -64,16 +81,10 @@ def test_exact_div_examples():
     assert not err.value.remainder.is_zero()
 
 
-def test_exact_div_random_round_trip():
-    rng = SplitMix64(99)
-    done = 0
-    while done < 60:
-        p = _random_poly(rng)
-        q = _random_poly(rng)
-        if q.is_zero():
-            continue
-        assert exact_div(p * q, q) == p
-        done += 1
+@settings(max_examples=60, deadline=None)
+@given(p=univariate(), q=univariate().filter(lambda q: not q.is_zero()))
+def test_exact_div_random_round_trip(p, q):
+    assert exact_div(p * q, q) == p
 
 
 def test_squarefree_examples():
@@ -91,25 +102,22 @@ def test_squarefree_examples():
     assert monic((2 * X + 1) ** 2) == (X + Fraction(1, 2)) ** 2
 
 
-def test_squarefree_reconstruction_property():
-    rng = SplitMix64(5)
-    for _ in range(40):
-        p = _random_poly(rng, max_deg=4)
-        q = _random_poly(rng, max_deg=3)
-        prod = p * p * q
-        if prod.is_zero() or prod.total_degree() < 1:
-            continue
-        sf = squarefree_decomposition(prod)
-        rebuilt = Poly.constant(prod.leading_coeff(), QQ, ("x",))
-        for mf in sf:
-            rebuilt = rebuilt * mf.factor ** mf.multiplicity
-            # factors are separable
-            assert gcd_univariate(mf.factor, mf.factor.derivative()).total_degree() == 0
-        assert rebuilt == prod
-        for i in range(len(sf)):
-            for j in range(i + 1, len(sf)):
-                assert gcd_univariate(sf[i].factor, sf[j].factor).total_degree() == 0
-        assert [mf.multiplicity for mf in sf] == sorted(mf.multiplicity for mf in sf)
+@settings(max_examples=40, deadline=None)
+@given(p=univariate(max_deg=4), q=univariate(max_deg=3))
+def test_squarefree_reconstruction_property(p, q):
+    prod = p * p * q
+    assume(prod.total_degree() >= 1)
+    sf = squarefree_decomposition(prod)
+    rebuilt = Poly.constant(prod.leading_coeff(), QQ, ("x",))
+    for mf in sf:
+        rebuilt = rebuilt * mf.factor ** mf.multiplicity
+        # factors are separable
+        assert gcd_univariate(mf.factor, mf.factor.derivative()).total_degree() == 0
+    assert rebuilt == prod
+    for i in range(len(sf)):
+        for j in range(i + 1, len(sf)):
+            assert gcd_univariate(sf[i].factor, sf[j].factor).total_degree() == 0
+    assert [mf.multiplicity for mf in sf] == sorted(mf.multiplicity for mf in sf)
 
 
 def test_multiplicity_profile_examples():
@@ -122,14 +130,11 @@ def test_multiplicity_profile_examples():
     assert multiplicity_profile(X ** 3, 0) == (3,)
 
 
-def test_multiplicity_profile_sums_to_degree():
-    rng = SplitMix64(31)
-    for _ in range(30):
-        p = _random_poly(rng, max_deg=7)
-        if p.total_degree() < 1:
-            continue
-        for c in (0, 1, -2):
-            assert sum(multiplicity_profile(p, c)) == p.total_degree()
+@settings(max_examples=30, deadline=None)
+@given(p=univariate(max_deg=7).filter(lambda p: p.total_degree() >= 1))
+def test_multiplicity_profile_sums_to_degree(p):
+    for c in (0, 1, -2):
+        assert sum(multiplicity_profile(p, c)) == p.total_degree()
 
 
 def test_chebyshev_relation_suite_small():
@@ -152,8 +157,7 @@ def polys(field, names, max_terms=4, max_exp=3):
                      max_size=field.degree).map(field.from_coords)
     mono = st.tuples(*[st.integers(0, max_exp)] * len(names))
     return st.dictionaries(mono, coeff, max_size=max_terms).map(
-        lambda terms: Poly(field, names, {k: c.coords for k, c in terms.items()
-                                          if not c.is_zero()}))
+        lambda terms: _from_coeffs(field, names, terms))
 
 
 RINGS = [(QQ, ("x",)), (QQ, ("x", "y")), (F_SQRT_M2, ("x",)),
@@ -208,8 +212,8 @@ def test_divmod_non_monic_divisor(field, names, data):
 def _to_sympy(p, gens, domain, theta):
     import sympy
     terms = {k: sum((domain.convert(sympy.Rational(v.numerator, v.denominator))
-                     * theta ** i for i, v in enumerate(c)), domain.zero)
-             for k, c in p.terms.items()}
+                     * theta ** i for i, v in enumerate(c.coords)), domain.zero)
+             for k, c in _coeffs(p).items()}
     return sympy.Poly.from_dict(terms or {(0,) * len(gens): domain.zero},
                                 *gens, domain=domain)
 
@@ -284,8 +288,7 @@ def test_with_field_coerces_each_coefficient(data):
     p = data.draw(polys(QQ, ("x", "y")))
     lifted = p.with_field(F_SQRT_M2)
     assert lifted.field == F_SQRT_M2
-    assert lifted.terms == {k: F_SQRT_M2.coerce(FieldElement(QQ, c)).coords
-                            for k, c in p.terms.items()}
+    assert _coeffs(lifted) == {k: F_SQRT_M2.coerce(c) for k, c in _coeffs(p).items()}
     u = data.draw(polys(QQ, ("x",)))
     assert (u.with_field(F_SQRT_M2).univariate_coeffs()
             == [F_SQRT_M2.coerce(c) for c in u.univariate_coeffs()])
@@ -312,10 +315,146 @@ def test_mixed_field_operations_match_explicit_coercion(names, data):
                       (a * b, lifted * b), (b * a, lifted * b),
                       (a - b, lifted - b)):
         assert got.field == F_SQRT_M2
-        assert got.terms == want.terms
+        assert (got.terms, got.den) == (want.terms, want.den)
     if not b.is_zero():
         assert divmod_poly(a, b) == divmod_poly(lifted, b)
     if not a.is_zero():
         assert divmod_poly(b, a) == divmod_poly(b, lifted)
     assert isinstance((a * b).leading_coeff(), FieldElement)
     assert isinstance((a * b).constant_coeff(), FieldElement)
+
+
+# -- the integer-numerator kernel against Fraction term maps ---------------------
+#
+# The reference holds a polynomial as {exponent vector: tuple of Fraction
+# coordinates} and multiplies coefficients by a schoolbook product reduced by
+# long division by the minimal polynomial; it never sees numerators or a
+# common denominator.
+
+KERNEL_FIELDS = [QQ, F_SQRT_M2, NumberField([Fraction(-3, 7), 1]),
+                 NumberField([Fraction(-1, 2), 0, 1])]
+SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+
+
+def _ref_coeff_mul(field, a, b):
+    n, m = field.degree, field.minpoly
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for top in range(2 * n - 2, n - 1, -1):    # theta^top -= prod[top] * m
+        c = prod[top]
+        for i, mi in enumerate(m):
+            prod[top - n + i] -= c * mi
+    return tuple(prod[:n])
+
+
+def _ref_coeff_inv(field, a):
+    """1/a in degree one, and (a0 - p a1 - a1 theta) / norm for a minimal
+    polynomial theta^2 + p theta + q."""
+    if field.degree == 1:
+        return (1 / a[0],)
+    q, p, _ = field.minpoly
+    a0, a1 = a
+    norm = a0 * a0 - p * a0 * a1 + q * a1 * a1
+    return ((a0 - p * a1) / norm, -a1 / norm)
+
+
+def _ref_add(f, g, sign=1):
+    out = dict(f)
+    for k, c in g.items():
+        s = tuple(x + sign * y for x, y in zip(out.get(k, (0,) * len(c)), c))
+        if any(s):
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _ref_mul(field, f, g):
+    out = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            out = _ref_add(out, {k: _ref_coeff_mul(field, c1, c2)})
+    return out
+
+
+def _ref_divmod(field, f, g):
+    lm = max(g)
+    inv = _ref_coeff_inv(field, g[lm])
+    f, q, r = dict(f), {}, {}
+    while f:
+        k = max(f)
+        if all(x >= y for x, y in zip(k, lm)):
+            term = {tuple(x - y for x, y in zip(k, lm)): _ref_coeff_mul(field, f[k], inv)}
+            q = _ref_add(q, term)
+            f = _ref_add(f, _ref_mul(field, term, g), -1)
+        else:
+            r[k] = f.pop(k)
+    return q, r
+
+
+def _ref_gcd(field, f, g):
+    while g:
+        f, g = g, _ref_divmod(field, f, g)[1]
+    if not f:
+        return f
+    inv = _ref_coeff_inv(field, f[max(f)])
+    return {k: _ref_coeff_mul(field, c, inv) for k, c in f.items()}
+
+
+def _ref_of(p):
+    return {k: c.coords for k, c in _coeffs(p).items()}
+
+
+def _checked(p, ref):
+    """p's normalization invariant holds and p equals the reference map."""
+    assert p.den >= 1
+    assert math.gcd(p.den, *(x for c in p.terms.values() for x in c)) == 1
+    assert all(any(c) for c in p.terms.values())
+    assert _ref_of(p) == ref
+    return p
+
+
+def ref_maps(field, names, max_terms=4, max_exp=3):
+    coords = st.lists(SMALL, min_size=field.degree, max_size=field.degree).map(tuple)
+    mono = st.tuples(*[st.integers(0, max_exp)] * len(names))
+    return st.dictionaries(mono, coords, max_size=max_terms).map(
+        lambda terms: {k: c for k, c in terms.items() if any(c)})
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+@pytest.mark.parametrize("names", [("x",), ("x", "y")])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_fraction_reference(field, names, data):
+    def poly(ref):
+        return _from_coeffs(field, names,
+                            {k: field.from_coords(c) for k, c in ref.items()})
+
+    f, g = (data.draw(ref_maps(field, names)) for _ in range(2))
+    a, b = _checked(poly(f), f), _checked(poly(g), g)
+    _checked(a + b, _ref_add(f, g))
+    _checked(a - b, _ref_add(f, g, -1))
+    _checked(a * b, _ref_mul(field, f, g))
+    power = {(0,) * len(names): field.one().coords}
+    for n in range(4):
+        _checked(a ** n, power)
+        power = _ref_mul(field, power, f)
+    if g:
+        q, r = divmod_poly(a, b)
+        want_q, want_r = _ref_divmod(field, f, g)
+        _checked(q, want_q)
+        _checked(r, want_r)
+    if len(names) == 1 and (f or g):
+        _checked(gcd_univariate(a, b), _ref_gcd(field, f, g))
+        d = max(k[0] for k in f) if f else -1
+        assert ([c.coords for c in a.univariate_coeffs()]
+                == [f.get((e,), field.zero().coords) for e in range(d + 1)])
+    rational = data.draw(ref_maps(QQ, names))
+    lifted = _from_coeffs(QQ, names, {k: QQ.from_coords(c)
+                                      for k, c in rational.items()}).with_field(field)
+    assert lifted.field == field
+    _checked(lifted, {k: c + (Fraction(0),) * (field.degree - 1)
+                      for k, c in rational.items()})

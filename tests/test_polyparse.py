@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etale_forge.chebyshab import chebyshev_T
 from etale_forge.numfield import QQ, NumberField, cyclotomic_field
@@ -11,7 +13,6 @@ from etale_forge.polyalg import Poly
 from etale_forge.polyparse import (MAX_DEGREE, MAX_TERMS, NonIntegerExponent,
                                    PolyParseError, UnknownSymbol, parse_poly,
                                    print_poly)
-from etale_forge.surface import SplitMix64
 
 F_SQRT_M2 = NumberField([2, 0, 1])
 
@@ -69,12 +70,10 @@ def test_error_positions_are_byte_offsets():
     assert err.value.position == 4
 
 
-def _random_poly(rng, field, vars):
+def _poly(field, vars, terms):
     p = Poly.zero(field, vars)
-    for _ in range(rng.randint(0, 6)):
-        coeff = field.from_coords([rng.fraction(30) for _ in range(field.degree)])
-        exps = tuple(rng.randint(0, 4) for _ in vars)
-        term = Poly.constant(coeff, field, vars)
+    for coords, exps in terms:
+        term = Poly.constant(field.from_coords(coords), field, vars)
         for v, e in zip(vars, exps):
             term = term * Poly.variable(v, field, vars) ** e
         p = p + term
@@ -82,12 +81,15 @@ def _random_poly(rng, field, vars):
 
 
 @pytest.mark.parametrize("field", [QQ, F_SQRT_M2, cyclotomic_field(3)])
-def test_round_trip_random(field):
-    rng = SplitMix64(1234)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_round_trip_random(field, data):
     vars = ("x", "y")
-    for _ in range(334):
-        p = _random_poly(rng, field, vars)
-        assert parse_poly(print_poly(p), vars, field) == p
+    height_30 = st.fractions(min_value=-30, max_value=30, max_denominator=30)
+    term = st.tuples(st.lists(height_30, min_size=field.degree, max_size=field.degree),
+                     st.tuples(st.integers(0, 4), st.integers(0, 4)))
+    p = _poly(field, vars, data.draw(st.lists(term, max_size=6)))
+    assert parse_poly(print_poly(p), vars, field) == p
 
 
 def test_fuzz_never_crashes():

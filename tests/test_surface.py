@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from etale_forge.numfield import QQ, NumberField
 from etale_forge.polyalg import Poly, variables
-from etale_forge.surface import (NotOnSurface, SplitMix64, SurfacePoint,
+from etale_forge.surface import (NotOnSurface, SurfacePoint,
                                  hyper_surface, normal_form, on_surface,
                                  parse_surface_id, sample_point,
                                  tilde_surface, weight_of)
@@ -25,58 +25,48 @@ def test_normal_form_examples():
     assert normal_form(U ** 2 * V, H21) == W ** 2 - U
 
 
-def test_normal_form_is_idempotent_and_linear():
-    rng = SplitMix64(17)
-
-    def rand_poly(vars):
-        p = Poly.zero(QQ, vars)
-        gens = [Poly.variable(v, QQ, vars) for v in vars]
-        for _ in range(6):
-            term = Poly.constant(rng.fraction(9), QQ, vars)
-            for g in gens:
-                term = term * g ** rng.randint(0, 3)
-            p = p + term
-        return p
-
-    for s in (S22, tilde_surface(3, 4), H21, hyper_surface(3, 2)):
-        vars = s.vars
-        for _ in range(12):
-            p, q = rand_poly(vars), rand_poly(vars)
-            nf = lambda r: normal_form(r, s)
-            assert nf(nf(p)) == nf(p)
-            assert nf(p + q) == nf(nf(p) + nf(q))
-            assert nf(p * q) == nf(nf(p) * nf(q))
+HEIGHT_9 = st.fractions(min_value=-9, max_value=9,
+                        max_denominator=9).filter(lambda c: c != 0)
 
 
-def test_relation_multiples_reduce_to_zero():
-    rng = SplitMix64(23)
-    for s in (S22, H21):
-        rel = s.relation()
-        gens = [Poly.variable(v, QQ, s.vars) for v in s.vars]
-        for _ in range(100):
-            h = Poly.constant(rng.fraction(9), QQ, s.vars)
-            for g in gens:
-                h = h * g ** rng.randint(0, 2)
-            assert normal_form(rel * h, s).is_zero()
+def qq_terms(vars, max_exp, size):
+    """size (exponents, [c]) terms for _from_terms over QQ, with c of height
+    at most 9 and each exponent at most max_exp."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
+    return st.lists(st.tuples(exps, HEIGHT_9.map(lambda c: [c])),
+                    min_size=size, max_size=size)
 
 
-def test_ideal_membership_pairs():
-    # p - q in (relation)  iff  equal normal forms; 100 random pairs
-    rng = SplitMix64(29)
+@settings(max_examples=48, deadline=None)
+@given(data=st.data())
+def test_normal_form_is_idempotent_and_linear(data):
+    s = data.draw(st.sampled_from((S22, tilde_surface(3, 4), H21, hyper_surface(3, 2))))
+    p, q = (_from_terms(QQ, s.vars, data.draw(qq_terms(s.vars, 3, 6))) for _ in range(2))
+    nf = lambda r: normal_form(r, s)
+    assert nf(nf(p)) == nf(p)
+    assert nf(p + q) == nf(nf(p) + nf(q))
+    assert nf(p * q) == nf(nf(p) * nf(q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_relation_multiples_reduce_to_zero(data):
+    s = data.draw(st.sampled_from((S22, H21)))
+    h = _from_terms(QQ, s.vars, data.draw(qq_terms(s.vars, 2, 1)))
+    assert normal_form(s.relation() * h, s).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ideal_membership_pairs(data):
+    # p - q in (relation)  iff  equal normal forms
     s = S22
-    rel = s.relation()
     gens = [Poly.variable(v, QQ, s.vars) for v in s.vars]
-    for _ in range(100):
-        base = Poly.constant(rng.fraction(9), QQ, s.vars)
-        for g in gens:
-            base = base * g ** rng.randint(0, 2)
-        mult = Poly.constant(rng.fraction(9), QQ, s.vars) * gens[rng.randint(0, 2)]
-        p = base
-        q = base + rel * mult
-        assert normal_form(p, s) == normal_form(q, s)
-        if not mult.is_zero():
-            q2 = base + gens[0] ** 7  # x^7 is not in the ideal
-            assert normal_form(p, s) != normal_form(q2, s)
+    base = _from_terms(QQ, s.vars, data.draw(qq_terms(s.vars, 2, 1)))
+    mult = data.draw(HEIGHT_9) * data.draw(st.sampled_from(gens))
+    assert normal_form(base, s) == normal_form(base + s.relation() * mult, s)
+    q2 = base + gens[0] ** 7  # x^7 is not in the ideal
+    assert normal_form(base, s) != normal_form(q2, s)
 
 
 def test_on_surface_examples():
