@@ -11,6 +11,7 @@ decompositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .numfield import QQ, FieldElement
 from .polyalg import ArityError, Poly, multiplicity_profile
@@ -38,7 +39,7 @@ def chebyshev_U(n: int) -> Poly:
     if n < 0:
         raise ValueError("n must be >= 0")
     d = chebyshev_T(n + 1).derivative()
-    return d * Poly.constant(QQ.elem(1) / (n + 1), QQ, ("x",))
+    return d * Fraction(1, n + 1)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ from .constructor import (InfeasibleDegree, chebyshev_endo,
 from .endo import (build_from_params, degree_of, etale_certificate,
                    map_to_json, params_from_json)
 from .family import FamilySpec, ec_equivalent, family_member, family_pairwise_distinct
-from .miyanishi import MiyParams, UnsupportedN, miy_b_check, miy_b_find, miy_eta0, miy_lift_check
+from .miyanishi import (BadB, MiyParams, UnsupportedN, miy_b_find, miy_eta0,
+                        miy_lift_check)
 from .numfield import QQ, field_from_string, json_fields, rationals
 from .polyparse import MAX_DEGREE, PolyParseError, parse_poly, print_poly
 from .reproduce import default_fixture_dir, reproduce_paper
@@ -107,15 +108,20 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _family_base(args):
+    """The --base parameters, else the cyclic Galois endomorphism of degree
+    --k."""
+    return _load_params(args.base) if args.base else cyclic_galois_endo(args.k)[0]
+
+
+def _family_spec(args, base, avec, what: str) -> FamilySpec:
+    return FamilySpec(args.k, args.rbar, base,
+                      tuple(map(base.field.elem, rationals(avec, what))))
+
+
 def _cmd_family(args) -> int:
     if args.what == "gen":
-        if args.base:
-            base = _load_params(args.base)
-        else:
-            base, _ = cyclic_galois_endo(args.k)
-        avec = tuple(map(base.field.elem,
-                         rationals(json.loads(args.avec), "--avec")))
-        spec = FamilySpec(args.k, args.rbar, base, avec)
+        spec = _family_spec(args, _family_base(args), json.loads(args.avec), "--avec")
         member = family_member(spec)
         payload = {"map": map_to_json(member), "degree": degree_of(member)}
         _emit(payload, args)
@@ -133,17 +139,12 @@ def _cmd_family(args) -> int:
         _emit(payload, args)
         return EXIT_OK if res.equivalent else EXIT_FALSE
     # distinct
-    if args.base:
-        base = _load_params(args.base)
-    else:
-        base, _ = cyclic_galois_endo(args.k)
+    base = _family_base(args)
     avecs = json.loads(args.avecs)
     if not isinstance(avecs, list):
         raise ValueError("--avecs must be a list of a-vectors, "
                          f"got {type(avecs).__name__}")
-    specs = [FamilySpec(args.k, args.rbar, base,
-                        tuple(map(base.field.elem, rationals(av, "an a-vector"))))
-             for av in avecs]
+    specs = [_family_spec(args, base, av, "an a-vector") for av in avecs]
     distinct = family_pairwise_distinct(specs)
     _emit({"pairwise_distinct": distinct}, args)
     return EXIT_OK if distinct else EXIT_FALSE
@@ -162,15 +163,13 @@ def _cmd_miyanishi(args) -> int:
     field = field_from_string(args.field) if args.field else QQ
     b = parse_poly(args.b, ("x",), field)
     if args.what == "check":
-        bc = miy_b_check(args.n, b)
-        payload = {"b_check": bc.ok}
-        if bc.ok:
-            payload["s"] = print_poly(bc.s)
+        try:
             report = miy_lift_check(MiyParams(args.n, b))
-            payload["lift_checks"] = report.checks
-            payload["verdict"] = report.ok
+        except BadB:
+            payload = {"b_check": False, "verdict": False}
         else:
-            payload["verdict"] = False
+            payload = {"b_check": True, "s": print_poly(report.s),
+                       "lift_checks": report.checks, "verdict": report.ok}
         _emit(payload, args)
         return EXIT_OK if payload["verdict"] else EXIT_FALSE
     # eta0

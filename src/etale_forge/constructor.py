@@ -96,8 +96,7 @@ def chebyshev_endo(d: int, lam: FieldElement | int = 1) -> EtaleParams:
     Ud1 = chebyshev_U(d - 1).with_field(field).substitute({"x": z})
     # T_d(z) = z * G(z^2) and U_(d-1)(z) = H(z^2) for odd d
     r1 = zk_to_t(exact_div(Td, z), 2)
-    r2 = zk_to_t(Ud1, 2) * Poly.constant(
-        field.elem(Fraction(1, d)), field, ("t",))
+    r2 = zk_to_t(Ud1, 2) * Fraction(1, d)
     r0 = Poly.constant(d * d, field, ("t",))
     return EtaleParams(k=2, r=2, a=1, alpha=1, d=d,
                        lam=field.elem(d) / lam, R0=r0, R1=r1, R2=r2)
@@ -150,8 +149,7 @@ def factor_through_cover(p: EtaleParams) -> SurfaceMap:
     j1 = w * compose(p.R2, t) * p.lam
     j2 = v * compose(p.R0, t) * (p.lam ** (-p.r))
     j3 = compose(p.R1, t)
-    return make_map(source, target, (j1, j2, j3),
-                    meta=p, declared_degree=p.d // p.k)
+    return make_map(source, target, (j1, j2, j3), declared_degree=p.d // p.k)
 
 
 # -- the (k, r) = (3, 2) solver ---------------------------------------------------
@@ -229,7 +227,7 @@ def solve_kr32(d0: int, candidates: list[dict] | None = None) -> list[EtaleParam
         # strip the spurious a1 = 0 root coming from clearing denominators,
         # then peel remaining rational roots (degenerate normalizations are
         # rejected by the certificate); a quadratic condition must remain.
-        a1 = Poly.variable("a1", QQ)
+        a1, t = Poly.variable("a1", QQ), Poly.variable("t", QQ)
         while g.constant_coeff().is_zero() and g.total_degree() > 0:
             g = exact_div(g, a1)
         out = []
@@ -240,11 +238,11 @@ def solve_kr32(d0: int, candidates: list[dict] | None = None) -> list[EtaleParam
                     g = exact_div(g, a1 - root)
                 except NotDivisible:
                     break
-            params = _kr32_params_from_r1(QQ.elem(root), d0=1, d=4)
+            params = _kr32_params_from_r1_poly(root * t + 1, d0=1, d=4)
             if params is not None:
                 out.append(params)
         for root in _quadratic_field_roots(g):
-            params = _kr32_params_from_r1(root, d0=1, d=4)
+            params = _kr32_params_from_r1_poly(root * t + 1, d0=1, d=4)
             if params is not None:
                 out.append(params)
         return out
@@ -295,20 +293,14 @@ def _quadratic_field_roots(g: Poly) -> list[FieldElement]:
     return [(theta * s - b) * half, (-(theta * s) - b) * half]
 
 
-def _kr32_params_from_r1(a1: FieldElement, d0: int, d: int) -> EtaleParams | None:
-    field = a1.field
-    t = Poly.variable("t", field)
-    return _kr32_params_from_r1_poly(a1 * t + 1, d0, d)
-
-
 def _kr32_params_from_r1_poly(r1: Poly, d0: int, d: int) -> EtaleParams | None:
     field = r1.field
     t = Poly.variable("t", field)
     e = r1 + 3 * (t - 1) * r1.derivative()
-    c0 = e.evaluate({"t": field.zero()})
+    c0 = e.constant_coeff()
     if c0.is_zero():
         return None
-    r2 = e * Poly.constant(c0.inverse(), field, ("t",))
+    r2 = e * c0.inverse()
     D = 1 - (1 - t) * r1 ** 3
     _, rem = divmod_poly(D, e * e)
     if not rem.is_zero():

@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numfield import (QQ, FieldElement, NumberField, field_from_string,
-                       json_fields, rationals)
+from .numfield import (QQ, FieldElement, NumberField, common_field,
+                       field_from_string, json_fields, rationals)
 from .polyalg import Poly, compose, is_separable
 from .surface import (SurfacePoint, SurfaceSpec, hyper_surface, normal_form,
                       relation_poly, tilde_surface, weight_of)
@@ -65,20 +65,16 @@ class SurfaceMap:
     """A validated morphism between surface models."""
 
     def __init__(self, source: SurfaceSpec, target: SurfaceSpec,
-                 coords: tuple[Poly, Poly, Poly], meta=None,
+                 coords: tuple[Poly, Poly, Poly],
                  cached_degree: int | None = None):
         self.source = source
         self.target = target
         self.coords = tuple(coords)
-        self.meta = meta
         self.cached_degree = cached_degree
 
     @property
     def field(self) -> NumberField:
-        for c in self.coords:
-            if not c.field.is_rational:
-                return c.field
-        return QQ
+        return common_field(QQ, *(c.field for c in self.coords))
 
     def extra_variables(self) -> tuple[str, ...]:
         out = []
@@ -97,7 +93,7 @@ class SurfaceMap:
 
 
 def make_map(source: SurfaceSpec, target: SurfaceSpec, coords,
-             meta=None, declared_degree: int | None = None) -> SurfaceMap:
+             declared_degree: int | None = None) -> SurfaceMap:
     """Validate and build a SurfaceMap.
 
     The exact gate: the pullback of the target relation reduces to zero
@@ -107,7 +103,7 @@ def make_map(source: SurfaceSpec, target: SurfaceSpec, coords,
     coords = tuple(coords)
     if len(coords) != 3:
         raise ValueError("a surface map has three coordinates")
-    m = SurfaceMap(source, target, coords, meta=meta, cached_degree=declared_degree)
+    m = SurfaceMap(source, target, coords, cached_degree=declared_degree)
     rel = relation_poly(target, m.field, target.vars)
     witness = normal_form(rel.substitute(dict(zip(target.vars, coords))), source)
     if not witness.is_zero():
@@ -186,20 +182,13 @@ def zk_compatible(m: SurfaceMap, a: int) -> ZkCompat:
     exps = s.zk_exponents(a)
     coord_weights: list[int | None] = []
     for coord in m.normalized_coords():
-        wmap = dict(zip(s.vars, exps))
-        ws = [wmap.get(v, 0) for v in coord.variables]
-        seen = None
-        uniform = True
-        for key in coord.terms:
-            w = sum(e * wv for e, wv in zip(key, ws)) % k
-            if seen is None:
-                seen = w
-            elif seen != w:
-                uniform = False
-                break
-        if not uniform:
+        if coord.is_zero():
+            coord_weights.append(None)
+            continue
+        w = weight_of(coord, s, exps, k)
+        if w is None:
             return ZkCompat("no")
-        coord_weights.append(seen)
+        coord_weights.append(w)
     for twist in range(k):
         if all(w is None or w == (twist * t) % k
                for w, t in zip(coord_weights, exps)):
@@ -324,12 +313,9 @@ class EtaleParams:
             object.__setattr__(self, "lam", QQ.elem(self.lam))
         if self.lam.is_zero():
             raise ValueError("lambda must be nonzero")
-        field = self.lam.field
-        for rp in (self.R0, self.R1, self.R2):
-            if isinstance(rp, Poly) and not rp.field.is_rational:
-                field = rp.field
-        if field != self.lam.field:
-            object.__setattr__(self, "lam", field.coerce(self.lam))
+        polys = [rp for rp in (self.R0, self.R1, self.R2) if isinstance(rp, Poly)]
+        field = common_field(self.lam.field, *(rp.field for rp in polys))
+        object.__setattr__(self, "lam", field.coerce(self.lam))
         object.__setattr__(self, "R0", _as_t_poly(self.R0, field))
         object.__setattr__(self, "R1", _as_t_poly(self.R1, field))
         object.__setattr__(self, "R2", _as_t_poly(self.R2, field))
@@ -432,12 +418,11 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
 
     sep_poly = (1 - t) * p.R0 * p.R1 * p.R2
     checks["C3_separability"] = (not sep_poly.is_zero()) and is_separable(sep_poly)
-    zero = {"t": field.zero()}
     one = field.one()
     checks["C3_normalization"] = (
-        p.R1.evaluate(zero) == one
-        and p.R2.evaluate(zero) == one
-        and not p.R0.evaluate(zero).is_zero())
+        p.R1.constant_coeff() == one
+        and p.R2.constant_coeff() == one
+        and not p.R0.constant_coeff().is_zero())
 
     return EtaleCertificate(p, checks, all(checks.values()))
 
@@ -465,7 +450,7 @@ def build_from_params(p: EtaleParams) -> BuildResult:
     eta1 = x * z ** (1 - alpha) * compose(p.R2, tz) * p.lam
     eta2 = y * compose(p.R0, tz) * (p.lam ** (-r))
     eta3 = z ** alpha * compose(p.R1, tz)
-    tilde_map = make_map(s, s, (eta1, eta2, eta3), meta=p)
+    tilde_map = make_map(s, s, (eta1, eta2, eta3))
 
     hyper_map = None
     if p.a == 1 and r % k == 0:
@@ -479,7 +464,7 @@ def build_from_params(p: EtaleParams) -> BuildResult:
         h1 = u * (1 - tu) ** (1 - alpha) * (r2t ** k) * (p.lam ** k)
         h2 = v * compose(p.R0, tu) * (p.lam ** (-r))
         h3 = w * compose(p.R1, tu) * r2t * p.lam
-        hyper_map = make_map(h, h, (h1, h2, h3), meta=p)
+        hyper_map = make_map(h, h, (h1, h2, h3))
     return BuildResult(tilde_map, hyper_map)
 
 

@@ -81,38 +81,35 @@ class FamilySpec:
 
     def deformation_poly(self) -> Poly:
         """F(a) = 1 + sum a_i x^(r i) with r = rbar*k."""
-        r = self.rbar * self.k
-        field = self.base.field
-        x = Poly.variable("x", field)
-        F = Poly.constant(1, field, ("x",))
-        for i, ai in enumerate(self.avector, start=1):
-            F = F + Poly.constant(ai, field, ("x",)) * x ** (r * i)
-        return F
+        return _deformation(self.base, self.avector)
+
+
+def _deformation(base: EtaleParams, avector) -> Poly:
+    """1 + sum a_i x^(r i) for field elements or parameter Polys a_i."""
+    x = Poly.variable("x", base.field)
+    F = Poly.constant(1, base.field, ("x",))
+    for i, ai in enumerate(avector, start=1):
+        F = F + ai * x ** (base.r * i)
+    return F
+
+
+def _member(base: EtaleParams, F: Poly) -> SurfaceMap:
+    """pi o Theta^F o j on hyper(k, r/k), reduced to normal form."""
+    k, r = base.k, base.r
+    th_j = compose_maps(theta(F, tilde_surface(k, r)), factor_through_cover(base))
+    return compose_maps(covering(k, r // k), th_j)
 
 
 def family_member(f: FamilySpec) -> SurfaceMap:
     """The self-map pi o Theta^F(a) o j of hyper(k, rbar), reduced to
     normal form; its degree is k * deg(j)."""
-    j = factor_through_cover(f.base)
-    th = theta(f.deformation_poly(), tilde_surface(f.k, f.rbar * f.k))
-    pi = covering(f.k, f.rbar)
-    return compose_maps(pi, compose_maps(th, j))
+    return _member(f.base, f.deformation_poly())
 
 
 def family_member_symbolic(base: EtaleParams, nparams: int) -> SurfaceMap:
     """A family member with formal parameters a1..an (torus weight zero)."""
-    k = base.k
-    rbar = base.r // k
-    r = base.r
-    field = base.field
-    x = Poly.variable("x", field)
-    F = Poly.constant(1, field, ("x",))
-    for i in range(1, nparams + 1):
-        F = F + Poly.variable(f"a{i}", field) * x ** (r * i)
-    j = factor_through_cover(base)
-    th = theta(F, tilde_surface(k, r))
-    pi = covering(k, rbar)
-    return compose_maps(pi, compose_maps(th, j))
+    avector = [Poly.variable(f"a{i}", base.field) for i in range(1, nparams + 1)]
+    return _member(base, _deformation(base, avector))
 
 
 # -- equivalence modulo automorphisms ----------------------------------------------
@@ -138,10 +135,14 @@ def _support(P: Poly, r: int) -> dict[int, FieldElement]:
     return supp
 
 
-def _finite_order(mu: FieldElement, bound: int = 64) -> int | None:
+# the largest root-of-unity order ec_equivalent looks for in a witness
+ORDER_BOUND = 64
+
+
+def _finite_order(mu: FieldElement) -> int | None:
     acc = mu
     one = mu.field.one()
-    for order in range(1, bound + 1):
+    for order in range(1, ORDER_BOUND + 1):
         if acc == one:
             return order
         acc = acc * mu

@@ -84,26 +84,37 @@ def miy_b_check(n: int, b: Poly) -> BCheckResult:
     return BCheckResult(True, s)
 
 
+def _eta0(p: MiyParams) -> tuple[Poly, Poly, Poly, Poly]:
+    """(s, T_n, U_(n-1), core): s in x is the quotient of the value
+    condition, and eta0 = (T_n, U_(n-1) * core) in x, y; BadB when the
+    condition fails."""
+    bc = miy_b_check(p.n, p.b)
+    if not bc.ok:
+        raise BadB(f"b = {p.b} fails the value condition for n = {p.n}")
+    field, xy = p.field, ("x", "y")
+    x = Poly.variable("x", field, xy)
+    y = Poly.variable("y", field, xy)
+    u = _u_poly(p.n, field).with_variables(xy)
+    tn = chebyshev_T(p.n).with_field(field).with_variables(xy)
+    core = u * y * Fraction(1, p.n) + (x * x - 1) * p.b.with_variables(xy)
+    return bc.s, tn, u, core
+
+
 def miy_eta0(p: MiyParams) -> tuple[Poly, Poly]:
     """The plane self-map (T_n, (1/n)U^2 y + (x^2-1)U b); BadB when the
     value condition fails."""
-    if not miy_b_check(p.n, p.b).ok:
-        raise BadB(f"b = {p.b} fails the value condition for n = {p.n}")
-    field = p.field
-    x = Poly.variable("x", field, ("x", "y"))
-    y = Poly.variable("y", field, ("x", "y"))
-    u = _u_poly(p.n, field).with_variables(("x", "y"))
-    tn = chebyshev_T(p.n).with_field(field).with_variables(("x", "y"))
-    inv_n = Poly.constant(field.elem(Fraction(1, p.n)), field, ("x", "y"))
-    b = p.b.with_field(field).with_variables(("x", "y"))
-    second = inv_n * u * u * y + (x * x - 1) * u * b
-    return tn, second
+    _, tn, u, core = _eta0(p)
+    return tn, u * core
 
 
 @dataclass(frozen=True)
 class LiftReport:
+    """The named lift checks, their conjunction, the quotient s of the
+    value condition and the plane map eta0 they were run on."""
     checks: dict
     ok: bool
+    s: Poly
+    eta0: tuple[Poly, Poly]
 
 
 def miy_lift_check(p: MiyParams) -> LiftReport:
@@ -113,21 +124,15 @@ def miy_lift_check(p: MiyParams) -> LiftReport:
          as cross-multiplied polynomial identities;
     (V2) base-point compatibility eta0(+-1, 0) = ((+-1)^n, 0);
     (V3) non-contraction: gcd(b, U_(n-1)) is constant.
+    BadB when the value condition fails.
     """
-    bc = miy_b_check(p.n, p.b)
-    if not bc.ok:
-        raise BadB(f"b = {p.b} fails the value condition for n = {p.n}")
+    s, tn, u, core = _eta0(p)
     n = p.n
     field = p.field
     x = Poly.variable("x", field, ("x", "y"))
     y = Poly.variable("y", field, ("x", "y"))
-    u = _u_poly(n, field).with_variables(("x", "y"))
-    tn = chebyshev_T(n).with_field(field).with_variables(("x", "y"))
-    b = p.b.with_field(field).with_variables(("x", "y"))
-    s = bc.s.with_field(field).with_variables(("x", "y"))
-    inv_n = Poly.constant(field.elem(Fraction(1, n)), field, ("x", "y"))
-    eta2 = inv_n * u * u * y + (x * x - 1) * u * b     # second coordinate
-    core = inv_n * u * y + (x * x - 1) * b             # eta2 = u * core
+    b = p.b.with_variables(("x", "y"))
+    eta2 = u * core                                    # second coordinate
 
     checks = {}
     t2m1 = tn * tn - 1
@@ -138,9 +143,8 @@ def miy_lift_check(p: MiyParams) -> LiftReport:
     checks["pullback_v2"] = t2m1 * core * core == x2m1 * eta2 * eta2
     # v3 = (x^2-1-y^2)/y^3:
     #   (T^2-1-eta2^2)/eta2^3 == ((x^2-1)s - (1/n^2)U y^2 - (2/n)y(x^2-1)b)/core^3
-    inv_n2 = Poly.constant(field.elem(Fraction(1, n * n)), field, ("x", "y"))
-    two_n = Poly.constant(field.elem(Fraction(2, n)), field, ("x", "y"))
-    claimed_num = x2m1 * s - inv_n2 * u * y * y - two_n * y * x2m1 * b
+    claimed_num = (x2m1 * s.with_variables(("x", "y")) - u * y * y * Fraction(1, n * n)
+                   - y * x2m1 * b * Fraction(2, n))
     direct_num = t2m1 - eta2 * eta2
     checks["pullback_v3"] = direct_num * core ** 3 == claimed_num * eta2 ** 3
     # V2: base points
@@ -155,7 +159,7 @@ def miy_lift_check(p: MiyParams) -> LiftReport:
         and eta2.evaluate(at_minus).is_zero())
     # V3: non-contraction
     checks["non_contraction"] = non_contraction_check(p.n, p.b)
-    return LiftReport(checks, all(checks.values()))
+    return LiftReport(checks, all(checks.values()), s, (tn, eta2))
 
 
 def non_contraction_check(n: int, b: Poly) -> bool:

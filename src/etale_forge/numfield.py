@@ -16,8 +16,12 @@ integral m), and inv(a) returns the inverse as (numerators, denominator).
 FieldElement wraps both, and Poly applies them to its term numerators.
 
 The rationals are the degree-one field QQ = Q[theta]/(theta).  Ints and
-Fractions coerce into any field as constants; elements of two distinct
-extensions never mix silently (no automatic compositum).
+Fractions coerce into any field as constants.  common_field is the one rule
+for combining two fields, used by every FieldElement and Poly operation:
+a degree-one field yields to an extension, the leftmost of two distinct
+degree-one fields wins (an element of a degree-one field is its rational
+first coordinate, so nothing changes but the label), and two distinct
+extensions raise FieldMismatch (no automatic compositum).
 
 Irreducibility of a user-supplied minimal polynomial is verified up to
 degree 4 (rational-root and quadratic-resolvent tests); above that the
@@ -279,13 +283,15 @@ class NumberField:
         return FieldElement(self, tuple(cs))
 
     def coerce(self, x) -> "FieldElement":
+        """x as an element of self; FieldMismatch unless common_field(self,
+        x.field) is self."""
         if isinstance(x, FieldElement):
             if x.field == self:
                 return x
-            if x.field.is_rational:
-                return self.elem(x.as_fraction())
-            raise FieldMismatch(
-                f"cannot mix elements of {x.field.minpoly_str()} and {self.minpoly_str()}")
+            if common_field(self, x.field) != self:
+                raise FieldMismatch(f"cannot mix elements of {x.field.minpoly_str()} "
+                                    f"and {self.minpoly_str()}")
+            return self.elem(x.coords[0])
         return self.elem(x)
 
     def _power_tail(self) -> tuple[list[Ints], int]:
@@ -352,6 +358,21 @@ class NumberField:
 
     def minpoly_str(self) -> str:
         return format_terms(reversed(power_terms(self.minpoly, self.gen_name)))
+
+
+def common_field(*fields: NumberField) -> NumberField:
+    """The field in which elements of the given fields combine: the one
+    extension among them, else the leftmost field (see the module
+    docstring); FieldMismatch for two distinct extensions."""
+    out = fields[0]
+    for f in fields[1:]:
+        if f == out or f.degree == 1:
+            continue
+        if out.degree != 1:
+            raise FieldMismatch(
+                f"cannot mix elements of {out.minpoly_str()} and {f.minpoly_str()}")
+        out = f
+    return out
 
 
 def power_terms(coeffs, name: str) -> list[tuple[str, Fraction]]:
@@ -452,17 +473,12 @@ class FieldElement:
     # -- coercion ------------------------------------------------------
 
     def _pair(self, other) -> tuple["FieldElement", "FieldElement"]:
-        if isinstance(other, FieldElement):
-            if other.field == self.field:
-                return self, other
-            if other.field.is_rational:
-                return self, self.field.elem(other.as_fraction())
-            if self.field.is_rational:
-                return other.field.elem(self.as_fraction()), other
-            raise FieldMismatch(
-                f"cannot mix elements of {self.field.minpoly_str()} "
-                f"and {other.field.minpoly_str()}")
-        return self, self.field.elem(other)
+        if not isinstance(other, FieldElement):
+            return self, self.field.elem(other)
+        if other.field == self.field:
+            return self, other
+        field = common_field(self.field, other.field)
+        return field.coerce(self), field.coerce(other)
 
     # -- predicates ----------------------------------------------------
 

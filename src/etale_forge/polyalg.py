@@ -13,7 +13,9 @@ term.  The constructor divides out gcd(den, all numerators), one gcd pass
 per operation, so the representation is canonical: den is coprime to the
 numerators, den is 1 for the zero Poly, and zero terms are never stored.
 FieldElement is the type at the boundary: the coefficient queries, evaluate
-and Poly.constant take or return FieldElements.
+and Poly.constant take or return FieldElements.  Operands over two fields,
+and a Poly times an int, Fraction or FieldElement, meet in the field that
+numfield.common_field gives.
 
 The monomial order is lexicographic in the variable order, so exponent
 tuples compare directly.  Degrees in this project stay small (a few hundred
@@ -28,7 +30,7 @@ from math import gcd, lcm
 from operator import add, neg, sub
 
 from .numfield import (QQ, FieldElement, FieldMismatch, Ints, NumberField,
-                       join, power, split)
+                       common_field, join, power, split)
 
 
 class ArityError(ValueError):
@@ -41,17 +43,6 @@ class NotDivisible(ArithmeticError):
     def __init__(self, remainder: "Poly"):
         super().__init__(f"not divisible, remainder {remainder}")
         self.remainder = remainder
-
-
-def _common_field(f1: NumberField, f2: NumberField) -> NumberField:
-    if f1 == f2:
-        return f1
-    if f1.is_rational:
-        return f2
-    if f2.is_rational:
-        return f1
-    raise FieldMismatch(
-        f"cannot mix polynomials over {f1.minpoly_str()} and {f2.minpoly_str()}")
 
 
 class Poly:
@@ -105,9 +96,6 @@ class Poly:
         exps = tuple(1 if v == name else 0 for v in vs)
         return Poly(field, vs, {exps: (1,) + (0,) * (field.degree - 1)})
 
-    def clone_const(self, value) -> "Poly":
-        return Poly.constant(value, self.field, self.variables)
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -145,12 +133,6 @@ class Poly:
                 if e:
                     used.add(self.variables[i])
         return tuple(v for v in self.variables if v in used)
-
-    def deg(self) -> int:
-        """Degree as a univariate polynomial (ArityError otherwise)."""
-        if not self.is_univariate():
-            raise ArityError(f"{self} is not univariate")
-        return self.total_degree()
 
     def leading_monomial(self) -> tuple[int, ...]:
         return max(self.terms)
@@ -206,11 +188,11 @@ class Poly:
         return Poly(self.field, used, terms, self.den)
 
     def with_field(self, field: NumberField) -> "Poly":
-        """The same polynomial over field; only rational coefficients move
-        to another field, so a nonzero Poly over an extension raises."""
+        """The same polynomial over field; FieldMismatch for a nonzero Poly
+        unless common_field(field, self.field) is field."""
         if field == self.field:
             return self
-        if self.terms and not self.field.is_rational:
+        if self.terms and common_field(field, self.field) != field:
             raise FieldMismatch(
                 f"cannot mix elements of {self.field.minpoly_str()} "
                 f"and {field.minpoly_str()}")
@@ -221,8 +203,11 @@ class Poly:
     def _pair(self, other) -> tuple["Poly", "Poly"]:
         if not isinstance(other, Poly):
             other = Poly.constant(other, self.field, self.variables)
-        field = _common_field(self.field, other.field)
-        a, b = self.with_field(field), other.with_field(field)
+        if other.field == self.field:
+            a, b = self, other
+        else:
+            field = common_field(self.field, other.field)
+            a, b = self.with_field(field), other.with_field(field)
         if a.variables == b.variables:
             return a, b
         merged = list(a.variables)
@@ -345,10 +330,8 @@ class Poly:
         Runs on integer numerators: the powers of each value are kept as
         (numerators, denominator) pairs, each computed once, and the terms
         are summed over the lcm of their denominators."""
-        field = self.field
-        for x in values.values():
-            if isinstance(x, FieldElement):
-                field = _common_field(field, x.field)
+        field = common_field(self.field, *(x.field for x in values.values()
+                                           if isinstance(x, FieldElement)))
         p = self.with_field(field)
         one = ((1,) + (0,) * (field.degree - 1), 1)
         powers = []
@@ -419,11 +402,11 @@ def compose(outer: Poly, inner: Poly) -> Poly:
     if not outer.is_univariate():
         raise ArityError(f"{outer} is not univariate")
     coeffs = outer.univariate_coeffs()
-    field = _common_field(outer.field, inner.field)
+    field = common_field(outer.field, inner.field)
     inner = inner.with_field(field)
-    acc = Poly.constant(0, field, inner.variables)
+    acc = Poly.zero(field, inner.variables)
     for c in reversed(coeffs):
-        acc = acc * inner + Poly.constant(field.coerce(c), field)
+        acc = acc * inner + c
     return acc
 
 
@@ -508,7 +491,7 @@ def gcd_univariate(a: Poly, b: Poly) -> Poly:
 def monic(p: Poly) -> Poly:
     if p.is_zero():
         return p
-    return p * p.clone_const(p.leading_coeff().inverse())
+    return p * p.leading_coeff().inverse()
 
 
 @dataclass(frozen=True)
@@ -563,8 +546,7 @@ def multiplicity_profile(phi: Poly, c) -> tuple[int, ...]:
     """
     if phi.is_zero() or phi.total_degree() < 1:
         raise ValueError("multiplicity profile needs deg(phi) >= 1")
-    shifted = phi - Poly.constant(c, phi.field, phi.variables)
     parts: list[int] = []
-    for mf in squarefree_decomposition(shifted):
+    for mf in squarefree_decomposition(phi - c):
         parts.extend([mf.multiplicity] * mf.factor.total_degree())
     return tuple(sorted(parts, reverse=True))

@@ -19,6 +19,7 @@ canonical normal form.
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,10 +114,8 @@ def relation_poly(s: SurfaceSpec, field: NumberField,
 
 def on_surface(pt, s: SurfaceSpec) -> bool:
     """Exact test relation(pt) == 0. pt is a triple of field elements."""
-    coords = _as_elements(pt)
-    field = coords[0].field
-    rel = relation_poly(s, field if not field.is_rational else QQ, s.vars)
-    return rel.evaluate(dict(zip(s.vars, coords))).is_zero()
+    rel = relation_poly(s, QQ, s.vars)
+    return rel.evaluate(dict(zip(s.vars, _as_elements(pt)))).is_zero()
 
 
 def _as_elements(pt) -> tuple[FieldElement, FieldElement, FieldElement]:
@@ -147,19 +146,23 @@ class SurfacePoint:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-def weight_of(p: Poly, s: SurfaceSpec) -> int | None:
-    """Common torus weight of all monomials of p, or None if mixed.
+def weight_of(p: Poly, s: SurfaceSpec, weights: tuple[int, int, int] | None = None,
+              modulus: int | None = None) -> int | None:
+    """Common weight of all monomials of p, or None if mixed.
 
-    Variables beyond the surface triple (deformation parameters in tests)
-    count with weight zero.
+    The surface variables weigh weights (default: the torus weights of s),
+    taken mod modulus when one is given.  Variables beyond the surface
+    triple (deformation parameters in tests) count with weight zero.
     """
     if p.is_zero():
         raise ValueError("weight of the zero polynomial is undefined")
-    wmap = dict(zip(s.vars, s.weights))
+    wmap = dict(zip(s.vars, s.weights if weights is None else weights))
     ws = [wmap.get(v, 0) for v in p.variables]
     seen = None
     for k in p.terms:
         w = sum(e * wv for e, wv in zip(k, ws))
+        if modulus is not None:
+            w %= modulus
         if seen is None:
             seen = w
         elif seen != w:
@@ -170,49 +173,23 @@ def weight_of(p: Poly, s: SurfaceSpec) -> int | None:
 # -- deterministic exact sampling ---------------------------------------------
 
 
-class SplitMix64:
-    """splitmix64 PRNG; deterministic across platforms, seed is the state."""
-
-    MASK = (1 << 64) - 1
-
-    def __init__(self, seed: int):
-        self.state = seed & self.MASK
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
-        return z ^ (z >> 31)
-
-    def randint(self, lo: int, hi: int) -> int:
-        return lo + self.next_u64() % (hi - lo + 1)
-
-    def fraction(self, height: int = 1000) -> Fraction:
-        """Nonzero rational with |numerator|, denominator <= height."""
-        num = 0
-        while num == 0:
-            num = self.randint(-height, height)
-        return Fraction(num, self.randint(1, height))
-
-
-def sample_point(s: SurfaceSpec, seed: int, rng: SplitMix64 | None = None) -> SurfacePoint:
-    """Deterministic rational point with all coordinates nonzero.
+def sample_point(s: SurfaceSpec, seed: int) -> SurfacePoint:
+    """Deterministic rational point with all coordinates nonzero, drawn from
+    random.Random(seed) with numerators and denominators up to 1000.
 
     tilde: draw x != 0 and z with z^k != 1, z != 0; then y = (z^k - 1)/x^r.
     hyper: draw u != 0 and w with w^k != u, w != 0; then v = (w^k - u)/u^(rbar+1).
     """
-    rng = rng if rng is not None else SplitMix64(seed)
-    if s.model == "tilde":
-        while True:
-            x = rng.fraction()
-            z = rng.fraction()
-            if z != 0 and z ** s.k != 1:
-                y = (z ** s.k - 1) / x ** s.r
-                return SurfacePoint(s, (QQ.elem(x), QQ.elem(y), QQ.elem(z)))
+    rng = random.Random(seed)
+
+    def fraction() -> Fraction:
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 1000),
+                        rng.randint(1, 1000))
+
+    tilde = s.model == "tilde"
     while True:
-        u = rng.fraction()
-        w = rng.fraction()
-        if w != 0 and w ** s.k != u:
-            v = (w ** s.k - u) / u ** (s.r + 1)
-            return SurfacePoint(s, (QQ.elem(u), QQ.elem(v), QQ.elem(w)))
+        first, last = fraction(), fraction()
+        top = last ** s.k - (1 if tilde else first)
+        if top:
+            middle = top / first ** (s.r if tilde else s.r + 1)
+            return SurfacePoint(s, (QQ.elem(first), QQ.elem(middle), QQ.elem(last)))

@@ -105,6 +105,9 @@ def test_zk_compatibility():
     from etale_forge.endo import SurfaceMap
     pretend = SurfaceMap(S22, S22, (Y, X, Z))
     assert zk_compatible(pretend, 1).kind == "no"
+    # a zero coordinate constrains no twist
+    res = zk_compatible(SurfaceMap(S22, S22, (X, 0 * Y, Z)), 1)
+    assert res.kind == "equivariant" and res.twist == 1
 
 
 def test_zk_compatibility_matches_literal_substitution_for_k2():

@@ -7,13 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etale_forge import numfield
+from etale_forge.endo import SurfaceMap
 from etale_forge.numfield import (QQ, DivisionByZero, FieldElement,
                                   FieldMismatch, NumberField,
                                   ReduciblePolynomial, cyclotomic_field,
                                   field_from_string, rational_roots)
+from etale_forge.polyalg import Poly
+from etale_forge.surface import tilde_surface
 
 F_SQRT_M2 = NumberField([2, 0, 1])          # theta^2 + 2
 F_ZETA3 = cyclotomic_field(3)
+F_THETA3 = NumberField([-3, 1])             # theta - 3, a second degree-one field
 
 
 def test_reduction_by_minimal_polynomial():
@@ -47,6 +52,57 @@ def test_field_operators_and_division_by_zero():
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         F_SQRT_M2.gen() + F_ZETA3.gen()
+
+
+# the rule for combining fields, written out: COMMON[i][j] is where an
+# operation with left operand over TABLE[i] and right operand over TABLE[j]
+# lands; a degree-one field yields to an extension, the left one wins between
+# two degree-one fields, and None marks two distinct extensions
+TABLE = (QQ, F_THETA3, F_SQRT_M2, F_ZETA3)
+COMMON = (
+    (QQ, QQ, F_SQRT_M2, F_ZETA3),
+    (F_THETA3, F_THETA3, F_SQRT_M2, F_ZETA3),
+    (F_SQRT_M2, F_SQRT_M2, F_SQRT_M2, None),
+    (F_ZETA3, F_ZETA3, None, F_ZETA3),
+)
+
+
+def test_common_field_is_the_table():
+    for f1, row in zip(TABLE, COMMON):
+        for f2, want in zip(TABLE, row):
+            if want is None:
+                with pytest.raises(FieldMismatch):
+                    numfield.common_field(f1, f2)
+                continue
+            assert numfield.common_field(f1, f2) == want
+            over_qq = QQ if want.degree == 1 else want
+            assert numfield.common_field(QQ, f1, f2) == over_qq
+
+
+@pytest.mark.parametrize("i", range(len(TABLE)))
+@pytest.mark.parametrize("j", range(len(TABLE)))
+def test_every_operation_lands_in_the_table_field(i, j):
+    f1, f2, want = TABLE[i], TABLE[j], COMMON[i][j]
+    a, b = f1.gen() + 2, f2.gen() + 1
+    p1 = Poly.variable("x", f1) + Poly.constant(a, f1, ("x",))
+    p2 = Poly.variable("x", f2) * Poly.constant(b, f2, ("x",))
+    s = tilde_surface(2, 2)
+    x, y, z = (Poly.variable(v, f, s.vars) for v, f in zip(s.vars, (f1, f2, f1)))
+    surface_map = SurfaceMap(s, s, (x, y, z))
+    operations = (lambda: a + b, lambda: a * b, lambda: p1 + p2, lambda: p1 * p2,
+                  lambda: p1.evaluate({"x": b}))
+    if want is None:
+        for op in operations:
+            with pytest.raises(FieldMismatch):
+                op()
+        with pytest.raises(FieldMismatch):
+            surface_map.field
+        return
+    for op in operations:
+        assert op().field == want
+    # a map's field starts from QQ, so it is QQ unless a coordinate lies
+    # over an extension
+    assert surface_map.field == (QQ if want.degree == 1 else want)
 
 
 def test_cyclotomic_small_cases():
