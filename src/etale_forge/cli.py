@@ -25,8 +25,9 @@ from .endo import (build_from_params, degree_of, etale_certificate,
 from .family import FamilySpec, ec_equivalent, family_member, family_pairwise_distinct
 from .miyanishi import (BadB, MiyParams, UnsupportedN, miy_b_find, miy_eta0,
                         miy_lift_check)
-from .numfield import QQ, field_from_string, json_fields, rationals
-from .polyparse import MAX_DEGREE, PolyParseError, parse_poly, print_poly
+from .numfield import QQ, json_fields, rationals
+from .polyparse import (MAX_DEGREE, MAX_FIELD_DEGREE, PolyParseError,
+                        field_from_string, field_name, parse_poly, print_poly)
 from .reproduce import default_fixture_dir, reproduce_paper
 
 EXIT_OK = 0
@@ -100,6 +101,10 @@ def _cmd_construct(args) -> int:
             candidates = []
             for cand in raw["candidates"]:
                 json_fields(cand, dict.fromkeys(names, list), "candidate")
+                degree = len(cand["minpoly"]) - 1
+                if degree > MAX_FIELD_DEGREE:
+                    raise ValueError(f"candidate field of degree {degree} exceeds "
+                                     f"the bound {MAX_FIELD_DEGREE}")
                 candidates.append({name: rationals(cand[name], f"candidate {name!r}")
                                    for name in names})
         sols = solve_kr32(args.d0, candidates)
@@ -157,8 +162,7 @@ def _cmd_miyanishi(args) -> int:
         except UnsupportedN as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_FALSE
-        field = "QQ" if p.field == QQ else p.field.minpoly_str()
-        _emit({"n": p.n, "field": field, "b": print_poly(p.b)}, args)
+        _emit({"n": p.n, "field": field_name(p.field), "b": print_poly(p.b)}, args)
         return EXIT_OK
     field = field_from_string(args.field) if args.field else QQ
     b = parse_poly(args.b, ("x",), field)

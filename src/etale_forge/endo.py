@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numfield import (QQ, FieldElement, NumberField, common_field,
-                       field_from_string, json_fields, rationals)
+                       json_fields, rationals)
 from .polyalg import Poly, compose, is_separable
 from .surface import (SurfacePoint, SurfaceSpec, hyper_surface, normal_form,
                       relation_poly, tilde_surface, weight_of)
@@ -325,12 +325,11 @@ class EtaleParams:
         return self.lam.field
 
     def to_json(self) -> dict:
-        from .polyparse import print_poly
-        name = "QQ" if self.field == QQ else self.field.minpoly_str()
+        from .polyparse import field_name, print_poly
         return {
             "k": self.k, "r": self.r, "a": self.a,
             "alpha": self.alpha, "d": self.d,
-            "field": name,
+            "field": field_name(self.field),
             "lambda": [str(c) for c in self.lam.coords],
             "R0": print_poly(self.R0),
             "R1": print_poly(self.R1),
@@ -345,7 +344,7 @@ _PARAM_FIELDS = {"k": int, "r": int, "a": int, "alpha": int, "d": int,
 def params_from_json(data: dict) -> EtaleParams:
     """The inverse of EtaleParams.to_json; a missing or ill-typed field
     raises ValueError naming it."""
-    from .polyparse import parse_poly
+    from .polyparse import field_from_string, parse_poly
     json_fields(data, _PARAM_FIELDS, "parameter document")
     field = field_from_string(data["field"])
     lam = field.from_coords(rationals(data["lambda"], "parameter 'lambda'"))
@@ -551,18 +550,17 @@ def jacobian_spotcheck(m: SurfaceMap) -> OracleVerdict:
 
 
 def map_to_json(m: SurfaceMap) -> dict:
-    from .polyparse import print_poly
-    name = "QQ" if m.field == QQ else m.field.minpoly_str()
+    from .polyparse import field_name, print_poly
     return {
         "source": m.source.surface_id(),
         "target": m.target.surface_id(),
         "coords": [print_poly(c) for c in m.coords],
-        "field": name,
+        "field": field_name(m.field),
     }
 
 
 def map_from_json(data: dict) -> SurfaceMap:
-    from .polyparse import parse_poly
+    from .polyparse import field_from_string, parse_poly
     from .surface import parse_surface_id
     source = parse_surface_id(data["source"])
     target = parse_surface_id(data["target"])

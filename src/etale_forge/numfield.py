@@ -1,27 +1,26 @@
 """Exact arithmetic in Q and in simple number fields Q[theta]/(m(theta)).
 
 A field is presented by a monic minimal polynomial m over Q, stored densely
-as a tuple of Fractions, constant term first.  Elements are residue classes
-represented by their unique coordinate vector of length deg(m) in the power
-basis 1, theta, ..., theta^(deg m - 1).
-
-FieldElement, the type at the boundary, keeps its coordinates as Fractions.
-The arithmetic kernel works on integer numerators instead: split() turns a
-coordinate tuple into integer numerators over one positive denominator and
-join() turns them back.  NumberField.mul and NumberField.inv are the one
+as a tuple of Fractions, constant term first.  An element is a residue
+class, stored as its unique coordinate vector in the power basis 1, theta,
+..., theta^(deg m - 1) in the format of a Poly term: integer numerators
+`nums` over one positive denominator `den`, divided by their gcd so that the
+pair is canonical.  FieldElement.coords is a read-only view of the same
+vector as Fractions.  NumberField.mul and NumberField.inv are the one
 implementation of multiplication and inversion, on integer tuples:
 mul(a, b) is the product times NumberField.den, the common denominator of
 the reduction rows theta^n, ..., theta^(2n-2) (so 1 for every monic
 integral m), and inv(a) returns the inverse as (numerators, denominator).
-FieldElement wraps both, and Poly applies them to its term numerators.
+FieldElement and Poly both call them.
 
-The rationals are the degree-one field QQ = Q[theta]/(theta).  Ints and
+The rationals are the degree-one field QQ = Q[theta]/(theta).  Every
+degree-one presentation is Q as well: its elements are stored by their
+rational values, so all degree-one fields compare and hash equal.  Ints and
 Fractions coerce into any field as constants.  common_field is the one rule
-for combining two fields, used by every FieldElement and Poly operation:
-a degree-one field yields to an extension, the leftmost of two distinct
-degree-one fields wins (an element of a degree-one field is its rational
-first coordinate, so nothing changes but the label), and two distinct
-extensions raise FieldMismatch (no automatic compositum).
+for combining fields, used by every FieldElement and Poly operation: a
+degree-one field yields to an extension, and two distinct extensions raise
+FieldMismatch (no automatic compositum).  polyparse reads and writes the
+text form of a field (field_from_string, field_name).
 
 Irreducibility of a user-supplied minimal polynomial is verified up to
 degree 4 (rational-root and quadratic-resolvent tests); above that the
@@ -31,12 +30,11 @@ constructor records the polynomial as asserted irreducible.
 from __future__ import annotations
 
 import math
-import re
 import reprlib
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
-Coords = tuple[Fraction, ...]
 Ints = tuple[int, ...]
 
 
@@ -60,21 +58,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
-
-
-def split(coords: Coords) -> tuple[Ints, int]:
-    """Rational coordinates as (integer numerators, least common positive
-    denominator); the two are coprime, and zero gives denominator 1."""
-    if len(coords) == 1:
-        c = coords[0]
-        return (c.numerator,), c.denominator
-    den = math.lcm(*(c.denominator for c in coords))
-    return tuple(c.numerator * (den // c.denominator) for c in coords), den
-
-
-def join(nums: Ints, den: int) -> Coords:
-    """The rational coordinates nums / den; the inverse of split."""
-    return tuple(Fraction(n, den) for n in nums)
 
 
 # -- dense univariate helpers over Q (constant term first) ------------------
@@ -194,7 +177,7 @@ def _is_irreducible_upto_deg4(c: list[Fraction]) -> bool:
     # has a rational root which is the square of a rational (u != 0), or
     # Q = 0 and a biquadratic split exists.
     p, q, r, s = c[3], c[2], c[1], c[0]
-    P = q - 3 * p * p / 4
+    P = q - 3 * p * p / 8
     Q = r - p * q / 2 + p ** 3 / 8
     R = s - p * r / 4 + p * p * q / 16 - 3 * p ** 4 / 256
     if Q == 0:
@@ -223,6 +206,8 @@ class NumberField:
             raise ValueError("minimal polynomial must be monic")
         self.minpoly = tuple(coeffs)
         self.gen_name = gen
+        # every degree-one field is Q (see the module docstring)
+        self._key = () if self.degree == 1 else (self.minpoly, gen)
         self._tail, self.den = self._power_tail()
         self.note = note
         if self.degree <= 4 and note != "cyclotomic":
@@ -244,43 +229,41 @@ class NumberField:
 
     def __eq__(self, other):
         return self is other or (isinstance(other, NumberField)
-                                 and self.minpoly == other.minpoly
-                                 and self.gen_name == other.gen_name)
+                                 and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.minpoly, self.gen_name))
+        return hash(self._key)
 
     def __repr__(self):
         return f"NumberField({self.minpoly_str()!r})"
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (Fraction(0),) * self.degree)
+        return FieldElement(self, (0,) * self.degree)
 
     def one(self) -> "FieldElement":
         return self.elem(1)
 
     def gen(self) -> "FieldElement":
-        coords = [Fraction(0)] * self.degree
         if self.degree == 1:
             # theta is congruent to the root of the linear minpoly
-            coords[0] = -self.minpoly[0]
-        else:
-            coords[1] = Fraction(1)
-        return FieldElement(self, tuple(coords))
+            return self.elem(-self.minpoly[0])
+        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2))
 
     def elem(self, x) -> "FieldElement":
         """Embed a rational constant (or coerce a compatible element)."""
         if isinstance(x, FieldElement):
             return self.coerce(x)
-        coords = [Fraction(0)] * self.degree
-        coords[0] = _as_fraction(x)
-        return FieldElement(self, tuple(coords))
+        q = x if isinstance(x, int) else _as_fraction(x)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1),
+                            q.denominator)
 
     def from_coords(self, coords) -> "FieldElement":
         cs = [_as_fraction(c) for c in coords]
         if len(cs) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates, got {len(cs)}")
-        return FieldElement(self, tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        return FieldElement(self, tuple(c.numerator * (den // c.denominator)
+                                        for c in cs), den)
 
     def coerce(self, x) -> "FieldElement":
         """x as an element of self; FieldMismatch unless common_field(self,
@@ -291,7 +274,7 @@ class NumberField:
             if common_field(self, x.field) != self:
                 raise FieldMismatch(f"cannot mix elements of {x.field.minpoly_str()} "
                                     f"and {self.minpoly_str()}")
-            return self.elem(x.coords[0])
+            return FieldElement(self, x.nums + (0,) * (self.degree - 1), x.den)
         return self.elem(x)
 
     def _power_tail(self) -> tuple[list[Ints], int]:
@@ -345,7 +328,7 @@ class NumberField:
         if det == 0:
             raise ReduciblePolynomial(
                 f"{self.minpoly_str()} is reducible: "
-                f"{FieldElement(self, join(a, 1))} is a zero divisor")
+                f"{FieldElement(self, a)} is a zero divisor")
         # x_i = det(column i replaced by den * e_0) / det, because mul
         # scales by den
         rhs = (self.den,) + (0,) * (n - 1)
@@ -362,7 +345,7 @@ class NumberField:
 
 def common_field(*fields: NumberField) -> NumberField:
     """The field in which elements of the given fields combine: the one
-    extension among them, else the leftmost field (see the module
+    extension among them, else fields[0], which is then Q (see the module
     docstring); FieldMismatch for two distinct extensions."""
     out = fields[0]
     for f in fields[1:]:
@@ -400,52 +383,6 @@ def format_terms(terms) -> str:
     return "".join(parts) if parts else "0"
 
 
-_TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:"
-    r"(?P<coef>\d+(?:/\d+)?)\s*(?:\*\s*(?P<gen1>[A-Za-z_]\w*)\s*(?:\^\s*(?P<e1>\d+))?)?"
-    r"|(?P<gen2>[A-Za-z_]\w*)\s*(?:\^\s*(?P<e2>\d+))?"
-    r")\s*")
-
-
-def parse_minpoly(text: str):
-    """Parse the canonical 'c*name^e + ...' form; return (coeffs, gen name).
-
-    This is intentionally strict: it accepts exactly what minpoly_str and
-    field serialization emit, e.g. "theta^2 + 2" or "zeta^2 + zeta + 1".
-    """
-    coeffs: dict[int, Fraction] = {}
-    gen = None
-    pos = 0
-    first = True
-    while pos < len(text):
-        mm = _TERM_RE.match(text, pos)
-        if not mm or mm.end() == pos:
-            raise ValueError(f"cannot parse minimal polynomial {text!r} at offset {pos}")
-        sign = mm.group("sign")
-        if sign is None and not first:
-            raise ValueError(f"missing +/- in {text!r} at offset {pos}")
-        s = -1 if sign == "-" else 1
-        if mm.group("gen2"):
-            name, e, coef = mm.group("gen2"), mm.group("e2"), Fraction(1)
-        else:
-            coef = Fraction(mm.group("coef"))
-            name, e = mm.group("gen1"), mm.group("e1")
-        exp = int(e) if e else (1 if name else 0)
-        if name:
-            if gen is None:
-                gen = name
-            elif gen != name:
-                raise ValueError(f"two generator names in {text!r}: {gen}, {name}")
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + s * coef
-        pos = mm.end()
-        first = False
-    if gen is None:
-        raise ValueError(f"no generator symbol in {text!r}")
-    top = max(coeffs)
-    out = [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
-    return out, gen
-
-
 def power(base, n: int):
     """base**n for n >= 1 by left-to-right square-and-multiply.
 
@@ -462,13 +399,25 @@ def power(base, n: int):
 
 
 class FieldElement:
-    """An element of a NumberField, reduced mod the minimal polynomial."""
+    """An element of a NumberField: integer numerators over a positive
+    denominator, coprime as a whole (see the module docstring)."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field: NumberField, coords: tuple[Fraction, ...]):
+    def __init__(self, field: NumberField, nums: Ints, den: int = 1):
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = tuple(x // g for x in nums)
         self.field = field
-        self.coords = coords
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions, for printing, JSON and tests."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     # -- coercion ------------------------------------------------------
 
@@ -483,18 +432,15 @@ class FieldElement:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
-        if self.field.degree == 1:
-            # theta == -m[0] in a degree-one field
-            return self.coords[0]
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -502,22 +448,27 @@ class FieldElement:
     def _operand_ok(other) -> bool:
         return isinstance(other, (FieldElement, int, Fraction, str))
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """op (add or sub) of self and other, coordinatewise over the lcm
+        of the two denominators."""
         if not self._operand_ok(other):
             return NotImplemented
         a, b = self._pair(other)
-        return FieldElement(a.field, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        den = math.lcm(a.den, b.den)
+        ma, mb = den // a.den, den // b.den
+        return FieldElement(a.field, tuple(op(x * ma, y * mb)
+                                           for x, y in zip(a.nums, b.nums)), den)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-x for x in self.coords))
+        return FieldElement(self.field, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
-        if not self._operand_ok(other):
-            return NotImplemented
-        a, b = self._pair(other)
-        return FieldElement(a.field, tuple(x - y for x, y in zip(a.coords, b.coords)))
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -526,16 +477,14 @@ class FieldElement:
         if not self._operand_ok(other):
             return NotImplemented
         a, b = self._pair(other)
-        (na, da), (nb, db) = split(a.coords), split(b.coords)
         field = a.field
-        return FieldElement(field, join(field.mul(na, nb), da * db * field.den))
+        return FieldElement(field, field.mul(a.nums, b.nums), a.den * b.den * field.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        nums, den = split(self.coords)
-        inv, inv_den = self.field.inv(nums)
-        return FieldElement(self.field, join(tuple(den * x for x in inv), inv_den))
+        inv, inv_den = self.field.inv(self.nums)
+        return FieldElement(self.field, tuple(self.den * x for x in inv), inv_den)
 
     def __truediv__(self, other):
         if not self._operand_ok(other):
@@ -550,8 +499,8 @@ class FieldElement:
         """self**n; a negative n inverts first.  See power() for the cost."""
         if n < 0:
             return self.inverse() ** (-n)
-        if len(self.coords) == 1:
-            return FieldElement(self.field, (self.coords[0] ** n,))
+        if len(self.nums) == 1:
+            return FieldElement(self.field, (self.nums[0] ** n,), self.den ** n)
         if n == 0:
             return self.field.one()
         return power(self, n)
@@ -563,16 +512,14 @@ class FieldElement:
             a, b = self._pair(other)
         except (FieldMismatch, TypeError):
             return NotImplemented
-        return a.field == b.field and a.coords == b.coords
+        return a.nums == b.nums and a.den == b.den
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash((self.field, self.nums, self.den))
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        if self.field.degree == 1 or self.is_rational():
-            return str(self.coords[0])
+        if self.is_rational():
+            return str(self.as_fraction())
         return format_terms(reversed(power_terms(self.coords, self.field.gen_name)))
 
     def __repr__(self):
@@ -580,13 +527,6 @@ class FieldElement:
 
 
 QQ = NumberField([0, 1], gen="theta")
-
-
-def field_from_string(text: str) -> NumberField:
-    if text.strip() == "QQ":
-        return QQ
-    coeffs, gen = parse_minpoly(text)
-    return NumberField(coeffs, gen=gen)
 
 
 def rationals(values, what: str) -> list[Fraction]:

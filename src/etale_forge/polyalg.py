@@ -4,18 +4,20 @@ A Poly is a term map {exponent vector: integer numerator tuple} over one
 positive common denominator `den`, an ordered tuple of variable names and
 one coefficient field shared by all terms.  The coefficient of a term is
 its numerator tuple divided by den, read as coordinates in the field's power
-basis 1, theta, ..., theta^(deg - 1) (numfield.split and join convert to and
-from the Fractions a FieldElement keeps in `coords`).  The ring operations
-run on Python ints: they add numerators coordinatewise after bringing two
-denominators to their lcm, and multiply and invert them with NumberField.mul
-and NumberField.inv, so neither a Fraction nor a FieldElement is built per
-term.  The constructor divides out gcd(den, all numerators), one gcd pass
-per operation, so the representation is canonical: den is coprime to the
-numerators, den is 1 for the zero Poly, and zero terms are never stored.
-FieldElement is the type at the boundary: the coefficient queries, evaluate
-and Poly.constant take or return FieldElements.  Operands over two fields,
-and a Poly times an int, Fraction or FieldElement, meet in the field that
-numfield.common_field gives.
+basis 1, theta, ..., theta^(deg - 1): the format of a FieldElement, which
+holds one such tuple over its own denominator, so the two pass
+(numerators, denominator) pairs to each other unchanged.  The ring
+operations run on Python ints: they add numerators coordinatewise after
+bringing two denominators to their lcm, and multiply and invert them with
+NumberField.mul and NumberField.inv, so neither a Fraction nor a
+FieldElement is built per term.  The constructor divides out gcd(den, all
+numerators), one gcd pass per operation, so the representation is
+canonical: den is coprime to the numerators, den is 1 for the zero Poly,
+and zero terms are never stored.  FieldElement is the type at the
+boundary: the coefficient queries, evaluate and Poly.constant take or
+return FieldElements.  Operands over two fields, and a Poly times an int,
+Fraction or FieldElement, meet in the field that numfield.common_field
+gives.
 
 The monomial order is lexicographic in the variable order, so exponent
 tuples compare directly.  Degrees in this project stay small (a few hundred
@@ -30,7 +32,7 @@ from math import gcd, lcm
 from operator import add, neg, sub
 
 from .numfield import (QQ, FieldElement, FieldMismatch, Ints, NumberField,
-                       common_field, join, power, split)
+                       common_field, power)
 
 
 class ArityError(ValueError):
@@ -84,8 +86,7 @@ class Poly:
         c = value if isinstance(value, FieldElement) else field.elem(value)
         if c.is_zero():
             return Poly(c.field, tuple(variables), {})
-        nums, den = split(c.coords)
-        return Poly(c.field, tuple(variables), {(0,) * len(variables): nums}, den)
+        return Poly(c.field, tuple(variables), {(0,) * len(variables): c.nums}, c.den)
 
     @staticmethod
     def variable(name: str, field: NumberField = QQ,
@@ -105,7 +106,7 @@ class Poly:
         return all(all(e == 0 for e in k) for k in self.terms)
 
     def _coeff(self, nums: Ints) -> FieldElement:
-        return FieldElement(self.field, join(nums, self.den))
+        return FieldElement(self.field, nums, self.den)
 
     def constant_coeff(self) -> FieldElement:
         c = self.terms.get((0,) * len(self.variables))
@@ -333,13 +334,14 @@ class Poly:
         field = common_field(self.field, *(x.field for x in values.values()
                                            if isinstance(x, FieldElement)))
         p = self.with_field(field)
+        values = {v: field.coerce(x) for v, x in values.items()}
         one = ((1,) + (0,) * (field.degree - 1), 1)
         powers = []
         for v in p.variables:
             x = values.get(v)
             if x is None and p.degree_in(v) > 0:
                 raise ValueError(f"no value for variable {v}")
-            powers.append([one] if x is None else [one, split(field.coerce(x).coords)])
+            powers.append([one] if x is None else [one, (x.nums, x.den)])
         mul, fd = field.mul, field.den
         num, den = (0,) * field.degree, 1
         for k, c in p.terms.items():
@@ -353,7 +355,7 @@ class Poly:
             m = lcm(den, td)
             num = tuple(a * (m // den) + b * (m // td) for a, b in zip(num, t))
             den = m
-        return FieldElement(field, join(num, den * p.den))
+        return FieldElement(field, num, den * p.den)
 
     def substitute(self, mapping: dict[str, "Poly"]) -> "Poly":
         """Replace variables by polynomials (unmentioned ones stay).

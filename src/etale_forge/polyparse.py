@@ -14,6 +14,10 @@ variables or the generator of the coefficient field ("theta", "zeta", ...).
 A power whose degree would exceed MAX_DEGREE, or whose dense term count
 would exceed MAX_TERMS, is rejected before it is expanded; a constant counts
 as degree one there, so its exponent is bounded too.
+
+A field is written "QQ" or as its monic minimal polynomial in one generator
+symbol, under the same grammar and bounds (field_from_string, field_name);
+its degree is bounded by MAX_FIELD_DEGREE.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numfield import QQ, NumberField, format_terms, join, power_terms
+from .numfield import QQ, FieldElement, NumberField, format_terms, power_terms
 from .polyalg import Poly
 
 # Above every degree this project parses (at most 30 in the fixtures, the
@@ -34,6 +38,12 @@ MAX_DEGREE = 1000
 # report's printed family formulas) and low enough that the largest allowed
 # power expands in seconds ((1+x+y)^87, 3916 terms: 7.9 s on a 2-vCPU Xeon).
 MAX_TERMS = 4000
+# Bounds the degree of a field read from text or a candidates file.  It
+# admits Q(zeta_17), so the documents `construct cyclic-galois` writes for
+# k <= 17 read back, and keeps one NumberField.inv (n + 1 Bareiss
+# determinants of size n) of a small element near 5 ms; at degree 100 one
+# inverse takes seconds.
+MAX_FIELD_DEGREE = 16
 
 
 class PolyParseError(ValueError):
@@ -97,6 +107,11 @@ def _tokenize(text: str):
     return tokens
 
 
+def _shown(tok) -> str:
+    """A token as error messages name it."""
+    return "end of input" if tok[0] == "EOF" else repr(tok[1])
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -113,7 +128,7 @@ class _Parser:
     def expect(self, kind: str):
         tok = self.advance()
         if tok[0] != kind:
-            raise PolyParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise PolyParseError(f"expected {kind!r}, found {_shown(tok)}", tok[2])
         return tok
 
     def parse(self) -> ExprAST:
@@ -154,7 +169,7 @@ class _Parser:
             if etok[0] == "-":
                 raise NonIntegerExponent("exponent must be nonnegative", etok[2])
             if etok[0] != "INT":
-                raise PolyParseError(f"expected integer exponent, found {etok[1]!r}",
+                raise PolyParseError(f"expected integer exponent, found {_shown(etok)}",
                                      etok[2])
             self.advance()
             if self.peek()[0] == "/":
@@ -179,7 +194,7 @@ class _Parser:
             inner = self.expr()
             self.expect(")")
             return ExprAST("paren", (inner,), position=tok[2])
-        raise PolyParseError(f"unexpected {tok[1]!r}", tok[2])
+        raise PolyParseError(f"unexpected {_shown(tok)}", tok[2])
 
 
 def parse_expr(text: str) -> ExprAST:
@@ -228,6 +243,29 @@ def parse_poly(text: str, vars, field: NumberField = QQ) -> Poly:
     return _ast_to_poly(parse_expr(text), tuple(vars), field)
 
 
+def field_from_string(text: str) -> NumberField:
+    """The field that text names: "QQ", or a monic minimal polynomial in
+    one generator symbol of degree at most MAX_FIELD_DEGREE."""
+    if text.strip() == "QQ":
+        return QQ
+    names = {value for kind, value, _ in _tokenize(text) if kind == "SYM"}
+    if len(names) != 1:
+        raise ValueError("field text needs exactly one generator symbol, "
+                         f"found {len(names)}")
+    (gen,) = names
+    m = parse_poly(text, (gen,), QQ)
+    if m.total_degree() > MAX_FIELD_DEGREE:
+        raise ValueError(f"field of degree {m.total_degree()} exceeds the "
+                         f"bound {MAX_FIELD_DEGREE}")
+    return NumberField([c.as_fraction() for c in m.univariate_coeffs()], gen=gen)
+
+
+def field_name(field: NumberField) -> str:
+    """The text form field_from_string reads back: "QQ" for every
+    degree-one field, else the minimal polynomial."""
+    return "QQ" if field == QQ else field.minpoly_str()
+
+
 # -- printing ----------------------------------------------------------------
 
 
@@ -250,11 +288,11 @@ def print_poly(p: Poly) -> str:
     """
     terms = []
     for exps in sorted(p.terms, reverse=True):
-        c = join(p.terms[exps], p.den)
+        c = FieldElement(p.field, p.terms[exps], p.den)
         mono = _format_monomial(p.variables, exps)
-        if not any(c[1:]):
-            terms.append((mono, c[0]))
+        if c.is_rational():
+            terms.append((mono, c.as_fraction()))
         else:
-            coeff = "(" + format_terms(power_terms(c, p.field.gen_name)) + ")"
+            coeff = "(" + format_terms(power_terms(c.coords, p.field.gen_name)) + ")"
             terms.append((f"{coeff}*{mono}" if mono else coeff, 1))
     return format_terms(terms)

@@ -30,9 +30,9 @@ from .endo import (BuildResult, EtaleParams, SurfaceMap, apply_map,
 from .family import (FamilySpec, covering, ec_equivalent, family_member,
                      family_member_symbolic, family_pairwise_distinct, theta)
 from .miyanishi import MiyParams, miy_lift_check
-from .numfield import QQ, NumberField, cyclotomic_field, field_from_string
+from .numfield import QQ, NumberField, cyclotomic_field
 from .polyalg import Poly, compose, divmod_poly, variables
-from .polyparse import parse_poly, print_poly
+from .polyparse import field_from_string, parse_poly, print_poly
 from .surface import SurfacePoint, hyper_surface, normal_form, tilde_surface
 
 def default_fixture_dir() -> Path:

@@ -8,10 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from etale_forge.polyparse import MAX_DEGREE
+from etale_forge.polyparse import MAX_DEGREE, MAX_FIELD_DEGREE
 from etale_forge.reproduce import default_fixture_dir
 
 CLI = [sys.executable, "-m", "etale_forge.cli"]
+# a field of the degree just above MAX_FIELD_DEGREE, as text and as a
+# constant-first coefficient list
+FIELD_TOO_BIG = f"theta^{MAX_FIELD_DEGREE + 1} + theta + 1"
+MINPOLY_TOO_BIG = [1, 1] + [0] * (MAX_FIELD_DEGREE - 1) + [1]
 GOLDEN = Path(__file__).parent / "golden" / "reproduce_paper.json"
 
 
@@ -177,11 +181,23 @@ def test_usage_errors_exit_one():
     (["construct", "chebyshev", "--d", "3", "--lam", "1/0"], {}, "--lam"),
     (["construct", "chebyshev", "--d", str(MAX_DEGREE + 1)], {}, "--d"),
     (["chebyshev", "T", "--n", str(MAX_DEGREE + 1)], {}, "--n"),
+    (["shabat", "extract", "--poly", "t", "--field", FIELD_TOO_BIG], {},
+     f"bound {MAX_FIELD_DEGREE}"),
+    (["verify-endo", "--params", "TMP/p.json"],
+     {"p.json": json.dumps({"k": 2, "r": 2, "a": 1, "alpha": 0, "d": 2,
+                            "field": FIELD_TOO_BIG, "lambda": ["1"],
+                            "R0": "4", "R1": "1", "R2": "1"})},
+     f"bound {MAX_FIELD_DEGREE}"),
+    (["construct", "kr32", "--d0", "2", "--candidates", "TMP/c.json"],
+     {"c.json": json.dumps({"candidates": [{"minpoly": MINPOLY_TOO_BIG,
+                                            "a1": [1], "a2": [1]}]})},
+     f"bound {MAX_FIELD_DEGREE}"),
 ], ids=["other-fixture", "missing-field", "not-an-object", "avecs-not-nested",
         "avec-not-a-list", "profile-missing-field", "profile-not-an-object",
         "profile-partition-not-int", "candidates-not-an-object",
         "candidate-missing-a1", "lam-zero-denominator", "d-above-cap",
-        "n-above-cap"])
+        "n-above-cap", "field-text-above-cap", "document-field-above-cap",
+        "candidate-minpoly-above-cap"])
 def test_malformed_input_is_one_error_line(tmp_path, argv, docs, names):
     for name, text in docs.items():
         (tmp_path / name).write_text(text)

@@ -16,7 +16,7 @@ from etale_forge.endo import (CertificateRequired, ChartDegenerate,
                               jacobian_det_at, jacobian_spotcheck, make_map,
                               map_from_json, map_to_json, maps_equal,
                               params_from_json, zk_compatible, zk_to_t)
-from etale_forge.numfield import QQ, FieldElement, NumberField, join
+from etale_forge.numfield import QQ, FieldElement, NumberField
 from etale_forge.polyalg import Poly, compose, variables
 from etale_forge.surface import (SurfacePoint, hyper_surface, normal_form,
                                  tilde_surface)
@@ -163,7 +163,7 @@ def _zk_to_t_per_term(q, k):
     t = Poly.variable("t", q.field)
     out = Poly.zero(q.field, ("t",))
     for (e,), c in q.terms.items():
-        out = out + Poly.constant(FieldElement(q.field, join(c, q.den)),
+        out = out + Poly.constant(FieldElement(q.field, c, q.den),
                                   q.field, ("t",)) * (1 - t) ** (e // k)
     return out
 

@@ -4,7 +4,7 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from etale_forge import numfield
@@ -12,9 +12,16 @@ from etale_forge.endo import SurfaceMap
 from etale_forge.numfield import (QQ, DivisionByZero, FieldElement,
                                   FieldMismatch, NumberField,
                                   ReduciblePolynomial, cyclotomic_field,
-                                  field_from_string, rational_roots)
+                                  rational_roots)
 from etale_forge.polyalg import Poly
+from etale_forge.polyparse import field_from_string, field_name
 from etale_forge.surface import tilde_surface
+
+try:
+    import sympy
+except ImportError:
+    sympy = None
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 
 F_SQRT_M2 = NumberField([2, 0, 1])          # theta^2 + 2
 F_ZETA3 = cyclotomic_field(3)
@@ -56,8 +63,8 @@ def test_field_mismatch():
 
 # the rule for combining fields, written out: COMMON[i][j] is where an
 # operation with left operand over TABLE[i] and right operand over TABLE[j]
-# lands; a degree-one field yields to an extension, the left one wins between
-# two degree-one fields, and None marks two distinct extensions
+# lands; a degree-one field yields to an extension, two degree-one fields
+# are both Q and compare equal, and None marks two distinct extensions
 TABLE = (QQ, F_THETA3, F_SQRT_M2, F_ZETA3)
 COMMON = (
     (QQ, QQ, F_SQRT_M2, F_ZETA3),
@@ -103,6 +110,20 @@ def test_every_operation_lands_in_the_table_field(i, j):
     # a map's field starts from QQ, so it is QQ unless a coordinate lies
     # over an extension
     assert surface_map.field == (QQ if want.degree == 1 else want)
+
+
+def test_degree_one_fields_are_one_field():
+    # every degree-one field is Q: equal values hash equal, and a reflected
+    # operator lands on a value equal to, and hashing like, the unreflected one
+    assert F_THETA3 == QQ and hash(F_THETA3) == hash(QQ)
+    assert len({F_THETA3.elem(1), QQ.elem(1)}) == 1
+    assert len({Poly.constant(1, F_THETA3, ("x",)), Poly.constant(1, QQ, ("x",))}) == 1
+    x, two = Poly.variable("x", QQ), Poly.constant(2, F_THETA3, ("x",))
+    for reflected, unreflected in ((F_THETA3.elem(2) * x, two * x),
+                                   (F_THETA3.elem(2) + x, two + x),
+                                   (F_THETA3.elem(2) - x, two - x)):
+        assert reflected == unreflected
+        assert hash(reflected) == hash(unreflected)
 
 
 def test_cyclotomic_small_cases():
@@ -337,3 +358,56 @@ def test_inverse_matches_sympy_algebraic_field(field, generator, data):
     want += [0] * (field.degree - len(want))
     assert a.inverse().coords == tuple(
         Fraction(int(c.numerator), int(c.denominator)) for c in want)
+
+
+# -- the remaining helpers against sympy ------------------------------------------
+
+def _monic(min_degree, max_degree):
+    """Monic rational polynomials as constant-first coefficient lists."""
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    return st.integers(min_degree, max_degree).flatmap(
+        lambda n: st.lists(coeff, min_size=n, max_size=n)).map(lambda c: c + [Fraction(1)])
+
+
+def _product(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _sympy_irreducible(coeffs):
+    x = sympy.Symbol("x")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], x, domain="QQ").is_irreducible
+
+
+@needs_sympy
+def test_cyclotomic_minpoly_matches_sympy():
+    x = sympy.Symbol("x")
+    for k in range(1, 31):
+        want = sympy.Poly(sympy.cyclotomic_poly(k, x), x).all_coeffs()[::-1]
+        assert list(cyclotomic_field(k).minpoly) == [Fraction(int(c)) for c in want], k
+
+
+@needs_sympy
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.one_of(_monic(2, 4), st.tuples(_monic(1, 2), _monic(1, 2)).map(
+    lambda ab: _product(*ab))))
+@example(coeffs=[1, 1, 2, 1, 1])      # (x^2 + 1)(x^2 + x + 1): cubic term nonzero
+def test_irreducibility_gate_matches_sympy(coeffs):
+    if _sympy_irreducible(coeffs):
+        assert NumberField(coeffs).irreducibility == "verified"
+    else:
+        with pytest.raises(ReduciblePolynomial):
+            NumberField(coeffs)
+
+
+@needs_sympy
+@settings(max_examples=100, deadline=None)
+@given(coeffs=_monic(1, 6), gen=st.sampled_from(["theta", "zeta", "a", "w_1"]))
+def test_field_text_round_trip(coeffs, gen):
+    assume(_sympy_irreducible(coeffs))
+    field = NumberField(coeffs, gen=gen)
+    assert field_from_string(field_name(field)) == field

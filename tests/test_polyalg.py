@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U
 from etale_forge.numfield import (QQ, FieldElement, FieldMismatch,
-                                  NumberField, cyclotomic_field, join, split)
+                                  NumberField, cyclotomic_field)
 from etale_forge.polyalg import (ArityError, NotDivisible, Poly, compose,
                                  divmod_poly, exact_div, gcd_univariate,
                                  monic, multiplicity_profile,
@@ -21,7 +21,7 @@ X = Poly.variable("x", QQ)
 def _from_coeffs(field, names, coeffs):
     """The Poly with coefficients {exponent vector: FieldElement}: their
     numerators over one common denominator."""
-    parts = {k: split(c.coords) for k, c in coeffs.items() if not c.is_zero()}
+    parts = {k: (c.nums, c.den) for k, c in coeffs.items() if not c.is_zero()}
     den = math.lcm(1, *(d for _, d in parts.values()))
     return Poly(field, tuple(names),
                 {k: tuple(x * (den // d) for x in n) for k, (n, d) in parts.items()},
@@ -30,7 +30,7 @@ def _from_coeffs(field, names, coeffs):
 
 def _coeffs(p):
     """{exponent vector: FieldElement} of p."""
-    return {k: FieldElement(p.field, join(c, p.den)) for k, c in p.terms.items()}
+    return {k: FieldElement(p.field, c, p.den) for k, c in p.terms.items()}
 
 
 NONZERO = st.fractions(min_value=-20, max_value=20,

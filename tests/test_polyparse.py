@@ -11,8 +11,8 @@ from etale_forge.chebyshab import chebyshev_T
 from etale_forge.numfield import QQ, NumberField, cyclotomic_field
 from etale_forge.polyalg import Poly
 from etale_forge.polyparse import (MAX_DEGREE, MAX_TERMS, NonIntegerExponent,
-                                   PolyParseError, UnknownSymbol, parse_poly,
-                                   print_poly)
+                                   PolyParseError, UnknownSymbol,
+                                   field_from_string, parse_poly, print_poly)
 
 F_SQRT_M2 = NumberField([2, 0, 1])
 
@@ -59,6 +59,20 @@ def test_non_integer_exponents():
         parse_poly("x^1/2", ["x"])
     with pytest.raises(PolyParseError):
         parse_poly("x^(2)", ["x"])
+
+
+def test_end_of_input_is_named():
+    cases = (("t^2 +", "unexpected end of input (offset 5)"),
+             ("(t", "expected ')', found end of input (offset 2)"),
+             ("t^", "expected integer exponent, found end of input (offset 2)"))
+    for text, message in cases:
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, ["t"])
+        assert str(err.value) == message
+    # field text is read by the same grammar
+    with pytest.raises(PolyParseError) as err:
+        field_from_string("theta^2 +")
+    assert str(err.value) == "unexpected end of input (offset 9)"
 
 
 def test_error_positions_are_byte_offsets():
