@@ -71,6 +71,7 @@ def _cmd_verify_endo(args) -> int:
     payload = {"checks": cert.checks, "verdict": cert.verdict}
     if not cert.verdict:
         payload["failing"] = list(cert.failing())
+        payload["witness"] = cert.witness_json()
 
     def text(p):
         for name, ok in p["checks"].items():

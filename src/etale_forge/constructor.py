@@ -23,7 +23,7 @@ from .endo import (EtaleParams, SurfaceMap, etale_certificate, make_map,
 from .numfield import (QQ, FieldElement, NumberField, cyclotomic_field,
                        rational_roots)
 from .polyalg import (NotDivisible, Poly, compose, divmod_poly, exact_div,
-                      gcd_univariate, monic, variables)
+                      gcd_univariate, variables)
 from .surface import hyper_surface, tilde_surface
 
 
@@ -223,7 +223,7 @@ def solve_kr32(d0: int, candidates: list[dict] | None = None) -> list[EtaleParam
     """
     if d0 == 1:
         A, B = _kr32_condition_polys()
-        g = monic(gcd_univariate(A, B))
+        g = gcd_univariate(A, B)
         # strip the spurious a1 = 0 root coming from clearing denominators,
         # then peel remaining rational roots (degenerate normalizations are
         # rejected by the certificate); a quadratic condition must remain.

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .numfield import (QQ, FieldElement, NumberField, common_field,
                        json_fields, rationals)
-from .polyalg import Poly, compose, is_separable
+from .polyalg import Poly, compose, gcd_univariate
 from .surface import (SurfacePoint, SurfaceSpec, hyper_surface, normal_form,
                       relation_poly, tilde_surface, weight_of)
 
@@ -372,13 +372,35 @@ def ri_degrees(k: int, r: int, alpha: int, d: int) -> tuple[Fraction, Fraction, 
 
 @dataclass(frozen=True)
 class EtaleCertificate:
-    """Named exact checks; the verdict is their conjunction."""
+    """Named exact checks; the verdict is their conjunction.
+
+    witnesses maps a failing check to why it fails: C1_identity to the
+    residual lhs - rhs, C2_degrees to the expected (d0, d1, d2) and the
+    actual degrees of (R0, R1, R2), C3_separability to the repeated factor
+    gcd(f, f') of f = (1-t) R0 R1 R2.  C1_identity has no witness when its
+    exponent (1-alpha)r/k is not an integer; the other checks have none.
+    """
     params: EtaleParams
     checks: dict
     verdict: bool
+    witnesses: dict
 
     def failing(self) -> tuple[str, ...]:
         return tuple(name for name, ok in self.checks.items() if not ok)
+
+    def witness_json(self) -> dict:
+        """The witnesses with polynomials as text and degrees as rationals
+        in text."""
+        from .polyparse import print_poly
+        out = {}
+        for name, w in self.witnesses.items():
+            if isinstance(w, Poly):
+                out[name] = print_poly(w)
+            else:
+                expected, actual = w
+                out[name] = {"expected": [str(x) for x in expected],
+                             "actual": list(actual)}
+        return out
 
 
 def etale_certificate(p: EtaleParams) -> EtaleCertificate:
@@ -392,16 +414,17 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
     """
     field = p.field
     checks: dict[str, bool] = {}
+    witnesses: dict = {}
     kr_ok = p.alpha == 1 or (p.alpha == 0 and p.r % p.k == 0)
     checks["C5_alpha_kr"] = kr_ok and math.gcd(p.a, p.k) == 1 and \
         (p.alpha == 1 or p.a == 1)
 
-    d0, d1, d2 = ri_degrees(p.k, p.r, p.alpha, p.d)
-    ints_ok = all(x.denominator == 1 and x >= 0 for x in (d0, d1, d2))
-    checks["C2_degrees"] = ints_ok and (
-        p.R0.total_degree() == d0
-        and p.R1.total_degree() == d1
-        and p.R2.total_degree() == d2)
+    expected = ri_degrees(p.k, p.r, p.alpha, p.d)
+    actual = tuple(R.total_degree() for R in (p.R0, p.R1, p.R2))
+    checks["C2_degrees"] = all(x.denominator == 1 and x >= 0 for x in expected) \
+        and actual == expected
+    if not checks["C2_degrees"]:
+        witnesses["C2_degrees"] = (expected, actual)
 
     modulus = p.k * (p.r - 1)
     checks["C4_congruence"] = (p.d - (p.alpha + p.r * (1 - p.alpha))) % modulus == 0
@@ -414,16 +437,22 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
         lhs = t * (1 - t) ** exp * p.R0 * p.R2 ** p.r
         rhs = 1 - (1 - t) ** p.alpha * p.R1 ** p.k
         checks["C1_identity"] = lhs == rhs
+        if not checks["C1_identity"]:
+            witnesses["C1_identity"] = lhs - rhs
 
     sep_poly = (1 - t) * p.R0 * p.R1 * p.R2
-    checks["C3_separability"] = (not sep_poly.is_zero()) and is_separable(sep_poly)
+    repeated = gcd_univariate(sep_poly, sep_poly.derivative())
+    # gcd(0, 0) is 0, of degree -1: the zero polynomial is not separable
+    checks["C3_separability"] = repeated.total_degree() == 0
+    if not checks["C3_separability"]:
+        witnesses["C3_separability"] = repeated
     one = field.one()
     checks["C3_normalization"] = (
         p.R1.constant_coeff() == one
         and p.R2.constant_coeff() == one
         and not p.R0.constant_coeff().is_zero())
 
-    return EtaleCertificate(p, checks, all(checks.values()))
+    return EtaleCertificate(p, checks, all(checks.values()), witnesses)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,14 @@ return FieldElements.  Operands over two fields, and a Poly times an int,
 Fraction or FieldElement, meet in the field that numfield.common_field
 gives.
 
+gcd_univariate is Euclid on dense lists of a univariate Poly's integer
+numerators (ints over a degree-one field, coordinate tuples otherwise),
+constant term first, without den, since a gcd ignores scalars.  It takes
+pseudo-remainders with NumberField.mul and divides each by the gcd of all
+its integer numerators (over QQ the primitive remainder sequence), so
+every step is exact and stays in ints; the last nonzero remainder is made
+monic with one field inverse.  Yun's squarefree_decomposition builds on it.
+
 The monomial order is lexicographic in the variable order, so exponent
 tuples compare directly.  Degrees in this project stay small (a few hundred
 at most), so the representation favors clarity: dense exponent vectors,
@@ -479,15 +487,86 @@ def exact_div(a: Poly, b: Poly) -> Poly:
 
 
 def gcd_univariate(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of univariate polynomials over the coefficient field."""
+    """Monic gcd of univariate polynomials over the coefficient field.
+
+    The result has the variables and field of a._pair(b): the zero Poly
+    when both operands are zero, and the constant 1 when the gcd has degree
+    0.  Euclid runs on pseudo-remainders of dense numerator lists (see
+    _dense and _prem); only a gcd of positive degree needs a field inverse,
+    to make it monic.
+    """
     a, b = a._pair(b)
-    if not a.is_univariate() or not b.is_univariate():
-        raise ArityError("gcd requires univariate polynomials")
-    u0, u1 = a, b
-    while not u1.is_zero():
-        _, r = divmod_poly(u0, u1)
-        u0, u1 = u1, r
-    return monic(u0)
+    used = set(a.support_variables()).union(b.support_variables())
+    if len(used) > 1:
+        raise ArityError("gcd requires univariate polynomials in one variable")
+    field = a.field
+    f, g = _dense(a), _dense(b)
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, _prem(field, f, g)
+    if not f:
+        return a
+    if len(f) == 1:
+        return Poly.constant(1, field, a.variables)
+    if field.degree == 1:
+        f = [(c,) for c in f]
+    inv, inv_den = field.inv(f[-1])
+    i = a.variables.index(used.pop())
+    terms = {}
+    for e, c in enumerate(f):
+        if any(c):
+            key = [0] * len(a.variables)
+            key[i] = e
+            terms[tuple(key)] = field.mul(c, inv)
+    return Poly(field, a.variables, terms, inv_den * field.den)
+
+
+def _dense(p: Poly) -> list:
+    """The coefficient numerators of a Poly in at most one variable,
+    constant term first, without p.den, which a gcd ignores: ints over a
+    degree-one field, integer coordinate tuples otherwise."""
+    rational = p.field.degree == 1
+    out = [0 if rational else (0,) * p.field.degree] * (p.total_degree() + 1)
+    for k, c in p.terms.items():
+        out[sum(k)] = c[0] if rational else c
+    return out
+
+
+def _prem(field: NumberField, u: list, v: list) -> list:
+    """The primitive part of a pseudo-remainder of u by v, for dense
+    numerator lists as _dense makes them with len(u) >= len(v) and a
+    nonzero top entry.
+
+    Each step cancels the top entry of r: r <- l*r - c*t^s*v, with l the
+    leading coefficient of v and c that of r, and ends by dividing out the
+    gcd of all integer numerators.  Both steps multiply r by a nonzero
+    constant, so the result is an exact scalar multiple of the remainder of
+    u by v over the field.  Over QQ, l and c are first divided by their
+    gcd, and the entries are plain ints, multiplied without
+    NumberField.mul (as in Poly.__mul__)."""
+    n = len(v) - 1
+    lv, head = v[-1], v[:-1]
+    r = u
+    if field.degree == 1:
+        while len(r) > n:
+            c, s = r[-1], len(r) - 1 - n
+            g = gcd(lv, c)
+            x, y = lv // g, c // g
+            r = [x * ri for ri in r[:s]] + [x * ri - y * vi for ri, vi in zip(r[s:-1], head)]
+            while r and not r[-1]:
+                r.pop()
+        g = gcd(*r)
+        return [ri // g for ri in r] if g > 1 else r
+    mul = field.mul
+    while len(r) > n:
+        c, s = r[-1], len(r) - 1 - n
+        r = [mul(lv, ri) for ri in r[:s]] + [tuple(map(sub, mul(lv, ri), mul(c, vi)))
+                                             for ri, vi in zip(r[s:-1], head)]
+        while r and not any(r[-1]):
+            r.pop()
+    g = gcd(*(x for ri in r for x in ri))
+    return [tuple(x // g for x in ri) for ri in r] if g > 1 else r
 
 
 def monic(p: Poly) -> Poly:
@@ -533,11 +612,6 @@ def squarefree_decomposition(p: Poly) -> list[MultiplicityFactor]:
         z = y - w.derivative()
         i += 1
     return out
-
-
-def is_separable(p: Poly) -> bool:
-    """gcd(p, p') is constant."""
-    return gcd_univariate(p, p.derivative()).total_degree() == 0
 
 
 def multiplicity_profile(phi: Poly, c) -> tuple[int, ...]:

@@ -7,7 +7,8 @@ from etale_forge.chebyshab import (MoreThanTwoCriticalValues,
                                    chebyshev_U, extract_profile,
                                    thom_feasible)
 from etale_forge.numfield import QQ
-from etale_forge.polyalg import Poly, compose
+from etale_forge.polyalg import Poly, compose, multiplicity_profile
+from etale_forge.polyparse import field_from_string, parse_poly
 
 X = Poly.variable("x", QQ)
 T = Poly.variable("t", QQ)
@@ -104,3 +105,13 @@ def test_extract_profile_feasibility_for_system_outputs():
     for n in range(2, 8):
         prof = extract_profile(chebyshev_shabat(n))
         assert thom_feasible(prof).feasible
+
+
+def test_extract_profile_over_a_degree_16_field():
+    field = field_from_string("theta^16 + theta + 1")
+    phi = parse_poly("t^8 + theta^5*t^5 + theta^15*t^2 + t", ("t",), field)
+    assert extract_profile(phi) == MoreThanTwoCriticalValues(16, 9)
+    # repeated factors over the same field: Yun's gcds have positive degree
+    t, theta = Poly.variable("t", field), field.gen()
+    psi = t * (t - theta) ** 2 * (t ** 2 + theta ** 5) ** 3
+    assert multiplicity_profile(psi, 0) == (3, 3, 2, 1)

@@ -86,6 +86,11 @@ def test_verify_endo_fixture_and_tampered(tmp_path):
     payload = json.loads(res.stdout)
     assert payload["verdict"] is False
     assert "C1_identity" in payload["failing"]
+    assert payload["witness"] == {
+        "C1_identity": "-4*t^4 - 4*t^3 + 8*t^2",
+        "C2_degrees": {"expected": ["0", "1", "0"], "actual": [0, 1, 1]}}
+    res = run_cli("verify-endo", "--params", str(fixture), "--json")
+    assert "witness" not in json.loads(res.stdout)
 
 
 def test_seed_flag_is_a_usage_error():

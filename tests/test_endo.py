@@ -1,5 +1,6 @@
 """Surface maps, equivariance, degrees, the certificate, the Jacobian oracle."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from etale_forge.endo import (CertificateRequired, ChartDegenerate,
                               map_from_json, map_to_json, maps_equal,
                               params_from_json, zk_compatible, zk_to_t)
 from etale_forge.numfield import QQ, FieldElement, NumberField
-from etale_forge.polyalg import Poly, compose, variables
+from etale_forge.polyalg import Poly, compose, monic, variables
+from etale_forge.reproduce import default_fixture_dir
 from etale_forge.surface import (SurfacePoint, hyper_surface, normal_form,
                                  tilde_surface)
 
@@ -233,6 +235,32 @@ def test_certificate_catches_each_condition():
     p = EtaleParams(k=3, r=2, a=1, alpha=0, d=2, lam=QQ.elem(1),
                     R0=Poly.constant(1, QQ, ("t",)), R1=1 - T, R2=1)
     assert "C5_alpha_kr" in etale_certificate(p).failing()
+
+
+def test_certificate_witnesses_of_c1_and_c2():
+    base = dict(k=2, r=2, a=1, alpha=1, d=3, lam=QQ.elem(3))
+    good = etale_certificate(EtaleParams(**base, R0=Poly.constant(9, QQ, ("t",)),
+                                         R1=1 - 4 * T, R2=1 - Fraction(4, 3) * T))
+    assert good.witnesses == {}
+    R0, R1, R2 = 9 + 9 * T, 1 - 4 * T, 1 - Fraction(4, 3) * T
+    cert = etale_certificate(EtaleParams(**base, R0=R0, R1=R1, R2=R2))
+    assert cert.failing() == ("C2_degrees", "C1_identity")
+    assert cert.witnesses["C2_degrees"] == ((0, 1, 1), (1, 1, 1))
+    assert cert.witnesses["C1_identity"] == T * R0 * R2 ** 2 - (1 - (1 - T) * R1 ** 2)
+    assert cert.witness_json()["C2_degrees"] == {"expected": ["0", "1", "1"],
+                                                 "actual": [1, 1, 1]}
+
+
+@pytest.mark.parametrize("fixture,field", [("cheb_d5.json", QQ),
+                                           ("kr32_d01_plus.json", NumberField([2, 0, 1]))])
+def test_certificate_c3_witness_is_the_repeated_factor(fixture, field):
+    doc = json.loads((default_fixture_dir() / fixture).read_text())["params"]
+    doc["R2"] = doc["R1"]            # (1-t)*R0*R1*R2 now has the factor R1 twice
+    p = params_from_json(doc)
+    assert p.field == field
+    cert = etale_certificate(p)
+    assert "C3_separability" in cert.failing()
+    assert cert.witnesses["C3_separability"] == monic(p.R1)
 
 
 def test_params_validation():

@@ -262,6 +262,20 @@ def test_gcd_matches_sympy(field, names, data):
 
 
 @pytest.mark.parametrize("field,names", UNIVARIATE)
+def test_gcd_long_remainder_sequences_match_sympy(field, names):
+    # T_n - c against its derivative runs Euclid through n remainders; for
+    # c = +-1 the gcd has degree about n/2, for the other c it is 1
+    to_sympy, sympy = _sympy_ring(field, names)
+    constants = [0, 1, -1, Fraction(1, 2)] + ([field.gen()] if field.degree > 1 else [])
+    for n in range(2, 16):
+        for c in constants:
+            p = chebyshev_T(n).with_field(field) - c
+            dp = p.derivative()
+            assert (to_sympy(gcd_univariate(p, dp))
+                    == sympy.gcd(to_sympy(p), to_sympy(dp))), (n, c)
+
+
+@pytest.mark.parametrize("field,names", UNIVARIATE)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_squarefree_matches_sympy_sqf_list(field, names, data):
@@ -458,3 +472,21 @@ def test_kernel_matches_fraction_reference(field, names, data):
     assert lifted.field == field
     _checked(lifted, {k: c + (Fraction(0),) * (field.degree - 1)
                       for k, c in rational.items()})
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_gcd_zero_and_constant_operands(field):
+    x = Poly.variable("x", field)
+    a = 3 * (x - 2) * (x + 1)
+    zero, five = Poly.zero(field, ("x",)), Poly.constant(5, field, ("x",))
+    one = Poly.constant(1, field, ("x",))
+    for u, v, want in [(zero, a, monic(a)), (a, zero, monic(a)), (zero, zero, zero),
+                       (five, a, one), (a, five, one), (zero, five, one)]:
+        g = gcd_univariate(u, v)
+        assert g == want and g.variables == ("x",) and g.field == field
+        assert _ref_of(g) == _ref_gcd(field, _ref_of(u), _ref_of(v))
+    # a variable-free or int operand takes the variables of the other
+    assert gcd_univariate(Poly.constant(5, field), a).variables == ("x",)
+    assert gcd_univariate(a, 5) == one
+    with pytest.raises(ArityError):
+        gcd_univariate(*variables("x,y", field))
