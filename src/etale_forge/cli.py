@@ -26,8 +26,8 @@ from .family import FamilySpec, ec_equivalent, family_member, family_pairwise_di
 from .miyanishi import (BadB, MiyParams, UnsupportedN, miy_b_find, miy_eta0,
                         miy_lift_check)
 from .numfield import QQ, json_fields, rationals
-from .polyparse import (MAX_DEGREE, MAX_FIELD_DEGREE, PolyParseError,
-                        field_from_string, field_name, parse_poly, print_poly)
+from .polyparse import (MAX_DEGREE, MAX_FIELD_DEGREE, field_from_string,
+                        field_name, parse_poly, print_poly)
 from .reproduce import default_fixture_dir, reproduce_paper
 
 EXIT_OK = 0
@@ -245,110 +245,96 @@ def _cmd_reproduce(args) -> int:
     return EXIT_OK if report["all_pass"] else EXIT_FALSE
 
 
-def _common_flags(parser, suppress: bool) -> None:
-    # the same flags are legal both before and after the subcommand; the
-    # after-position copies use SUPPRESS so they never clobber parsed values
-    out_default = argparse.SUPPRESS if suppress else "text"
-    parser.add_argument("--output", choices=["json", "text"],
-                        default=out_default)
-    parser.add_argument("--json", dest="output", action="store_const",
+def build_parser() -> _Parser:
+    # --output and --json are legal both before and after the subcommand;
+    # their SUPPRESS defaults keep the subcommand's parser from clobbering
+    # an earlier value, and run() starts from output "text"
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--output", choices=["json", "text"],
+                        default=argparse.SUPPRESS)
+    common.add_argument("--json", dest="output", action="store_const",
                         const="json", default=argparse.SUPPRESS,
                         help="shorthand for --output json")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="etale-forge",
+    parser = _Parser(prog="etale-forge", parents=[common],
                      description="Exact certificates and constructions for "
                                  "torus-equivariant etale endomorphisms of "
                                  "pseudo-planes.")
-    _common_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-endo", help="evaluate the etale certificate")
+    p = sub.add_parser("verify-endo", parents=[common],
+                       help="evaluate the etale certificate")
     p.add_argument("--params", required=True, help="EtaleParams JSON file")
     p.set_defaults(fn=_cmd_verify_endo)
-    _common_flags(p, suppress=True)
 
     p = sub.add_parser("construct", help="closed-form families")
     ps = p.add_subparsers(dest="what", required=True)
-    c = ps.add_parser("chebyshev")
+    c = ps.add_parser("chebyshev", parents=[common])
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--lam", default="1", help="rational lambda (default 1)")
     c.add_argument("--with-map", action="store_true")
-    _common_flags(c, suppress=True)
-    c = ps.add_parser("cyclic-galois")
+    c = ps.add_parser("cyclic-galois", parents=[common])
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--eps", type=int, default=1, help="power of the primitive root")
-    _common_flags(c, suppress=True)
-    c = ps.add_parser("kr32")
+    c = ps.add_parser("kr32", parents=[common])
     c.add_argument("--d0", type=int, choices=(1, 2), required=True)
     c.add_argument("--candidates", help="JSON file with candidate (a1, a2) pairs")
-    _common_flags(c, suppress=True)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("family", help="deformation families")
     ps = p.add_subparsers(dest="what", required=True)
-    c = ps.add_parser("gen")
+    c = ps.add_parser("gen", parents=[common])
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--rbar", type=int, required=True)
     c.add_argument("--avec", required=True, help='JSON list, e.g. "[1, 2]"')
     c.add_argument("--base", help="base EtaleParams JSON file (default: cyclic Galois)")
-    _common_flags(c, suppress=True)
-    c = ps.add_parser("equiv")
+    c = ps.add_parser("equiv", parents=[common])
     c.add_argument("--f1", required=True)
     c.add_argument("--f2", required=True)
     c.add_argument("--r", type=int, required=True)
     c.add_argument("--field", help="minimal polynomial, e.g. 'theta^2 + 2'")
-    _common_flags(c, suppress=True)
-    c = ps.add_parser("distinct")
+    c = ps.add_parser("distinct", parents=[common])
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--rbar", type=int, required=True)
     c.add_argument("--avecs", required=True, help="JSON list of a-vectors")
     c.add_argument("--base")
-    _common_flags(c, suppress=True)
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("miyanishi", help="plane endomorphisms lifting to "
                                          "Miyanishi's surface")
     ps = p.add_subparsers(dest="what", required=True)
-    c = ps.add_parser("check")
+    c = ps.add_parser("check", parents=[common])
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--b", required=True)
     c.add_argument("--field")
-    _common_flags(c, suppress=True)
-    c = ps.add_parser("find-b")
+    c = ps.add_parser("find-b", parents=[common])
     c.add_argument("--n", type=int, required=True)
-    _common_flags(c, suppress=True)
-    c = ps.add_parser("eta0")
+    c = ps.add_parser("eta0", parents=[common])
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--b", required=True)
     c.add_argument("--field")
-    _common_flags(c, suppress=True)
     p.set_defaults(fn=_cmd_miyanishi)
 
-    p = sub.add_parser("chebyshev", help="generate T_n or U_n")
+    p = sub.add_parser("chebyshev", parents=[common],
+                       help="generate T_n or U_n")
     p.add_argument("kind", choices=["T", "U"])
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=_cmd_chebyshev)
-    _common_flags(p, suppress=True)
 
     p = sub.add_parser("shabat", help="ramification profiles")
     ps = p.add_subparsers(dest="what", required=True)
-    c = ps.add_parser("check-profile")
+    c = ps.add_parser("check-profile", parents=[common])
     c.add_argument("profile", help="JSON text or @file")
-    _common_flags(c, suppress=True)
-    c = ps.add_parser("extract")
+    c = ps.add_parser("extract", parents=[common])
     c.add_argument("--poly", required=True, help="polynomial in t")
     c.add_argument("--field")
-    _common_flags(c, suppress=True)
     p.set_defaults(fn=_cmd_shabat)
 
-    p = sub.add_parser("reproduce-paper", help="run the full verification report")
+    p = sub.add_parser("reproduce-paper", parents=[common],
+                       help="run the full verification report")
     p.add_argument("--fixture-dir")
     p.add_argument("--timings", action="store_true",
                    help="write 'name seconds' per item and the total to stderr")
     p.set_defaults(fn=_cmd_reproduce)
-    _common_flags(p, suppress=True)
 
     return parser
 
@@ -356,13 +342,12 @@ def build_parser() -> _Parser:
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(output="text"))
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
-    except (PolyParseError, InfeasibleDegree, ValueError, OSError,
-            json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FALSE if isinstance(err, InfeasibleDegree) else EXIT_USAGE
 

@@ -106,47 +106,55 @@ def _det(rows: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _value(c: list[int], x: int) -> int:
+    acc = 0
+    for coef in reversed(c):
+        acc = acc * x + coef
+    return acc
+
+
+def _root_cells(c: list[int]) -> set[int]:
+    """Integers k such that every real root of the integer polynomial c
+    (constant term first) lies in some [k, k + 1].  Between the cells of
+    its turning points, found by the same routine on the derivative, c is
+    monotone, and integer bisection finds the cell of its one root there; a
+    cell that holds a turning point may hold two roots and is kept whole."""
+    if len(c) <= 1:
+        return set()
+    turning = _root_cells([i * a for i, a in enumerate(c)][1:])
+    bound = 2 + max(abs(a) for a in c[:-1]) // abs(c[-1])   # Cauchy's bound
+    cells = set(turning)
+    ends = sorted({-bound, bound} | turning | {k + 1 for k in turning})
+    for lo, hi in zip(ends, ends[1:]):
+        vlo = _value(c, lo)
+        if vlo * _value(c, hi) > 0:
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _value(c, mid) * vlo > 0:
+                lo = mid
+            else:
+                hi = mid
+        cells.add(lo)
+    return cells
 
 
 def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots of the polynomial with the given Q-coefficients."""
+    """All rational roots, ascending, of the polynomial with the given
+    Q-coefficients (constant term first)."""
     c = _trim(list(coeffs))
     if len(c) <= 1:
         return []
-    # strip powers of x
-    shift = 0
-    while c[shift] == 0:
-        shift += 1
-    roots = [Fraction(0)] if shift else []
-    c = c[shift:]
-    if len(c) <= 1:
-        return roots
     den = math.lcm(*[f.denominator for f in c])
-    ints = [int(f * den) for f in c]
-    g = math.gcd(*ints)
-    ints = [i // g for i in ints]
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                acc = Fraction(0)
-                for coef in reversed(ints):
-                    acc = acc * cand + coef
-                if acc == 0:
-                    roots.append(cand)
-    return sorted(roots)
+    a = [int(f * den) for f in c]
+    g = math.gcd(*a)
+    a = [x // g for x in a]
+    # y = lead * x: the rational roots become the integer roots of a monic
+    # integer polynomial
+    n, lead = len(a) - 1, a[-1]
+    monic = [a[i] * lead ** (n - 1 - i) for i in range(n)] + [1]
+    ys = {k + e for k in _root_cells(monic) for e in (0, 1)}
+    return sorted(Fraction(y, lead) for y in ys if _value(monic, y) == 0)
 
 
 def _is_square_fraction(x: Fraction) -> bool:

@@ -11,9 +11,12 @@ Grammar (LL(1), whitespace-insensitive, byte offsets in errors):
 Implicit multiplication ("2x") is rejected; rationals are written "p/q";
 exponents are nonnegative integer literals.  Symbols are either declared
 variables or the generator of the coefficient field ("theta", "zeta", ...).
-A power whose degree would exceed MAX_DEGREE, or whose dense term count
-would exceed MAX_TERMS, is rejected before it is expanded; a constant counts
-as degree one there, so its exponent is bounded too.
+The parser evaluates as it reads.  A product or power is rejected before it
+is expanded when its degree would exceed MAX_DEGREE or its possible term
+count would exceed MAX_TERMS.  That count is the dense C(n + deg, n) in the
+n variables its operands use; for a product it is capped by the product of
+the operands' term counts.  In a power a constant counts as degree one, so
+its exponent is bounded too.
 
 A field is written "QQ" or as its monic minimal polynomial in one generator
 symbol, under the same grammar and bounds (field_from_string, field_name);
@@ -23,7 +26,6 @@ its degree is bounded by MAX_FIELD_DEGREE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numfield import QQ, FieldElement, NumberField, format_terms, power_terms
@@ -33,10 +35,12 @@ from .polyalg import Poly
 # report and the benchmark inputs) and low enough that the largest allowed
 # power of a dense univariate binomial expands in seconds.
 MAX_DEGREE = 1000
-# Bounds the dense term count C(n + deg, n) of a power of degree deg in n
-# variables: above every count this project parses (at most 3060, the
-# report's printed family formulas) and low enough that the largest allowed
-# power expands in seconds ((1+x+y)^87, 3916 terms: 7.9 s on a 2-vCPU Xeon).
+# Bounds the possible term count of a product or power of degree deg in n
+# variables: the dense C(n + deg, n), for a product capped by the product of
+# its operands' term counts.  Above every count this project parses (at most
+# 3060, the report's printed family formulas) and low enough that the
+# largest allowed power expands in seconds ((1+x+y)^87, 3916 terms: 7.9 s on
+# a 2-vCPU Xeon).
 MAX_TERMS = 4000
 # Bounds the degree of a field read from text or a candidates file.  It
 # admits Q(zeta_17), so the documents `construct cyclic-galois` writes for
@@ -60,15 +64,6 @@ class UnknownSymbol(PolyParseError):
 
 class NonIntegerExponent(PolyParseError):
     pass
-
-
-@dataclass(frozen=True)
-class ExprAST:
-    """Expression tree node: number | symbol | add | mul | pow | neg | paren."""
-    kind: str
-    children: tuple = ()
-    value: object = None
-    position: int = 0
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -112,10 +107,29 @@ def _shown(tok) -> str:
     return "end of input" if tok[0] == "EOF" else repr(tok[1])
 
 
+def _check_size(what: str, degree: int, nvars: int, position: int,
+                sparse_terms: float = math.inf) -> None:
+    """Reject a product or power before it is expanded when its degree
+    exceeds MAX_DEGREE or its possible term count exceeds MAX_TERMS; that
+    count is the dense C(nvars + degree, nvars), capped by sparse_terms."""
+    if degree > MAX_DEGREE:
+        raise PolyParseError(
+            f"{what} of degree {degree} exceeds the bound {MAX_DEGREE}", position)
+    terms = min(math.comb(nvars + degree, nvars), sparse_terms)
+    if terms > MAX_TERMS:
+        raise PolyParseError(
+            f"{what} of up to {terms} terms exceeds the bound {MAX_TERMS}", position)
+
+
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent that evaluates as it parses: each rule returns the
+    Poly its text denotes over vars and field."""
+
+    def __init__(self, text: str, vars: tuple[str, ...], field: NumberField):
+        self.tokens = _tokenize(text)
         self.pos = 0
+        self.vars = vars
+        self.field = field
 
     def peek(self):
         return self.tokens[self.pos]
@@ -131,116 +145,84 @@ class _Parser:
             raise PolyParseError(f"expected {kind!r}, found {_shown(tok)}", tok[2])
         return tok
 
-    def parse(self) -> ExprAST:
-        ast = self.expr()
+    def parse(self) -> Poly:
+        value = self.expr()
         tok = self.peek()
         if tok[0] != "EOF":
             raise PolyParseError(
                 f"unexpected {tok[1]!r} (implicit multiplication is not allowed)",
                 tok[2])
-        return ast
+        return value
 
-    def expr(self) -> ExprAST:
-        node = self.term()
+    def expr(self) -> Poly:
+        value = self.term()
         while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.advance()
+            op = self.advance()[0]
             rhs = self.term()
-            if op == "-":
-                rhs = ExprAST("neg", (rhs,), position=pos)
-            node = ExprAST("add", (node, rhs), position=pos)
-        return node
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
-    def term(self) -> ExprAST:
-        node = self.factor()
+    def term(self) -> Poly:
+        value = self.factor()
         while self.peek()[0] == "*":
-            _, _, pos = self.advance()
-            node = ExprAST("mul", (node, self.factor()), position=pos)
-        return node
+            pos = self.advance()[2]
+            rhs = self.factor()
+            used = set(value.support_variables()) | set(rhs.support_variables())
+            _check_size("product", max(value.total_degree() + rhs.total_degree(), 0),
+                        len(used), pos, len(value.terms) * len(rhs.terms))
+            value = value * rhs
+        return value
 
-    def factor(self) -> ExprAST:
-        tok = self.peek()
-        if tok[0] == "-":
+    def factor(self) -> Poly:
+        if self.peek()[0] == "-":
             self.advance()
-            return ExprAST("neg", (self.factor(),), position=tok[2])
-        node = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            etok = self.peek()
-            if etok[0] == "-":
-                raise NonIntegerExponent("exponent must be nonnegative", etok[2])
-            if etok[0] != "INT":
-                raise PolyParseError(f"expected integer exponent, found {_shown(etok)}",
-                                     etok[2])
-            self.advance()
-            if self.peek()[0] == "/":
-                raise NonIntegerExponent("exponent must be an integer", self.peek()[2])
-            node = ExprAST("pow", (node,), value=etok[1], position=etok[2])
-        return node
+            return -self.factor()
+        base = self.atom()
+        if self.peek()[0] != "^":
+            return base
+        self.advance()
+        etok = self.peek()
+        if etok[0] == "-":
+            raise NonIntegerExponent("exponent must be nonnegative", etok[2])
+        if etok[0] != "INT":
+            raise PolyParseError(f"expected integer exponent, found {_shown(etok)}",
+                                 etok[2])
+        self.advance()
+        if self.peek()[0] == "/":
+            raise NonIntegerExponent("exponent must be an integer", self.peek()[2])
+        exponent = etok[1]
+        # a constant counts as degree one, so its exponent is bounded too
+        _check_size("power", max(base.total_degree(), 1) * exponent,
+                    len(base.support_variables()), etok[2])
+        return base ** exponent
 
-    def atom(self) -> ExprAST:
-        tok = self.advance()
-        if tok[0] == "INT":
-            value = Fraction(tok[1])
+    def atom(self) -> Poly:
+        tok = kind, value, pos = self.advance()
+        field, vars = self.field, self.vars
+        if kind == "INT":
             if self.peek()[0] == "/":
                 self.advance()
                 den = self.expect("INT")
                 if den[1] == 0:
                     raise PolyParseError("zero denominator", den[2])
-                value = Fraction(tok[1], den[1])
-            return ExprAST("number", value=value, position=tok[2])
-        if tok[0] == "SYM":
-            return ExprAST("symbol", value=tok[1], position=tok[2])
-        if tok[0] == "(":
+                value = Fraction(value, den[1])
+            return Poly.constant(field.elem(value), field, vars)
+        if kind == "SYM":
+            if value in vars:
+                return Poly.variable(value, field, vars)
+            if not field.is_rational and value == field.gen_name:
+                return Poly.constant(field.gen(), field, vars)
+            raise UnknownSymbol(f"unknown symbol {value!r}", pos)
+        if kind == "(":
             inner = self.expr()
             self.expect(")")
-            return ExprAST("paren", (inner,), position=tok[2])
-        raise PolyParseError(f"unexpected {_shown(tok)}", tok[2])
-
-
-def parse_expr(text: str) -> ExprAST:
-    return _Parser(_tokenize(text)).parse()
-
-
-def _ast_to_poly(ast: ExprAST, vars: tuple[str, ...], field: NumberField) -> Poly:
-    kind = ast.kind
-    if kind == "number":
-        return Poly.constant(field.elem(ast.value), field, vars)
-    if kind == "symbol":
-        name = ast.value
-        if name in vars:
-            return Poly.variable(name, field, vars)
-        if not field.is_rational and name == field.gen_name:
-            return Poly.constant(field.gen(), field, vars)
-        raise UnknownSymbol(f"unknown symbol {name!r}", ast.position)
-    if kind == "neg":
-        return -_ast_to_poly(ast.children[0], vars, field)
-    if kind == "paren":
-        return _ast_to_poly(ast.children[0], vars, field)
-    if kind == "add":
-        return (_ast_to_poly(ast.children[0], vars, field)
-                + _ast_to_poly(ast.children[1], vars, field))
-    if kind == "mul":
-        return (_ast_to_poly(ast.children[0], vars, field)
-                * _ast_to_poly(ast.children[1], vars, field))
-    if kind == "pow":
-        base = _ast_to_poly(ast.children[0], vars, field)
-        degree = max(base.total_degree(), 1) * ast.value
-        if degree > MAX_DEGREE:
-            raise PolyParseError(
-                f"power of degree {degree} exceeds the bound {MAX_DEGREE}",
-                ast.position)
-        terms = math.comb(len(base.support_variables()) + degree, degree)
-        if terms > MAX_TERMS:
-            raise PolyParseError(
-                f"power of up to {terms} terms exceeds the bound {MAX_TERMS}",
-                ast.position)
-        return base ** ast.value
-    raise PolyParseError(f"unknown node kind {kind!r}", ast.position)
+            return inner
+        raise PolyParseError(f"unexpected {_shown(tok)}", pos)
 
 
 def parse_poly(text: str, vars, field: NumberField = QQ) -> Poly:
     """Parse text into an exact Poly over the given field and variables."""
-    return _ast_to_poly(parse_expr(text), tuple(vars), field)
+    return _Parser(text, tuple(vars), field).parse()
 
 
 def field_from_string(text: str) -> NumberField:

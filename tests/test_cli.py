@@ -1,13 +1,22 @@
-"""End-to-end CLI tests executing the binary for every subcommand path."""
+"""End-to-end CLI tests for every subcommand path.
 
+Most cases call cli.run in-process with stdout and stderr captured; a few
+run `python -m etale_forge.cli` to cover the entry point, its exit codes and
+the --timings stream.
+"""
+
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from etale_forge import cli
 from etale_forge.polyparse import MAX_DEGREE, MAX_FIELD_DEGREE
 from etale_forge.reproduce import default_fixture_dir
 
@@ -17,10 +26,47 @@ CLI = [sys.executable, "-m", "etale_forge.cli"]
 FIELD_TOO_BIG = f"theta^{MAX_FIELD_DEGREE + 1} + theta + 1"
 MINPOLY_TOO_BIG = [1, 1] + [0] * (MAX_FIELD_DEGREE - 1) + [1]
 GOLDEN = Path(__file__).parent / "golden" / "reproduce_paper.json"
+BIG_FIELD_CONSTANT = "1000000000000000000007"
+BIG_FIELD = f"theta^2 + {BIG_FIELD_CONSTANT}"
 
 
-def run_cli(*args, **kw):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, **kw)
+def run_cli(*args):
+    """cli.run(args) in-process, with the fields of a finished subprocess."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(args))
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(),
+                           stderr=err.getvalue())
+
+
+def run_module(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+
+
+def test_module_entry_point_exit_codes():
+    res = run_module("chebyshev", "T", "--n", "5")
+    assert (res.returncode, res.stdout, res.stderr) == (0, "16*x^5 - 20*x^3 + 5*x\n", "")
+    res = run_module("family", "equiv", "--f1", "1 + x^2", "--f2", "1 + 2*x^2",
+                     "--r", "2")
+    assert res.returncode == 2
+    res = run_module("construct", "chebyshev")           # missing --d
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.splitlines()[-1].startswith("error: ")
+
+
+def test_output_flags_before_and_after_the_subcommand():
+    res = run_cli("--json", "chebyshev", "T", "--n", "2")
+    assert json.loads(res.stdout)["poly"] == "2*x^2 - 1"
+    res = run_cli("chebyshev", "T", "--n", "2", "--output", "json")
+    assert json.loads(res.stdout)["poly"] == "2*x^2 - 1"
+    # the later flag wins, in either position
+    res = run_cli("--json", "chebyshev", "T", "--n", "2", "--output", "text")
+    assert res.stdout == "2*x^2 - 1\n"
+    res = run_cli("--output", "text", "construct", "cyclic-galois", "--k", "2",
+                  "--json")
+    assert json.loads(res.stdout)["params"]["R0"] == "4"
+    res = run_cli("chebyshev", "T", "--n", "2")
+    assert res.stdout == "2*x^2 - 1\n"
 
 
 def test_chebyshev_subcommands():
@@ -70,6 +116,10 @@ def test_construct_kr32(tmp_path):
         "a2": ["-139/24", "-63/24"]}]}))
     res = run_cli("construct", "kr32", "--d0", "2", "--candidates", str(cand), "--json")
     assert json.loads(res.stdout)["solutions"] == []
+    cand.write_text(json.dumps({"candidates": [{
+        "minpoly": [BIG_FIELD_CONSTANT, "0", "1"], "a1": ["1", "0"], "a2": ["0", "1"]}]}))
+    res = run_cli("construct", "kr32", "--d0", "2", "--candidates", str(cand), "--json")
+    assert res.returncode == 0 and json.loads(res.stdout)["solutions"] == []
 
 
 def test_verify_endo_fixture_and_tampered(tmp_path):
@@ -149,6 +199,10 @@ def test_shabat_subcommands():
     assert data["partitions"] == [[1, 1], [2]]
     res = run_cli("shabat", "extract", "--poly", "t^3 - 4*t^2 + 3*t")
     assert res.returncode == 2
+    # a 22-digit constant term: the irreducibility gate does not factor it
+    res = run_cli("shabat", "extract", "--poly", "t^2", "--field", BIG_FIELD, "--json")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["partitions"] == [[2], [1, 1]]
     profile = json.dumps({"degree": 3, "branch_points": ["0", "1"],
                           "partitions": [[2, 1], [2, 1]]})
     res = run_cli("shabat", "check-profile", profile)
@@ -197,12 +251,17 @@ def test_usage_errors_exit_one():
      {"c.json": json.dumps({"candidates": [{"minpoly": MINPOLY_TOO_BIG,
                                             "a1": [1], "a2": [1]}]})},
      f"bound {MAX_FIELD_DEGREE}"),
+    # four allowed powers whose product has degree 4000
+    (["shabat", "extract", "--poly", "*".join(["(1+t)^1000"] * 4)], {},
+     f"product of degree 2000 exceeds the bound {MAX_DEGREE}"),
+    (["shabat", "extract", "--poly", "t", "--field", "theta^2 - 10^40"], {},
+     "is reducible over Q"),
 ], ids=["other-fixture", "missing-field", "not-an-object", "avecs-not-nested",
         "avec-not-a-list", "profile-missing-field", "profile-not-an-object",
         "profile-partition-not-int", "candidates-not-an-object",
         "candidate-missing-a1", "lam-zero-denominator", "d-above-cap",
         "n-above-cap", "field-text-above-cap", "document-field-above-cap",
-        "candidate-minpoly-above-cap"])
+        "candidate-minpoly-above-cap", "product-above-cap", "field-reducible"])
 def test_malformed_input_is_one_error_line(tmp_path, argv, docs, names):
     for name, text in docs.items():
         (tmp_path / name).write_text(text)
@@ -234,7 +293,7 @@ def test_reproduce_paper_with_missing_fixture(tmp_path):
 @pytest.mark.slow
 def test_reproduce_paper_timings_go_to_stderr():
     plain = run_cli("reproduce-paper", "--json")
-    timed = run_cli("reproduce-paper", "--json", "--timings")
+    timed = run_module("reproduce-paper", "--json", "--timings")
     assert plain.returncode == timed.returncode == 0
     assert timed.stdout == plain.stdout          # byte-identical report
     assert plain.stdout == GOLDEN.read_text()

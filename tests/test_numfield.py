@@ -230,6 +230,42 @@ def test_rational_roots_helper():
     coeffs = [Fraction(2), Fraction(-3), Fraction(1)]   # (x-1)(x-2)
     assert rational_roots(coeffs) == [1, 2]
     assert rational_roots([Fraction(1), Fraction(0), Fraction(1)]) == []
+    # a derivative of each has two roots in one unit cell; that cell must
+    # stay a breakpoint of the bisection one level up
+    for coeffs, root in (([5, 6, -22, 10, 1], 1), ([0, 36, 30, -24, -27, 1], 0),
+                         ([92, -140, 69, -3, -6, 1], 2)):
+        assert rational_roots(list(map(Fraction, coeffs))) == [root]
+
+
+_big = st.integers(-10**25, 10**25)
+
+
+def _times(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@needs_sympy
+@settings(max_examples=200, deadline=None)
+@given(roots=st.lists(st.builds(Fraction, _big, st.integers(1, 10**12)), max_size=4),
+       cofactor=st.lists(_big, min_size=1, max_size=4).filter(lambda c: c[-1] != 0))
+def test_rational_roots_match_sympy_linear_factors(roots, cofactor):
+    # known linear factors times a random cofactor, with up to 25-digit
+    # coefficients: listing the divisors of the constant term is hopeless
+    coeffs = [Fraction(c) for c in cofactor]
+    for r in roots:
+        coeffs = _times(coeffs, [-r, Fraction(1)])
+    x = sympy.Symbol("x")
+    _, factors = sympy.factor_list(sum(sympy.Rational(str(c)) * x ** i
+                                       for i, c in enumerate(coeffs)), x)
+    linear = [sympy.Poly(f, x).all_coeffs() for f, _ in factors
+              if sympy.degree(f, x) == 1]
+    expected = sorted(Fraction(str(-b / a)) for a, b in linear)
+    assert rational_roots(coeffs) == expected
+    assert set(roots) <= set(expected)
 
 
 def test_json_round_trip_exact():

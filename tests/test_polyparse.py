@@ -50,6 +50,11 @@ def test_unknown_symbol():
         parse_poly("x + q", ["x"])
     with pytest.raises(UnknownSymbol):
         parse_poly("theta*x", ["x"])   # no field generator over Q
+    # text is evaluated as it is read, so an unknown symbol before a syntax
+    # error is the error reported
+    with pytest.raises(UnknownSymbol) as err:
+        parse_poly("q + (", ["x"])
+    assert err.value.position == 0
 
 
 def test_non_integer_exponents():
@@ -166,3 +171,32 @@ def test_power_term_count_bound_rejects_before_expanding(monkeypatch):
     with pytest.raises(PolyParseError, match=f"12341 terms exceeds the bound {MAX_TERMS}"):
         parse_poly("(1+x+y+z)^40", ("x", "y", "z"))
     assert powers == []
+
+
+@pytest.mark.parametrize("text,vars,bound,limit", [
+    ("(1+t)^1000*(1+t)^1000*(1+t)^1000*(1+t)^1000", ("t",), f"bound {MAX_DEGREE}",
+     MAX_DEGREE),
+    ("(1+x+y+z)^20*(1+x+y+z)^20", ("x", "y", "z"),
+     f"12341 terms exceeds the bound {MAX_TERMS}", 20),
+])
+def test_product_bounds_reject_before_expanding(monkeypatch, text, vars, bound, limit):
+    # each factor is an allowed power; their product is not, and is rejected
+    # before Poly.__mul__ sees it
+    degrees = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: degrees.append(
+        a.total_degree() + b.total_degree()) or mul(a, b))
+    with pytest.raises(PolyParseError, match=bound):
+        parse_poly(text, vars)
+    assert degrees and max(degrees) <= limit
+
+
+def test_product_term_count_is_capped_by_the_operands():
+    # the report's printed family formula: the dense count C(4 + 16, 4) =
+    # 4845 of this product exceeds MAX_TERMS, its 1 x 10 operand terms do not
+    vars = ("w", "a1", "a2", "a3")
+    p = parse_poly("w^2*(1 + w^2*(a1 + a2*w^2 + a3*w^4))^2", vars)
+    assert p.total_degree() == 16 and len(p.terms) == 10
+    q = parse_poly("(1 + w^2*(a1 + a2*w^2 + a3*w^4))^2", vars)
+    assert p == parse_poly("w^2", vars) * q
+
