@@ -4,6 +4,10 @@ is human-oriented.
 
 Exit codes: 0 success / verdict true, 2 verdict false, 1 usage or parse
 error.
+
+Only numfield, polyalg and polyparse, which every command uses, are imported
+here; each command handler imports the modules it runs, so a call loads no
+module of another command.
 """
 
 from __future__ import annotations
@@ -15,20 +19,9 @@ import sys
 import time
 from pathlib import Path
 
-from .chebyshab import (MoreThanTwoCriticalValues, RamificationProfile,
-                        chebyshev_T, chebyshev_U, extract_profile,
-                        thom_feasible)
-from .constructor import (InfeasibleDegree, chebyshev_endo,
-                          cyclic_galois_endo, solve_kr32)
-from .endo import (build_from_params, degree_of, etale_certificate,
-                   map_to_json, params_from_json)
-from .family import FamilySpec, ec_equivalent, family_member, family_pairwise_distinct
-from .miyanishi import (BadB, MiyParams, UnsupportedN, miy_b_find, miy_eta0,
-                        miy_lift_check)
 from .numfield import QQ, json_fields, rationals
 from .polyparse import (MAX_DEGREE, MAX_FIELD_DEGREE, field_from_string,
                         field_name, parse_poly, print_poly)
-from .reproduce import default_fixture_dir, reproduce_paper
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,6 +46,7 @@ def _emit(payload: dict, args, text_fn=None) -> None:
 
 
 def _load_params(path: str):
+    from .endo import params_from_json
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict) and "params" in data:
         data = data["params"]
@@ -66,6 +60,7 @@ def _degree_arg(value: int, flag: str) -> int:
 
 
 def _cmd_verify_endo(args) -> int:
+    from .endo import etale_certificate
     params = _load_params(args.params)
     cert = etale_certificate(params)
     payload = {"checks": cert.checks, "verdict": cert.verdict}
@@ -83,9 +78,16 @@ def _cmd_verify_endo(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .constructor import (InfeasibleDegree, chebyshev_endo,
+                              cyclic_galois_endo, solve_kr32)
+    from .endo import build_from_params, map_to_json
     if args.what == "chebyshev":
         (lam,) = rationals([args.lam], "--lam")
-        params = chebyshev_endo(_degree_arg(args.d, "--d"), QQ.elem(lam))
+        try:
+            params = chebyshev_endo(_degree_arg(args.d, "--d"), QQ.elem(lam))
+        except InfeasibleDegree as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_FALSE
         payload = {"params": params.to_json()}
         if args.with_map:
             built = build_from_params(params)
@@ -117,15 +119,19 @@ def _cmd_construct(args) -> int:
 def _family_base(args):
     """The --base parameters, else the cyclic Galois endomorphism of degree
     --k."""
+    from .constructor import cyclic_galois_endo
     return _load_params(args.base) if args.base else cyclic_galois_endo(args.k)[0]
 
 
-def _family_spec(args, base, avec, what: str) -> FamilySpec:
+def _family_spec(args, base, avec, what: str):
+    from .family import FamilySpec
     return FamilySpec(args.k, args.rbar, base,
                       tuple(map(base.field.elem, rationals(avec, what))))
 
 
 def _cmd_family(args) -> int:
+    from .endo import degree_of, map_to_json
+    from .family import ec_equivalent, family_member, family_pairwise_distinct
     if args.what == "gen":
         spec = _family_spec(args, _family_base(args), json.loads(args.avec), "--avec")
         member = family_member(spec)
@@ -157,6 +163,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_miyanishi(args) -> int:
+    from .miyanishi import (BadB, MiyParams, UnsupportedN, miy_b_find, miy_eta0,
+                            miy_lift_check)
     if args.what == "find-b":
         try:
             p = miy_b_find(args.n)
@@ -184,6 +192,7 @@ def _cmd_miyanishi(args) -> int:
 
 
 def _cmd_chebyshev(args) -> int:
+    from .chebyshab import chebyshev_T, chebyshev_U
     n = _degree_arg(args.n, "--n")
     poly = chebyshev_T(n) if args.kind == "T" else chebyshev_U(n)
     _emit({"kind": args.kind, "n": args.n, "poly": print_poly(poly)}, args,
@@ -192,6 +201,8 @@ def _cmd_chebyshev(args) -> int:
 
 
 def _cmd_shabat(args) -> int:
+    from .chebyshab import (MoreThanTwoCriticalValues, RamificationProfile,
+                            extract_profile, thom_feasible)
     if args.what == "check-profile":
         text = args.profile
         if text.startswith("@"):
@@ -227,6 +238,7 @@ def _cmd_shabat(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .reproduce import default_fixture_dir, reproduce_paper
     fdir = Path(args.fixture_dir) if args.fixture_dir else default_fixture_dir()
     timings = {} if args.timings else None
     start = time.perf_counter()
@@ -349,7 +361,7 @@ def run(argv=None) -> int:
         return args.fn(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_FALSE if isinstance(err, InfeasibleDegree) else EXIT_USAGE
+        return EXIT_USAGE
 
 
 def main() -> None:

@@ -4,7 +4,7 @@ Grammar (LL(1), whitespace-insensitive, byte offsets in errors):
 
     expr    := term (('+' | '-') term)*
     term    := factor ('*' factor)*
-    factor  := '-' factor | atom ('^' INT)?
+    factor  := '-'* atom ('^' INT)?
     atom    := NUMBER | SYMBOL | '(' expr ')'
     NUMBER  := INT ('/' INT)?
 
@@ -16,7 +16,10 @@ is expanded when its degree would exceed MAX_DEGREE or its possible term
 count would exceed MAX_TERMS.  That count is the dense C(n + deg, n) in the
 n variables its operands use; for a product it is capped by the product of
 the operands' term counts.  In a power a constant counts as degree one, so
-its exponent is bounded too.
+its exponent is bounded too, and a power of a constant is rejected as soon
+as a partial power has more than MAX_CONSTANT_BITS bits.  Parentheses and
+unary minus signs nest at most MAX_NESTING deep; a run of minus signs is
+read in a loop, so only parentheses recurse.
 
 A field is written "QQ" or as its monic minimal polynomial in one generator
 symbol, under the same grammar and bounds (field_from_string, field_name);
@@ -48,6 +51,16 @@ MAX_TERMS = 4000
 # determinants of size n) of a small element near 5 ms; at degree 100 one
 # inverse takes seconds.
 MAX_FIELD_DEGREE = 16
+# Bounds the bit length of the numerators and denominator of a power of a
+# constant, which the degree bound alone lets grow to ((10^10)^1000)^1000.
+# Far above every constant power this project parses (10^40, 133 bits, in
+# field text) and below the 4300-digit (about 14,000-bit) limit CPython puts
+# on int-to-text conversion, so each such constant prints back.
+MAX_CONSTANT_BITS = 10_000
+# Bounds how deep parentheses and unary minus signs nest.  Each level of
+# parentheses takes four Python frames (expr, term, factor, atom), so the
+# deepest allowed text stays well inside the default recursion limit of 1000.
+MAX_NESTING = 100
 
 
 class PolyParseError(ValueError):
@@ -121,6 +134,21 @@ def _check_size(what: str, degree: int, nvars: int, position: int,
             f"{what} of up to {terms} terms exceeds the bound {MAX_TERMS}", position)
 
 
+def _constant_power(c: FieldElement, exponent: int, position: int) -> FieldElement:
+    """c**exponent by square-and-multiply, rejected as soon as a partial
+    power has a numerator or denominator of more than MAX_CONSTANT_BITS
+    bits."""
+    result = c.field.one()
+    for bit in bin(exponent)[2:]:
+        result = result * result
+        if bit == "1":
+            result = result * c
+        if max(result.den, *map(abs, result.nums)).bit_length() > MAX_CONSTANT_BITS:
+            raise PolyParseError("power of a constant exceeds the bound "
+                                 f"{MAX_CONSTANT_BITS} on its bit length", position)
+    return result
+
+
 class _Parser:
     """Recursive descent that evaluates as it parses: each rule returns the
     Poly its text denotes over vars and field."""
@@ -130,6 +158,7 @@ class _Parser:
         self.pos = 0
         self.vars = vars
         self.field = field
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -144,6 +173,13 @@ class _Parser:
         if tok[0] != kind:
             raise PolyParseError(f"expected {kind!r}, found {_shown(tok)}", tok[2])
         return tok
+
+    def nest(self, position: int) -> None:
+        """Enter one level of parentheses or unary minus."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise PolyParseError("parentheses and unary minus signs nest deeper "
+                                 f"than the bound {MAX_NESTING}", position)
 
     def parse(self) -> Poly:
         value = self.expr()
@@ -174,12 +210,17 @@ class _Parser:
         return value
 
     def factor(self) -> Poly:
-        if self.peek()[0] == "-":
-            self.advance()
-            return -self.factor()
-        base = self.atom()
-        if self.peek()[0] != "^":
-            return base
+        outer = self.depth
+        while self.peek()[0] == "-":
+            self.nest(self.advance()[2])
+        negate = (self.depth - outer) % 2 == 1
+        value = self.atom()
+        if self.peek()[0] == "^":
+            value = self.power(value)
+        self.depth = outer
+        return -value if negate else value
+
+    def power(self, base: Poly) -> Poly:
         self.advance()
         etok = self.peek()
         if etok[0] == "-":
@@ -190,10 +231,13 @@ class _Parser:
         self.advance()
         if self.peek()[0] == "/":
             raise NonIntegerExponent("exponent must be an integer", self.peek()[2])
-        exponent = etok[1]
+        exponent, degree = etok[1], base.total_degree()
         # a constant counts as degree one, so its exponent is bounded too
-        _check_size("power", max(base.total_degree(), 1) * exponent,
+        _check_size("power", max(degree, 1) * exponent,
                     len(base.support_variables()), etok[2])
+        if degree == 0:
+            c = _constant_power(base.constant_coeff(), exponent, etok[2])
+            return Poly.constant(c, self.field, self.vars)
         return base ** exponent
 
     def atom(self) -> Poly:
@@ -214,8 +258,10 @@ class _Parser:
                 return Poly.constant(field.gen(), field, vars)
             raise UnknownSymbol(f"unknown symbol {value!r}", pos)
         if kind == "(":
+            self.nest(pos)
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         raise PolyParseError(f"unexpected {_shown(tok)}", pos)
 

@@ -17,7 +17,8 @@ from types import SimpleNamespace
 import pytest
 
 from etale_forge import cli
-from etale_forge.polyparse import MAX_DEGREE, MAX_FIELD_DEGREE
+from etale_forge.polyparse import (MAX_CONSTANT_BITS, MAX_DEGREE, MAX_FIELD_DEGREE,
+                                   MAX_NESTING)
 from etale_forge.reproduce import default_fixture_dir
 
 CLI = [sys.executable, "-m", "etale_forge.cli"]
@@ -91,6 +92,7 @@ def test_construct_chebyshev_and_determinism():
     # infeasible degree: verdict-false exit
     res = run_cli("construct", "chebyshev", "--d", "4")
     assert res.returncode == 2
+    assert res.stdout == "" and res.stderr == "error: d = 4 is not 1 mod 2\n"
 
 
 def test_construct_cyclic_galois():
@@ -256,12 +258,19 @@ def test_usage_errors_exit_one():
      f"product of degree 2000 exceeds the bound {MAX_DEGREE}"),
     (["shabat", "extract", "--poly", "t", "--field", "theta^2 - 10^40"], {},
      "is reducible over Q"),
+    (["shabat", "extract", "--poly", "(" * 400 + "t" + ")" * 400], {},
+     f"bound {MAX_NESTING} (offset {MAX_NESTING})"),
+    (["shabat", "extract", "--poly=" + "-" * 3000 + "t"], {},
+     f"bound {MAX_NESTING} (offset {MAX_NESTING})"),
+    (["shabat", "extract", "--poly", "((10^10)^100)^100*t"], {},
+     f"bound {MAX_CONSTANT_BITS}"),
 ], ids=["other-fixture", "missing-field", "not-an-object", "avecs-not-nested",
         "avec-not-a-list", "profile-missing-field", "profile-not-an-object",
         "profile-partition-not-int", "candidates-not-an-object",
         "candidate-missing-a1", "lam-zero-denominator", "d-above-cap",
         "n-above-cap", "field-text-above-cap", "document-field-above-cap",
-        "candidate-minpoly-above-cap", "product-above-cap", "field-reducible"])
+        "candidate-minpoly-above-cap", "product-above-cap", "field-reducible",
+        "parentheses-above-cap", "minus-signs-above-cap", "constant-power-above-cap"])
 def test_malformed_input_is_one_error_line(tmp_path, argv, docs, names):
     for name, text in docs.items():
         (tmp_path / name).write_text(text)
@@ -273,6 +282,31 @@ def test_malformed_input_is_one_error_line(tmp_path, argv, docs, names):
     assert "Traceback" not in res.stderr
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0]
+
+
+# run in a fresh interpreter, since this one has imported every module
+_LOADED = """
+import contextlib, io, sys
+from etale_forge import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, *sorted(name for name in sys.modules if name.startswith("etale_forge.")))
+"""
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    ([], set()),
+    (["chebyshev", "T", "--n", "2"], {"chebyshab"}),
+    (["miyanishi", "find-b", "--n", "2"], {"chebyshab", "miyanishi"}),
+    (["verify-endo", "--params", "FIXTURES/s2_galois.json"], {"endo", "surface"}),
+], ids=["import", "chebyshev", "miyanishi", "verify-endo"])
+def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
+    argv = [a.replace("FIXTURES", str(default_fixture_dir())) for a in argv]
+    res = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                         capture_output=True, text=True, check=True)
+    shared = {"cli", "numfield", "polyalg", "polyparse"}
+    assert res.stdout.split() == ["0"] + sorted(f"etale_forge.{m}"
+                                                for m in shared | loaded)
 
 
 @pytest.mark.slow

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from etale_forge.chebyshab import chebyshev_T
 from etale_forge.numfield import QQ, NumberField, cyclotomic_field
 from etale_forge.polyalg import Poly
-from etale_forge.polyparse import (MAX_DEGREE, MAX_TERMS, NonIntegerExponent,
+from etale_forge.polyparse import (MAX_CONSTANT_BITS, MAX_DEGREE, MAX_NESTING,
+                                   MAX_TERMS, NonIntegerExponent,
                                    PolyParseError, UnknownSymbol,
                                    field_from_string, parse_poly, print_poly)
 
@@ -200,3 +201,34 @@ def test_product_term_count_is_capped_by_the_operands():
     q = parse_poly("(1 + w^2*(a1 + a2*w^2 + a3*w^4))^2", vars)
     assert p == parse_poly("w^2", vars) * q
 
+
+def test_nesting_bound_names_the_offset():
+    t = Poly.variable("t", QQ)
+    assert parse_poly("(" * MAX_NESTING + "t" + ")" * MAX_NESTING, ["t"]) == t
+    # a run of minus signs is read in a loop; an odd run negates
+    assert parse_poly("-" * MAX_NESTING + "t", ["t"]) == t
+    assert parse_poly("-" * (MAX_NESTING - 1) + "t^2", ["t"]) == -t ** 2
+    assert parse_poly("-(-t)^2", ["t"]) == -t ** 2
+    # parentheses and minus signs count alike; the first level too deep is
+    # named, whatever the recursion limit
+    half = MAX_NESTING // 2
+    for text in ("(" * (MAX_NESTING + 1) + "t" + ")" * (MAX_NESTING + 1),
+                 "-" * 3000 + "t", "-(" * half + "-t" + ")" * half):
+        with pytest.raises(PolyParseError, match=f"bound {MAX_NESTING}") as err:
+            parse_poly(text, ["t"])
+        assert err.value.position == MAX_NESTING
+
+
+def test_constant_power_bit_bound():
+    # the project's largest constant power, in field text
+    assert field_from_string("theta^2 - 10^40 + 1").degree == 2
+    # 2^9999 has exactly MAX_CONSTANT_BITS = 10000 bits, 2^10000 one more
+    assert MAX_CONSTANT_BITS == 10_000
+    t = Poly.variable("t", QQ)
+    assert parse_poly("(2^99)^101*t", ["t"]) == 2 ** 9999 * t
+    for text, field in (("(2^100)^100*t", QQ), ("((1/10^10)^1000)^1000*t", QQ),
+                        # the degree bound alone admitted a 10^7-digit integer
+                        ("((10^10)^1000)^1000*t", QQ),
+                        ("theta^1000*t", NumberField([10 ** 21, 0, 1]))):
+        with pytest.raises(PolyParseError, match=f"bound {MAX_CONSTANT_BITS}"):
+            parse_poly(text, ["t"], field)
