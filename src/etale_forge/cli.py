@@ -17,6 +17,7 @@ import json
 import reprlib
 import sys
 import time
+from math import gcd
 from pathlib import Path
 
 from .numfield import QQ, json_fields, rationals
@@ -59,6 +60,17 @@ def _degree_arg(value: int, flag: str) -> int:
     return value
 
 
+def _roots_of_unity_arg(k: int, flag: str) -> int:
+    """k, when the field of k-th roots of unity, of degree phi(k), is within
+    MAX_FIELD_DEGREE.  phi(k) >= sqrt(k/2), so a k above
+    2*MAX_FIELD_DEGREE^2 fails without counting."""
+    if k > 2 * MAX_FIELD_DEGREE ** 2 or sum(
+            gcd(j, k) == 1 for j in range(k)) > MAX_FIELD_DEGREE:
+        raise ValueError(f"{flag} {k} needs a cyclotomic field of degree above "
+                         f"the bound {MAX_FIELD_DEGREE}")
+    return k
+
+
 def _cmd_verify_endo(args) -> int:
     from .endo import etale_certificate
     params = _load_params(args.params)
@@ -93,7 +105,7 @@ def _cmd_construct(args) -> int:
             built = build_from_params(params)
             payload["tilde_map"] = map_to_json(built.tilde_map)
     elif args.what == "cyclic-galois":
-        params, j = cyclic_galois_endo(args.k, args.eps)
+        params, j = cyclic_galois_endo(_roots_of_unity_arg(args.k, "--k"), args.eps)
         payload = {"params": params.to_json(), "j": map_to_json(j)}
     else:  # kr32
         candidates = None
@@ -120,7 +132,9 @@ def _family_base(args):
     """The --base parameters, else the cyclic Galois endomorphism of degree
     --k."""
     from .constructor import cyclic_galois_endo
-    return _load_params(args.base) if args.base else cyclic_galois_endo(args.k)[0]
+    if args.base:
+        return _load_params(args.base)
+    return cyclic_galois_endo(_roots_of_unity_arg(args.k, "--k"))[0]
 
 
 def _family_spec(args, base, avec, what: str):
@@ -175,9 +189,10 @@ def _cmd_miyanishi(args) -> int:
         return EXIT_OK
     field = field_from_string(args.field) if args.field else QQ
     b = parse_poly(args.b, ("x",), field)
+    params = MiyParams(_degree_arg(args.n, "--n"), b)
     if args.what == "check":
         try:
-            report = miy_lift_check(MiyParams(args.n, b))
+            report = miy_lift_check(params)
         except BadB:
             payload = {"b_check": False, "verdict": False}
         else:
@@ -186,7 +201,7 @@ def _cmd_miyanishi(args) -> int:
         _emit(payload, args)
         return EXIT_OK if payload["verdict"] else EXIT_FALSE
     # eta0
-    first, second = miy_eta0(MiyParams(args.n, b))
+    first, second = miy_eta0(params)
     _emit({"eta0": [print_poly(first), print_poly(second)]}, args)
     return EXIT_OK
 

@@ -396,7 +396,9 @@ def power(base, n: int):
 
     Makes exactly n.bit_length() + n.bit_count() - 2 multiplies and returns
     base itself for n = 1, which is safe because neither FieldElement nor
-    Poly is ever mutated.  Shared by FieldElement.__pow__ and Poly.__pow__.
+    Poly is ever mutated.  FieldElement.__pow__ uses it outside degree one
+    (where it takes int powers), and Poly.__pow__ for a base of two or more
+    terms; a one-term Poly raises its coefficient with FieldElement.__pow__.
     """
     result = base
     for bit in bin(n)[3:]:

@@ -30,7 +30,12 @@ monic with one field inverse.  Yun's squarefree_decomposition builds on it.
 The monomial order is lexicographic in the variable order, so exponent
 tuples compare directly.  Degrees in this project stay small (a few hundred
 at most), so the representation favors clarity: dense exponent vectors,
-sparse term maps.
+sparse term maps.  Two operations read the shape of their operands instead.
+A product in one variable, such as every product of the certificate in t,
+accumulates its terms on int exponents and builds the (e,) keys once at the
+end; products in two or more variables add exponent tuples.  A power of one
+term c*m is c**n * m**n, computed without a Poly product (a parsed t^30 is
+one term); a base of two or more terms goes through numfield.power.
 """
 
 from __future__ import annotations
@@ -259,34 +264,66 @@ class Poly:
         a, b = self._pair(other)
         field = a.field
         den = a.den * b.den * field.den
+        # in one variable the products accumulate on int exponents, and the
+        # (e,) keys are built once at the end
+        one_var = len(a.variables) == 1
         if field.degree == 1:
             # NumberField.mul in degree one, inlined: one int per term
-            acc: dict[tuple[int, ...], int] = {}
+            acc: dict = {}
             get = acc.get
-            bt = [(k2, c2[0]) for k2, c2 in b.terms.items()]
-            for k1, (x,) in a.terms.items():
-                for k2, y in bt:
-                    k = tuple(map(add, k1, k2))
-                    acc[k] = get(k, 0) + x * y
-            return Poly(field, a.variables, {k: (c,) for k, c in acc.items() if c}, den)
+            if one_var:
+                bt = [(e2, y) for (e2,), (y,) in b.terms.items()]
+                for (e1,), (x,) in a.terms.items():
+                    for e2, y in bt:
+                        e = e1 + e2
+                        acc[e] = get(e, 0) + x * y
+                terms = {(e,): (c,) for e, c in acc.items() if c}
+            else:
+                bt = [(k2, y) for k2, (y,) in b.terms.items()]
+                for k1, (x,) in a.terms.items():
+                    for k2, y in bt:
+                        k = tuple(map(add, k1, k2))
+                        acc[k] = get(k, 0) + x * y
+                terms = {k: (c,) for k, c in acc.items() if c}
+            return Poly(field, a.variables, terms, den)
         mul = field.mul
-        terms: dict[tuple[int, ...], Ints] = {}
-        for k1, c1 in a.terms.items():
-            for k2, c2 in b.terms.items():
-                k = tuple(map(add, k1, k2))
-                c = mul(c1, c2)
-                s = terms.get(k)
-                terms[k] = c if s is None else tuple(map(add, s, c))
-        return Poly(field, a.variables, {k: c for k, c in terms.items() if any(c)}, den)
+        acc = {}
+        get = acc.get
+        if one_var:
+            bt = [(e2, c2) for (e2,), c2 in b.terms.items()]
+            for (e1,), c1 in a.terms.items():
+                for e2, c2 in bt:
+                    e = e1 + e2
+                    c = mul(c1, c2)
+                    s = get(e)
+                    acc[e] = c if s is None else tuple(map(add, s, c))
+            terms = {(e,): c for e, c in acc.items() if any(c)}
+        else:
+            for k1, c1 in a.terms.items():
+                for k2, c2 in b.terms.items():
+                    k = tuple(map(add, k1, k2))
+                    c = mul(c1, c2)
+                    s = get(k)
+                    acc[k] = c if s is None else tuple(map(add, s, c))
+            terms = {k: c for k, c in acc.items() if any(c)}
+        return Poly(field, a.variables, terms, den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        """self**n for n >= 0: the constant 1 for n = 0, else numfield.power."""
+        """self**n for n >= 0: the constant 1 for n = 0; for one term c*m,
+        the one term c**n * m**n in closed form, with no Poly product (int
+        pow over a degree-one field, numfield.power on the FieldElement
+        otherwise); else numfield.power."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
         if n == 0:
             return Poly.constant(1, self.field, self.variables)
+        if len(self.terms) == 1:
+            ((k, c),) = self.terms.items()
+            x = self._coeff(c) ** n
+            return Poly(self.field, self.variables,
+                        {tuple(n * e for e in k): x.nums}, x.den)
         return power(self, n)
 
     def __eq__(self, other):

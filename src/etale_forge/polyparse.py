@@ -120,15 +120,20 @@ def _shown(tok) -> str:
     return "end of input" if tok[0] == "EOF" else repr(tok[1])
 
 
-def _check_size(what: str, degree: int, nvars: int, position: int,
+def _check_size(what: str, degree: int, operands: tuple[Poly, ...], position: int,
                 sparse_terms: float = math.inf) -> None:
     """Reject a product or power before it is expanded when its degree
     exceeds MAX_DEGREE or its possible term count exceeds MAX_TERMS; that
-    count is the dense C(nvars + degree, nvars), capped by sparse_terms."""
+    count is the dense C(n + degree, n) in the n variables the operands
+    use, capped by sparse_terms, so n is only counted when sparse_terms
+    exceeds MAX_TERMS."""
     if degree > MAX_DEGREE:
         raise PolyParseError(
             f"{what} of degree {degree} exceeds the bound {MAX_DEGREE}", position)
-    terms = min(math.comb(nvars + degree, nvars), sparse_terms)
+    if sparse_terms <= MAX_TERMS:
+        return
+    n = len(set().union(*(p.support_variables() for p in operands)))
+    terms = min(math.comb(n + degree, n), sparse_terms)
     if terms > MAX_TERMS:
         raise PolyParseError(
             f"{what} of up to {terms} terms exceeds the bound {MAX_TERMS}", position)
@@ -203,9 +208,8 @@ class _Parser:
         while self.peek()[0] == "*":
             pos = self.advance()[2]
             rhs = self.factor()
-            used = set(value.support_variables()) | set(rhs.support_variables())
             _check_size("product", max(value.total_degree() + rhs.total_degree(), 0),
-                        len(used), pos, len(value.terms) * len(rhs.terms))
+                        (value, rhs), pos, len(value.terms) * len(rhs.terms))
             value = value * rhs
         return value
 
@@ -233,8 +237,7 @@ class _Parser:
             raise NonIntegerExponent("exponent must be an integer", self.peek()[2])
         exponent, degree = etok[1], base.total_degree()
         # a constant counts as degree one, so its exponent is bounded too
-        _check_size("power", max(degree, 1) * exponent,
-                    len(base.support_variables()), etok[2])
+        _check_size("power", max(degree, 1) * exponent, (base,), etok[2])
         if degree == 0:
             c = _constant_power(base.constant_coeff(), exponent, etok[2])
             return Poly.constant(c, self.field, self.vars)

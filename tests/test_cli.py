@@ -103,6 +103,17 @@ def test_construct_cyclic_galois():
     assert data["params"]["R0"] == "4"
 
 
+def test_cyclic_galois_k_at_the_field_bound(tmp_path):
+    # phi(17) = MAX_FIELD_DEGREE: the document reads back and certifies
+    assert MAX_FIELD_DEGREE == 16
+    res = run_cli("construct", "cyclic-galois", "--k", "17", "--json")
+    assert res.returncode == 0
+    doc = tmp_path / "k17.json"
+    doc.write_text(res.stdout)
+    res = run_cli("verify-endo", "--params", str(doc), "--json")
+    assert res.returncode == 0 and json.loads(res.stdout)["verdict"] is True
+
+
 def test_construct_kr32(tmp_path):
     res = run_cli("construct", "kr32", "--d0", "1", "--json")
     assert res.returncode == 0
@@ -242,6 +253,14 @@ def test_usage_errors_exit_one():
     (["construct", "chebyshev", "--d", "3", "--lam", "1/0"], {}, "--lam"),
     (["construct", "chebyshev", "--d", str(MAX_DEGREE + 1)], {}, "--d"),
     (["chebyshev", "T", "--n", str(MAX_DEGREE + 1)], {}, "--n"),
+    (["miyanishi", "check", "--n", "100000", "--b", "1"], {}, "--n"),
+    (["miyanishi", "eta0", "--n", "100000", "--b", "1"], {}, "--n"),
+    # phi(37) = 36 and phi(61) = 60; 10^30 is refused without counting
+    (["construct", "cyclic-galois", "--k", "37"], {}, f"bound {MAX_FIELD_DEGREE}"),
+    (["construct", "cyclic-galois", "--k", str(10 ** 30)], {}, "--k"),
+    (["family", "gen", "--k", "61", "--rbar", "1", "--avec", "[1]"], {}, "--k"),
+    (["family", "distinct", "--k", "100", "--rbar", "1", "--avecs", "[[1]]"], {},
+     "--k"),
     (["shabat", "extract", "--poly", "t", "--field", FIELD_TOO_BIG], {},
      f"bound {MAX_FIELD_DEGREE}"),
     (["verify-endo", "--params", "TMP/p.json"],
@@ -268,7 +287,9 @@ def test_usage_errors_exit_one():
         "avec-not-a-list", "profile-missing-field", "profile-not-an-object",
         "profile-partition-not-int", "candidates-not-an-object",
         "candidate-missing-a1", "lam-zero-denominator", "d-above-cap",
-        "n-above-cap", "field-text-above-cap", "document-field-above-cap",
+        "n-above-cap", "miyanishi-check-n-above-cap", "miyanishi-eta0-n-above-cap",
+        "cyclic-galois-k-above-cap", "cyclic-galois-k-huge", "family-gen-k-above-cap",
+        "family-distinct-k-above-cap", "field-text-above-cap", "document-field-above-cap",
         "candidate-minpoly-above-cap", "product-above-cap", "field-reducible",
         "parentheses-above-cap", "minus-signs-above-cap", "constant-power-above-cap"])
 def test_malformed_input_is_one_error_line(tmp_path, argv, docs, names):

@@ -183,12 +183,17 @@ def test_power_multiply_count(monkeypatch):
         calls.append(1)
         return mul(self, other)
 
+    monomial = 3 * X
     monkeypatch.setattr(Poly, "__mul__", counting)
     for n in range(70):
         calls.clear()
         (X + 1) ** n
         expected = n.bit_length() + bin(n).count("1") - 2 if n else 0
         assert len(calls) == expected, n
+        # a one-term base is raised in closed form
+        calls.clear()
+        monomial ** n
+        assert not calls, n
 
 
 def _assert_division(a, b, q, r):
@@ -431,11 +436,22 @@ def _checked(p, ref):
     return p
 
 
-def ref_maps(field, names, max_terms=4, max_exp=3):
+def ref_maps(field, names, max_terms=4, max_exp=3, min_terms=0):
     coords = st.lists(SMALL, min_size=field.degree, max_size=field.degree).map(tuple)
+    if min_terms:
+        coords = coords.filter(any)
     mono = st.tuples(*[st.integers(0, max_exp)] * len(names))
-    return st.dictionaries(mono, coords, max_size=max_terms).map(
+    return st.dictionaries(mono, coords, min_size=min_terms, max_size=max_terms).map(
         lambda terms: {k: c for k, c in terms.items() if any(c)})
+
+
+def product_operands(field, names):
+    """Sparse maps with exponents up to 60, one-term maps and the zero map,
+    for products and powers (the Fraction reference gcd is too slow on
+    them)."""
+    return st.one_of(ref_maps(field, names, max_exp=60),
+                     ref_maps(field, names, max_exp=60, min_terms=1, max_terms=1),
+                     st.just({}))
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS)
@@ -452,10 +468,18 @@ def test_kernel_matches_fraction_reference(field, names, data):
     _checked(a + b, _ref_add(f, g))
     _checked(a - b, _ref_add(f, g, -1))
     _checked(a * b, _ref_mul(field, f, g))
-    power = {(0,) * len(names): field.one().coords}
+    one = {(0,) * len(names): field.one().coords}
+    power = one
     for n in range(4):
         _checked(a ** n, power)
         power = _ref_mul(field, power, f)
+    u, v = (data.draw(product_operands(field, names)) for _ in range(2))
+    _checked(poly(u) * poly(v), _ref_mul(field, u, v))
+    m = data.draw(ref_maps(field, names, max_exp=60, min_terms=1, max_terms=1))
+    power = one
+    for n in range(data.draw(st.integers(0, 20)) + 1):
+        _checked(poly(m) ** n, power)
+        power = _ref_mul(field, power, m)
     if g:
         q, r = divmod_poly(a, b)
         want_q, want_r = _ref_divmod(field, f, g)
