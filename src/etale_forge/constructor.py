@@ -7,9 +7,12 @@ from the divisibility condition
 
     (R1 + 3(t-1) R1')^2  |  1 - (1-t) R1^3.
 
-For d0 = 1 that condition is solved exactly (a quadratic over Q); for
-d0 = 2 the system has degree six and candidate solutions are verified, not
-searched for (full factoring over number fields is out of scope here).
+kr32_condition states it once, as the pair (E, D) with E^2 | D.  Since
+D' = R1^2 E, a root of E is a double root of D as soon as it is a root of
+D, so for d0 = 1 one eliminant in a1 decides the condition; it is solved
+exactly (past its rational roots, a quadratic over Q).  For d0 = 2 the
+system has degree six and candidate solutions are verified, not searched
+for (full factoring over number fields is out of scope here).
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .endo import (EtaleParams, SurfaceMap, etale_certificate, make_map,
                    ri_degrees, zk_to_t)
 from .numfield import (QQ, FieldElement, NumberField, cyclotomic_field,
                        rational_roots)
-from .polyalg import (NotDivisible, Poly, compose, divmod_poly, exact_div,
-                      gcd_univariate, variables)
+from .polyalg import (NotDivisible, Poly, compose, divmod_poly, exact_div, monic,
+                      variables)
 from .surface import hyper_surface, tilde_surface
 
 
@@ -180,41 +183,38 @@ def _squarefree_split(x: Fraction) -> tuple[Fraction, int]:
     return s, sign * f
 
 
-def _kr32_condition_polys() -> tuple[Poly, Poly]:
-    """Eliminate t from the double-root condition for d0 = 1.
+def kr32_condition(r1: Poly) -> tuple[Poly, Poly]:
+    """The (3, 2) divisibility condition on R1 as the pair (E, D), with
+    E = R1 + 3(t-1) R1' and D = 1 - (1-t) R1^3: R1 satisfies it iff E^2
+    divides D.  R1 may carry parameter variables besides t.
 
-    With R1 = a1 t + 1 the candidate divisor E = R1 + 3(t-1)R1' is linear
-    with root t0 = (3a1 - 1)/(4a1); E^2 divides D = 1 - (1-t)R1^3 iff
-    D(t0) = D'(t0) = 0.  Clearing denominators gives two polynomials in a1.
+    D' = R1^2 E, so a root of E is a double root of D as soon as it is a
+    root of D.
+    """
+    t = Poly.variable("t", r1.field, r1.variables)
+    return r1 + 3 * (t - 1) * r1.derivative("t"), 1 - (1 - t) * r1 ** 3
+
+
+def _kr32_d01_eliminant() -> Poly:
+    """The condition for d0 = 1 as one polynomial in a1.
+
+    With R1 = a1 t + 1, E = 4 a1 t - (3 a1 - 1) has the root
+    t0 = (3a1 - 1)/(4a1), and E^2 | D iff D(t0) = 0 (D' = R1^2 E vanishes
+    at t0 already).  Reducing (4 a1)^4 D modulo E clears the denominators
+    of D(t0) = 0, which adds the spurious root a1 = 0.
     """
     t, a1 = variables("t,a1")
-    r1 = a1 * t + 1
-    D = 1 - (1 - t) * r1 ** 3
-    Dp = D.derivative("t")
-    num = 3 * a1 - 1   # t0 numerator
-    den = 4 * a1       # t0 denominator
-
-    def eliminated(poly: Poly) -> Poly:
-        dt = poly.degree_in("t")
-        acc = Poly.zero(QQ, ("a1",))
-        for key, c in poly.terms.items():
-            exps = dict(zip(poly.variables, key))
-            j = exps.get("t", 0)
-            coeff_term = Poly(QQ, poly.variables,
-                              {tuple(0 if v == "t" else e
-                                     for v, e in zip(poly.variables, key)): c},
-                              poly.den)
-            acc = acc + coeff_term * num ** j * den ** (dt - j)
-        return acc.drop_unused().with_variables(("a1",))
-
-    return eliminated(D), eliminated(Dp)
+    e, D = kr32_condition(a1 * t + 1)
+    return divmod_poly((4 * a1) ** 4 * D, e)[1].drop_unused().with_variables(("a1",))
 
 
 def solve_kr32(d0: int, candidates: list[dict] | None = None) -> list[EtaleParams]:
     """Etale parameters for (k, r) = (3, 2), alpha = 1, with deg R0 = d0.
 
-    d0 = 1: the divisibility condition reduces to one quadratic over Q;
-    both conjugate roots are returned over the field it defines.
+    d0 = 1: since D' = R1^2 E the divisibility condition is one eliminant
+    in a1; past its rational roots (which the certificate rejects) a
+    quadratic over Q remains, and both conjugate roots are returned over
+    the field it defines.
 
     d0 = 2: the system has six solutions and is not solved here; supplied
     candidate pairs (a1, a2) are verified instead (default: the built-in
@@ -222,26 +222,19 @@ def solve_kr32(d0: int, candidates: list[dict] | None = None) -> list[EtaleParam
     the certificate.
     """
     if d0 == 1:
-        A, B = _kr32_condition_polys()
-        g = gcd_univariate(A, B)
-        # strip the spurious a1 = 0 root coming from clearing denominators,
-        # then peel remaining rational roots (degenerate normalizations are
-        # rejected by the certificate); a quadratic condition must remain.
+        g = monic(_kr32_d01_eliminant())
         a1, t = Poly.variable("a1", QQ), Poly.variable("t", QQ)
-        while g.constant_coeff().is_zero() and g.total_degree() > 0:
-            g = exact_div(g, a1)
-        out = []
-        coeffs = [c.as_fraction() for c in g.univariate_coeffs()]
-        for root in rational_roots(coeffs):
+        # peel the rational roots (among them the spurious a1 = 0); a
+        # quadratic condition must remain
+        roots = rational_roots([c.as_fraction() for c in g.univariate_coeffs()])
+        for root in roots:
             while True:
                 try:
                     g = exact_div(g, a1 - root)
                 except NotDivisible:
                     break
-            params = _kr32_params_from_r1_poly(root * t + 1, d0=1, d=4)
-            if params is not None:
-                out.append(params)
-        for root in _quadratic_field_roots(g):
+        out = []
+        for root in roots + _quadratic_field_roots(g):
             params = _kr32_params_from_r1_poly(root * t + 1, d0=1, d=4)
             if params is not None:
                 out.append(params)
@@ -251,7 +244,7 @@ def solve_kr32(d0: int, candidates: list[dict] | None = None) -> list[EtaleParam
             candidates = [_KR32_D02_REFERENCE]
         out = []
         for cand in candidates:
-            field = NumberField(cand["minpoly"], gen=cand.get("gen", "theta"))
+            field = NumberField(cand["minpoly"])
             a1 = field.from_coords(cand["a1"])
             a2 = field.from_coords(cand["a2"])
             t = Poly.variable("t", field)
@@ -275,18 +268,14 @@ _KR32_D02_REFERENCE = {
 
 
 def _quadratic_field_roots(g: Poly) -> list[FieldElement]:
-    """Roots of a monic rational polynomial of degree <= 2, presented over
-    Q[theta]/(theta^2 - f) with f the squarefree part of the discriminant."""
+    """Roots of a monic rational quadratic without rational roots,
+    presented over Q[theta]/(theta^2 - f) with f the squarefree part of
+    the discriminant."""
     coeffs = [c.as_fraction() for c in g.univariate_coeffs()]
-    if len(coeffs) == 2:
-        return [QQ.elem(-coeffs[0])]
     if len(coeffs) != 3:
         raise ValueError(f"expected a quadratic condition, got degree {len(coeffs)-1}")
     b, c = coeffs[1], coeffs[0]
-    disc = b * b - 4 * c
-    s, f = _squarefree_split(disc)
-    if f == 1:
-        return [QQ.elem((-b + s) / 2), QQ.elem((-b - s) / 2)]
+    s, f = _squarefree_split(b * b - 4 * c)
     field = NumberField([-f, 0, 1])
     theta = field.gen()
     half = field.elem(Fraction(1, 2))
@@ -294,19 +283,16 @@ def _quadratic_field_roots(g: Poly) -> list[FieldElement]:
 
 
 def _kr32_params_from_r1_poly(r1: Poly, d0: int, d: int) -> EtaleParams | None:
+    """The certified parameters with this R1, or None.  R1(0) = 1 puts t
+    in D and E(0) != 0 keeps it out of E, so t R2^2 | D iff E^2 | D."""
     field = r1.field
-    t = Poly.variable("t", field)
-    e = r1 + 3 * (t - 1) * r1.derivative()
+    e, D = kr32_condition(r1)
     c0 = e.constant_coeff()
     if c0.is_zero():
         return None
     r2 = e * c0.inverse()
-    D = 1 - (1 - t) * r1 ** 3
-    _, rem = divmod_poly(D, e * e)
-    if not rem.is_zero():
-        return None
     try:
-        r0 = exact_div(D, t * r2 ** 2)
+        r0 = exact_div(D, Poly.variable("t", field) * r2 ** 2)
     except NotDivisible:
         return None
     params = EtaleParams(k=3, r=2, a=1, alpha=1, d=d, lam=field.elem(1),

@@ -30,8 +30,10 @@ from fractions import Fraction
 from .numfield import (QQ, FieldElement, NumberField, common_field,
                        json_fields, rationals)
 from .polyalg import Poly, compose, gcd_univariate
+from .polyparse import (MAX_DEGREE, field_from_string, field_name, parse_poly,
+                        print_poly)
 from .surface import (SurfacePoint, SurfaceSpec, hyper_surface, normal_form,
-                      relation_poly, tilde_surface, weight_of)
+                      parse_surface_id, relation_poly, tilde_surface, weight_of)
 
 
 class NotAMorphism(ValueError):
@@ -52,8 +54,8 @@ class DegreeUndetermined(ValueError):
 
 class CertificateRequired(ValueError):
     def __init__(self, certificate: "EtaleCertificate"):
-        failing = [name for name, ok in certificate.checks.items() if not ok]
-        super().__init__(f"certificate verdict false; failing: {', '.join(failing)}")
+        super().__init__("certificate verdict false; failing: "
+                         + ", ".join(certificate.failing()))
         self.certificate = certificate
 
 
@@ -179,7 +181,7 @@ def zk_compatible(m: SurfaceMap, a: int) -> ZkCompat:
     if math.gcd(a, s.k) != 1:
         raise ValueError(f"a = {a} is not coprime with k = {s.k}")
     k = s.k
-    exps = s.zk_exponents(a)
+    exps = (1, -s.r, -a)       # eps*_a scales x, y, z by eps^1, eps^-r, eps^-a
     coord_weights: list[int | None] = []
     for coord in m.normalized_coords():
         if coord.is_zero():
@@ -315,7 +317,7 @@ class EtaleParams:
             raise ValueError("lambda must be nonzero")
         polys = [rp for rp in (self.R0, self.R1, self.R2) if isinstance(rp, Poly)]
         field = common_field(self.lam.field, *(rp.field for rp in polys))
-        object.__setattr__(self, "lam", field.coerce(self.lam))
+        object.__setattr__(self, "lam", field.elem(self.lam))
         object.__setattr__(self, "R0", _as_t_poly(self.R0, field))
         object.__setattr__(self, "R1", _as_t_poly(self.R1, field))
         object.__setattr__(self, "R2", _as_t_poly(self.R2, field))
@@ -325,7 +327,6 @@ class EtaleParams:
         return self.lam.field
 
     def to_json(self) -> dict:
-        from .polyparse import field_name, print_poly
         return {
             "k": self.k, "r": self.r, "a": self.a,
             "alpha": self.alpha, "d": self.d,
@@ -343,18 +344,33 @@ _PARAM_FIELDS = {"k": int, "r": int, "a": int, "alpha": int, "d": int,
 
 def params_from_json(data: dict) -> EtaleParams:
     """The inverse of EtaleParams.to_json; a missing or ill-typed field
-    raises ValueError naming it."""
-    from .polyparse import field_from_string, parse_poly
+    raises ValueError naming it.
+
+    So that the certificate cannot run away, ValueError also rejects k or r
+    above MAX_DEGREE, and a document where either side of C1,
+    t (1-t)^((1-alpha)r/k) R0 R2^r or (1-t)^alpha R1^k, would have degree
+    above MAX_DEGREE; those degrees are counted from deg R0, R1, R2 before
+    any power is taken.
+    """
     json_fields(data, _PARAM_FIELDS, "parameter document")
+    for name in ("k", "r"):
+        if data[name] > MAX_DEGREE:
+            raise ValueError(f"parameter {name!r} = {data[name]} exceeds the "
+                             f"bound {MAX_DEGREE}")
     field = field_from_string(data["field"])
     lam = field.from_coords(rationals(data["lambda"], "parameter 'lambda'"))
-    return EtaleParams(
+    p = EtaleParams(
         k=data["k"], r=data["r"], a=data["a"],
         alpha=data["alpha"], d=data["d"], lam=lam,
         R0=parse_poly(data["R0"], ("t",), field),
         R1=parse_poly(data["R1"], ("t",), field),
         R2=parse_poly(data["R2"], ("t",), field),
     )
+    d0, d1, d2 = (max(R.total_degree(), 0) for R in (p.R0, p.R1, p.R2))
+    side = max(1 + (1 - p.alpha) * p.r // p.k + d0 + p.r * d2, p.alpha + p.k * d1)
+    if side > MAX_DEGREE:
+        raise ValueError(f"a side of C1 of degree {side} exceeds the bound {MAX_DEGREE}")
+    return p
 
 
 def ri_degrees(k: int, r: int, alpha: int, d: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -391,7 +407,6 @@ class EtaleCertificate:
     def witness_json(self) -> dict:
         """The witnesses with polynomials as text and degrees as rationals
         in text."""
-        from .polyparse import print_poly
         out = {}
         for name, w in self.witnesses.items():
             if isinstance(w, Poly):
@@ -579,7 +594,6 @@ def jacobian_spotcheck(m: SurfaceMap) -> OracleVerdict:
 
 
 def map_to_json(m: SurfaceMap) -> dict:
-    from .polyparse import field_name, print_poly
     return {
         "source": m.source.surface_id(),
         "target": m.target.surface_id(),
@@ -589,8 +603,6 @@ def map_to_json(m: SurfaceMap) -> dict:
 
 
 def map_from_json(data: dict) -> SurfaceMap:
-    from .polyparse import field_from_string, parse_poly
-    from .surface import parse_surface_id
     source = parse_surface_id(data["source"])
     target = parse_surface_id(data["target"])
     field = field_from_string(data["field"])

@@ -77,7 +77,7 @@ class FamilySpec:
             raise PreconditionViolated(
                 f"base parameters are for tilde({self.base.k},{self.base.r})")
         object.__setattr__(self, "avector",
-                           tuple(self.base.field.coerce(a) for a in self.avector))
+                           tuple(self.base.field.elem(a) for a in self.avector))
 
     def deformation_poly(self) -> Poly:
         """F(a) = 1 + sum a_i x^(r i) with r = rbar*k."""

@@ -168,7 +168,7 @@ def non_contraction_check(n: int, b: Poly) -> bool:
     separately so crafted invalid b are detectable.)"""
     if b.is_zero():
         return False
-    if b.is_constant():
+    if b.total_degree() == 0:
         return True
     u = _u_poly(n, b.field)
     return gcd_univariate(b, u).total_degree() == 0

@@ -15,12 +15,14 @@ FieldElement and Poly both call them.
 
 The rationals are the degree-one field QQ = Q[theta]/(theta).  Every
 degree-one presentation is Q as well: its elements are stored by their
-rational values, so all degree-one fields compare and hash equal.  Ints and
-Fractions coerce into any field as constants.  common_field is the one rule
-for combining fields, used by every FieldElement and Poly operation: a
-degree-one field yields to an extension, and two distinct extensions raise
-FieldMismatch (no automatic compositum).  polyparse reads and writes the
-text form of a field (field_from_string, field_name).
+rational values, so all degree-one fields compare and hash equal.
+NumberField.elem is the one coercion into a field: ints and Fractions
+become constants, and an element of another field is taken over when
+common_field allows it.  common_field is the one rule for combining fields,
+used by every FieldElement and Poly operation: a degree-one field yields to
+an extension, and two distinct extensions raise FieldMismatch (no automatic
+compositum).  polyparse reads and writes the text form of a field
+(field_from_string, field_name).
 
 Irreducibility of a user-supplied minimal polynomial is verified up to
 degree 4 (rational-root and quadratic-resolvent tests); above that the
@@ -258,9 +260,16 @@ class NumberField:
         return FieldElement(self, (0, 1) + (0,) * (self.degree - 2))
 
     def elem(self, x) -> "FieldElement":
-        """Embed a rational constant (or coerce a compatible element)."""
+        """x as an element of self: an int or Fraction as a constant, a
+        FieldElement taken over when common_field(self, x.field) is self,
+        FieldMismatch otherwise."""
         if isinstance(x, FieldElement):
-            return self.coerce(x)
+            if x.field == self:
+                return x
+            if common_field(self, x.field) != self:
+                raise FieldMismatch(f"cannot mix elements of {x.field.minpoly_str()} "
+                                    f"and {self.minpoly_str()}")
+            return FieldElement(self, x.nums + (0,) * (self.degree - 1), x.den)
         q = x if isinstance(x, int) else _as_fraction(x)
         return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1),
                             q.denominator)
@@ -272,18 +281,6 @@ class NumberField:
         den = math.lcm(*(c.denominator for c in cs))
         return FieldElement(self, tuple(c.numerator * (den // c.denominator)
                                         for c in cs), den)
-
-    def coerce(self, x) -> "FieldElement":
-        """x as an element of self; FieldMismatch unless common_field(self,
-        x.field) is self."""
-        if isinstance(x, FieldElement):
-            if x.field == self:
-                return x
-            if common_field(self, x.field) != self:
-                raise FieldMismatch(f"cannot mix elements of {x.field.minpoly_str()} "
-                                    f"and {self.minpoly_str()}")
-            return FieldElement(self, x.nums + (0,) * (self.degree - 1), x.den)
-        return self.elem(x)
 
     def _power_tail(self) -> tuple[list[Ints], int]:
         """Integer rows T_j and one denominator D with theta^(n+j) equal to
@@ -437,7 +434,7 @@ class FieldElement:
         if other.field == self.field:
             return self, other
         field = common_field(self.field, other.field)
-        return field.coerce(self), field.coerce(other)
+        return field.elem(self), field.elem(other)
 
     # -- predicates ----------------------------------------------------
 

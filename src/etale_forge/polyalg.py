@@ -115,9 +115,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in k) for k in self.terms)
-
     def _coeff(self, nums: Ints) -> FieldElement:
         return FieldElement(self.field, nums, self.den)
 
@@ -379,7 +376,7 @@ class Poly:
         field = common_field(self.field, *(x.field for x in values.values()
                                            if isinstance(x, FieldElement)))
         p = self.with_field(field)
-        values = {v: field.coerce(x) for v, x in values.items()}
+        values = {v: field.elem(x) for v, x in values.items()}
         one = ((1,) + (0,) * (field.degree - 1), 1)
         powers = []
         for v in p.variables:

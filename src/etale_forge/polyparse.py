@@ -10,7 +10,8 @@ Grammar (LL(1), whitespace-insensitive, byte offsets in errors):
 
 Implicit multiplication ("2x") is rejected; rationals are written "p/q";
 exponents are nonnegative integer literals.  Symbols are either declared
-variables or the generator of the coefficient field ("theta", "zeta", ...).
+variables or the generator of the coefficient field ("theta", "zeta", ...),
+which may not be named like a variable.
 The parser evaluates as it reads.  A product or power is rejected before it
 is expanded when its degree would exceed MAX_DEGREE or its possible term
 count would exceed MAX_TERMS.  That count is the dense C(n + deg, n) in the
@@ -270,8 +271,14 @@ class _Parser:
 
 
 def parse_poly(text: str, vars, field: NumberField = QQ) -> Poly:
-    """Parse text into an exact Poly over the given field and variables."""
-    return _Parser(text, tuple(vars), field).parse()
+    """Parse text into an exact Poly over the given field and variables.
+    The generator of an extension field may not share a name with a
+    variable, or print_poly would print text that reads back otherwise."""
+    vars = tuple(vars)
+    if not field.is_rational and field.gen_name in vars:
+        raise PolyParseError(f"field generator {field.gen_name!r} is also a "
+                             "variable", 0)
+    return _Parser(text, vars, field).parse()
 
 
 def field_from_string(text: str) -> NumberField:

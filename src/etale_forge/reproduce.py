@@ -21,7 +21,7 @@ from .chebyshab import (RamificationProfile, chebyshev_T, chebyshev_U,
                         extract_profile, thom_feasible)
 from .constructor import (DegreeTriple, chebyshev_endo,
                           cyclic_galois_endo, degrees_from,
-                          factor_through_cover, solve_kr32)
+                          factor_through_cover, kr32_condition, solve_kr32)
 from .endo import (BuildResult, EtaleParams, SurfaceMap, apply_map,
                    base_polynomial, build_from_params, compose_maps,
                    cstar_equivariant, degree_of, jacobian_det_at,
@@ -321,11 +321,10 @@ def _check_cheb_point(fixture_dir: Path, build: Build) -> str:
 
 
 def _kr32_remainder(r1: Poly) -> Poly:
-    """1 - (1-t) R1^3 mod E^2, E = R1 + 3(t-1) R1': zero iff R1 satisfies
+    """D mod E^2 for (E, D) = kr32_condition(R1): zero iff R1 satisfies
     the (3,2) divisibility condition."""
-    t = Poly.variable("t", r1.field)
-    e = r1 + 3 * (t - 1) * r1.derivative()
-    return divmod_poly(1 - (1 - t) * r1 ** 3, e * e)[1]
+    e, D = kr32_condition(r1)
+    return divmod_poly(D, e * e)[1]
 
 
 def _check_kr32_solver(fixture_dir: Path, build: Build, kr32: Kr32) -> str:

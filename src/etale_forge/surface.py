@@ -48,12 +48,6 @@ class SurfaceSpec:
             return (1, -self.r, 0)
         return (self.k, -self.r * self.k, 1)
 
-    def zk_exponents(self, a: int) -> tuple[int, int, int]:
-        """Exponents of the order-k cyclic action eps*_a on the tilde model."""
-        if self.model != "tilde":
-            raise ValueError("cyclic action data lives on the tilde model")
-        return (1, -self.r, -a)
-
     def relation(self, field: NumberField = QQ) -> Poly:
         x, y, z = (Poly.variable(v, field, self.vars) for v in self.vars)
         if self.model == "tilde":

@@ -29,6 +29,8 @@ MINPOLY_TOO_BIG = [1, 1] + [0] * (MAX_FIELD_DEGREE - 1) + [1]
 GOLDEN = Path(__file__).parent / "golden" / "reproduce_paper.json"
 BIG_FIELD_CONSTANT = "1000000000000000000007"
 BIG_FIELD = f"theta^2 + {BIG_FIELD_CONSTANT}"
+# a certified parameter document, varied into the hostile ones below
+_CHEB_D3 = json.loads((default_fixture_dir() / "cheb_d3.json").read_text())["params"]
 
 
 def run_cli(*args):
@@ -283,6 +285,19 @@ def test_usage_errors_exit_one():
      f"bound {MAX_NESTING} (offset {MAX_NESTING})"),
     (["shabat", "extract", "--poly", "((10^10)^100)^100*t"], {},
      f"bound {MAX_CONSTANT_BITS}"),
+    # C1 would expand R1^100001 and R2^100000
+    (["verify-endo", "--params", "TMP/p.json"],
+     {"p.json": json.dumps({**_CHEB_D3, "k": 100001, "d": 100001, "R1": "1 - 4*t"})},
+     f"'k' = 100001 exceeds the bound {MAX_DEGREE}"),
+    (["verify-endo", "--params", "TMP/p.json"],
+     {"p.json": json.dumps({**_CHEB_D3, "r": 100000, "R2": "1 + t"})},
+     f"'r' = 100000 exceeds the bound {MAX_DEGREE}"),
+    (["verify-endo", "--params", "TMP/p.json"],
+     {"p.json": json.dumps({**_CHEB_D3, "R2": "1 + t^600"})},
+     f"C1 of degree 1201 exceeds the bound {MAX_DEGREE}"),
+    (["verify-endo", "--params", "TMP/p.json"],
+     {"p.json": json.dumps({**_CHEB_D3, "field": "t^2 + 2", "lambda": ["3", "0"]})},
+     "generator 't' is also a variable"),
 ], ids=["other-fixture", "missing-field", "not-an-object", "avecs-not-nested",
         "avec-not-a-list", "profile-missing-field", "profile-not-an-object",
         "profile-partition-not-int", "candidates-not-an-object",
@@ -291,7 +306,9 @@ def test_usage_errors_exit_one():
         "cyclic-galois-k-above-cap", "cyclic-galois-k-huge", "family-gen-k-above-cap",
         "family-distinct-k-above-cap", "field-text-above-cap", "document-field-above-cap",
         "candidate-minpoly-above-cap", "product-above-cap", "field-reducible",
-        "parentheses-above-cap", "minus-signs-above-cap", "constant-power-above-cap"])
+        "parentheses-above-cap", "minus-signs-above-cap", "constant-power-above-cap",
+        "document-k-above-cap", "document-r-above-cap", "document-c1-above-cap",
+        "generator-named-like-a-variable"])
 def test_malformed_input_is_one_error_line(tmp_path, argv, docs, names):
     for name, text in docs.items():
         (tmp_path / name).write_text(text)

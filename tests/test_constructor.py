@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U
 from etale_forge.constructor import (BadEpsilon, DegreeTriple, Infeasible,
                                      InfeasibleDegree, PreconditionViolated,
+                                     _kr32_d01_eliminant, _kr32_params_from_r1_poly,
                                      chebyshev_endo, cyclic_galois_endo,
                                      degrees_from, factor_through_cover,
-                                     solve_kr32)
+                                     kr32_condition, solve_kr32)
 from etale_forge.endo import (base_polynomial, build_from_params,
                               compose_maps, degree_of, etale_certificate,
                               identity_map, jacobian_spotcheck, make_map,
@@ -18,6 +21,7 @@ from etale_forge.family import covering
 from etale_forge.numfield import QQ, NumberField, cyclotomic_field
 from etale_forge.polyalg import (Poly, compose, divmod_poly, exact_div,
                                  gcd_univariate, monic, squarefree_decomposition)
+from etale_forge.polyparse import parse_poly
 from etale_forge.surface import hyper_surface, tilde_surface
 
 T = Poly.variable("t", QQ)
@@ -111,6 +115,43 @@ def test_cyclic_galois_base_map():
         built = build_from_params(params)
         eta_rho = base_polynomial(built.hyper_map)
         assert eta_rho == 1 - params.R1 ** k
+
+
+@pytest.mark.parametrize("field", [QQ, NumberField([2, 0, 1])])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kr32_condition_derivative_identity(field, data):
+    # D' = R1^2 E: the d0 = 1 solver and _kr32_params_from_r1_poly rely on it
+    height = st.fractions(min_value=-20, max_value=20, max_denominator=20)
+    coords = st.lists(height, min_size=field.degree, max_size=field.degree)
+    tail = data.draw(st.lists(coords, max_size=4))
+    t = Poly.variable("t", field)
+    r1 = 1 + sum((field.from_coords(c) * t ** (i + 1) for i, c in enumerate(tail)),
+                 Poly.zero(field, ("t",)))
+    e, D = kr32_condition(r1)
+    assert e == r1 + 3 * (t - 1) * r1.derivative()
+    assert D == 1 - (1 - t) * r1 ** 3
+    assert D.derivative("t") == r1 ** 2 * e
+
+
+def test_kr32_d01_eliminant_is_pinned():
+    assert _kr32_d01_eliminant() == parse_poly(
+        "-27*a1^7 - 108*a1^6 - 162*a1^5 + 148*a1^4 - 27*a1^3", ("a1",))
+
+
+def test_kr32_params_reject_r1_off_the_condition():
+    # the printed a1 and the printed (a1, a2): E(0) != 0, so exact division
+    # by t R2^2 alone must refuse them
+    f2, f7 = NumberField([2, 0, 1]), NumberField([7, 0, 1])
+    t2, t7 = Poly.variable("t", f2), Poly.variable("t", f7)
+    a1 = f2.from_coords([Fraction(-7, 3), Fraction(1, 3)])
+    b1 = f7.from_coords([Fraction(87, 24), Fraction(-91, 24)])
+    b2 = f7.from_coords([Fraction(-139, 24), Fraction(63, 24)])
+    for r1, d0, d in ((a1 * t2 + 1, 1, 4), (b2 * t7 ** 2 + b1 * t7 + 1, 2, 7)):
+        e, D = kr32_condition(r1)
+        assert not e.constant_coeff().is_zero()
+        assert not divmod_poly(D, e * e)[1].is_zero()
+        assert _kr32_params_from_r1_poly(r1, d0=d0, d=d) is None
 
 
 def test_solve_kr32_d0_1():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U, extract_profile, thom_feasible
+from etale_forge.constructor import chebyshev_endo
 from etale_forge.endo import (CertificateRequired, ChartDegenerate,
                               DegreeUndetermined, EtaleParams, NotAMorphism,
                               SourceTargetMismatch, apply_map,
@@ -291,6 +292,27 @@ def test_params_from_json_names_bad_fields():
             params_from_json({**doc, "lambda": lam})
     with pytest.raises(ValueError, match="object"):
         params_from_json([1, 2])
+
+
+def test_params_from_json_bounds_the_c1_degrees():
+    doc = s2_galois_params().to_json()
+    for name in ("k", "r"):
+        with pytest.raises(ValueError, match=f"{name!r} = 1001 exceeds the bound 1000"):
+            params_from_json({**doc, name: 1001})
+    # with (k, r, alpha) = (2, 2, 0) the sides of C1 are t (1-t) R0 R2^2 and
+    # R1^2: each reaches degree 1000 here, and 1001 or 1002 one step further
+    for name, allowed, refused in (("R0", 998, 999), ("R2", 499, 500),
+                                   ("R1", 500, 501)):
+        read = params_from_json({**doc, name: f"t^{allowed}"})
+        assert getattr(read, name) == T ** allowed
+        with pytest.raises(ValueError, match="C1 of degree 100[12] exceeds the bound 1000"):
+            params_from_json({**doc, name: f"t^{refused}"})
+
+
+def test_chebyshev_document_at_the_degree_bound_reads_back():
+    # the largest Chebyshev document: both sides of its C1 have degree 999
+    params = chebyshev_endo(999)
+    assert params_from_json(params.to_json()) == params
 
 
 def test_build_from_params_requires_certificate():

@@ -307,10 +307,10 @@ def test_with_field_coerces_each_coefficient(data):
     p = data.draw(polys(QQ, ("x", "y")))
     lifted = p.with_field(F_SQRT_M2)
     assert lifted.field == F_SQRT_M2
-    assert _coeffs(lifted) == {k: F_SQRT_M2.coerce(c) for k, c in _coeffs(p).items()}
+    assert _coeffs(lifted) == {k: F_SQRT_M2.elem(c) for k, c in _coeffs(p).items()}
     u = data.draw(polys(QQ, ("x",)))
     assert (u.with_field(F_SQRT_M2).univariate_coeffs()
-            == [F_SQRT_M2.coerce(c) for c in u.univariate_coeffs()])
+            == [F_SQRT_M2.elem(c) for c in u.univariate_coeffs()])
 
 
 def test_with_field_between_extensions_raises():

@@ -46,6 +46,18 @@ def test_implicit_multiplication_rejected_with_position():
     assert err.value.position == 1
 
 
+def test_field_generator_may_not_be_a_variable():
+    # print_poly would write theta*t over this field as "(t)*t", read back as t^2
+    field = field_from_string("t^2 + 2")
+    for vars in (["t"], ["x", "t"]):
+        with pytest.raises(PolyParseError, match="generator 't' is also a variable"):
+            parse_poly("1", vars, field)
+    # a degree-one field has no generator symbol; a distinct one reads as before
+    assert parse_poly("t", ["t"], NumberField([2, 1], gen="t")) == Poly.variable("t")
+    x = Poly.variable("x", field)
+    assert parse_poly(print_poly(field.gen() * x), ["x"], field) == field.gen() * x
+
+
 def test_unknown_symbol():
     with pytest.raises(UnknownSymbol):
         parse_poly("x + q", ["x"])
