@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .numfield import (QQ, FieldElement, NumberField, common_field,
                        json_fields, rationals)
-from .polyalg import Poly, compose, gcd_univariate
+from .polyalg import Poly, compose, exact_div, gcd_univariate
 from .polyparse import (MAX_DEGREE, field_from_string, field_name, parse_poly,
                         print_poly)
 from .surface import (SurfacePoint, SurfaceSpec, hyper_surface, normal_form,
@@ -57,10 +57,6 @@ class CertificateRequired(ValueError):
         super().__init__("certificate verdict false; failing: "
                          + ", ".join(certificate.failing()))
         self.certificate = certificate
-
-
-class ChartDegenerate(ValueError):
-    pass
 
 
 class SurfaceMap:
@@ -227,9 +223,7 @@ def base_polynomial(m: SurfaceMap) -> Poly:
         q = 1 - normal_form(w ** k, ambient)
     else:
         cover = tilde_surface(k, s.r * k)
-        x = Poly.variable("x", field, cover.vars)
-        y = Poly.variable("y", field, cover.vars)
-        z = Poly.variable("z", field, cover.vars)
+        x, y, z = (Poly.variable(v, field, cover.vars) for v in cover.vars)
         sub = {"u": x ** k, "v": y, "w": x * z}
         psi1 = m.coords[0].substitute(sub)
         psi2 = m.coords[1].substitute(sub)
@@ -486,9 +480,7 @@ def build_from_params(p: EtaleParams) -> BuildResult:
     k, r, alpha = p.k, p.r, p.alpha
 
     s = tilde_surface(k, r)
-    x = Poly.variable("x", field, s.vars)
-    y = Poly.variable("y", field, s.vars)
-    z = Poly.variable("z", field, s.vars)
+    x, y, z = (Poly.variable(v, field, s.vars) for v in s.vars)
     tz = 1 - z ** k
     eta1 = x * z ** (1 - alpha) * compose(p.R2, tz) * p.lam
     eta2 = y * compose(p.R0, tz) * (p.lam ** (-r))
@@ -499,9 +491,7 @@ def build_from_params(p: EtaleParams) -> BuildResult:
     if p.a == 1 and r % k == 0:
         rbar = r // k
         h = hyper_surface(k, rbar)
-        u = Poly.variable("u", field, h.vars)
-        v = Poly.variable("v", field, h.vars)
-        w = Poly.variable("w", field, h.vars)
+        u, v, w = (Poly.variable(n, field, h.vars) for n in h.vars)
         tu = -(u ** rbar) * v
         r2t = compose(p.R2, tu)
         h1 = u * (1 - tu) ** (1 - alpha) * (r2t ** k) * (p.lam ** k)
@@ -521,51 +511,59 @@ def build_from_params(p: EtaleParams) -> BuildResult:
 # D = G_mid o f.  J is a regular function and the only units of these
 # coordinate rings are the nonzero constants, so f is etale everywhere iff
 # J is a nonzero constant.
+#
+# J is one exact division: mid -> top / first^e, from the relation
+# first^e * mid = top, embeds the coordinate ring in Q[first, 1/first, last],
+# where J = -first^n * T''/D'' with T'', D'' prime to first; D'' divides T''
+# since first is prime and J regular.  For n < 0, first*g = h (tilde:
+# g = x^(r-1)*y, h = z^k - 1; hyper: g = u^rbar*v + 1, h = w^k) gives
+# J = normal_form(-g^|n|*T''/D'') / h^|n|, h being a polynomial in last.
 
 
 def _pullback_numerator(m: SurfaceMap) -> Poly:
-    """T = (grad f1 x grad f3) . grad F over the source variables."""
-    if m.extra_variables():
-        raise ValueError("the Jacobian oracle needs numeric coordinates, not parameters")
-    vs = m.source.vars
+    """T over the source variables, then any parameter variables."""
+    vs = m.source.vars + m.extra_variables()
     a, b = (c.drop_unused().with_variables(vs) for c in (m.coords[0], m.coords[2]))
-    n = relation_poly(m.source, m.field, vs)
-    ga, gb, gn = ([p.derivative(v) for v in vs] for p in (a, b, n))
+    ga, gb, gn = ([p.derivative(v) for v in m.source.vars]
+                  for p in (a, b, relation_poly(m.source, m.field, vs)))
     return (gn[0] * (ga[1] * gb[2] - ga[2] * gb[1])
             + gn[1] * (ga[2] * gb[0] - ga[0] * gb[2])
             + gn[2] * (ga[0] * gb[1] - ga[1] * gb[0]))
 
 
-def jacobian_det_at(m: SurfaceMap, pt: SurfacePoint) -> FieldElement:
-    """Exact determinant of the induced chart map at pt.
+def _in_chart(p: Poly, e: int, top: Poly) -> tuple[Poly, int]:
+    """(q, n) with p = first^n * q under mid -> top / first^e, q free of mid
+    and prime to first, by Horner's rule in mid."""
+    d = max((k[1] for k in p.terms), default=0)
+    rows = [{} for _ in range(d + 1)]
+    for k, c in p.terms.items():   # row j holds p_j * first^(e*(d-j))
+        rows[k[1]][(k[0] + e * (d - k[1]), 0) + k[2:]] = c
+    acc = Poly.zero(top.field, top.variables)
+    for row in reversed(rows):
+        acc = acc * top + Poly(p.field, p.variables, row, p.den)
+    low = min((k[0] for k in acc.terms), default=0)
+    terms = {(k[0] - low,) + k[1:]: c for k, c in acc.terms.items()}
+    return Poly(acc.field, acc.variables, terms, acc.den), low - e * d
 
-    The chart solves the middle variable from the relation on {first != 0};
-    both pt and its image must lie in the chart (ChartDegenerate otherwise).
-    The first and last variables are etale coordinates there, so the map is
-    etale at pt iff this determinant, -T(pt) / F_mid(pt), is nonzero.
-    """
-    t = _pullback_numerator(m)
-    if pt.coords[0].is_zero():
-        raise ChartDegenerate("sample has vanishing first coordinate")
-    if apply_map(m, pt).coords[0].is_zero():
-        raise ChartDegenerate("image has vanishing first coordinate")
-    s = m.source
-    env = dict(zip(s.vars, pt.coords))
-    f_mid = relation_poly(s, m.field, s.vars).derivative(s.vars[1])
-    return -t.evaluate(env) / f_mid.evaluate(env)
+
+def jacobian_det_at(m: SurfaceMap, pt: SurfacePoint) -> FieldElement:
+    """J at pt, zero exactly where m is not etale; the determinant of m in
+    the coordinates (first, last) times first^e / f1^e' where those are nonzero."""
+    return jacobian_spotcheck(m).J.evaluate(dict(zip(m.source.vars, pt.coords)))
 
 
 @dataclass(frozen=True)
 class OracleVerdict:
     """Outcome of the Jacobian oracle; true iff the map is etale.
 
-    jacobian is the constant J with f*omega = J * omega when J is a nonzero
-    constant, else None.  residual is normal_form(T + c*D) for the only
-    candidate c (c = 1 when T or D reduces to zero): zero when the map is
-    etale, the witness that J is not a nonzero constant otherwise.
-    """
-    jacobian: FieldElement | None
-    residual: Poly
+    J, in normal form, has f*omega = J * omega.  jacobian is J when J is a
+    nonzero constant, else None, and J is the witness: it vanishes exactly
+    on the ramification locus."""
+    J: Poly
+
+    @property
+    def jacobian(self) -> FieldElement | None:
+        return self.J.constant_coeff() if self.J.total_degree() == 0 else None
 
     def __bool__(self):
         return self.jacobian is not None
@@ -573,21 +571,23 @@ class OracleVerdict:
 
 def jacobian_spotcheck(m: SurfaceMap) -> OracleVerdict:
     """Decide exactly whether m pulls omega back to a nonzero constant
-    multiple of omega, i.e. whether m is etale everywhere.
-
-    T + c*D reduces to zero for some constant c exactly when J = c; the
-    leading coefficients of the normal forms of T and D fix the only
-    candidate c.
-    """
-    t = normal_form(_pullback_numerator(m), m.source)
-    target = m.target
-    g_mid = relation_poly(target, m.field, target.vars).derivative(target.vars[1])
-    d = normal_form(g_mid.substitute(dict(zip(target.vars, m.coords))), m.source)
-    if t.is_zero() or d.is_zero():
-        return OracleVerdict(None, t + d)
-    c = -t.leading_coeff() / d.leading_coeff()
-    residual = t + d * c
-    return OracleVerdict(c if residual.is_zero() else None, residual)
+    multiple of omega, i.e. is etale everywhere, for all parameter values.
+    J is over the source variables and any parameters."""
+    s, t = m.source, _pullback_numerator(m)
+    first, mid, last = (Poly.variable(v, t.field, t.variables) for v in s.vars)
+    tilde = s.model == "tilde"
+    e, top = (s.r, last ** s.k - 1) if tilde else (s.r + 1, last ** s.k - first)
+    t, tn = _in_chart(t, e, top)
+    if t.is_zero():
+        return OracleVerdict(t)
+    g_mid = relation_poly(m.target, m.field, m.target.vars).derivative(m.target.vars[1])
+    d = g_mid.substitute(dict(zip(m.target.vars, m.coords))).drop_unused()
+    d, dn = _in_chart(d.with_variables(t.variables), e, top)
+    q, n = -exact_div(t, d), tn - dn
+    if n >= 0:
+        return OracleVerdict(q * first ** n)
+    g, h = (first ** (s.r - 1) * mid, top) if tilde else (first ** s.r * mid + 1, last ** s.k)
+    return OracleVerdict(exact_div(normal_form(q * g ** -n, s), h ** -n))
 
 
 # -- map serialization ------------------------------------------------------------

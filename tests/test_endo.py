@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U, extract_profile, thom_feasible
 from etale_forge.constructor import chebyshev_endo
-from etale_forge.endo import (CertificateRequired, ChartDegenerate,
-                              DegreeUndetermined, EtaleParams, NotAMorphism,
+from etale_forge.endo import (CertificateRequired, DegreeUndetermined,
+                              EtaleParams, NotAMorphism,
                               SourceTargetMismatch, apply_map,
                               base_polynomial, build_from_params,
                               compose_maps, cstar_equivariant, degree_of,
@@ -354,7 +354,7 @@ def test_jacobian_examples():
     ident = identity_map(S22)
     pt = SurfacePoint(S22, (QQ.elem(2), QQ.elem(Fraction(3, 4)), QQ.elem(2)))
     assert jacobian_det_at(ident, pt) == QQ.elem(1)
-    # ramified non-example: (x, y(z^2+1), z^2) has chart Jacobian 2z
+    # ramified non-example: (x, y(z^2+1), z^2) has J = 2*z
     bad = make_map(S22, S22, (X, Y * (Z ** 2 + 1), Z ** 2))
     on_locus = SurfacePoint(S22, (QQ.elem(1), QQ.elem(-1), QQ.elem(0)))
     assert jacobian_det_at(bad, on_locus).is_zero()
@@ -369,7 +369,7 @@ def test_oracle_constant_jacobian():
     # built with lambda pulls it back to d*lambda*omega on both models
     for s in (S22, H21):
         verdict = jacobian_spotcheck(identity_map(s))
-        assert verdict.jacobian == QQ.elem(1) and verdict.residual.is_zero()
+        assert verdict.jacobian == QQ.elem(1) and verdict.J == 1
     from etale_forge.constructor import chebyshev_endo
     for d in (3, 5, 7, 9, 11, 13):
         for lam in (1, 2):
@@ -379,32 +379,58 @@ def test_oracle_constant_jacobian():
 
 
 def test_oracle_witness_for_ramified_map():
-    # J = 2z: T = -2x^2*z and D = x^2 give c = 2 and the residual 2x^2(1 - z)
+    # T = -2x^2*z and D = x^2 give J = -T/D = 2z, not a constant
     from etale_forge.reproduce import _assert_oracle_etale
     bad = make_map(S22, S22, (X, Y * (Z ** 2 + 1), Z ** 2))
     verdict = jacobian_spotcheck(bad)
     assert verdict.jacobian is None
-    assert verdict.residual == 2 * X ** 2 * (1 - Z)
-    # a report item that meets this map names the residual
-    with pytest.raises(AssertionError, match=r"residual -2\*x\^2\*z \+ 2\*x\^2"):
+    assert verdict.J == 2 * Z
+    # a report item that meets this map names J
+    with pytest.raises(AssertionError, match=r"J = 2\*z is not a nonzero constant"):
         _assert_oracle_etale("ramified", bad)
 
 
-def _sympy_chart_det(m, pt, sympy):
-    """Chart determinant with the middle variable eliminated by sympy."""
-    s = m.source
+def _middle_variable_maps():
+    """Morphisms of tilde(2,2) and hyper(2,1) whose J = 4*mid*last + 1
+    involves the middle variable."""
+    return [make_map(S22, S22, (X, Y + 2 * Z * Y ** 2 + X ** 2 * Y ** 4,
+                                Z + X ** 2 * Y ** 2)),
+            make_map(H21, H21, (U, V + 2 * W * V ** 2 + U ** 2 * V ** 4,
+                                W + U ** 2 * V ** 2))]
+
+
+def test_jacobian_through_the_middle_variable():
+    tilde_map, hyper_map = _middle_variable_maps()
+    assert jacobian_spotcheck(tilde_map).J == 4 * Y * Z + 1
+    assert jacobian_spotcheck(hyper_map).J == 4 * V * W + 1
+    assert not jacobian_spotcheck(tilde_map)
+    # J is defined where first = 0, which no chart with first != 0 covers
+    on_x0 = SurfacePoint(S22, (QQ.elem(0), QQ.elem(5), QQ.elem(1)))
+    assert jacobian_det_at(tilde_map, on_x0) == QQ.elem(21)
+    # a map into the curve {x = 0} has T = D = 0 and J = 0
+    into_curve = make_map(S22, S22, (0 * X, Y, 1 + 0 * X))
+    assert jacobian_spotcheck(into_curve).J == 0
+
+
+def _sympy_jacobian(m, pt, sympy):
+    """J at pt from the chart determinant d(f1, f3)/d(first, last), with
+    the middle variable eliminated by sympy: J = det * first^e / f1^e',
+    where F_mid = first^e on the source and G_mid = first^e' on the target."""
+    s, t = m.source, m.target
     first, middle, last = (sympy.Symbol(v) for v in s.vars)
     if s.model == "tilde":
-        solved = (last ** s.k - 1) / first ** s.r
+        e, solved = s.r, (last ** s.k - 1) / first ** s.r
     else:
-        solved = (last ** s.k - first) / first ** (s.r + 1)
+        e, solved = s.r + 1, (last ** s.k - first) / first ** (s.r + 1)
+    e_target = t.r if t.model == "tilde" else t.r + 1
     f1, f3 = (sympy.sympify(str(c).replace("^", "**")).subs(middle, solved)
               for c in (m.coords[0], m.coords[2]))
     det = sympy.Matrix([[sympy.diff(f, v) for v in (first, last)]
                         for f in (f1, f3)]).det()
+    j = sympy.cancel(det * first ** e / f1 ** e_target)
     at = {first: sympy.Rational(str(pt.coords[0])),
           last: sympy.Rational(str(pt.coords[2]))}
-    value = sympy.Rational(det.subs(at))
+    value = sympy.Rational(j.subs(at))
     return Fraction(int(value.p), int(value.q))
 
 
@@ -420,17 +446,58 @@ def test_jacobian_det_matches_sympy_elimination():
         maps += [built.tilde_map, built.hyper_map]
     maps.append(family_member(FamilySpec(2, 1, cyclic_galois_endo(2)[0],
                                          (QQ.elem(1),))))
+    maps += _middle_variable_maps()
     checked = 0
     for i, m in enumerate(maps):
         for seed in range(4):
             pt = sample_point(m.source, 100 * i + seed)
-            try:
-                det = jacobian_det_at(m, pt)
-            except ChartDegenerate:
-                continue
-            assert det.as_fraction() == _sympy_chart_det(m, pt, sympy), (m, pt)
+            j = jacobian_det_at(m, pt)
+            assert j.as_fraction() == _sympy_jacobian(m, pt, sympy), (m, pt)
             checked += 1
-    assert checked >= 30
+    assert checked == 40
+
+
+def test_jacobian_on_the_oracle_corpus_is_lam_power_times_r0_at_0():
+    # the maps of the report's oracle_cross_validation item.  At z^k = 1 the
+    # tilde map has J = lam^(1-r) * (alpha - k*R1'(0)), and the derivative
+    # of C1 at t = 0 is R0(0) = alpha - k*R1'(0); the hyper map and the family
+    # members (pi o Theta^F o j, with Theta^F of J = 1) share that constant
+    from etale_forge.constructor import cyclic_galois_endo, solve_kr32
+    from etale_forge.family import FamilySpec, family_member
+    from etale_forge.reproduce import _built_corpus
+    def predicted(p):
+        return p.lam ** (1 - p.r) * p.R0.constant_coeff()
+
+    corpus = _built_corpus(build_from_params, cyclic_galois_endo, solve_kr32)
+    cases = [(m, predicted(p)) for _, p, built in corpus
+             for m in (built.tilde_map, built.hyper_map) if m is not None]
+    base, _ = cyclic_galois_endo(2)
+    cases += [(family_member(FamilySpec(2, 1, base, av)), predicted(base)) for av in
+              ((), (QQ.elem(1),), (QQ.elem(2),), (QQ.elem(1), QQ.elem(1)))]
+    assert len(cases) == 45
+    for m, want in cases:
+        assert jacobian_spotcheck(m).jacobian == want, m
+
+
+def test_jacobian_chain_rule_on_composites():
+    # J(g o f) = (J(g) o f) * J(f) in the source ring
+    from etale_forge.constructor import chebyshev_endo
+    from etale_forge.family import theta
+    bad = make_map(S22, S22, (X, Y * (Z ** 2 + 1), Z ** 2))
+    cheb3 = build_from_params(chebyshev_endo(3)).tilde_map
+    cheb5 = build_from_params(chebyshev_endo(5, QQ.elem(2))).tilde_map
+    pairs = [(bad, bad), (cheb3, cheb5)]
+    pairs += [(theta(P, S22), f) for P in (X, 1 + 3 * X ** 2, X ** 3 - X)
+              for f in (cheb5, bad)]
+    for g, f in pairs:
+        jg, jf = (jacobian_spotcheck(h).J for h in (g, f))
+        pulled = jg.substitute(dict(zip(g.source.vars, f.coords)))
+        want = normal_form(normal_form(pulled, f.source) * jf, f.source)
+        assert jacobian_spotcheck(compose_maps(g, f)).J == want, (g, f)
+    assert jacobian_spotcheck(compose_maps(bad, bad)).J == 4 * Z ** 3
+    assert jacobian_spotcheck(compose_maps(cheb3, cheb5)).jacobian == QQ.elem(30)
+    for P in (X, 1 + 3 * X ** 2):
+        assert jacobian_spotcheck(compose_maps(theta(P, S22), bad)).J == 2 * Z
 
 
 def etale_certificate_of_bad_map() -> bool:
@@ -438,13 +505,6 @@ def etale_certificate_of_bad_map() -> bool:
     p = EtaleParams(k=2, r=2, a=1, alpha=0, d=2, lam=QQ.elem(1),
                     R0=1, R1=1 - T, R2=1)
     return etale_certificate(p).verdict
-
-
-def test_chart_degenerate():
-    pt = SurfacePoint(S22, (QQ.elem(1), QQ.elem(3), QQ.elem(2)))
-    degenerate = SurfacePoint(S22, (QQ.elem(0), QQ.elem(5), QQ.elem(1)))
-    with pytest.raises(ChartDegenerate):
-        jacobian_det_at(identity_map(S22), degenerate)
 
 
 def test_profile_of_certified_base_maps():

@@ -117,6 +117,17 @@ def test_family_members_degrees_and_oracle():
         assert not cstar_equivariant(m)
 
 
+@pytest.mark.parametrize("k,n", [(2, 3), (2, 6), (3, 4)])
+def test_symbolic_member_jacobian_is_free_of_parameters(k, n):
+    # J of pi o Theta^F(a1..an) o j is one constant for every a: each member
+    # is etale, with the J of the base map
+    base, _ = cyclic_galois_endo(k)
+    verdict = jacobian_spotcheck(family_member_symbolic(base, n))
+    zeta = cyclotomic_field(3).from_coords([0, 1])
+    want = {2: QQ.elem(4), 3: 3 - 3 * zeta}[k]
+    assert verdict.J == Poly.constant(want) and verdict.jacobian == want
+
+
 @settings(max_examples=10, deadline=None)
 @given(av=st.lists(HEIGHT_9.map(QQ.elem), min_size=1, max_size=3).map(tuple))
 def test_no_equivariant_member_for_random_nonzero_vectors(av):
