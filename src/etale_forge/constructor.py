@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chebyshab import chebyshev_T, chebyshev_U
-from .endo import (EtaleParams, SurfaceMap, etale_certificate, make_map,
-                   ri_degrees, zk_to_t)
+from .endo import EtaleParams, SurfaceMap, etale_certificate, ri_degrees, zk_to_t
 from .numfield import (QQ, FieldElement, NumberField, cyclotomic_field,
                        rational_roots)
 from .polyalg import (NotDivisible, Poly, compose, divmod_poly, exact_div, monic,
@@ -135,7 +134,8 @@ def cyclic_galois_endo(k: int, eps_power: int = 1) -> tuple[EtaleParams, Surface
 def factor_through_cover(p: EtaleParams) -> SurfaceMap:
     """The factorization j: hyper(k, rbar) -> tilde(k, rbar*k) with
     pi o j = eta, available exactly when alpha = 0 (so a = 1 and k | r);
-    deg j = d/k, congruent to rbar mod (r - 1)."""
+    deg j = d/k, congruent to rbar mod (r - 1).  j is a morphism by C1 with
+    alpha = 0, since w^r*v = -t*(1-t)^(r/k) for t = -u^rbar*v."""
     cert = etale_certificate(p)
     if not cert.verdict:
         raise PreconditionViolated(f"params fail the certificate: {cert.failing()}")
@@ -152,7 +152,7 @@ def factor_through_cover(p: EtaleParams) -> SurfaceMap:
     j1 = w * compose(p.R2, t) * p.lam
     j2 = v * compose(p.R0, t) * (p.lam ** (-p.r))
     j3 = compose(p.R1, t)
-    return make_map(source, target, (j1, j2, j3), declared_degree=p.d // p.k)
+    return SurfaceMap(source, target, (j1, j2, j3), cached_degree=p.d // p.k)
 
 
 # -- the (k, r) = (3, 2) solver ---------------------------------------------------

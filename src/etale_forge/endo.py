@@ -2,8 +2,9 @@
 
 A SurfaceMap holds three coordinate polynomials in the source variables
 (possibly with extra parameter variables, which carry torus weight zero).
-Construction runs one exact gate: the target relation composed with the
-coordinates must reduce to zero in the source coordinate ring.
+make_map gates a map given from outside: the target relation composed with
+the coordinates must reduce to zero in the source coordinate ring.  The
+constructors build a SurfaceMap directly, by the identity in their docstring.
 
 The etale decision for the parametric family is certificate-based: the
 conditions (C1)-(C5) recorded in EtaleCertificate are exactly the necessary
@@ -60,7 +61,7 @@ class CertificateRequired(ValueError):
 
 
 class SurfaceMap:
-    """A validated morphism between surface models."""
+    """A morphism of surface models, gated by make_map or proved by its constructor."""
 
     def __init__(self, source: SurfaceSpec, target: SurfaceSpec,
                  coords: tuple[Poly, Poly, Poly],
@@ -90,9 +91,8 @@ class SurfaceMap:
         return f"SurfaceMap({self.source} -> {self.target}: ({cs}))"
 
 
-def make_map(source: SurfaceSpec, target: SurfaceSpec, coords,
-             declared_degree: int | None = None) -> SurfaceMap:
-    """Validate and build a SurfaceMap.
+def make_map(source: SurfaceSpec, target: SurfaceSpec, coords) -> SurfaceMap:
+    """Validate and build a SurfaceMap from coordinates given from outside.
 
     The exact gate: the pullback of the target relation reduces to zero
     modulo the source ideal, for every value of any parameter variables.
@@ -101,7 +101,7 @@ def make_map(source: SurfaceSpec, target: SurfaceSpec, coords,
     coords = tuple(coords)
     if len(coords) != 3:
         raise ValueError("a surface map has three coordinates")
-    m = SurfaceMap(source, target, coords, cached_degree=declared_degree)
+    m = SurfaceMap(source, target, coords)
     rel = relation_poly(target, m.field, target.vars)
     witness = normal_form(rel.substitute(dict(zip(target.vars, coords))), source)
     if not witness.is_zero():
@@ -111,7 +111,7 @@ def make_map(source: SurfaceSpec, target: SurfaceSpec, coords,
 
 def identity_map(s: SurfaceSpec, field: NumberField = QQ) -> SurfaceMap:
     coords = tuple(Poly.variable(v, field, s.vars) for v in s.vars)
-    return make_map(s, s, coords, declared_degree=1)
+    return SurfaceMap(s, s, coords, cached_degree=1)
 
 
 def apply_map(m: SurfaceMap, p: SurfacePoint) -> SurfacePoint:
@@ -124,7 +124,7 @@ def apply_map(m: SurfaceMap, p: SurfacePoint) -> SurfacePoint:
 
 
 def compose_maps(g: SurfaceMap, f: SurfaceMap) -> SurfaceMap:
-    """g after f, coordinates reduced to normal form in the source ring."""
+    """g after f in normal form; a composite of morphisms is a morphism."""
     if f.target != g.source:
         raise SourceTargetMismatch(f"{f.target} != {g.source}")
     sub = dict(zip(g.source.vars, f.coords))
@@ -132,7 +132,7 @@ def compose_maps(g: SurfaceMap, f: SurfaceMap) -> SurfaceMap:
     degree = None
     if f.cached_degree is not None and g.cached_degree is not None:
         degree = f.cached_degree * g.cached_degree
-    return make_map(f.source, g.target, coords, declared_degree=degree)
+    return SurfaceMap(f.source, g.target, coords, cached_degree=degree)
 
 
 def maps_equal(m1: SurfaceMap, m2: SurfaceMap) -> bool:
@@ -472,7 +472,10 @@ class BuildResult:
 
 def build_from_params(p: EtaleParams) -> BuildResult:
     """The lift on tilde(k, r), and the descended self-map of the
-    hypersurface model when a = 1 and k | r."""
+    hypersurface model when a = 1 and k | r; by C1 both are morphisms.
+    Tilde, t = 1 - z^k: x^r*y = -t and z^(r(1-alpha)) = (1-t)^((1-alpha)r/k),
+    so X^r*Y - Z^k + 1 = rhs - lhs.  Hyper, t = -u^rbar*v:
+    H1*(1 + H1^rbar*H2) - H3^k = (lam*R1*R2)^k * (u*(1 + u^rbar*v) - w^k)."""
     cert = etale_certificate(p)
     if not cert.verdict:
         raise CertificateRequired(cert)
@@ -485,7 +488,7 @@ def build_from_params(p: EtaleParams) -> BuildResult:
     eta1 = x * z ** (1 - alpha) * compose(p.R2, tz) * p.lam
     eta2 = y * compose(p.R0, tz) * (p.lam ** (-r))
     eta3 = z ** alpha * compose(p.R1, tz)
-    tilde_map = make_map(s, s, (eta1, eta2, eta3))
+    tilde_map = SurfaceMap(s, s, (eta1, eta2, eta3))
 
     hyper_map = None
     if p.a == 1 and r % k == 0:
@@ -497,7 +500,7 @@ def build_from_params(p: EtaleParams) -> BuildResult:
         h1 = u * (1 - tu) ** (1 - alpha) * (r2t ** k) * (p.lam ** k)
         h2 = v * compose(p.R0, tu) * (p.lam ** (-r))
         h3 = w * compose(p.R1, tu) * r2t * p.lam
-        hyper_map = make_map(h, h, (h1, h2, h3))
+        hyper_map = SurfaceMap(h, h, (h1, h2, h3))
     return BuildResult(tilde_map, hyper_map)
 
 

@@ -23,14 +23,16 @@ import math
 from dataclasses import dataclass
 
 from .constructor import PreconditionViolated, factor_through_cover
-from .endo import EtaleParams, SurfaceMap, compose_maps, make_map
+from .endo import EtaleParams, SurfaceMap, compose_maps
 from .numfield import QQ, FieldElement
 from .polyalg import ArityError, Poly
+from .polyparse import MAX_DEGREE
 from .surface import SurfaceSpec, hyper_surface, tilde_surface
 
 
 def theta(P, s: SurfaceSpec) -> SurfaceMap:
-    """The shear automorphism of tilde(k, r) attached to P in C[x]."""
+    """The shear automorphism of tilde(k, r) attached to P in C[x]; the
+    relation pulls back to itself, as x^r*shift = (z + P*x^r)^k - z^k."""
     if s.model != "tilde":
         raise ValueError("theta lives on the tilde model")
     if isinstance(P, Poly):
@@ -42,29 +44,28 @@ def theta(P, s: SurfaceSpec) -> SurfaceMap:
     else:
         field = QQ
         P = Poly.constant(P, field, ("x",))
-    x = Poly.variable("x", field, s.vars)
-    y = Poly.variable("y", field, s.vars)
-    z = Poly.variable("z", field, s.vars)
+    x, y, z = (Poly.variable(v, field, s.vars) for v in s.vars)
     k, r = s.k, s.r
-    shift = Poly.zero(field, s.vars)
-    for j in range(1, k + 1):
-        shift = shift + math.comb(k, j) * z ** (k - j) * P ** j * x ** (r * (j - 1))
-    return make_map(s, s, (x, y + shift, z + P * x ** r), declared_degree=1)
+    shift = sum(math.comb(k, j) * z ** (k - j) * P ** j * x ** (r * (j - 1))
+                for j in range(1, k + 1))
+    return SurfaceMap(s, s, (x, y + shift, z + P * x ** r), cached_degree=1)
 
 
 def covering(k: int, rbar: int) -> SurfaceMap:
-    """The degree-k quotient covering tilde(k, rbar*k) -> hyper(k, rbar)."""
+    """The degree-k quotient covering tilde(k, rbar*k) -> hyper(k, rbar),
+    which pulls the relation back to x^k times the relation."""
     source = tilde_surface(k, rbar * k)
     target = hyper_surface(k, rbar)
-    x = Poly.variable("x", QQ, source.vars)
-    y = Poly.variable("y", QQ, source.vars)
-    z = Poly.variable("z", QQ, source.vars)
-    return make_map(source, target, (x ** k, y, x * z), declared_degree=k)
+    x, y, z = (Poly.variable(v, QQ, source.vars) for v in source.vars)
+    return SurfaceMap(source, target, (x ** k, y, x * z), cached_degree=k)
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A deformed endomorphism of hyper(k, rbar): pi o Theta^F(a) o j_base."""
+    """A deformed endomorphism of hyper(k, rbar): pi o Theta^F(a) o j_base.
+
+    F(a) has degree r * len(a), which must not exceed MAX_DEGREE.
+    """
     k: int
     rbar: int
     base: EtaleParams
@@ -76,6 +77,10 @@ class FamilySpec:
         if self.base.k != self.k or self.base.r != self.rbar * self.k:
             raise PreconditionViolated(
                 f"base parameters are for tilde({self.base.k},{self.base.r})")
+        degree = self.base.r * len(self.avector)
+        if degree > MAX_DEGREE:
+            raise PreconditionViolated(f"the a-vector gives F of degree {degree}, "
+                                       f"which exceeds the bound {MAX_DEGREE}")
         object.__setattr__(self, "avector",
                            tuple(self.base.field.elem(a) for a in self.avector))
 

@@ -187,6 +187,17 @@ def test_family_gen_equiv_distinct():
     assert res.returncode == 2
 
 
+def test_family_avec_at_the_degree_bound_is_accepted():
+    # 500 entries give F = 1 + x^2 + ... + x^1000 of degree MAX_DEGREE
+    at_bound = [1] * (MAX_DEGREE // 2)
+    res = run_cli("family", "gen", "--k", "2", "--rbar", "1",
+                  "--avec", json.dumps(at_bound), "--json")
+    assert res.returncode == 0 and json.loads(res.stdout)["degree"] == 2
+    res = run_cli("family", "distinct", "--k", "2", "--rbar", "1",
+                  "--avecs", json.dumps([[1], at_bound]), "--json")
+    assert res.returncode == 0 and json.loads(res.stdout)["pairwise_distinct"]
+
+
 def test_miyanishi_subcommands():
     res = run_cli("miyanishi", "find-b", "--n", "2", "--json")
     assert res.returncode == 0
@@ -263,6 +274,12 @@ def test_usage_errors_exit_one():
     (["family", "gen", "--k", "61", "--rbar", "1", "--avec", "[1]"], {}, "--k"),
     (["family", "distinct", "--k", "100", "--rbar", "1", "--avecs", "[[1]]"], {},
      "--k"),
+    # F = 1 + sum a_i x^(2i) would have degree 1002
+    (["family", "gen", "--k", "2", "--rbar", "1", "--avec", json.dumps([1] * 501)], {},
+     f"F of degree 1002, which exceeds the bound {MAX_DEGREE}"),
+    (["family", "distinct", "--k", "2", "--rbar", "1",
+      "--avecs", json.dumps([[1], [1] * 501])], {},
+     f"F of degree 1002, which exceeds the bound {MAX_DEGREE}"),
     (["shabat", "extract", "--poly", "t", "--field", FIELD_TOO_BIG], {},
      f"bound {MAX_FIELD_DEGREE}"),
     (["verify-endo", "--params", "TMP/p.json"],
@@ -304,7 +321,8 @@ def test_usage_errors_exit_one():
         "candidate-missing-a1", "lam-zero-denominator", "d-above-cap",
         "n-above-cap", "miyanishi-check-n-above-cap", "miyanishi-eta0-n-above-cap",
         "cyclic-galois-k-above-cap", "cyclic-galois-k-huge", "family-gen-k-above-cap",
-        "family-distinct-k-above-cap", "field-text-above-cap", "document-field-above-cap",
+        "family-distinct-k-above-cap", "family-gen-avec-above-cap",
+        "family-distinct-avec-above-cap", "field-text-above-cap", "document-field-above-cap",
         "candidate-minpoly-above-cap", "product-above-cap", "field-reducible",
         "parentheses-above-cap", "minus-signs-above-cap", "constant-power-above-cap",
         "document-k-above-cap", "document-r-above-cap", "document-c1-above-cap",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U, extract_profile, thom_feasible
-from etale_forge.constructor import chebyshev_endo
+from etale_forge.constructor import chebyshev_endo, cyclic_galois_endo
 from etale_forge.endo import (CertificateRequired, DegreeUndetermined,
                               EtaleParams, NotAMorphism,
                               SourceTargetMismatch, apply_map,
@@ -18,6 +18,7 @@ from etale_forge.endo import (CertificateRequired, DegreeUndetermined,
                               jacobian_det_at, jacobian_spotcheck, make_map,
                               map_from_json, map_to_json, maps_equal,
                               params_from_json, zk_compatible, zk_to_t)
+from etale_forge.family import covering
 from etale_forge.numfield import QQ, FieldElement, NumberField
 from etale_forge.polyalg import Poly, compose, monic, variables
 from etale_forge.reproduce import default_fixture_dir
@@ -69,13 +70,13 @@ def test_apply_examples():
     assert [c.as_fraction() for c in img.coords] == [15, 3, 26]
     assert apply_map(identity_map(S22), pt).coords == pt.coords
     # the covering tilde(2,2) -> hyper(2,1) sends (1,3,2) to (1,3,2)
-    pi = make_map(S22, H21, (X ** 2, Y, X * Z), declared_degree=2)
+    pi = covering(2, 1)
     assert [c.as_fraction() for c in apply_map(pi, pt).coords] == [1, 3, 2]
 
 
 def test_compose_examples():
-    pi = make_map(S22, H21, (X ** 2, Y, X * Z), declared_degree=2)
-    j = make_map(H21, S22, (W, 4 * V, 1 + 2 * U * V), declared_degree=1)
+    pi, j = covering(2, 1), cyclic_galois_endo(2)[1]
+    assert maps_equal(j, make_map(H21, S22, (W, 4 * V, 1 + 2 * U * V)))
     eta = compose_maps(pi, j)
     expected = make_map(H21, H21, (U * (1 + U * V), 4 * V, W * (1 + 2 * U * V)))
     assert maps_equal(eta, expected)
@@ -83,7 +84,7 @@ def test_compose_examples():
     f = cheb_map(3)
     assert maps_equal(compose_maps(identity_map(S22), f), f)
     # a trivial shear composes to f as well
-    theta0 = make_map(S22, S22, (X, Y, Z), declared_degree=1)
+    theta0 = make_map(S22, S22, (X, Y, Z))
     assert maps_equal(compose_maps(theta0, f), f)
     with pytest.raises(SourceTargetMismatch):
         compose_maps(j, j)
@@ -92,7 +93,7 @@ def test_compose_examples():
 def test_cstar_equivariance_examples():
     assert cstar_equivariant(cheb_map(3))
     # the shear with P = 1 mixes weights in the third coordinate
-    shear = make_map(S22, S22, (X, Y + 2 * Z + X ** 2, Z + X ** 2), declared_degree=1)
+    shear = make_map(S22, S22, (X, Y + 2 * Z + X ** 2, Z + X ** 2))
     assert not cstar_equivariant(shear)
     assert cstar_equivariant(identity_map(S22))
 
@@ -102,7 +103,7 @@ def test_zk_compatibility():
     assert res.kind == "equivariant" and res.twist == 1
     galois = build_from_params(s2_galois_params()).tilde_map
     assert zk_compatible(galois, 1).kind == "invariant"
-    shear = make_map(S22, S22, (X, Y + 2 * Z + X ** 2, Z + X ** 2), declared_degree=1)
+    shear = make_map(S22, S22, (X, Y + 2 * Z + X ** 2, Z + X ** 2))
     assert zk_compatible(shear, 1).kind == "no"
     # a coordinate-swapped pretend-map (not a morphism) has mismatched weights
     from etale_forge.endo import SurfaceMap
