@@ -109,11 +109,6 @@ def make_map(source: SurfaceSpec, target: SurfaceSpec, coords) -> SurfaceMap:
     return m
 
 
-def identity_map(s: SurfaceSpec, field: NumberField = QQ) -> SurfaceMap:
-    coords = tuple(Poly.variable(v, field, s.vars) for v in s.vars)
-    return SurfaceMap(s, s, coords, cached_degree=1)
-
-
 def apply_map(m: SurfaceMap, p: SurfacePoint) -> SurfacePoint:
     """Image of a point; the result is revalidated on the target."""
     if p.surface != m.source:

@@ -34,8 +34,8 @@ sparse term maps.  Two operations read the shape of their operands instead.
 A product in one variable, such as every product of the certificate in t,
 accumulates its terms on int exponents and builds the (e,) keys once at the
 end; products in two or more variables add exponent tuples.  A power of one
-term c*m is c**n * m**n, computed without a Poly product (a parsed t^30 is
-one term); a base of two or more terms goes through numfield.power.
+term c*m is c**n * m**n, computed without a Poly product (substitute raises
+variables this way); a base of two or more terms goes through numfield.power.
 """
 
 from __future__ import annotations

@@ -1,22 +1,30 @@
 """Parser and pretty-printer for polynomial expressions.
 
-Grammar (LL(1), whitespace-insensitive, byte offsets in errors):
+Grammar (LL(1), whitespace-insensitive; an error names its offset, a
+character index into the text):
 
     expr    := term (('+' | '-') term)*
     term    := factor ('*' factor)*
     factor  := '-'* atom ('^' INT)?
     atom    := NUMBER | SYMBOL | '(' expr ')'
     NUMBER  := INT ('/' INT)?
+    INT     := ASCII digits 0-9
 
 Implicit multiplication ("2x") is rejected; rationals are written "p/q";
 exponents are nonnegative integer literals.  Symbols are either declared
 variables or the generator of the coefficient field ("theta", "zeta", ...),
 which may not be named like a variable.
-The parser evaluates as it reads.  A product or power is rejected before it
-is expanded when its degree would exceed MAX_DEGREE or its possible term
-count would exceed MAX_TERMS.  That count is the dense C(n + deg, n) in the
-n variables its operands use; for a product it is capped by the product of
-the operands' term counts.  In a power a constant counts as degree one, so
+
+The parser evaluates term by term as it reads.  A value of at most one term
+is a monomial, a coefficient with an exponent tuple: monomials multiply and
+raise to powers directly, the terms of one sum are added into one term map,
+and one Poly is built per sum of two or more terms.  Only operands of two or
+more terms, such as (1 + x*y)^3, go through the Poly ring operations.
+A product or power is rejected before it is expanded when its degree would
+exceed MAX_DEGREE or its possible term count would exceed MAX_TERMS.  That
+count is the dense C(n + deg, n) in the n variables its operands use, for a
+power of one term too; for a product it is capped by the product of the
+operands' term counts.  In a power a constant counts as degree one, so
 its exponent is bounded too, and a power of a constant is rejected as soon
 as a partial power has more than MAX_CONSTANT_BITS bits.  Parentheses and
 unary minus signs nest at most MAX_NESTING deep; a run of minus signs is
@@ -30,7 +38,7 @@ its degree is bounded by MAX_FIELD_DEGREE.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from operator import add
 
 from .numfield import QQ, FieldElement, NumberField, format_terms, power_terms
 from .polyalg import Poly
@@ -65,7 +73,7 @@ MAX_NESTING = 100
 
 
 class PolyParseError(ValueError):
-    """Malformed polynomial text; position is a byte offset."""
+    """Malformed polynomial text; position is a character offset."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (offset {position})")
@@ -101,7 +109,13 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("INT", int(text[i:j]), i))
+            digits = text[i:j]
+            if not digits.isascii():
+                # str.isdigit also accepts digits such as '²' that int()
+                # rejects; only ASCII 0-9 are digits here
+                k = i + next(m for m, d in enumerate(digits) if not d.isascii())
+                raise PolyParseError(f"unexpected character {text[k]!r}", k)
+            tokens.append(("INT", int(digits), i))
             i = j
             continue
         if c.isalpha() or c == "_":
@@ -121,8 +135,30 @@ def _shown(tok) -> str:
     return "end of input" if tok[0] == "EOF" else repr(tok[1])
 
 
-def _check_size(what: str, degree: int, operands: tuple[Poly, ...], position: int,
-                sparse_terms: float = math.inf) -> None:
+def _degree(value) -> int:
+    """Total degree of a parsed value (see _Parser); -1 for zero."""
+    if value is None:
+        return -1
+    return value.total_degree() if isinstance(value, Poly) else sum(value[1])
+
+
+def _term_count(value) -> int:
+    if value is None:
+        return 0
+    return len(value.terms) if isinstance(value, Poly) else 1
+
+
+def _support(value, vars: tuple[str, ...]) -> set[str]:
+    """The variables a parsed value uses."""
+    if value is None:
+        return set()
+    if isinstance(value, Poly):
+        return set(value.support_variables())
+    return {v for v, e in zip(vars, value[1]) if e}
+
+
+def _check_size(what: str, degree: int, operands: tuple, vars: tuple[str, ...],
+                position: int, sparse_terms: float = math.inf) -> None:
     """Reject a product or power before it is expanded when its degree
     exceeds MAX_DEGREE or its possible term count exceeds MAX_TERMS; that
     count is the dense C(n + degree, n) in the n variables the operands
@@ -133,7 +169,7 @@ def _check_size(what: str, degree: int, operands: tuple[Poly, ...], position: in
             f"{what} of degree {degree} exceeds the bound {MAX_DEGREE}", position)
     if sparse_terms <= MAX_TERMS:
         return
-    n = len(set().union(*(p.support_variables() for p in operands)))
+    n = len(set().union(*(_support(p, vars) for p in operands)))
     terms = min(math.comb(n + degree, n), sparse_terms)
     if terms > MAX_TERMS:
         raise PolyParseError(
@@ -141,23 +177,35 @@ def _check_size(what: str, degree: int, operands: tuple[Poly, ...], position: in
 
 
 def _constant_power(c: FieldElement, exponent: int, position: int) -> FieldElement:
-    """c**exponent by square-and-multiply, rejected as soon as a partial
-    power has a numerator or denominator of more than MAX_CONSTANT_BITS
-    bits."""
-    result = c.field.one()
-    for bit in bin(exponent)[2:]:
+    """c**exponent for exponent >= 1 by square-and-multiply, rejected as
+    soon as a partial power, c itself included, has a numerator or
+    denominator of more than MAX_CONSTANT_BITS bits."""
+    def checked(x: FieldElement) -> FieldElement:
+        if max(x.den, *map(abs, x.nums)).bit_length() > MAX_CONSTANT_BITS:
+            raise PolyParseError("power of a constant exceeds the bound "
+                                 f"{MAX_CONSTANT_BITS} on its bit length", position)
+        return x
+
+    result = checked(c)
+    for bit in bin(exponent)[3:]:
         result = result * result
         if bit == "1":
             result = result * c
-        if max(result.den, *map(abs, result.nums)).bit_length() > MAX_CONSTANT_BITS:
-            raise PolyParseError("power of a constant exceeds the bound "
-                                 f"{MAX_CONSTANT_BITS} on its bit length", position)
+        checked(result)
     return result
 
 
 class _Parser:
-    """Recursive descent that evaluates as it parses: each rule returns the
-    Poly its text denotes over vars and field."""
+    """Recursive descent that evaluates as it parses, over vars and field.
+
+    Each rule returns its value term by term: None for zero, a monomial
+    (c, exps) with a nonzero FieldElement c and an exponent tuple for one
+    term, and a Poly for two or more terms.  Monomials multiply and raise
+    to powers directly, and the terms of one sum go into one term map, which
+    becomes one Poly only when two or more terms are left; so only operands
+    of two or more terms reach the Poly ring operations.  A product or power
+    of nonzero values is nonzero, and one of values with two or more terms
+    has two or more terms, so no other rule needs to collapse its value."""
 
     def __init__(self, text: str, vars: tuple[str, ...], field: NumberField):
         self.tokens = _tokenize(text)
@@ -165,6 +213,13 @@ class _Parser:
         self.vars = vars
         self.field = field
         self.depth = 0
+        self.pad = (0,) * (field.degree - 1)
+        self.origin = (0,) * len(vars)
+        self.one = field.one(), self.origin   # the monomial 1
+        # the monomial each symbol denotes
+        self.symbols = {v: (field.one(), tuple(int(w == v) for w in vars)) for v in vars}
+        if not field.is_rational:
+            self.symbols[field.gen_name] = field.gen(), self.origin
 
     def peek(self):
         return self.tokens[self.pos]
@@ -187,6 +242,14 @@ class _Parser:
             raise PolyParseError("parentheses and unary minus signs nest deeper "
                                  f"than the bound {MAX_NESTING}", position)
 
+    def as_poly(self, value) -> Poly:
+        if value is None:
+            return Poly(self.field, self.vars, {})
+        if isinstance(value, Poly):
+            return value
+        c, exps = value
+        return Poly(self.field, self.vars, {exps: c.nums}, c.den)
+
     def parse(self) -> Poly:
         value = self.expr()
         tok = self.peek()
@@ -194,27 +257,72 @@ class _Parser:
             raise PolyParseError(
                 f"unexpected {tok[1]!r} (implicit multiplication is not allowed)",
                 tok[2])
-        return value
+        return self.as_poly(value)
 
-    def expr(self) -> Poly:
+    def expr(self):
         value = self.term()
+        if self.peek()[0] not in ("+", "-"):
+            return value
+        acc: dict[tuple[int, ...], FieldElement] = {}
+        self.add_to(acc, value)
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            negate = self.advance()[0] == "-"
+            value = self.term()
+            self.add_to(acc, self.negated(value) if negate else value)
+        return self.collect(acc)
 
-    def term(self) -> Poly:
+    def add_to(self, acc: dict, value) -> None:
+        """Add the terms of value into the term map acc."""
+        if value is None:
+            return
+        if isinstance(value, Poly):
+            field, den = self.field, value.den
+            items = [(k, FieldElement(field, c, den)) for k, c in value.terms.items()]
+        else:
+            c, k = value
+            items = ((k, c),)
+        for k, c in items:
+            s = acc.get(k)
+            acc[k] = c if s is None else s + c
+
+    def collect(self, acc: dict):
+        """The value of a term map; a Poly over the lcm of the coefficient
+        denominators for two or more nonzero terms."""
+        acc = {k: c for k, c in acc.items() if any(c.nums)}
+        if not acc:
+            return None
+        if len(acc) == 1:
+            ((k, c),) = acc.items()
+            return c, k
+        den = math.lcm(*(c.den for c in acc.values()))
+        return Poly(self.field, self.vars,
+                    {k: c.nums if c.den == den else tuple(x * (den // c.den) for x in c.nums)
+                     for k, c in acc.items()}, den)
+
+    @staticmethod
+    def negated(value):
+        if value is None:
+            return None
+        if isinstance(value, Poly):
+            return -value
+        return -value[0], value[1]
+
+    def term(self):
         value = self.factor()
         while self.peek()[0] == "*":
             pos = self.advance()[2]
             rhs = self.factor()
-            _check_size("product", max(value.total_degree() + rhs.total_degree(), 0),
-                        (value, rhs), pos, len(value.terms) * len(rhs.terms))
-            value = value * rhs
+            _check_size("product", max(_degree(value) + _degree(rhs), 0), (value, rhs),
+                        self.vars, pos, _term_count(value) * _term_count(rhs))
+            if value is None or rhs is None:
+                value = None
+            elif isinstance(value, Poly) or isinstance(rhs, Poly):
+                value = self.as_poly(value) * self.as_poly(rhs)
+            else:
+                value = value[0] * rhs[0], tuple(map(add, value[1], rhs[1]))
         return value
 
-    def factor(self) -> Poly:
+    def factor(self):
         outer = self.depth
         while self.peek()[0] == "-":
             self.nest(self.advance()[2])
@@ -223,9 +331,9 @@ class _Parser:
         if self.peek()[0] == "^":
             value = self.power(value)
         self.depth = outer
-        return -value if negate else value
+        return self.negated(value) if negate else value
 
-    def power(self, base: Poly) -> Poly:
+    def power(self, base):
         self.advance()
         etok = self.peek()
         if etok[0] == "-":
@@ -236,31 +344,38 @@ class _Parser:
         self.advance()
         if self.peek()[0] == "/":
             raise NonIntegerExponent("exponent must be an integer", self.peek()[2])
-        exponent, degree = etok[1], base.total_degree()
-        # a constant counts as degree one, so its exponent is bounded too
-        _check_size("power", max(degree, 1) * exponent, (base,), etok[2])
+        exponent, degree = etok[1], _degree(base)
+        # a constant counts as degree one, so its exponent is bounded too; a
+        # monomial is held to the dense count C(n + deg, n) like any power
+        _check_size("power", max(degree, 1) * exponent, (base,), self.vars, etok[2])
+        if exponent == 0:
+            return self.one
+        if base is None:
+            return None
+        if isinstance(base, Poly):
+            return base ** exponent
+        c, exps = base
         if degree == 0:
-            c = _constant_power(base.constant_coeff(), exponent, etok[2])
-            return Poly.constant(c, self.field, self.vars)
-        return base ** exponent
+            return _constant_power(c, exponent, etok[2]), exps
+        return c ** exponent, tuple(exponent * e for e in exps)
 
-    def atom(self) -> Poly:
+    def atom(self):
         tok = kind, value, pos = self.advance()
-        field, vars = self.field, self.vars
         if kind == "INT":
+            den = 1
             if self.peek()[0] == "/":
                 self.advance()
-                den = self.expect("INT")
-                if den[1] == 0:
-                    raise PolyParseError("zero denominator", den[2])
-                value = Fraction(value, den[1])
-            return Poly.constant(field.elem(value), field, vars)
+                _, den, den_pos = self.expect("INT")
+                if den == 0:
+                    raise PolyParseError("zero denominator", den_pos)
+            if value == 0:
+                return None
+            return FieldElement(self.field, (value,) + self.pad, den), self.origin
         if kind == "SYM":
-            if value in vars:
-                return Poly.variable(value, field, vars)
-            if not field.is_rational and value == field.gen_name:
-                return Poly.constant(field.gen(), field, vars)
-            raise UnknownSymbol(f"unknown symbol {value!r}", pos)
+            monomial = self.symbols.get(value)
+            if monomial is None:
+                raise UnknownSymbol(f"unknown symbol {value!r}", pos)
+            return monomial
         if kind == "(":
             self.nest(pos)
             inner = self.expr()

@@ -315,6 +315,8 @@ def test_usage_errors_exit_one():
     (["verify-endo", "--params", "TMP/p.json"],
      {"p.json": json.dumps({**_CHEB_D3, "field": "t^2 + 2", "lambda": ["3", "0"]})},
      "generator 't' is also a variable"),
+    # '²' is a digit to str.isdigit but not to int(); only ASCII digits are
+    (["shabat", "extract", "--poly", "t^²"], {}, "unexpected character '²' (offset 2)"),
 ], ids=["other-fixture", "missing-field", "not-an-object", "avecs-not-nested",
         "avec-not-a-list", "profile-missing-field", "profile-not-an-object",
         "profile-partition-not-int", "candidates-not-an-object",
@@ -326,7 +328,7 @@ def test_usage_errors_exit_one():
         "candidate-minpoly-above-cap", "product-above-cap", "field-reducible",
         "parentheses-above-cap", "minus-signs-above-cap", "constant-power-above-cap",
         "document-k-above-cap", "document-r-above-cap", "document-c1-above-cap",
-        "generator-named-like-a-variable"])
+        "generator-named-like-a-variable", "superscript-digit-exponent"])
 def test_malformed_input_is_one_error_line(tmp_path, argv, docs, names):
     for name, text in docs.items():
         (tmp_path / name).write_text(text)

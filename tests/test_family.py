@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from etale_forge.constructor import cyclic_galois_endo
 from etale_forge.endo import (apply_map, compose_maps, cstar_equivariant,
-                              degree_of, identity_map, jacobian_spotcheck,
+                              degree_of, jacobian_spotcheck,
                               make_map, maps_equal)
 from etale_forge.family import (EcEquivalence, FamilySpec, covering,
                                 ec_equivalent, family_member,
@@ -26,9 +26,9 @@ X = Poly.variable("x", QQ)
 
 
 def test_theta_examples():
-    assert maps_equal(theta(Poly.zero(QQ, ("x",)), S22), identity_map(S22))
-    th1 = theta(1, S22)
     x, y, z = (Poly.variable(v, QQ, S22.vars) for v in S22.vars)
+    assert maps_equal(theta(Poly.zero(QQ, ("x",)), S22), make_map(S22, S22, (x, y, z)))
+    th1 = theta(1, S22)
     assert th1.coords == (x, y + 2 * z + x ** 2, z + x ** 2)
     # group law for P = 1, Q = x^2
     p, q = Poly.constant(1, QQ, ("x",)), X ** 2

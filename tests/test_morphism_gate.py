@@ -14,13 +14,13 @@ import functools
 import pytest
 
 from etale_forge.constructor import chebyshev_endo, cyclic_galois_endo, factor_through_cover
-from etale_forge.endo import build_from_params, compose_maps, identity_map, make_map
+from etale_forge.endo import build_from_params, compose_maps, make_map
 from etale_forge.family import (FamilySpec, covering, family_member,
                                 family_member_symbolic, theta)
 from etale_forge.numfield import QQ
 from etale_forge.polyalg import Poly
 from etale_forge.reproduce import build_corpus
-from etale_forge.surface import hyper_surface, tilde_surface
+from etale_forge.surface import tilde_surface
 
 CORPUS = dict(build_corpus())
 
@@ -52,8 +52,9 @@ def _cases():
     cases += _theta_cases()
     cases += [(f"covering-{k}{rbar}", lambda k=k, rbar=rbar: covering(k, rbar))
               for k in (2, 3, 4) for rbar in (1, 2)]
-    cases += [("identity-tilde22", lambda: identity_map(tilde_surface(2, 2))),
-              ("identity-hyper21", lambda: identity_map(hyper_surface(2, 1)))]
+    # d = 1 parameters build the identities of tilde(2, 2) and hyper(2, 1)
+    cases += [("identity-tilde22", lambda: build_from_params(chebyshev_endo(1)).tilde_map),
+              ("identity-hyper21", lambda: build_from_params(chebyshev_endo(1)).hyper_map)]
     for k, avector in ((2, ()), (2, (1, 2)), (3, (1, 0, 2))):
         cases.append((f"family-k{k}-{len(avector)}", lambda k=k, avector=avector:
                       family_member(FamilySpec(k, 1, cyclic_galois_endo(k)[0], avector))))

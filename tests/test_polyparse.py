@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,13 +94,20 @@ def test_end_of_input_is_named():
     assert str(err.value) == "unexpected end of input (offset 9)"
 
 
-def test_error_positions_are_byte_offsets():
+def test_error_positions_are_character_offsets():
     with pytest.raises(PolyParseError) as err:
         parse_poly("x + ", ["x"])
     assert err.value.position == 4
     with pytest.raises(PolyParseError) as err:
         parse_poly("x + $", ["x"])
     assert err.value.position == 4
+    # 'é' is one character and two bytes in UTF-8: '$' is character 8, byte 9
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("x*(1 + é$)", ["x"])
+    assert err.value.position == 8 == "x*(1 + é$)".index("$")
+    # only ASCII digits are digits; '²' is an unexpected character
+    with pytest.raises(PolyParseError, match=r"unexpected character '²' \(offset 2\)"):
+        parse_poly("t^²", ["t"])
 
 
 def _poly(field, vars, terms):
@@ -122,6 +130,64 @@ def test_round_trip_random(field, data):
                      st.tuples(st.integers(0, 4), st.integers(0, 4)))
     p = _poly(field, vars, data.draw(st.lists(term, max_size=6)))
     assert parse_poly(print_poly(p), vars, field) == p
+
+
+@st.composite
+def _expr(draw, depth, gen):
+    """(text, sympy value, degree bound) of a random expr in x, y (and the
+    generator gen, when not None), built rule by rule of the grammar.  Each
+    power and product stays within degree 8, so sympy expands it quickly."""
+    space = st.sampled_from(["", " "])
+    terms = []
+    for i in range(draw(st.integers(1, 3))):
+        factors, degree = [], 0
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["number", "symbol", "paren"][:2 + (depth < 3)]))
+            if kind == "number":
+                p, q = draw(st.integers(0, 40)), draw(st.integers(1, 12))
+                text, value, d = ((f"{p}/{q}", sympy.Rational(p, q), 0) if draw(st.booleans())
+                                  else (str(p), sympy.Integer(p), 0))
+            elif kind == "symbol":
+                text = draw(st.sampled_from(["x", "y"] + ([gen] if gen else [])))
+                value, d = sympy.Symbol(text), 1
+            else:
+                inner, value, d = draw(_expr(depth + 1, gen))
+                text = f"({inner})"
+            if draw(st.booleans()):
+                n = draw(st.integers(0, 8 // max(d, 1)))
+                text, value, d = f"{text}{draw(space)}^{draw(space)}{n}", value ** n, d * n
+            if factors and degree + d > 8:
+                break
+            minus = draw(st.integers(0, 3))
+            factors.append(("-" * minus + text, (-1) ** minus * value))
+            degree += d
+        text = f"{draw(space)}*{draw(space)}".join(t for t, _ in factors)
+        sign = "+" if i == 0 else draw(st.sampled_from(["+", "-"]))
+        terms.append((sign, text, sympy.Mul(*(v for _, v in factors)), degree))
+    text = terms[0][1] + "".join(f" {s} {t}" for s, t, _, _ in terms[1:])
+    value = sympy.Add(*(v if s == "+" else -v for s, _, v, _ in terms))
+    return text, value, max(d for _, _, _, d in terms)
+
+
+@pytest.mark.parametrize("field", [QQ, F_SQRT_M2], ids=["QQ", "theta^2 + 2"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parse_matches_sympy(field, data):
+    # the parser against sympy's expansion of the same expression; over
+    # Q(theta), sympy's value is reduced by the minimal polynomial first
+    gen = None if field.is_rational else field.gen_name
+    text, value, _ = data.draw(_expr(0, gen))
+    p = parse_poly(text, ("x", "y"), field)
+    x, y = sympy.symbols("x y")
+    g = sympy.Symbol(gen or "theta")
+    expected = sympy.expand(value)
+    if gen:
+        minpoly = sum(c * g ** i for i, c in enumerate(field.minpoly))
+        expected = sympy.rem(expected, minpoly, g)
+    got = sum((sympy.Rational(n, p.den) * g ** i * x ** k[0] * y ** k[1]
+               for k, nums in p.terms.items() for i, n in enumerate(nums)),
+              sympy.Integer(0))
+    assert sympy.expand(got - expected) == 0, text
 
 
 def test_fuzz_never_crashes():
