@@ -162,12 +162,13 @@ def _check_size(what: str, degree: int, operands: tuple, vars: tuple[str, ...],
     """Reject a product or power before it is expanded when its degree
     exceeds MAX_DEGREE or its possible term count exceeds MAX_TERMS; that
     count is the dense C(n + degree, n) in the n variables the operands
-    use, capped by sparse_terms, so n is only counted when sparse_terms
-    exceeds MAX_TERMS."""
+    use, capped by sparse_terms.  C(n + degree, n) grows with n, so n is
+    only counted when neither sparse_terms nor the count in all of vars is
+    within MAX_TERMS."""
     if degree > MAX_DEGREE:
         raise PolyParseError(
             f"{what} of degree {degree} exceeds the bound {MAX_DEGREE}", position)
-    if sparse_terms <= MAX_TERMS:
+    if sparse_terms <= MAX_TERMS or math.comb(len(vars) + degree, len(vars)) <= MAX_TERMS:
         return
     n = len(set().union(*(_support(p, vars) for p in operands)))
     terms = min(math.comb(n + degree, n), sparse_terms)
@@ -181,7 +182,7 @@ def _constant_power(c: FieldElement, exponent: int, position: int) -> FieldEleme
     soon as a partial power, c itself included, has a numerator or
     denominator of more than MAX_CONSTANT_BITS bits."""
     def checked(x: FieldElement) -> FieldElement:
-        if max(x.den, *map(abs, x.nums)).bit_length() > MAX_CONSTANT_BITS:
+        if max(x.den, max(map(abs, x.nums))).bit_length() > MAX_CONSTANT_BITS:
             raise PolyParseError("power of a constant exceeds the bound "
                                  f"{MAX_CONSTANT_BITS} on its bit length", position)
         return x
@@ -203,9 +204,9 @@ class _Parser:
     term, and a Poly for two or more terms.  Monomials multiply and raise
     to powers directly, and the terms of one sum go into one term map, which
     becomes one Poly only when two or more terms are left; so only operands
-    of two or more terms reach the Poly ring operations.  A product or power
-    of nonzero values is nonzero, and one of values with two or more terms
-    has two or more terms, so no other rule needs to collapse its value."""
+    of two or more terms reach the Poly ring operations.  Over a field, a
+    product or power of nonzero values is nonzero, and it has two or more
+    terms when an operand has, so only a sum can collapse its value."""
 
     def __init__(self, text: str, vars: tuple[str, ...], field: NumberField):
         self.tokens = _tokenize(text)
@@ -214,12 +215,14 @@ class _Parser:
         self.field = field
         self.depth = 0
         self.pad = (0,) * (field.degree - 1)
-        self.origin = (0,) * len(vars)
-        self.one = field.one(), self.origin   # the monomial 1
+        self.origin = origin = (0,) * len(vars)
+        one = FieldElement(field, (1,) + self.pad)
+        self.one = one, origin   # the monomial 1
         # the monomial each symbol denotes
-        self.symbols = {v: (field.one(), tuple(int(w == v) for w in vars)) for v in vars}
+        self.symbols = {v: (one, origin[:i] + (1,) + origin[i + 1:])
+                        for i, v in enumerate(vars)}
         if not field.is_rational:
-            self.symbols[field.gen_name] = field.gen(), self.origin
+            self.symbols[field.gen_name] = field.gen(), origin
 
     def peek(self):
         return self.tokens[self.pos]
@@ -294,7 +297,10 @@ class _Parser:
         if len(acc) == 1:
             ((k, c),) = acc.items()
             return c, k
-        den = math.lcm(*(c.den for c in acc.values()))
+        # a list, not a generator: star-arguments from an iterator of unknown
+        # length build a 10-slot tuple and resize it, which fills CPython's
+        # tuple free lists of the resized lengths until a full collection
+        den = math.lcm(*[c.den for c in acc.values()])
         return Poly(self.field, self.vars,
                     {k: c.nums if c.den == den else tuple(x * (den // c.den) for x in c.nums)
                      for k, c in acc.items()}, den)

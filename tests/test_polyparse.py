@@ -270,6 +270,31 @@ def test_product_bounds_reject_before_expanding(monkeypatch, text, vars, bound, 
     assert degrees and max(degrees) <= limit
 
 
+def test_one_term_power_keeps_the_dense_size_rule():
+    # a power of one term is one term, but it is held to the dense count
+    # C(n + deg, n) in the n variables it uses, like any power
+    vars = ("x", "y", "z")
+    for text, terms in (("(x*y*z)^30", 129766), ("(x*y)^60", 7381), ("(2*x*y)^60", 7381),
+                        ("(x*y*z)^9", 4060)):
+        with pytest.raises(PolyParseError,
+                           match=rf"power of up to {terms} terms exceeds the bound {MAX_TERMS}"):
+            parse_poly(text, vars)
+    x = Poly.variable("x", QQ, vars)
+    assert parse_poly(f"x^{MAX_DEGREE}", vars) == x ** MAX_DEGREE
+    # C(3 + 24, 3) = 2925 is within the bound
+    assert parse_poly("(x*y*z)^8", vars).total_degree() == 24
+
+
+def test_cancelling_sums_collapse():
+    # a sum that cancels is the zero Poly; one that leaves one term is a
+    # monomial, and so is its power
+    assert parse_poly("t - t + 0*t^5", ["t"]) == Poly.zero(QQ, ("t",))
+    assert parse_poly("t - t + 0*t^5", ["t"]).is_zero()
+    t = Poly.variable("t", QQ)
+    assert parse_poly("(t + 1 - 1)^3 - (0)^0", ["t"]) == t ** 3 - 1
+    assert parse_poly("(1 + t - t)^1000*(2 - 2)", ["t"]).is_zero()
+
+
 def test_product_term_count_is_capped_by_the_operands():
     # the report's printed family formula: the dense count C(4 + 16, 4) =
     # 4845 of this product exceeds MAX_TERMS, its 1 x 10 operand terms do not
