@@ -315,7 +315,7 @@ def test_usage_errors_exit_one():
     (["verify-endo", "--params", "TMP/p.json"],
      {"p.json": json.dumps({**_CHEB_D3, "field": "t^2 + 2", "lambda": ["3", "0"]})},
      "generator 't' is also a variable"),
-    # '²' is a digit to str.isdigit but not to int(); only ASCII digits are
+    # str.isdigit accepts '²' but int() does not; only ASCII 0-9 are digits
     (["shabat", "extract", "--poly", "t^²"], {}, "unexpected character '²' (offset 2)"),
 ], ids=["other-fixture", "missing-field", "not-an-object", "avecs-not-nested",
         "avec-not-a-list", "profile-missing-field", "profile-not-an-object",

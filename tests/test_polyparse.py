@@ -170,7 +170,7 @@ def _expr(draw, depth, gen):
 
 
 @pytest.mark.parametrize("field", [QQ, F_SQRT_M2], ids=["QQ", "theta^2 + 2"])
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_parse_matches_sympy(field, data):
     # the parser against sympy's expansion of the same expression; over
