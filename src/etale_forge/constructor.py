@@ -141,8 +141,6 @@ def factor_through_cover(p: EtaleParams) -> SurfaceMap:
         raise PreconditionViolated(f"params fail the certificate: {cert.failing()}")
     if p.alpha != 0:
         raise PreconditionViolated("factorization requires alpha = 0")
-    if p.a != 1 or p.r % p.k != 0 or p.d % p.k != 0:
-        raise PreconditionViolated("factorization requires a = 1, k | r and k | d")
     rbar = p.r // p.k
     field = p.field
     source = hyper_surface(p.k, rbar)

@@ -213,9 +213,9 @@ def base_polynomial(m: SurfaceMap) -> Poly:
     field = m.field
     k = s.k
     if s.model == "tilde":
-        w = normal_form(m.coords[2], s)
-        ambient = tilde_surface(k, s.r)
-        q = 1 - normal_form(w ** k, ambient)
+        # an equivariant w in normal form is a polynomial in z alone, so w^k
+        # is already in normal form
+        q = 1 - normal_form(m.coords[2], s) ** k
     else:
         cover = tilde_surface(k, s.r * k)
         x, y, z = (Poly.variable(v, field, cover.vars) for v in cover.vars)
@@ -419,9 +419,8 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
     field = p.field
     checks: dict[str, bool] = {}
     witnesses: dict = {}
-    kr_ok = p.alpha == 1 or (p.alpha == 0 and p.r % p.k == 0)
-    checks["C5_alpha_kr"] = kr_ok and math.gcd(p.a, p.k) == 1 and \
-        (p.alpha == 1 or p.a == 1)
+    # EtaleParams enforces gcd(a, k) = 1, and a = 1 when alpha = 0
+    checks["C5_alpha_kr"] = p.alpha == 1 or p.r % p.k == 0
 
     expected = ri_degrees(p.k, p.r, p.alpha, p.d)
     actual = tuple(R.total_degree() for R in (p.R0, p.R1, p.R2))
@@ -434,7 +433,7 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
     checks["C4_congruence"] = (p.d - (p.alpha + p.r * (1 - p.alpha))) % modulus == 0
 
     t = Poly.variable("t", field)
-    if p.alpha == 0 and p.r % p.k != 0:
+    if not checks["C5_alpha_kr"]:
         checks["C1_identity"] = False
     else:
         exp = (1 - p.alpha) * p.r // p.k

@@ -72,7 +72,7 @@ class FamilySpec:
     avector: tuple[FieldElement, ...]
 
     def __post_init__(self):
-        if self.base.alpha != 0 or self.base.a != 1:
+        if self.base.alpha != 0:
             raise PreconditionViolated("family base must have alpha = 0, a = 1")
         if self.base.k != self.k or self.base.r != self.rbar * self.k:
             raise PreconditionViolated(

@@ -49,7 +49,8 @@ class DivisionByZero(ZeroDivisionError):
 
 
 class ReduciblePolynomial(ValueError):
-    """A minimal polynomial of degree <= 4 failed the irreducibility test."""
+    """A minimal polynomial is reducible: it failed the irreducibility test
+    (degree <= 4), or an inverse met a zero divisor (any degree)."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -68,44 +69,6 @@ def _trim(c: list[Fraction]) -> list[Fraction]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    r = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(r) >= len(b):
-        c = r[-1] / lead
-        s = len(r) - len(b)
-        q[s] = c
-        for i in range(len(b)):
-            r[s + i] -= c * b[i]
-        _trim(r)
-        if not r:
-            break
-    return _trim(q), r
-
-
-def _det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every intermediate division is exact."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
 
 
 def _value(c: list[int], x: int) -> int:
@@ -321,24 +284,36 @@ class NumberField:
     def inv(self, a: Ints) -> tuple[Ints, int]:
         """Inverse of a nonzero integer coordinate tuple as (numerators,
         positive denominator): the solution x of a * x = 1, a linear system
-        whose columns are a * theta^j, by Cramer's rule with integer
-        determinants (1/a[0] in degree one)."""
+        whose columns are a * theta^j (1/a[0] in degree one).
+
+        One fraction-free (Bareiss) Gauss-Jordan elimination of [cols |
+        den * e_0] (mul scales by den) solves it; every division by the
+        previous pivot is exact.  The last pivot is the determinant, up to
+        the sign of the row swaps, and the last column ends as that pivot
+        times x.  A column without a pivot means a zero divisor."""
         if not any(a):
             raise DivisionByZero("inverse of zero")
         n = len(a)
         if n == 1:
             return ((1,), a[0]) if a[0] > 0 else ((-1,), -a[0])
         cols = [self.mul(a, (0,) * j + (1,) + (0,) * (n - 1 - j)) for j in range(n)]
-        det = _det([[col[i] for col in cols] for i in range(n)])
-        if det == 0:
-            raise ReduciblePolynomial(
-                f"{self.minpoly_str()} is reducible: "
-                f"{FieldElement(self, a)} is a zero divisor")
-        # x_i = det(column i replaced by den * e_0) / det, because mul
-        # scales by den
-        rhs = (self.den,) + (0,) * (n - 1)
-        nums = [_det([[rhs[r] if j == i else cols[j][r] for j in range(n)]
-                      for r in range(n)]) for i in range(n)]
+        m = [[col[i] for col in cols] + [self.den if i == 0 else 0] for i in range(n)]
+        prev = 1
+        for k in range(n):
+            pivot = next((i for i in range(k, n) if m[i][k]), None)
+            if pivot is None:
+                raise ReduciblePolynomial(
+                    f"{self.minpoly_str()} is reducible: "
+                    f"{FieldElement(self, a)} is a zero divisor")
+            m[k], m[pivot] = m[pivot], m[k]
+            row = m[k]
+            for other in m:
+                if other is not row:
+                    c = other[k]
+                    for j in range(k + 1, n + 1):
+                        other[j] = (row[k] * other[j] - c * row[j]) // prev
+            prev = row[k]
+        det, nums = prev, [r[n] for r in m]
         if det < 0:
             det, nums = -det, [-x for x in nums]
         g = math.gcd(det, *nums)
@@ -568,14 +543,20 @@ def json_fields(data, fields: dict[str, type], what: str) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_coeffs(k: int) -> tuple[Fraction, ...]:
-    # Phi_k = (x^k - 1) / prod(Phi_d : d | k, d < k), by exact division
-    num = [Fraction(-1)] + [Fraction(0)] * (k - 1) + [Fraction(1)]
+def _cyclotomic_coeffs(k: int) -> tuple[int, ...]:
+    # Phi_k = (x^k - 1) / prod(Phi_d : d | k, d < k), by exact synthetic
+    # division over Z: every Phi_d is monic with integer coefficients
+    num = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
         if k % d == 0:
-            q, r = _poly_divmod(num, list(_cyclotomic_coeffs(d)))
-            assert not r
-            num = q
+            div = _cyclotomic_coeffs(d)
+            e = len(div) - 1
+            # in place: the quotient ends in num[e:], the remainder in num[:e]
+            for s in range(len(num) - 1, e - 1, -1):
+                for i in range(e):
+                    num[s - e + i] -= num[s] * div[i]
+            assert not any(num[:e])
+            num = num[e:]
     return tuple(num)
 
 

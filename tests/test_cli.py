@@ -8,6 +8,7 @@ the --timings stream.
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -22,6 +23,10 @@ from etale_forge.polyparse import (MAX_CONSTANT_BITS, MAX_DEGREE, MAX_FIELD_DEGR
 from etale_forge.reproduce import default_fixture_dir
 
 CLI = [sys.executable, "-m", "etale_forge.cli"]
+# children import the etale_forge under test first, not another copy that
+# their inherited PYTHONPATH may name
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+    str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))))}
 # a field of the degree just above MAX_FIELD_DEGREE, as text and as a
 # constant-first coefficient list
 FIELD_TOO_BIG = f"theta^{MAX_FIELD_DEGREE + 1} + theta + 1"
@@ -43,7 +48,8 @@ def run_cli(*args):
 
 
 def run_module(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True,
+                          env=CHILD_ENV)
 
 
 def test_module_entry_point_exit_codes():
@@ -361,7 +367,7 @@ print(code, *sorted(name for name in sys.modules if name.startswith("etale_forge
 def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
     argv = [a.replace("FIXTURES", str(default_fixture_dir())) for a in argv]
     res = subprocess.run([sys.executable, "-c", _LOADED, *argv],
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True, check=True, env=CHILD_ENV)
     shared = {"cli", "numfield", "polyalg", "polyparse"}
     assert res.stdout.split() == ["0"] + sorted(f"etale_forge.{m}"
                                                 for m in shared | loaded)

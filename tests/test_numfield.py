@@ -222,6 +222,12 @@ def test_inverse_of_zero_divisor_reports_reducible_minpoly():
     with pytest.raises(ReduciblePolynomial, match="zero divisor"):
         field.from_coords([-2, 0, 0, 1, 0, 0]).inverse()
     assert field.gen() * field.gen().inverse() == field.one()
+    # theta^6 - 1 = (theta - 1)(theta + 1)(theta^2 + theta + 1)(theta^2 - theta + 1)
+    field = NumberField([-1, 0, 0, 0, 0, 0, 1])
+    for coords in ([1, 1, 1, 0, 0, 0], [1, 0, 0, 1, 0, 0], [-1, 1, 0, 0, 0, 0],
+                   [0, 0, 1, 0, 0, 1]):
+        with pytest.raises(ReduciblePolynomial, match="zero divisor"):
+            field.from_coords(coords).inverse()
 
 
 def test_rational_roots_helper():
@@ -361,7 +367,10 @@ def test_degree_one_inverse_matches_extended_euclid(field, c):
 
 @pytest.mark.parametrize("field", [
     F_SQRT_M2, F_ZETA3, cyclotomic_field(7), NumberField([Fraction(-1, 2), 0, 1]),
-    NumberField([Fraction(1, 3), Fraction(-2, 5), 0, 1])])
+    NumberField([Fraction(1, 3), Fraction(-2, 5), 0, 1]),
+    NumberField([1, 1] + [0] * 14 + [1]),                 # theta^16 + theta + 1
+    NumberField([1, 0, 0, 1, 0, 0, 0, 0, 1]),             # theta^8 + theta^3 + 1
+    NumberField([5, 0, 0, Fraction(-2, 3), 0, 0, 0, 0, 1])])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_inverse_matches_extended_euclid(field, data):
@@ -422,7 +431,8 @@ def _sympy_irreducible(coeffs):
 @needs_sympy
 def test_cyclotomic_minpoly_matches_sympy():
     x = sympy.Symbol("x")
-    for k in range(1, 31):
+    # Phi_105 is the first with a coefficient outside {-1, 0, 1}
+    for k in range(1, 106):
         want = sympy.Poly(sympy.cyclotomic_poly(k, x), x).all_coeffs()[::-1]
         assert list(cyclotomic_field(k).minpoly) == [Fraction(int(c)) for c in want], k
 
