@@ -370,7 +370,7 @@ def test_degree_one_inverse_matches_extended_euclid(field, c):
     NumberField([Fraction(1, 3), Fraction(-2, 5), 0, 1]),
     NumberField([1, 1] + [0] * 14 + [1]),                 # theta^16 + theta + 1
     NumberField([1, 0, 0, 1, 0, 0, 0, 0, 1]),             # theta^8 + theta^3 + 1
-    NumberField([5, 0, 0, Fraction(-2, 3), 0, 0, 0, 0, 1])])
+    NumberField([5, 0, 0, Fraction(-2, 3), 0, 0, 0, 0, 1])])   # theta^8 - 2/3*theta^3 + 5
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_inverse_matches_extended_euclid(field, data):
