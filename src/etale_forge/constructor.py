@@ -17,11 +17,10 @@ for (full factoring over number fields is out of scope here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chebyshab import chebyshev_T, chebyshev_U
-from .endo import EtaleParams, SurfaceMap, etale_certificate, ri_degrees, zk_to_t
+from .endo import EtaleParams, SurfaceMap, etale_certificate, zk_to_t
 from .numfield import (QQ, FieldElement, NumberField, cyclotomic_field,
                        rational_roots)
 from .polyalg import (NotDivisible, Poly, compose, divmod_poly, exact_div, monic,
@@ -41,53 +40,15 @@ class PreconditionViolated(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DegreeTriple:
-    d0: int
-    d1: int
-    d2: int
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    reason: str
-
-
-def degrees_from(k: int, r: int, alpha: int, d: int):
-    """The degree triple (d0, d1, d2), or Infeasible.
-
-    Feasible iff d = alpha + r(1-alpha) mod k(r-1) with all three derived
-    degrees nonnegative integers; the two counting identities
-    d = 1 + d0 + r d2 + (1-alpha) r/k = alpha + k d1 then hold.
-    """
-    if k < 2 or r < 2:
-        raise ValueError("degrees_from needs k, r >= 2")
-    if alpha not in (0, 1):
-        raise ValueError("alpha must be 0 or 1")
-    if alpha == 0 and r % k != 0:
-        raise ValueError("alpha = 0 requires k | r")
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    modulus = k * (r - 1)
-    if (d - (alpha + r * (1 - alpha))) % modulus != 0:
-        return Infeasible(f"d = {d} is not {alpha + r*(1-alpha)} mod {modulus}")
-    d0, d1, d2 = ri_degrees(k, r, alpha, d)
-    for name, val in (("d0", d0), ("d1", d1), ("d2", d2)):
-        if val.denominator != 1 or val < 0:
-            return Infeasible(f"{name} = {val} is not a nonnegative integer")
-    triple = DegreeTriple(int(d0), int(d1), int(d2))
-    assert d == 1 + triple.d0 + r * triple.d2 + (1 - alpha) * r // k
-    assert d == alpha + k * triple.d1
-    return triple
-
-
 def chebyshev_endo(d: int, lam: FieldElement | int = 1) -> EtaleParams:
     """Parameters of the degree-d Chebyshev endomorphism of tilde(2, 2).
 
     Rebuilding them gives (x * lam^-1 * U_(d-1)(z), lam^2 * y, T_d(z)).
     The congruence for (k, r, alpha) = (2, 2, 1) forces d odd.
     """
-    if d < 1 or d % 2 != 1:
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    if d % 2 != 1:
         raise InfeasibleDegree(f"d = {d} is not 1 mod 2")
     lam = lam if isinstance(lam, FieldElement) else QQ.elem(lam)
     if lam.is_zero():
@@ -116,13 +77,8 @@ def cyclic_galois_endo(k: int, eps_power: int = 1) -> tuple[EtaleParams, Surface
         raise ValueError("k must be >= 2")
     if eps_power % k == 0:
         raise BadEpsilon("epsilon must be a nontrivial k-th root of unity")
-    cyc = cyclotomic_field(k)
-    if cyc.degree == 1:
-        field = QQ
-        eps = QQ.elem(-1)  # k = 2
-    else:
-        field = cyc
-        eps = field.gen() ** (eps_power % k)
+    field = cyclotomic_field(k)
+    eps = field.gen() ** (eps_power % k)
     t = Poly.variable("t", field)
     r1 = (eps - 1) * t + 1
     r0 = exact_div(r1 ** k - 1, t * (t - 1))

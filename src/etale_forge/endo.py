@@ -267,12 +267,9 @@ def degree_of(m: SurfaceMap) -> int:
 def _as_t_poly(p, field: NumberField) -> Poly:
     if isinstance(p, Poly):
         q = p.with_field(field)
-        if not q.is_univariate():
-            raise ValueError(f"{p} is not univariate in t")
-        used = q.support_variables()
-        if used and used[0] != "t":
-            q = q.substitute({used[0]: Poly.variable("t", field)})
-        return q.with_variables(("t",)) if q.variables != ("t",) else q
+        if q.support_variables() not in ((), ("t",)):
+            raise ValueError(f"{p} is not a polynomial in t")
+        return q.with_variables(("t",))
     return Poly.constant(field.elem(p), field, ("t",))
 
 

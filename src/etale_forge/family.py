@@ -158,12 +158,13 @@ def ec_equivalent(P1: Poly, P2: Poly, r: int) -> EcEquivalence:
     """Decide existence of lam != 0 with P1(x) = lam^r * P2(lam * x).
 
     Both inputs lie in C[x^r], so with e_j = 1 + j/r the condition reads
-    mu^(e_j) = a_j / b_j for mu = lam^r.  For g = gcd(e_j) and Bezout
-    coefficients c_j, any solution satisfies mu^g = nu := prod (a_j/b_j)^c_j,
-    and conversely the system is solvable over C iff nu^(e_j/g) = a_j/b_j
-    for every j -- an exact test in the coefficient field.  A witness lam in
-    the field is produced whenever mu is a root of unity of order prime
-    to r.
+    mu^(e_j) = a_j / b_j for mu = lam^r.  Euclid runs on these equations
+    as on their exponents: mu^g = nu and mu^e = q give mu^(g - m e) =
+    nu / q^m, and it ends in mu^g = nu with g = gcd(e_j).  Any solution
+    satisfies mu^g = nu, and conversely the system is solvable over C iff
+    nu^(e_j/g) = a_j/b_j for every j -- an exact test in the coefficient
+    field.  A witness lam in the field is produced whenever mu is a root
+    of unity of order prime to r.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -171,33 +172,15 @@ def ec_equivalent(P1: Poly, P2: Poly, r: int) -> EcEquivalence:
     s2 = _support(P2, r)
     if set(s1) != set(s2):
         return EcEquivalence(False)
-    exps = sorted(s1)
-    e = [1 + j // r for j in exps]
-    q = []
-    field = None
-    for j in exps:
-        a, b = s1[j], s2[j]
-        ratio = a / b
-        q.append(ratio)
-        field = ratio.field
-    g = e[0]
-    for ei in e[1:]:
-        g = math.gcd(g, ei)
-    # Bezout coefficients for gcd of the whole list
-    cs = [0] * len(e)
-    acc = e[0]
-    cs[0] = 1
-    for i in range(1, len(e)):
-        gg, u, v = _xgcd(acc, e[i])
-        cs = [c * u for c in cs]
-        cs[i] = v
-        acc = gg
-    assert acc == g
-    nu = field.one()
-    for ci, qi in zip(cs, q):
-        nu = nu * (qi ** ci)
-    for ei, qi in zip(e, q):
-        if nu ** (ei // g) != qi:
+    # descending exponents, so the first step divides by no zeroth power
+    pairs = [(1 + j // r, s1[j] / s2[j]) for j in sorted(s1, reverse=True)]
+    g, nu = pairs[0]
+    for e, q in pairs[1:]:
+        while e:
+            m = g // e
+            g, nu, e, q = e, q, g - m * e, nu / q ** m
+    for e, q in pairs:
+        if nu ** (e // g) != q:
             return EcEquivalence(False)
     # mu = lam^r satisfies mu^g = nu; when g = 1 it is determined
     mu = nu if g == 1 else None
@@ -206,20 +189,8 @@ def ec_equivalent(P1: Poly, P2: Poly, r: int) -> EcEquivalence:
         order = _finite_order(mu)
         if order is not None and math.gcd(r, order) == 1:
             lam = mu ** pow(r, -1, order)
-            assert all((lam ** (r + j)) * s2[j] == s1[j] for j in exps)
+            assert all((lam ** (r + j)) * s2[j] == s1[j] for j in s1)
     return EcEquivalence(True, lam=lam, lam_pow_r=mu)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, rr = a, b
-    old_s, ss = 1, 0
-    old_t, tt = 0, 1
-    while rr:
-        qq = old_r // rr
-        old_r, rr = rr, old_r - qq * rr
-        old_s, ss = ss, old_s - qq * ss
-        old_t, tt = tt, old_t - qq * tt
-    return old_r, old_s, old_t
 
 
 def family_pairwise_distinct(f_list: list[FamilySpec]) -> bool:

@@ -55,21 +55,15 @@ class MiyParams:
         return self.b.field
 
 
-@dataclass(frozen=True)
-class BCheckResult:
-    ok: bool
-    s: Poly | None = None
-
-
 def _u_poly(n: int, field: NumberField) -> Poly:
     return chebyshev_U(n - 1).with_field(field)
 
 
-def miy_b_check(n: int, b: Poly) -> BCheckResult:
+def miy_b_check(n: int, b: Poly) -> Poly:
     """Divisibility form of the value condition on b.
 
-    Computes 1 - (x^2 - 1) b(x)^2 and tests divisibility by U_(n-1);
-    on success returns the exact quotient s.
+    Divides 1 - (x^2 - 1) b(x)^2 by U_(n-1) and returns the exact quotient
+    s; BadB when the division leaves a remainder.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -78,26 +72,23 @@ def miy_b_check(n: int, b: Poly) -> BCheckResult:
     u = _u_poly(n, field)
     lhs = 1 - (x * x - 1) * b * b
     try:
-        s = exact_div(lhs, u)
+        return exact_div(lhs, u)
     except NotDivisible:
-        return BCheckResult(False)
-    return BCheckResult(True, s)
+        raise BadB(f"b = {b} fails the value condition for n = {n}") from None
 
 
 def _eta0(p: MiyParams) -> tuple[Poly, Poly, Poly, Poly]:
     """(s, T_n, U_(n-1), core): s in x is the quotient of the value
     condition, and eta0 = (T_n, U_(n-1) * core) in x, y; BadB when the
     condition fails."""
-    bc = miy_b_check(p.n, p.b)
-    if not bc.ok:
-        raise BadB(f"b = {p.b} fails the value condition for n = {p.n}")
+    s = miy_b_check(p.n, p.b)
     field, xy = p.field, ("x", "y")
     x = Poly.variable("x", field, xy)
     y = Poly.variable("y", field, xy)
     u = _u_poly(p.n, field).with_variables(xy)
     tn = chebyshev_T(p.n).with_field(field).with_variables(xy)
     core = u * y * Fraction(1, p.n) + (x * x - 1) * p.b.with_variables(xy)
-    return bc.s, tn, u, core
+    return s, tn, u, core
 
 
 def miy_eta0(p: MiyParams) -> tuple[Poly, Poly]:

@@ -24,9 +24,10 @@ an extension, and two distinct extensions raise FieldMismatch (no automatic
 compositum).  polyparse reads and writes the text form of a field
 (field_from_string, field_name).
 
-Irreducibility of a user-supplied minimal polynomial is verified up to
-degree 4 (rational-root and quadratic-resolvent tests); above that the
-constructor records the polynomial as asserted irreducible.
+The constructor verifies irreducibility of a minimal polynomial up to
+degree 4 (rational-root and cubic-resolvent tests); above that it is taken
+on trust, and an inverse that meets a zero divisor raises
+ReduciblePolynomial.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def _is_irreducible_upto_deg4(c: list[Fraction]) -> bool:
 class NumberField:
     """Q[theta]/(m(theta)) for a monic polynomial m, presented by m."""
 
-    def __init__(self, minpoly, gen: str = "theta", note: str = ""):
+    def __init__(self, minpoly, gen: str = "theta"):
         coeffs = _trim([_as_fraction(c) for c in minpoly])
         if len(coeffs) < 2:
             raise ValueError("minimal polynomial must have degree >= 1")
@@ -182,15 +183,8 @@ class NumberField:
         # every degree-one field is Q (see the module docstring)
         self._key = () if self.degree == 1 else (self.minpoly, gen)
         self._tail, self.den = self._power_tail()
-        self.note = note
-        if self.degree <= 4 and note != "cyclotomic":
-            if not _is_irreducible_upto_deg4(list(coeffs)):
-                raise ReduciblePolynomial(f"{self.minpoly_str()} is reducible over Q")
-            self.irreducibility = "verified"
-        elif note == "cyclotomic":
-            self.irreducibility = "verified"
-        else:
-            self.irreducibility = "asserted"
+        if self.degree <= 4 and not _is_irreducible_upto_deg4(list(coeffs)):
+            raise ReduciblePolynomial(f"{self.minpoly_str()} is reducible over Q")
 
     @property
     def degree(self) -> int:
@@ -564,4 +558,4 @@ def cyclotomic_field(k: int) -> NumberField:
     """Q[zeta]/(Phi_k) with Phi_k the k-th cyclotomic polynomial."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return NumberField(list(_cyclotomic_coeffs(k)), gen="zeta", note="cyclotomic")
+    return NumberField(list(_cyclotomic_coeffs(k)), gen="zeta")

@@ -19,8 +19,7 @@ from pathlib import Path
 
 from .chebyshab import (RamificationProfile, chebyshev_T, chebyshev_U,
                         extract_profile, thom_feasible)
-from .constructor import (DegreeTriple, chebyshev_endo,
-                          cyclic_galois_endo, degrees_from,
+from .constructor import (chebyshev_endo, cyclic_galois_endo,
                           factor_through_cover, kr32_condition, solve_kr32)
 from .endo import (BuildResult, EtaleParams, SurfaceMap, apply_map,
                    base_polynomial, build_from_params, compose_maps,
@@ -83,21 +82,27 @@ def check_chebyshev_identities() -> str:
 
 
 def check_congruence_law() -> str:
+    """C4's congruence d = alpha + r(1-alpha) mod k(r-1) against
+    ri_degrees, the degree formula of C2: for a congruent d the derived
+    degrees are nonnegative integers satisfying both counting identities
+    d = 1 + d0 + r d2 + (1-alpha) r/k = alpha + k d1.  A d that fails the
+    congruence is skipped, since d2 is an integer only for a congruent d.
+    """
     count = 0
     for k in range(2, 6):
         for r in range(2, 6):
             alphas = (1,) if r % k else (0, 1)
             for alpha in alphas:
                 for d in range(1, CONGRUENCE_DMAX + 1):
-                    expect = (d - (alpha + r * (1 - alpha))) % (k * (r - 1)) == 0
-                    got = degrees_from(k, r, alpha, d)
-                    if isinstance(got, DegreeTriple):
-                        assert expect, f"feasible but congruence fails: {(k,r,alpha,d)}"
-                        assert d == 1 + got.d0 + r * got.d2 + (1 - alpha) * r // k
-                        assert d == alpha + k * got.d1
-                    else:
-                        assert not expect, f"congruent but infeasible: {(k,r,alpha,d)} {got}"
                     count += 1
+                    if (d - (alpha + r * (1 - alpha))) % (k * (r - 1)):
+                        continue
+                    degrees = ri_degrees(k, r, alpha, d)
+                    assert all(v.denominator == 1 and v >= 0 for v in degrees), \
+                        f"congruent but infeasible: {(k, r, alpha, d)} {degrees}"
+                    d0, d1, d2 = map(int, degrees)
+                    assert d == 1 + d0 + r * d2 + (1 - alpha) * r // k
+                    assert d == alpha + k * d1
     return f"{count} tuples"
 
 

@@ -5,6 +5,7 @@ run `python -m etale_forge.cli` to cover the entry point, its exit codes and
 the --timings stream.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -271,6 +272,8 @@ def test_usage_errors_exit_one():
      {"c.json": '{"candidates": [{"minpoly": [7, 0, 1], "a2": [1, 2]}]}'}, "'a1'"),
     (["construct", "chebyshev", "--d", "3", "--lam", "1/0"], {}, "--lam"),
     (["construct", "chebyshev", "--d", str(MAX_DEGREE + 1)], {}, "--d"),
+    (["construct", "chebyshev", "--d", "0"], {}, "d must be a positive integer"),
+    (["construct", "chebyshev", "--d=-3"], {}, "d must be a positive integer"),
     (["chebyshev", "T", "--n", str(MAX_DEGREE + 1)], {}, "--n"),
     (["miyanishi", "check", "--n", "100000", "--b", "1"], {}, "--n"),
     (["miyanishi", "eta0", "--n", "100000", "--b", "1"], {}, "--n"),
@@ -326,7 +329,8 @@ def test_usage_errors_exit_one():
 ], ids=["other-fixture", "missing-field", "not-an-object", "avecs-not-nested",
         "avec-not-a-list", "profile-missing-field", "profile-not-an-object",
         "profile-partition-not-int", "candidates-not-an-object",
-        "candidate-missing-a1", "lam-zero-denominator", "d-above-cap",
+        "candidate-missing-a1", "lam-zero-denominator", "d-above-cap", "d-zero",
+        "d-negative",
         "n-above-cap", "miyanishi-check-n-above-cap", "miyanishi-eta0-n-above-cap",
         "cyclic-galois-k-above-cap", "cyclic-galois-k-huge", "family-gen-k-above-cap",
         "family-distinct-k-above-cap", "family-gen-avec-above-cap",
@@ -371,6 +375,28 @@ def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
     shared = {"cli", "numfield", "polyalg", "polyparse"}
     assert res.stdout.split() == ["0"] + sorted(f"etale_forge.{m}"
                                                 for m in shared | loaded)
+
+
+# the README's load order: a module imports only modules of lower rank
+LOAD_ORDER = {"numfield": 0, "polyalg": 1, "polyparse": 2, "chebyshab": 2,
+              "surface": 2, "endo": 3, "miyanishi": 3, "constructor": 4,
+              "family": 5, "reproduce": 6}
+
+
+def _top_level_imports(module: str) -> set:
+    """The package modules a module imports at load time."""
+    tree = ast.parse((Path(cli.__file__).parent / f"{module}.py").read_text())
+    return {node.module for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_modules_import_in_the_load_order():
+    package = {path.stem for path in Path(cli.__file__).parent.glob("*.py")}
+    assert package == set(LOAD_ORDER) | {"cli", "__init__"}
+    for module, rank in LOAD_ORDER.items():
+        for imported in _top_level_imports(module):
+            assert LOAD_ORDER[imported] < rank, f"{module} imports {imported}"
+    assert _top_level_imports("cli") <= {"numfield", "polyparse"}
 
 
 @pytest.mark.slow

@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U
-from etale_forge.constructor import (BadEpsilon, DegreeTriple, Infeasible,
-                                     InfeasibleDegree, PreconditionViolated,
+from etale_forge.constructor import (BadEpsilon, InfeasibleDegree,
+                                     PreconditionViolated,
                                      _kr32_d01_eliminant, _kr32_params_from_r1_poly,
                                      chebyshev_endo, cyclic_galois_endo,
-                                     degrees_from, factor_through_cover,
-                                     kr32_condition, solve_kr32)
+                                     factor_through_cover, kr32_condition,
+                                     solve_kr32)
 from etale_forge.endo import (base_polynomial, build_from_params,
                               compose_maps, degree_of, etale_certificate,
                               jacobian_spotcheck, make_map,
-                              maps_equal, cstar_equivariant)
+                              maps_equal, cstar_equivariant, ri_degrees)
 from etale_forge.family import covering
 from etale_forge.numfield import QQ, NumberField, cyclotomic_field
 from etale_forge.polyalg import (Poly, compose, divmod_poly, exact_div,
@@ -27,12 +27,11 @@ from etale_forge.surface import hyper_surface, tilde_surface
 T = Poly.variable("t", QQ)
 
 
-def test_degrees_from_examples():
-    assert degrees_from(2, 2, 1, 3) == DegreeTriple(0, 1, 1)
-    assert degrees_from(3, 2, 1, 4) == DegreeTriple(1, 1, 1)
-    assert isinstance(degrees_from(2, 2, 1, 2), Infeasible)
-    with pytest.raises(ValueError):
-        degrees_from(3, 2, 0, 6)   # alpha = 0 needs k | r
+def test_ri_degrees_examples():
+    assert ri_degrees(2, 2, 1, 3) == (0, 1, 1)
+    assert ri_degrees(3, 2, 1, 4) == (1, 1, 1)
+    # d = 2 fails the congruence d = 1 mod 2: d2 is not an integer
+    assert ri_degrees(2, 2, 1, 2)[2].denominator != 1
 
 
 def test_chebyshev_endo_examples():

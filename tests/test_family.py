@@ -1,5 +1,6 @@
 """Deformation machinery: shears, covering, family members, equivalence."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,8 @@ from etale_forge.family import (EcEquivalence, FamilySpec, covering,
                                 ec_equivalent, family_member,
                                 family_member_symbolic,
                                 family_pairwise_distinct, theta)
-from etale_forge.numfield import QQ, cyclotomic_field
-from etale_forge.polyalg import Poly, variables
+from etale_forge.numfield import QQ, NumberField, cyclotomic_field
+from etale_forge.polyalg import Poly, compose, variables
 from etale_forge.polyparse import parse_poly
 from etale_forge.surface import (SurfacePoint, hyper_surface, normal_form,
                                  tilde_surface)
@@ -216,6 +217,35 @@ def test_ec_equivalent_examples():
             shifted = Poly.constant(lam ** 2, field, ("x",)) * \
                 pol(b).substitute({"x": Poly.constant(lam, field, ("x",)) * xf})
             assert shifted == pol(a)
+
+
+Z3 = cyclotomic_field(3)
+# (field, the mu to plant)
+PLANTED = [(field, field.elem(c)) for field in (QQ, NumberField([2, 0, 1]), Z3)
+           for c in (1, -1, 2, Fraction(1, 2))] + [(Z3, Z3.gen())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), case=st.sampled_from(PLANTED), r=st.integers(1, 4),
+       powers=st.sets(st.integers(0, 4), min_size=1, max_size=3))
+def test_ec_equivalent_finds_a_planted_mu(data, case, r, powers):
+    # P1 = sum b_j mu^(1 + j/r) x^j is equivalent to P2 = sum b_j x^j; the
+    # witness is checked on the polynomials, apart from the decision
+    field, mu = case
+    x = Poly.variable("x", field)
+    coeff = st.lists(HEIGHT_9, min_size=field.degree,
+                     max_size=field.degree).map(field.from_coords)
+    p1 = p2 = Poly.zero(field, ("x",))
+    for i in powers:
+        b = data.draw(coeff)
+        p1 = p1 + b * mu ** (1 + i) * x ** (r * i)
+        p2 = p2 + b * x ** (r * i)
+    res = ec_equivalent(p1, p2, r)
+    assert res.equivalent
+    if math.gcd(*(1 + i for i in powers)) == 1:
+        assert res.lam_pow_r == mu
+    if res.lam is not None:
+        assert p1 == res.lam ** r * compose(p2, res.lam * x)
 
 
 def test_ec_equivalent_requires_x_power_r():

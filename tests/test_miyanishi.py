@@ -18,15 +18,14 @@ F_I3 = NumberField([3, 0, 1])       # theta = i*sqrt(3)
 
 def test_b_check_examples():
     b = Poly.constant(F_I.gen(), F_I, ("x",))
-    res = miy_b_check(2, b)
     # 1 - (x^2-1)(-1) = x^2 = (x/2) * 2x
-    assert res.ok and print_poly(res.s) == "1/2*x"
+    assert print_poly(miy_b_check(2, b)) == "1/2*x"
     bad = Poly.constant(F_I.elem(1), F_I, ("x",))
-    assert not miy_b_check(2, bad).ok
+    with pytest.raises(BadB, match="fails the value condition for n = 2"):
+        miy_b_check(2, bad)
     b3 = Poly.constant(F_I3.gen() * F_I3.elem(Fraction(2, 3)), F_I3, ("x",))
-    res3 = miy_b_check(3, b3)
     # 1 + (4/3)(x^2-1) = (4x^2-1)/3 = (1/3) U_2
-    assert res3.ok and print_poly(res3.s) == "1/3"
+    assert print_poly(miy_b_check(3, b3)) == "1/3"
 
 
 def test_eta0_examples():
@@ -61,10 +60,9 @@ def test_lift_check_user_supplied_nonconstant_b():
     # divisible by 2x
     x = Poly.variable("x", F_I)
     b = Poly.constant(F_I.gen(), F_I, ("x",)) + x
-    res = miy_b_check(2, b)
-    assert res.ok
+    s = miy_b_check(2, b)
     rep = miy_lift_check(MiyParams(2, b))
-    assert rep.ok
+    assert rep.ok and rep.s == s
 
 
 def test_v3_vacuous_given_b_check_and_detectable_alone():
@@ -73,7 +71,8 @@ def test_v3_vacuous_given_b_check_and_detectable_alone():
     # detects a crafted b with a common factor
     bad = 2 * Poly.constant(F_I.gen(), F_I, ("x",)) * Poly.variable("x", F_I)
     assert not non_contraction_check(2, bad)
-    assert not miy_b_check(2, bad).ok  # and indeed the b-check already fails
+    with pytest.raises(BadB):      # and indeed the b-check already fails
+        miy_b_check(2, bad)
 
 
 def test_b_find_unsupported():
@@ -106,7 +105,7 @@ def test_contracted_fibers_bookkeeping():
         field = p.field
         u = chebyshev_U(n - 1).with_field(field)
         x = Poly.variable("x", field)
-        bc = miy_b_check(n, p.b)
+        miy_b_check(n, p.b)     # raises BadB unless the value condition holds
         # y^2-coefficient of the claimed numerator is -(1/n^2) U: divisible by U
         # y-coefficient: -(2/n)(x^2-1)b
         ycoeff = (x * x - 1) * p.b * Poly.constant(field.elem(Fraction(-2, n)),
