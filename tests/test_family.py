@@ -222,10 +222,10 @@ def test_ec_equivalent_examples():
 Z3 = cyclotomic_field(3)
 # (field, the mu to plant)
 PLANTED = [(field, field.elem(c)) for field in (QQ, NumberField([2, 0, 1]), Z3)
-           for c in (1, -1, 2, Fraction(1, 2))] + [(Z3, Z3.gen())]
+           for c in (1, -1, 2, Fraction(1, 2))] + [(Z3, Z3.gen()), (Z3, Z3.gen() ** 2)]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(data=st.data(), case=st.sampled_from(PLANTED), r=st.integers(1, 4),
        powers=st.sets(st.integers(0, 4), min_size=1, max_size=3))
 def test_ec_equivalent_finds_a_planted_mu(data, case, r, powers):
