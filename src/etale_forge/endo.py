@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .numfield import (QQ, FieldElement, NumberField, common_field,
                        json_fields, rationals)
-from .polyalg import Poly, compose, exact_div, gcd_univariate
+from .polyalg import Poly, compose, exact_div, gcd_univariate, separable_mod_p
 from .polyparse import (MAX_DEGREE, field_from_string, field_name, parse_poly,
                         print_poly)
 from .surface import (SurfacePoint, SurfaceSpec, hyper_surface, normal_form,
@@ -266,8 +266,8 @@ def degree_of(m: SurfaceMap) -> int:
 
 def _as_t_poly(p, field: NumberField) -> Poly:
     if isinstance(p, Poly):
-        q = p.with_field(field)
-        if q.support_variables() not in ((), ("t",)):
+        q = p.with_field(field).drop_unused()
+        if q.variables not in ((), ("t",)):
             raise ValueError(f"{p} is not a polynomial in t")
         return q.with_variables(("t",))
     return Poly.constant(field.elem(p), field, ("t",))
@@ -412,6 +412,18 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
     C3  (1-t) R0 R1 R2 separable; R1(0) = R2(0) = 1, R0(0) != 0
     C4  d = alpha + r(1-alpha)  mod k(r-1)
     C5  alpha = 1, or k | r and alpha = 0 (with a = 1)
+
+    C3's separability is first decided modulo the field's degree-one prime
+    (p, theta - rho) by polyalg.separable_mod_p: the images of 1-t, R0, R1
+    and R2 in F_p are multiplied, and the check passes when the product
+    keeps its degree and is coprime to its derivative in F_p[t].  That is
+    an exact proof: with P the kernel of Z_(p)[theta] -> F_p, a valuation
+    ring O of the field dominates P (Chevalley); if f = h^2*q with h
+    nonconstant, Gauss's lemma over O makes h primitive with lc(h) a unit,
+    as lc(f) is, so h mod P has positive degree and its square divides
+    f mod P, and gcd(f mod P, (f mod P)') != 1.  Only when the test fails
+    is f built and gcd_univariate(f, f') run, and that gcd decides the
+    check and is its witness.
     """
     field = p.field
     checks: dict[str, bool] = {}
@@ -440,12 +452,14 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
         if not checks["C1_identity"]:
             witnesses["C1_identity"] = lhs - rhs
 
-    sep_poly = (1 - t) * p.R0 * p.R1 * p.R2
-    repeated = gcd_univariate(sep_poly, sep_poly.derivative())
-    # gcd(0, 0) is 0, of degree -1: the zero polynomial is not separable
-    checks["C3_separability"] = repeated.total_degree() == 0
+    checks["C3_separability"] = separable_mod_p([1 - t, p.R0, p.R1, p.R2])
     if not checks["C3_separability"]:
-        witnesses["C3_separability"] = repeated
+        sep_poly = (1 - t) * p.R0 * p.R1 * p.R2
+        repeated = gcd_univariate(sep_poly, sep_poly.derivative())
+        # gcd(0, 0) is 0, of degree -1: the zero polynomial is not separable
+        checks["C3_separability"] = repeated.total_degree() == 0
+        if not checks["C3_separability"]:
+            witnesses["C3_separability"] = repeated
     one = field.one()
     checks["C3_normalization"] = (
         p.R1.constant_coeff() == one

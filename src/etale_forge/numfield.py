@@ -24,6 +24,14 @@ an extension, and two distinct extensions raise FieldMismatch (no automatic
 compositum).  polyparse reads and writes the text form of a field
 (field_from_string, field_name).
 
+NumberField.degree_one_prime gives a ring map Z_(p)[theta] -> F_p,
+theta -> rho, for the first prime p of one fixed list (the odd primes
+below 2^15, largest first) at which m has a root rho mod p.  The roots
+come from gcd(x^(p-1) - 1, m) and deterministic equal-degree splitting,
+on dense residue lists (mul_mod_p, gcd_mod_p), and the result is cached
+per minimal polynomial.  polyalg.separable_mod_p proves separability with
+it.
+
 The constructor verifies irreducibility of a minimal polynomial up to
 degree 4 (rational-root and cubic-resolvent tests); above that it is taken
 on trust, and an inverse that meets a zero divisor raises
@@ -169,6 +177,127 @@ def _is_irreducible_upto_deg4(c: list[Fraction]) -> bool:
     return True
 
 
+# -- dense univariate helpers over F_p (residues, constant term first) -------
+#
+# The primes stay below 2^15, so the product of two residues fits in one
+# 30-bit digit of a CPython int; lists are trimmed (no zero top entry).
+
+
+@lru_cache(maxsize=None)
+def small_primes() -> tuple[int, ...]:
+    """The odd primes below 2^15, largest first: the fixed list from which
+    degree_one_prime takes its prime.  Sieved on first use."""
+    half = 1 << 14
+    odd = bytearray([1]) * half          # odd[i] stands for 2i + 1
+    odd[0] = 0
+    for i in range(1, 91):               # 2*90 + 1 = 181 = isqrt(2^15)
+        if odd[i]:
+            q = 2 * i + 1
+            odd[q * q // 2::q] = bytes(len(range(q * q // 2, half, q)))
+    return tuple([2 * i + 1 for i in range(half - 1, 0, -1) if odd[i]])
+
+
+def mul_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """The product of two residue lists mod p."""
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a
+    nb = len(b)
+    prod = [0] * (len(a) + nb - 1)
+    for i, x in enumerate(a):
+        if x:
+            prod[i:i + nb] = [s + x * y for s, y in zip(prod[i:i + nb], b)]
+    return [s % p for s in prod]
+
+
+def _rem_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """The remainder of a by a nonzero b mod p, by long division."""
+    nb = len(b) - 1
+    if len(a) <= nb:
+        return a
+    inv = pow(b[-1], -1, p)
+    r = list(a)
+    for s in range(len(r) - 1 - nb, -1, -1):
+        c = r[s + nb] * inv % p
+        if c:
+            r[s:s + nb] = [(x - c * y) % p for x, y in zip(r[s:s + nb], b)]
+    del r[nb:]
+    return _trim(r)
+
+
+def gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of two residue lists in F_p[x] by Euclid ([] when both
+    are zero).
+
+    A quotient of degree one, the normal case, takes one pass: with
+    q = q1*x + q0, remainder entry i is a_i - q1*b_(i-1) - q0*b_i (the
+    entry at the degree of b is 0 by the choice of q0)."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        if len(a) == len(b) + 1:
+            inv = pow(b[-1], -1, p)
+            q1 = a[-1] * inv % p
+            q0 = (a[-2] - q1 * b[-2]) * inv % p
+            r = [(x - q1 * y - q0 * z) % p for x, y, z in zip(a, [0] + b, b)]
+            r.pop()
+            a, b = b, _trim(r)
+        else:
+            a, b = b, _rem_mod_p(a, b, p)
+    if b:
+        return [1]
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _powmod_p(a: int, e: int, m: list[int], p: int) -> list[int]:
+    """(x + a)^e - 1 modulo a monic m of degree >= 2, mod p (e >= 1), by
+    square-and-multiply; a multiply by x + a is a shift plus a multiple."""
+    out = [a, 1]
+    for bit in bin(e)[3:]:
+        out = _rem_mod_p(mul_mod_p(out, out, p), m, p)
+        if bit == "1":
+            out = _rem_mod_p([(u + a * v) % p for u, v in zip([0] + out, out + [0])],
+                             m, p)
+    out = _rem_mod_p(out, m, p) + [0]
+    out[0] = (out[0] - 1) % p
+    return _trim(out)
+
+
+def _root_mod_p(g: list[int], p: int) -> int:
+    """A root in F_p of a monic g that splits into distinct linear factors
+    over F_p, by equal-degree splitting: gcd(g, (x + a)^((p-1)/2) - 1) for
+    a = 0, 1, ... until one is a proper factor."""
+    a = 0
+    while len(g) > 2:
+        h = gcd_mod_p(_powmod_p(a, (p - 1) // 2, g, p), g, p)
+        if 1 < len(h) < len(g):
+            g = h
+        a += 1
+    return -g[0] % p
+
+
+@lru_cache(maxsize=256)
+def _degree_one_prime(minpoly: tuple[Fraction, ...]) -> tuple[int, int] | None:
+    primes = small_primes()
+    if len(minpoly) == 2:
+        return primes[0], 0
+    for p in primes:
+        if any(c.denominator % p == 0 for c in minpoly):
+            continue
+        m = [c.numerator * pow(c.denominator, -1, p) % p for c in minpoly]
+        if not m[0]:
+            return p, 0
+        # the nonzero roots of m in F_p are those of gcd(x^(p-1) - 1, m)
+        g = gcd_mod_p(_powmod_p(0, p - 1, m, p), m, p)
+        if len(g) > 1:
+            return p, _root_mod_p(g, p)
+    return None
+
+
 class NumberField:
     """Q[theta]/(m(theta)) for a monic polynomial m, presented by m."""
 
@@ -256,6 +385,14 @@ class NumberField:
         den = math.lcm(*(c.denominator for row in rows for c in row))
         return [tuple(int(c * den) for c in row) for row in rows], den
 
+    def degree_one_prime(self) -> tuple[int, int] | None:
+        """(p, rho) for the first p of small_primes() that divides no
+        denominator of m and at which m has a root rho mod p, so that
+        theta -> rho is a ring map Z_(p)[theta] -> F_p; (small_primes()[0],
+        0) in degree one, where every element is a rational number.  None
+        when no listed prime has a root.  Cached per minimal polynomial."""
+        return _degree_one_prime(self.minpoly)
+
     def mul(self, a: Ints, b: Ints) -> Ints:
         """den times the product of two integer coordinate tuples: the one
         field multiply."""
@@ -281,7 +418,7 @@ class NumberField:
         whose columns are a * theta^j (1/a[0] in degree one).
 
         One fraction-free (Bareiss) Gauss-Jordan elimination of [cols |
-        den * e_0] (mul scales by den) solves it; every division by the
+        e_0] solves it; every division by the
         previous pivot is exact.  The last pivot is the determinant, up to
         the sign of the row swaps, and the last column ends as that pivot
         times x.  A column without a pivot means a zero divisor."""
@@ -290,8 +427,19 @@ class NumberField:
         n = len(a)
         if n == 1:
             return ((1,), a[0]) if a[0] > 0 else ((-1,), -a[0])
-        cols = [self.mul(a, (0,) * j + (1,) + (0,) * (n - 1 - j)) for j in range(n)]
-        m = [[col[i] for col in cols] + [self.den if i == 0 else 0] for i in range(n)]
+        # column j is den^j * a * theta^j: theta times a column is its shift
+        # plus its top entry times theta^n = T_0 / den, so the columns cost
+        # O(n^2); the solution y of these columns has x_j = den^j * y_j
+        den, row0 = self.den, self._tail[0]
+        cols = [a]
+        for _ in range(n - 1):
+            col = cols[-1]
+            top = col[-1]
+            nxt = [0] + (list(col[:-1]) if den == 1 else [den * x for x in col[:-1]])
+            if top:
+                nxt = [x + top * y for x, y in zip(nxt, row0)]
+            cols.append(nxt)
+        m = [[col[i] for col in cols] + [1 if i == 0 else 0] for i in range(n)]
         prev = 1
         for k in range(n):
             pivot = next((i for i in range(k, n) if m[i][k]), None)
@@ -308,6 +456,8 @@ class NumberField:
                         other[j] = (row[k] * other[j] - c * row[j]) // prev
             prev = row[k]
         det, nums = prev, [r[n] for r in m]
+        if den != 1:
+            nums = [x * den ** j for j, x in enumerate(nums)]
         if det < 0:
             det, nums = -det, [-x for x in nums]
         g = math.gcd(det, *nums)

@@ -27,6 +27,23 @@ its integer numerators (over QQ the primitive remainder sequence), so
 every step is exact and stays in ints; the last nonzero remainder is made
 monic with one field inverse.  Yun's squarefree_decomposition builds on it.
 
+separable_mod_p proves a product f of polynomials in one variable
+separable without building f or running that Euclid.  It takes the field's
+degree-one prime (p, rho) (NumberField.degree_one_prime): p divides no
+denominator of the minimal polynomial m, and m(rho) = 0 mod p.  The
+numerators are integer coordinates, so they lie in Z_(p)[theta], and
+theta -> rho is a ring map Z_(p)[theta] -> F_p with a maximal kernel P.
+The images of the factors are multiplied in F_p, and f is proved separable
+when the image of lc(f) is nonzero and gcd(f mod P, (f mod P)') = 1 in
+F_p[t] (numfield.gcd_mod_p).  Why that is exact: a valuation ring O of the
+field dominates the localization at P (Chevalley).  Suppose f = h^2*q with
+h nonconstant.  By Gauss's lemma over O, h may be taken primitive, and
+then lc(h) is a unit, because lc(f) is.  So h mod P has positive degree,
+its square divides f mod P in the residue field of O, and gcd(f mod P,
+(f mod P)') != 1 there and hence in F_p[t].  A scalar such as den changes
+nothing.  Failure means "not proved", never "not separable": a caller that
+needs the answer, or the repeated factor, then runs gcd_univariate.
+
 The monomial order is lexicographic in the variable order, so exponent
 tuples compare directly.  Degrees in this project stay small (a few hundred
 at most), so the representation favors clarity: dense exponent vectors,
@@ -45,7 +62,7 @@ from math import gcd, lcm
 from operator import add, neg, sub
 
 from .numfield import (QQ, FieldElement, FieldMismatch, Ints, NumberField,
-                       common_field, power)
+                       common_field, gcd_mod_p, mul_mod_p, power)
 
 
 class ArityError(ValueError):
@@ -601,6 +618,46 @@ def _prem(field: NumberField, u: list, v: list) -> list:
             r.pop()
     g = gcd(*(x for ri in r for x in ri))
     return [tuple(x // g for x in ri) for ri in r] if g > 1 else r
+
+
+def separable_mod_p(factors: list[Poly]) -> bool:
+    """True when the product f of the given polynomials, all in the same
+    one variable, is proved separable by its image modulo the degree-one
+    prime of their common field; False means only "not proved" (see the
+    module docstring for the proof).
+
+    Each factor's numerators go to F_p by theta -> rho, and the images are
+    multiplied there, so f itself is never built.  The proof needs the
+    image of lc(f) to be nonzero, that is, every factor keeps its degree
+    (a zero factor is never proved), and gcd(f mod P, (f mod P)') = 1 in
+    F_p[t]."""
+    field = common_field(*[f.field for f in factors])
+    variables = factors[0].variables
+    if len(variables) != 1 or any(f.variables != variables for f in factors):
+        raise ArityError("separable_mod_p requires polynomials in one same variable")
+    prime = field.degree_one_prime()
+    if prime is None:
+        return False
+    p, rho = prime
+    powers = [pow(rho, i, p) for i in range(field.degree)]
+    prod = [1]
+    for f in factors:
+        if not f.terms:
+            return False
+        image = [0] * (max(f.terms)[0] + 1)
+        if f.field.degree == 1:
+            for (e,), (c,) in f.terms.items():
+                image[e] = c % p
+        else:
+            for (e,), c in f.terms.items():
+                image[e] = sum([x * y for x, y in zip(c, powers)]) % p
+        if not image[-1]:
+            return False
+        prod = mul_mod_p(prod, image, p)
+    derivative = [i * c % p for i, c in enumerate(prod)][1:]
+    while derivative and not derivative[-1]:
+        derivative.pop()
+    return gcd_mod_p(prod, derivative, p) == [1]
 
 
 def monic(p: Poly) -> Poly:

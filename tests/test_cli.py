@@ -19,8 +19,10 @@ from types import SimpleNamespace
 import pytest
 
 from etale_forge import cli
+from etale_forge.numfield import QQ
+from etale_forge.polyalg import Poly
 from etale_forge.polyparse import (MAX_CONSTANT_BITS, MAX_DEGREE, MAX_FIELD_DEGREE,
-                                   MAX_NESTING)
+                                   MAX_NESTING, print_poly)
 from etale_forge.reproduce import default_fixture_dir
 
 CLI = [sys.executable, "-m", "etale_forge.cli"]
@@ -163,6 +165,21 @@ def test_verify_endo_fixture_and_tampered(tmp_path):
         "C2_degrees": {"expected": ["0", "1", "0"], "actual": [0, 1, 1]}}
     res = run_cli("verify-endo", "--params", str(fixture), "--json")
     assert "witness" not in json.loads(res.stdout)
+
+
+def test_verify_endo_decides_a_degree_199_separability_quickly(tmp_path):
+    # (1-t)*R0*R1*R2 has degree 199 and is separable; the exact gcd of it
+    # against its derivative takes seconds, the test modulo a prime does not
+    t = Poly.variable("t", QQ)
+    doc = tmp_path / "deg199.json"
+    doc.write_text(json.dumps({"params": {
+        **_CHEB_D3, "R0": print_poly((2 + t) ** 66 + t), "R1": print_poly((3 + t) ** 66 + t),
+        "R2": print_poly((1 + t) ** 66 + 2 * t)}}))
+    res = run_cli("verify-endo", "--params", str(doc), "--json")
+    assert res.returncode == 2
+    payload = json.loads(res.stdout)
+    assert payload["checks"]["C3_separability"] is True
+    assert "C3_separability" not in payload["failing"]
 
 
 def test_seed_flag_is_a_usage_error():

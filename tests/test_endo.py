@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etale_forge import endo
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U, extract_profile, thom_feasible
 from etale_forge.constructor import chebyshev_endo, cyclic_galois_endo
 from etale_forge.endo import (CertificateRequired, DegreeUndetermined,
@@ -21,7 +22,8 @@ from etale_forge.endo import (CertificateRequired, DegreeUndetermined,
 from etale_forge.family import covering
 from etale_forge.numfield import QQ, FieldElement, NumberField
 from etale_forge.polyalg import Poly, compose, monic, variables
-from etale_forge.reproduce import default_fixture_dir
+from etale_forge.polyparse import print_poly
+from etale_forge.reproduce import build_corpus, default_fixture_dir
 from etale_forge.surface import (SurfacePoint, hyper_surface, normal_form,
                                  tilde_surface)
 
@@ -269,6 +271,37 @@ def test_certificate_c3_witness_is_the_repeated_factor(fixture, field):
     cert = etale_certificate(p)
     assert "C3_separability" in cert.failing()
     assert cert.witnesses["C3_separability"] == monic(p.R1)
+
+
+def _degree199_params():
+    """Parameters whose C3 product (1-t)*R0*R1*R2 has degree 199 and is
+    separable; the exact gcd of it against its derivative takes seconds."""
+    return params_from_json({
+        "k": 2, "r": 2, "a": 1, "alpha": 1, "d": 3, "field": "QQ", "lambda": ["1"],
+        "R0": print_poly((2 + T) ** 66 + T), "R1": print_poly((3 + T) ** 66 + T),
+        "R2": print_poly((1 + T) ** 66 + 2 * T)})
+
+
+def test_certificate_c3_passes_without_the_exact_gcd(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the exact gcd ran on a separable product")
+
+    monkeypatch.setattr(endo, "gcd_univariate", refuse)
+    for name, p in build_corpus():
+        assert etale_certificate(p).verdict, name
+    cert = etale_certificate(_degree199_params())
+    assert cert.checks["C3_separability"]
+    assert "C3_separability" not in cert.witnesses
+
+
+def test_params_accept_a_t_polynomial_with_unused_variables():
+    base = dict(k=2, r=2, a=1, alpha=0, d=2, lam=QQ.elem(1), R1=1 - 2 * T, R2=1)
+    for variables in (("x",), ("t", "x")):
+        p = EtaleParams(**base, R0=Poly.constant(4, QQ, variables))
+        assert p.R0 == Poly.constant(4, QQ, ("t",)) and p.R0.variables == ("t",)
+        assert etale_certificate(p).verdict
+    with pytest.raises(ValueError, match="not a polynomial in t"):
+        EtaleParams(**base, R0=Poly.variable("x", QQ, ("t", "x")))
 
 
 def test_params_validation():

@@ -407,6 +407,17 @@ def test_inverse_matches_sympy_algebraic_field(field, generator, data):
         Fraction(int(c.numerator), int(c.denominator)) for c in want)
 
 
+@pytest.mark.parametrize("field", [
+    NumberField([Fraction(1, 3), 0, 1]),                              # den = 3
+    NumberField([Fraction(2, 3), Fraction(2, 3), 0, 0, 0, 1]),        # Eisenstein at 2
+    cyclotomic_field(17)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_inverse_times_element_is_one(field, data):
+    a = data.draw(elements(field).filter(lambda e: not e.is_zero()))
+    assert a * a.inverse() == field.one()
+
+
 # -- the remaining helpers against sympy ------------------------------------------
 
 def _monic(min_degree, max_degree):
@@ -459,3 +470,43 @@ def test_field_text_round_trip(coeffs, gen):
     assume(_sympy_irreducible(coeffs))
     field = NumberField(coeffs, gen=gen)
     assert field_from_string(field_name(field)) == field
+
+
+# -- primes of degree one ------------------------------------------------------------
+
+def _residues(field, p):
+    return [c.numerator * pow(c.denominator, -1, p) % p for c in field.minpoly]
+
+
+@needs_sympy
+def test_small_primes_are_the_odd_primes_below_2_15_largest_first():
+    assert numfield.small_primes() == tuple(sympy.primerange(3, 2 ** 15))[::-1]
+
+
+@needs_sympy
+@pytest.mark.parametrize("field", [
+    NumberField([7, 0, 1]), cyclotomic_field(5), cyclotomic_field(8),
+    cyclotomic_field(17), NumberField([1, 1] + [0] * 14 + [1]),
+    NumberField([Fraction(2, 3), Fraction(2, 3), 0, 0, 0, 1])])
+def test_degree_one_prime_is_the_first_listed_prime_with_a_root(field):
+    p, rho = field.degree_one_prime()
+    primes = numfield.small_primes()
+    assert sum(c * pow(rho, i, p) for i, c in enumerate(_residues(field, p))) % p == 0
+    x = sympy.Symbol("x")
+    for q in primes[:primes.index(p)]:
+        if any(c.denominator % q == 0 for c in field.minpoly):
+            continue
+        _, factors = sympy.Poly(_residues(field, q)[::-1], x, modulus=q).factor_list()
+        assert all(f.degree() > 1 for f, _ in factors), q
+
+
+def test_degree_one_prime_examples():
+    first = numfield.small_primes()[0]
+    assert QQ.degree_one_prime() == (first, 0)
+    assert NumberField([5, 1]).degree_one_prime() == (first, 0)
+    # Q(zeta_17) has a root mod p only for p = 1 mod 17: the 17th listed prime
+    p, _ = cyclotomic_field(17).degree_one_prime()
+    assert p % 17 == 1 and numfield.small_primes().index(p) == 16
+    # a prime that divides a denominator of m is skipped
+    p, rho = NumberField([Fraction(1, first), 0, 1]).degree_one_prime()
+    assert p != first and (rho * rho * first + 1) % p == 0

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U
 from etale_forge.numfield import (QQ, FieldElement, FieldMismatch,
-                                  NumberField, cyclotomic_field)
+                                  NumberField, cyclotomic_field, small_primes)
 from etale_forge.polyalg import (ArityError, NotDivisible, Poly, compose,
                                  divmod_poly, exact_div, gcd_univariate,
-                                 monic, multiplicity_profile,
+                                 monic, multiplicity_profile, separable_mod_p,
                                  squarefree_decomposition, variables)
 
 X = Poly.variable("x", QQ)
@@ -294,6 +294,82 @@ def test_squarefree_matches_sympy_sqf_list(field, names, data):
     assert ([(to_sympy(mf.factor), mf.multiplicity)
              for mf in squarefree_decomposition(p)]
             == [(f.monic(), m) for f, m in factors])
+
+
+# -- the modular separability test ----------------------------------------------
+
+SEPARABILITY_FIELDS = [(QQ, None), (NumberField([7, 0, 1]), "sqrt(-7)"),
+                       (cyclotomic_field(5), "exp(2*pi*I/5)"),
+                       (cyclotomic_field(8), "exp(pi*I/4)")]
+
+
+def _sympy_separable(f, generator):
+    """Whether gcd(f, f') = 1 by sympy, over the algebraic field Q(generator)."""
+    sympy = pytest.importorskip("sympy")
+    if generator is None:
+        domain, theta = sympy.QQ, sympy.QQ.one
+    else:
+        gen = sympy.sympify(generator)
+        domain = sympy.QQ.algebraic_field(gen)
+        theta = domain.from_sympy(gen)
+        assert [Fraction(int(c.numerator), int(c.denominator))
+                for c in reversed(domain.ext.minpoly.rep.to_list())] == list(f.field.minpoly)
+    (t,) = sympy.symbols(f.variables)
+    sf = _to_sympy(f, (t,), domain, theta)
+    return sympy.gcd(sf, sf.diff(t)).degree() == 0
+
+
+@pytest.mark.parametrize("field,generator", SEPARABILITY_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_separable_mod_p_proves_only_separable_products(field, generator, data):
+    nonzero = polys(field, ("t",), max_terms=3, max_exp=3).filter(
+        lambda f: not f.is_zero())
+    factors = data.draw(st.lists(nonzero, min_size=1, max_size=3))
+    square = data.draw(st.one_of(st.none(), nonzero.filter(lambda h: h.total_degree() > 0)))
+    if square is not None:
+        factors += [square, square]
+    f = Poly.constant(1, field, ("t",))
+    for g in factors:
+        f = f * g
+    separable = gcd_univariate(f, f.derivative()).total_degree() == 0
+    assert separable == _sympy_separable(f, generator)
+    proved = separable_mod_p(factors)
+    assert separable or not proved
+    if square is not None:
+        assert not proved
+
+
+@pytest.mark.parametrize("field", [f for f, _ in SEPARABILITY_FIELDS])
+def test_separable_mod_p_needs_the_leading_coefficient(field):
+    p, rho = field.degree_one_prime()
+    t = Poly.variable("t", field)
+    # a leading coefficient in the kernel of theta -> rho: p, or theta - rho
+    lc = field.elem(p) if field.degree == 1 else field.gen() - rho
+    f = lc * t ** 2 + t + 1
+    assert gcd_univariate(f, f.derivative()) == 1        # separable over the field
+    assert not separable_mod_p([f])
+    assert not separable_mod_p([t + 2, f])
+    assert separable_mod_p([t + 2, f + t ** 3])
+
+
+def test_separable_mod_p_skips_a_prime_in_the_minpoly_denominator():
+    first = small_primes()[0]
+    field = NumberField([Fraction(1, first), 0, 1])      # theta^2 + 1/p
+    assert field.degree_one_prime()[0] != first
+    t, theta = Poly.variable("t", field), field.gen()
+    assert separable_mod_p([t - theta, t + theta, first * t - theta])
+    assert not separable_mod_p([t - theta, t + theta, t - theta])
+
+
+def test_separable_mod_p_examples():
+    t = Poly.variable("t", QQ)
+    assert separable_mod_p([1 - t, Poly.constant(4, QQ, ("t",)), 1 - 2 * t])
+    assert not separable_mod_p([1 - t, 1 - t])
+    assert not separable_mod_p([1 - t, Poly.zero(QQ, ("t",))])
+    assert separable_mod_p([Poly.constant(3, QQ, ("t",))])
+    with pytest.raises(ArityError):
+        separable_mod_p([t, Poly.variable("x", QQ)])
 
 
 # -- coercion between QQ and an extension ----------------------------------------
