@@ -320,10 +320,10 @@ def _sympy_separable(f, generator):
 
 
 @pytest.mark.parametrize("field,generator", SEPARABILITY_FIELDS)
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_separable_mod_p_proves_only_separable_products(field, generator, data):
-    nonzero = polys(field, ("t",), max_terms=3, max_exp=3).filter(
+    nonzero = polys(field, ("t",), max_terms=3, max_exp=2).filter(
         lambda f: not f.is_zero())
     factors = data.draw(st.lists(nonzero, min_size=1, max_size=3))
     square = data.draw(st.one_of(st.none(), nonzero.filter(lambda h: h.total_degree() > 0)))
