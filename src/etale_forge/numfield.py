@@ -262,9 +262,9 @@ def _powmod_p(a: int, e: int, m: list[int], p: int) -> list[int]:
         if bit == "1":
             out = _rem_mod_p([(u + a * v) % p for u, v in zip([0] + out, out + [0])],
                              m, p)
-    out = _rem_mod_p(out, m, p) + [0]
-    out[0] = (out[0] - 1) % p
-    return _trim(out)
+    # out is never zero: x + a vanishes at no root of m (m(0) != 0 for a = 0)
+    # or at no more than one of the distinct roots of a splitting g
+    return _trim([(out[0] - 1) % p] + out[1:])
 
 
 def _root_mod_p(g: list[int], p: int) -> int:
@@ -435,7 +435,7 @@ class NumberField:
         for _ in range(n - 1):
             col = cols[-1]
             top = col[-1]
-            nxt = [0] + (list(col[:-1]) if den == 1 else [den * x for x in col[:-1]])
+            nxt = [0] + [den * x for x in col[:-1]]
             if top:
                 nxt = [x + top * y for x, y in zip(nxt, row0)]
             cols.append(nxt)
