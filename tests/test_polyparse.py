@@ -1,7 +1,9 @@
 """Parser and printer: grammar, errors with positions, round trips, fuzz."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -14,9 +16,11 @@ from etale_forge.polyalg import Poly
 from etale_forge.polyparse import (MAX_CONSTANT_BITS, MAX_DEGREE, MAX_NESTING,
                                    MAX_TERMS, NonIntegerExponent,
                                    PolyParseError, UnknownSymbol,
-                                   field_from_string, parse_poly, print_poly)
+                                   field_from_string, field_name, parse_poly,
+                                   print_poly)
 
 F_SQRT_M2 = NumberField([2, 0, 1])
+CORPUS = Path(__file__).parent / "golden" / "parse_corpus.json"
 
 
 def test_parse_examples():
@@ -108,6 +112,13 @@ def test_error_positions_are_character_offsets():
     # only ASCII digits are digits; '²' is an unexpected character
     with pytest.raises(PolyParseError, match=r"unexpected character '²' \(offset 2\)"):
         parse_poly("t^²", ["t"])
+    with pytest.raises(PolyParseError, match=r"unexpected character '²' \(offset 1\)"):
+        parse_poly("1²", ["t"])
+    # a bad character anywhere is reported before an unknown symbol
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("q + $", ["x"])
+    assert type(err.value) is PolyParseError
+    assert str(err.value) == "unexpected character '$' (offset 4)"
 
 
 def _poly(field, vars, terms):
@@ -199,6 +210,88 @@ def test_fuzz_never_crashes():
             parse_poly(text, ("x", "y", "t"), F_SQRT_M2)
         except PolyParseError:
             pass
+
+
+# The alphabet of test_fuzz_never_crashes, plus non-ASCII letters, digits and
+# spaces: 'é' is a letter, '²' a digit that int() rejects, '٣' a decimal digit
+# outside ASCII, and the no-break space a space.
+_CORPUS_PIECES = list("xyt az01239+-*/^()_. \t\\#&theta") + ["é", "²", "٣", "\u00a0",
+                                                            "1²", "x²"]
+_CORPUS_TOKENS = ["x", "y", "t", "theta", "0", "1", "2", "7", "13", "1/2", "3/0", "+", "-",
+                  "*", "^", "^2", "^3", "^-2", "^1/2", "(", ")", "/"] * 3 + [
+                  "q", "é", "²", "٣", "\u00a0", "1²", "x²", "$", "."]
+
+
+def _corpus_texts() -> list[str]:
+    """Seeded fuzz texts: random characters, random tokens, and grammatical
+    expressions with and without one random edit."""
+    rnd = random.Random(2024)
+
+    def expr(depth):
+        return "".join(rnd.choice((" + ", "-", " - ")) + term(depth)
+                       for _ in range(rnd.randint(1, 3)))[rnd.choice((1, 3)):]
+
+    def term(depth):
+        return "*".join(factor(depth) for _ in range(rnd.randint(1, 3)))
+
+    def factor(depth):
+        return "-" * rnd.choice((0, 0, 0, 1, 2)) + atom(depth) + rnd.choice(
+            ("", "", "", "^2", "^3", "^0", " ^ 2"))
+
+    def atom(depth):
+        if depth and rnd.random() < 0.3:
+            return "(" + expr(depth - 1) + ")"
+        return rnd.choice(("x", "y", "t", "theta", "2", "13", "1/3", "0", "7/2"))
+
+    texts = ["".join(rnd.choices(_CORPUS_PIECES, k=rnd.randint(0, 24))) for _ in range(1000)]
+    texts += ["".join(rnd.choice(("", " ")) + tok
+                      for tok in rnd.choices(_CORPUS_TOKENS, k=rnd.randint(1, 14)))
+              for _ in range(1500)]
+    for _ in range(1250):
+        text = expr(2)
+        i = rnd.randrange(len(text) + 1)
+        piece = rnd.choice(_CORPUS_TOKENS)
+        texts += [text, rnd.choice((text[:i] + piece + text[i:], text[:i] + text[i + 1:],
+                                    text[:i] + piece + text[i + 1:]))]
+    return texts
+
+
+def _field_texts() -> list[str]:
+    """Seeded field texts: minimal polynomials in one generator, with and
+    without one random edit, and "QQ"."""
+    rnd = random.Random(2025)
+    texts = []
+    for _ in range(250):
+        gen, n = rnd.choice(("theta", "zeta", "x")), rnd.randint(1, 5)
+        text = f"{gen}^{n}" + "".join(
+            f" {rnd.choice('+-')} {rnd.choice(('1', '2', '3/2', '7'))}*{gen}^{i}"
+            for i in range(n) if rnd.random() < 0.5)
+        i = rnd.randrange(len(text) + 1)
+        texts += [text, text[:i] + rnd.choice(_CORPUS_TOKENS + ["QQ", "zeta"]) + text[i:]]
+    return texts + ["QQ", " QQ ", "QQ + 1", "\u00a0QQ"]
+
+
+def _parse_result(text: str) -> str:
+    try:
+        return print_poly(parse_poly(text, ("x", "y", "t"), F_SQRT_M2))
+    except PolyParseError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _field_result(text: str) -> str:
+    try:
+        return field_name(field_from_string(text))
+    except ValueError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def test_parse_corpus_matches_golden():
+    # values and error messages, offsets included, pinned on seeded fuzz
+    golden = json.loads(CORPUS.read_text(encoding="utf-8"))
+    assert [text for text, _ in golden["poly"]] == _corpus_texts()
+    assert [text for text, _ in golden["field"]] == _field_texts()
+    assert [[text, _parse_result(text)] for text, _ in golden["poly"]] == golden["poly"]
+    assert [[text, _field_result(text)] for text, _ in golden["field"]] == golden["field"]
 
 
 def test_field_coefficient_printing_round_trip():
