@@ -30,7 +30,8 @@ from fractions import Fraction
 
 from .numfield import (QQ, FieldElement, NumberField, common_field,
                        json_fields, rationals)
-from .polyalg import Poly, compose, exact_div, gcd_univariate, separable_mod_p
+from .polyalg import (Poly, compose, exact_div, gcd_univariate, kronecker_vanishes,
+                      separable_mod_p)
 from .polyparse import (MAX_DEGREE, field_from_string, field_name, parse_poly,
                         print_poly)
 from .surface import (SurfacePoint, SurfaceSpec, hyper_surface, normal_form,
@@ -388,7 +389,7 @@ class EtaleCertificate:
     witnesses: dict
 
     def failing(self) -> tuple[str, ...]:
-        return tuple(name for name, ok in self.checks.items() if not ok)
+        return tuple([name for name, ok in self.checks.items() if not ok])
 
     def witness_json(self) -> dict:
         """The witnesses with polynomials as text and degrees as rationals
@@ -424,6 +425,22 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
     f mod P, and gcd(f mod P, (f mod P)') != 1.  Only when the test fails
     is f built and gcd_univariate(f, f') run, and that gcd decides the
     check and is its witness.
+
+    Over a degree-one field C1 is decided by one exact Kronecker evaluation
+    (polyalg.kronecker_vanishes).  Write R_i = N_i / D_i with integer
+    numerators N_i and D_i = R_i.den, and e = (1-alpha)r/k.  Multiplied by
+    D0 D2^r D1^k, C1 reads L = R in Z[t] with
+        L = t (1-t)^e N0 N2^r D1^k,  R = D0 D2^r (D1^k - (1-t)^alpha N1^k).
+    As ||fg||_inf <= ||f||_1 ||g||_inf and ||(1-t)^e||_1 = 2^e, every
+    coefficient of L - R is at most
+        B = 2^e ||N0||_1 ||N2||_1^r D1^k + D0 D2^r (D1^k + 2^alpha ||N1||_1^k)
+    in absolute value, and the evaluation point is t = 2^K with 2^K > B.
+    Then L(2^K) = R(2^K) iff L = R: if L - R != 0 and c_j is its lowest
+    nonzero coefficient, (L - R)(2^K) = 2^(jK) (c_j + 2^K m) for an
+    integer m, which is not 0 because 0 < |c_j| < 2^K.  The answer is
+    exact; nothing is sampled.  Only when the sides differ, or over a field
+    of degree > 1, are both sides built as Polys; their comparison then
+    decides the check, and lhs - rhs is its witness.
     """
     field = p.field
     checks: dict[str, bool] = {}
@@ -432,7 +449,7 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
     checks["C5_alpha_kr"] = p.alpha == 1 or p.r % p.k == 0
 
     expected = ri_degrees(p.k, p.r, p.alpha, p.d)
-    actual = tuple(R.total_degree() for R in (p.R0, p.R1, p.R2))
+    actual = tuple([R.total_degree() for R in (p.R0, p.R1, p.R2)])
     checks["C2_degrees"] = all(x.denominator == 1 and x >= 0 for x in expected) \
         and actual == expected
     if not checks["C2_degrees"]:
@@ -446,11 +463,16 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
         checks["C1_identity"] = False
     else:
         exp = (1 - p.alpha) * p.r // p.k
-        lhs = t * (1 - t) ** exp * p.R0 * p.R2 ** p.r
-        rhs = 1 - (1 - t) ** p.alpha * p.R1 ** p.k
-        checks["C1_identity"] = lhs == rhs
+        s = 1 - t
+        checks["C1_identity"] = field.degree == 1 and kronecker_vanishes(
+            [(1, [(t, 1), (s, exp), (p.R0, 1), (p.R2, p.r)]), (1, [(s, p.alpha), (p.R1, p.k)]),
+             (-1, [])])
         if not checks["C1_identity"]:
-            witnesses["C1_identity"] = lhs - rhs
+            lhs = t * s ** exp * p.R0 * p.R2 ** p.r
+            rhs = 1 - s ** p.alpha * p.R1 ** p.k
+            checks["C1_identity"] = lhs == rhs
+            if not checks["C1_identity"]:
+                witnesses["C1_identity"] = lhs - rhs
 
     checks["C3_separability"] = separable_mod_p([1 - t, p.R0, p.R1, p.R2])
     if not checks["C3_separability"]:

@@ -364,9 +364,9 @@ class NumberField:
         cs = [_as_fraction(c) for c in coords]
         if len(cs) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates, got {len(cs)}")
-        den = math.lcm(*(c.denominator for c in cs))
-        return FieldElement(self, tuple(c.numerator * (den // c.denominator)
-                                        for c in cs), den)
+        den = math.lcm(*[c.denominator for c in cs])
+        return FieldElement(self, tuple([c.numerator * (den // c.denominator)
+                                         for c in cs]), den)
 
     def _power_tail(self) -> tuple[list[Ints], int]:
         """Integer rows T_j and one denominator D with theta^(n+j) equal to
@@ -382,8 +382,8 @@ class NumberField:
             if top:
                 cur = [a + top * b for a, b in zip(cur, rows[0])]
             rows.append(cur)
-        den = math.lcm(*(c.denominator for row in rows for c in row))
-        return [tuple(int(c * den) for c in row) for row in rows], den
+        den = math.lcm(*[c.denominator for row in rows for c in row])
+        return [tuple([int(c * den) for c in row]) for row in rows], den
 
     def degree_one_prime(self) -> tuple[int, int] | None:
         """(p, rho) for the first p of small_primes() that divides no
@@ -461,7 +461,7 @@ class NumberField:
         if det < 0:
             det, nums = -det, [-x for x in nums]
         g = math.gcd(det, *nums)
-        return tuple(x // g for x in nums), det // g
+        return tuple([x // g for x in nums]), det // g
 
     def minpoly_str(self) -> str:
         return format_terms(reversed(power_terms(self.minpoly, self.gen_name)))
@@ -535,7 +535,7 @@ class FieldElement:
             g = math.gcd(den, *nums)
             if g != 1:
                 den //= g
-                nums = tuple(x // g for x in nums)
+                nums = tuple([x // g for x in nums])
         self.field = field
         self.nums = nums
         self.den = den
@@ -543,7 +543,7 @@ class FieldElement:
     @property
     def coords(self) -> tuple[Fraction, ...]:
         """The coordinates as Fractions, for printing, JSON and tests."""
-        return tuple(Fraction(x, self.den) for x in self.nums)
+        return tuple([Fraction(x, self.den) for x in self.nums])
 
     # -- coercion ------------------------------------------------------
 
@@ -582,8 +582,8 @@ class FieldElement:
         a, b = self._pair(other)
         den = math.lcm(a.den, b.den)
         ma, mb = den // a.den, den // b.den
-        return FieldElement(a.field, tuple(op(x * ma, y * mb)
-                                           for x, y in zip(a.nums, b.nums)), den)
+        return FieldElement(a.field, tuple([op(x * ma, y * mb)
+                                            for x, y in zip(a.nums, b.nums)]), den)
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -591,7 +591,7 @@ class FieldElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-x for x in self.nums), self.den)
+        return FieldElement(self.field, tuple([-x for x in self.nums]), self.den)
 
     def __sub__(self, other):
         return self._combine(other, sub)
@@ -610,7 +610,7 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         inv, inv_den = self.field.inv(self.nums)
-        return FieldElement(self.field, tuple(self.den * x for x in inv), inv_den)
+        return FieldElement(self.field, tuple([self.den * x for x in inv]), inv_den)
 
     def __truediv__(self, other):
         if not self._operand_ok(other):

@@ -44,6 +44,22 @@ its square divides f mod P in the residue field of O, and gcd(f mod P,
 nothing.  Failure means "not proved", never "not separable": a caller that
 needs the answer, or the repeated factor, then runs gcd_univariate.
 
+kronecker_vanishes decides whether a sum of terms c * prod(f**e), each f a
+polynomial in one variable over a degree-one field, is zero without
+building a product of polynomials: Kronecker substitution (von zur Gathen
+and Gerhard, Modern Computer Algebra, section 8.4), used only to compare.
+With N_f the integer numerators of f, D the product of a term's f.den**e
+and M the product of all the terms' D, the sum is P / M for the integer
+polynomial P = sum of c * (M / D) * prod(N_f**e).  Since
+||g*h||_inf <= ||g||_1 * ||h||_inf <= ||g||_1 * ||h||_1, every coefficient
+of P is at most B = sum of |c| * (M / D) * prod(||N_f||_1**e) in absolute
+value.  Take 2^K > B.  If P != 0, let c_j be its lowest nonzero
+coefficient: P(2^K) = 2^(jK) * (c_j + 2^K * m) for an integer m, and
+c_j + 2^K * m != 0 because 0 < |c_j| < 2^K.  So P = 0 iff P(2^K) = 0, an
+exact answer from big-integer products.  K is a multiple of 8, at least the
+bit length of every N_f's coefficients too, so that N_f(2^K) is written
+coefficient by coefficient into bytes, in time linear in its size.
+
 The monomial order is lexicographic in the variable order, so exponent
 tuples compare directly.  Degrees in this project stay small (a few hundred
 at most), so the representation favors clarity: dense exponent vectors,
@@ -58,7 +74,7 @@ variables this way); a base of two or more terms goes through numfield.power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, neg, sub
 
 from .numfield import (QQ, FieldElement, FieldMismatch, Ints, NumberField,
@@ -98,7 +114,7 @@ class Poly:
                     break
             if g != 1:
                 den //= g
-                terms = {k: tuple(x // g for x in c) for k, c in terms.items()}
+                terms = {k: tuple([x // g for x in c]) for k, c in terms.items()}
         self.field = field
         self.variables = variables
         self.terms = terms
@@ -124,7 +140,7 @@ class Poly:
         vs = (name,) if variables is None else tuple(variables)
         if name not in vs:
             raise ValueError(f"{name} not among variables {vs}")
-        exps = tuple(1 if v == name else 0 for v in vs)
+        exps = tuple([1 if v == name else 0 for v in vs])
         return Poly(field, vs, {exps: (1,) + (0,) * (field.degree - 1)})
 
     # -- basic queries -----------------------------------------------------
@@ -160,7 +176,7 @@ class Poly:
             for i, e in enumerate(k):
                 if e:
                     used.add(self.variables[i])
-        return tuple(v for v in self.variables if v in used)
+        return tuple([v for v in self.variables if v in used])
 
     def leading_monomial(self) -> tuple[int, ...]:
         return max(self.terms)
@@ -212,7 +228,7 @@ class Poly:
         if used == self.variables:
             return self
         idx = [self.variables.index(v) for v in used]
-        terms = {tuple(k[i] for i in idx): c for k, c in self.terms.items()}
+        terms = {tuple([k[i] for i in idx]): c for k, c in self.terms.items()}
         return Poly(self.field, used, terms, self.den)
 
     def with_field(self, field: NumberField) -> "Poly":
@@ -253,7 +269,7 @@ class Poly:
         terms = _scaled(a.terms, den // a.den)
         for k, c in (b.terms if den == b.den else _scaled(b.terms, den // b.den)).items():
             s = terms.get(k)
-            s = c if s is None else tuple(map(add, s, c))
+            s = c if s is None else tuple([*map(add, s, c)])
             if any(s):
                 terms[k] = s
             else:
@@ -264,7 +280,7 @@ class Poly:
 
     def __neg__(self):
         return Poly(self.field, self.variables,
-                    {k: tuple(map(neg, c)) for k, c in self.terms.items()}, self.den)
+                    {k: tuple([*map(neg, c)]) for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -296,7 +312,7 @@ class Poly:
                 bt = [(k2, y) for k2, (y,) in b.terms.items()]
                 for k1, (x,) in a.terms.items():
                     for k2, y in bt:
-                        k = tuple(map(add, k1, k2))
+                        k = tuple([*map(add, k1, k2)])
                         acc[k] = get(k, 0) + x * y
                 terms = {k: (c,) for k, c in acc.items() if c}
             return Poly(field, a.variables, terms, den)
@@ -310,15 +326,15 @@ class Poly:
                     e = e1 + e2
                     c = mul(c1, c2)
                     s = get(e)
-                    acc[e] = c if s is None else tuple(map(add, s, c))
+                    acc[e] = c if s is None else tuple([*map(add, s, c)])
             terms = {(e,): c for e, c in acc.items() if any(c)}
         else:
             for k1, c1 in a.terms.items():
                 for k2, c2 in b.terms.items():
-                    k = tuple(map(add, k1, k2))
+                    k = tuple([*map(add, k1, k2)])
                     c = mul(c1, c2)
                     s = get(k)
-                    acc[k] = c if s is None else tuple(map(add, s, c))
+                    acc[k] = c if s is None else tuple([*map(add, s, c)])
             terms = {k: c for k, c in acc.items() if any(c)}
         return Poly(field, a.variables, terms, den)
 
@@ -337,7 +353,7 @@ class Poly:
             ((k, c),) = self.terms.items()
             x = self._coeff(c) ** n
             return Poly(self.field, self.variables,
-                        {tuple(n * e for e in k): x.nums}, x.den)
+                        {tuple([n * e for e in k]): x.nums}, x.den)
         return power(self, n)
 
     def __eq__(self, other):
@@ -352,7 +368,7 @@ class Poly:
     def __hash__(self):
         used = sorted(self.support_variables())
         idx = [self.variables.index(v) for v in used]
-        items = sorted((tuple(k[i] for i in idx), c)
+        items = sorted((tuple([k[i] for i in idx]), c)
                        for k, c in self.terms.items())
         return hash((self.field, tuple(used), tuple(items), self.den))
 
@@ -381,7 +397,7 @@ class Poly:
                 continue
             nk = list(k)
             nk[i] -= 1
-            terms[tuple(nk)] = tuple(k[i] * x for x in c)
+            terms[tuple(nk)] = tuple([k[i] * x for x in c])
         return Poly(self.field, self.variables, terms, self.den)
 
     def evaluate(self, values: dict[str, FieldElement]) -> FieldElement:
@@ -412,7 +428,7 @@ class Poly:
                         pw.append((mul(n, xn), d * xd * fd))
                     t, td = mul(t, pw[e][0]), td * pw[e][1] * fd
             m = lcm(den, td)
-            num = tuple(a * (m // den) + b * (m // td) for a, b in zip(num, t))
+            num = tuple([a * (m // den) + b * (m // td) for a, b in zip(num, t)])
             den = m
         return FieldElement(field, num, den * p.den)
 
@@ -446,7 +462,7 @@ def _scaled(terms: dict[tuple[int, ...], Ints], m: int) -> dict[tuple[int, ...],
     """A copy of a term map with every numerator multiplied by m."""
     if m == 1:
         return dict(terms)
-    return {k: tuple(m * x for x in c) for k, c in terms.items()}
+    return {k: tuple([m * x for x in c]) for k, c in terms.items()}
 
 
 # -- convenience constructors ------------------------------------------------
@@ -454,8 +470,8 @@ def _scaled(terms: dict[tuple[int, ...], Ints], m: int) -> dict[tuple[int, ...],
 
 def variables(names: str, field: NumberField = QQ) -> tuple[Poly, ...]:
     """Generators of a polynomial ring: variables("x,y,z") -> (x, y, z)."""
-    vs = tuple(n.strip() for n in names.split(","))
-    return tuple(Poly.variable(v, field, vs) for v in vs)
+    vs = tuple([n.strip() for n in names.split(",")])
+    return tuple([Poly.variable(v, field, vs) for v in vs])
 
 
 def compose(outer: Poly, inner: Poly) -> Poly:
@@ -511,15 +527,15 @@ def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         k = max(p)
         c = p.pop(k)
         if all(x >= y for x, y in zip(k, lm)):
-            shift = tuple(map(sub, k, lm))
+            shift = tuple([*map(sub, k, lm)])
             f = c if unit else mul(c, inv)
             if step != 1:
                 p, q, r = _scaled(p, step), _scaled(q, step), _scaled(r, step)
                 den *= step
-            q[shift] = f if q_factor == 1 else tuple(q_factor * x for x in f)
+            q[shift] = f if q_factor == 1 else tuple([q_factor * x for x in f])
             for kb, cb in tail:
-                m = tuple(map(add, shift, kb))
-                s = tuple(map(sub, p.get(m, zero), mul(f, cb)))
+                m = tuple([*map(add, shift, kb)])
+                s = tuple([*map(sub, p.get(m, zero), mul(f, cb))])
                 if any(s):
                     p[m] = s
                 else:
@@ -612,12 +628,12 @@ def _prem(field: NumberField, u: list, v: list) -> list:
     mul = field.mul
     while len(r) > n:
         c, s = r[-1], len(r) - 1 - n
-        r = [mul(lv, ri) for ri in r[:s]] + [tuple(map(sub, mul(lv, ri), mul(c, vi)))
+        r = [mul(lv, ri) for ri in r[:s]] + [tuple([*map(sub, mul(lv, ri), mul(c, vi))])
                                              for ri, vi in zip(r[s:-1], head)]
         while r and not any(r[-1]):
             r.pop()
-    g = gcd(*(x for ri in r for x in ri))
-    return [tuple(x // g for x in ri) for ri in r] if g > 1 else r
+    g = gcd(*[x for ri in r for x in ri])
+    return [tuple([x // g for x in ri]) for ri in r] if g > 1 else r
 
 
 def separable_mod_p(factors: list[Poly]) -> bool:
@@ -658,6 +674,41 @@ def separable_mod_p(factors: list[Poly]) -> bool:
     while derivative and not derivative[-1]:
         derivative.pop()
     return gcd_mod_p(prod, derivative, p) == [1]
+
+
+def kronecker_vanishes(terms: list[tuple[int, list[tuple[Poly, int]]]]) -> bool:
+    """True iff the sum of c * prod(f**e) over the terms (c, [(f, e), ...])
+    is the zero polynomial, for polynomials in one same variable over a
+    degree-one field, decided by one exact evaluation at t = 2^K (see the
+    module docstring); no product of polynomials is built."""
+    dens = [prod([f.den ** e for f, e in factors]) for _, factors in terms]
+    m = prod(dens)
+    norms = {id(f): sum([abs(c) for (c,) in f.terms.values()])
+             for _, factors in terms for f, _ in factors}
+    bound = sum([abs(c) * (m // den) * prod([norms[id(f)] ** e for f, e in factors])
+                 for (c, factors), den in zip(terms, dens)])
+    width = (max([bound, *norms.values()]).bit_length() + 7) // 8
+    total = 0
+    for (c, factors), den in zip(terms, dens):
+        value = c * (m // den)
+        for f, e in factors:
+            value *= _at_power_of_two(f, width) ** e
+        total += value
+    return total == 0
+
+
+def _at_power_of_two(f: Poly, width: int) -> int:
+    """The integer numerators of f, a polynomial in one variable over a
+    degree-one field, evaluated at t = 2^(8*width) by writing each into its
+    own width bytes; each must be below 2^(8*width) in absolute value."""
+    size = width * (max(f.terms, default=(-1,))[0] + 1)
+    pos, neg = bytearray(size), bytearray(size)
+    for (e,), (c,) in f.terms.items():
+        if c > 0:
+            pos[e * width:(e + 1) * width] = c.to_bytes(width, "little")
+        else:
+            neg[e * width:(e + 1) * width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def monic(p: Poly) -> Poly:

@@ -15,6 +15,18 @@ exponents are nonnegative integer literals.  Symbols are either declared
 variables or the generator of the coefficient field ("theta", "zeta", ...),
 which may not be named like a variable.
 
+The text is split into string tokens by one compiled regular expression:
+a run of ASCII digits, a run of word characters (a symbol when it starts
+with a letter or '_'), or any other single character; white space only
+separates tokens.  An ASCII text of accepted characters needs one more
+match to be known clean; any other text is checked token by token, so that
+a bad character anywhere is the error reported, before anything is
+evaluated.  The parser walks the token list by index.  A term reads its
+factors in one loop, each factor's minus signs, number or symbol and
+exponent inline, and only parentheses recurse.  An error names a token
+index, and its character offset is found, by matching the text again, only
+when the error is raised.
+
 The parser evaluates term by term as it reads.  A value of at most one term
 is a monomial, a coefficient with an exponent tuple: monomials multiply and
 raise to powers directly, the terms of one sum are added into one term map,
@@ -27,8 +39,7 @@ power of one term too; for a product it is capped by the product of the
 operands' term counts.  In a power a constant counts as degree one, so
 its exponent is bounded too, and a power of a constant is rejected as soon
 as a partial power has more than MAX_CONSTANT_BITS bits.  Parentheses and
-unary minus signs nest at most MAX_NESTING deep; a run of minus signs is
-read in a loop, so only parentheses recurse.
+unary minus signs nest at most MAX_NESTING deep.
 
 A field is written "QQ" or as its monic minimal polynomial in one generator
 symbol, under the same grammar and bounds (field_from_string, field_name);
@@ -38,6 +49,8 @@ its degree is bounded by MAX_FIELD_DEGREE.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from operator import add
 
 from .numfield import QQ, FieldElement, NumberField, format_terms, power_terms
@@ -67,8 +80,8 @@ MAX_FIELD_DEGREE = 16
 # on int-to-text conversion, so each such constant prints back.
 MAX_CONSTANT_BITS = 10_000
 # Bounds how deep parentheses and unary minus signs nest.  Each level of
-# parentheses takes four Python frames (expr, term, factor, atom), so the
-# deepest allowed text stays well inside the default recursion limit of 1000.
+# parentheses takes two Python frames (expr, term), so the deepest allowed
+# text stays well inside the default recursion limit of 1000.
 MAX_NESTING = 100
 
 
@@ -90,49 +103,52 @@ class NonIntegerExponent(PolyParseError):
 
 # -- tokenizer -------------------------------------------------------------
 
-_OPS = set("+-*^()/")
+# One token per match (see the module docstring); \s and \w match exactly
+# the characters that str.isspace and str.isalnum (or '_') accept
+_TOKEN = re.compile(r"[0-9]+|\w+|\S")
+# an ASCII text made only of characters the grammar accepts
+_PLAIN = re.compile(r"[\w\s+\-*^()/]*")
+_OPS = frozenset("+-*^()/")
+_END = ""   # the token after the last: end of input
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            digits = text[i:j]
-            if not digits.isascii():
-                # str.isdigit also accepts digits such as '²' that int()
-                # rejects; only ASCII 0-9 are digits here
-                k = i + next(m for m, d in enumerate(digits) if not d.isascii())
-                raise PolyParseError(f"unexpected character {text[k]!r}", k)
-            tokens.append(("INT", int(digits), i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("SYM", text[i:j], i))
-            i = j
-            continue
-        raise PolyParseError(f"unexpected character {c!r}", i)
-    tokens.append(("EOF", None, n))
+def _is_symbol(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text as strings, then _END.  A token is an operator,
+    ASCII digits or a symbol (a letter or '_', then word characters); the
+    first token in the text that is none of these raises at its first
+    character, and so does a run of more digits than int() converts.  An
+    ASCII text of accepted characters needs no check token by token."""
+    tokens = _TOKEN.findall(text)
+    limit = sys.get_int_max_str_digits()
+    if not (text.isascii() and _PLAIN.fullmatch(text)) or 0 < limit < len(text):
+        for i, tok in enumerate(tokens):
+            if tok[0] in "0123456789":
+                if 0 < limit < len(tok):
+                    int(tok)   # raises int()'s ValueError
+            elif tok not in _OPS and not _is_symbol(tok):
+                raise PolyParseError(f"unexpected character {tok[0]!r}", _offset(text, i))
+    tokens.append(_END)
     return tokens
 
 
-def _shown(tok) -> str:
+def _offset(text: str, index: int) -> int:
+    """The character offset of token index of text, len(text) for _END;
+    computed only for an error."""
+    for i, match in enumerate(_TOKEN.finditer(text)):
+        if i == index:
+            return match.start()
+    return len(text)
+
+
+def _shown(tok: str) -> str:
     """A token as error messages name it."""
-    return "end of input" if tok[0] == "EOF" else repr(tok[1])
+    if tok == _END:
+        return "end of input"
+    return repr(int(tok)) if tok.isdigit() else repr(tok)
 
 
 def _degree(value) -> int:
@@ -157,45 +173,6 @@ def _support(value, vars: tuple[str, ...]) -> set[str]:
     return {v for v, e in zip(vars, value[1]) if e}
 
 
-def _check_size(what: str, degree: int, operands: tuple, vars: tuple[str, ...],
-                position: int, sparse_terms: float = math.inf) -> None:
-    """Reject a product or power before it is expanded when its degree
-    exceeds MAX_DEGREE or its possible term count exceeds MAX_TERMS; that
-    count is the dense C(n + degree, n) in the n variables the operands
-    use, capped by sparse_terms.  C(n + degree, n) grows with n, so n is
-    only counted when neither sparse_terms nor the count in all of vars is
-    within MAX_TERMS."""
-    if degree > MAX_DEGREE:
-        raise PolyParseError(
-            f"{what} of degree {degree} exceeds the bound {MAX_DEGREE}", position)
-    if sparse_terms <= MAX_TERMS or math.comb(len(vars) + degree, len(vars)) <= MAX_TERMS:
-        return
-    n = len(set().union(*(_support(p, vars) for p in operands)))
-    terms = min(math.comb(n + degree, n), sparse_terms)
-    if terms > MAX_TERMS:
-        raise PolyParseError(
-            f"{what} of up to {terms} terms exceeds the bound {MAX_TERMS}", position)
-
-
-def _constant_power(c: FieldElement, exponent: int, position: int) -> FieldElement:
-    """c**exponent for exponent >= 1 by square-and-multiply, rejected as
-    soon as a partial power, c itself included, has a numerator or
-    denominator of more than MAX_CONSTANT_BITS bits."""
-    def checked(x: FieldElement) -> FieldElement:
-        if max(x.den, max(map(abs, x.nums))).bit_length() > MAX_CONSTANT_BITS:
-            raise PolyParseError("power of a constant exceeds the bound "
-                                 f"{MAX_CONSTANT_BITS} on its bit length", position)
-        return x
-
-    result = checked(c)
-    for bit in bin(exponent)[3:]:
-        result = result * result
-        if bit == "1":
-            result = result * c
-        checked(result)
-    return result
-
-
 class _Parser:
     """Recursive descent that evaluates as it parses, over vars and field.
 
@@ -206,16 +183,20 @@ class _Parser:
     becomes one Poly only when two or more terms are left; so only operands
     of two or more terms reach the Poly ring operations.  Over a field, a
     product or power of nonzero values is nonzero, and it has two or more
-    terms when an operand has, so only a sum can collapse its value."""
+    terms when an operand has, so only a sum can collapse its value.
+
+    expr reads a sum and term a product, whose factors it reads in one
+    loop; only parentheses recurse, through expr."""
 
     def __init__(self, text: str, vars: tuple[str, ...], field: NumberField):
+        self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
+        self.i = 0
         self.vars = vars
         self.field = field
         self.depth = 0
         self.pad = (0,) * (field.degree - 1)
-        self.origin = origin = (0,) * len(vars)
+        origin = (0,) * len(vars)
         one = FieldElement(field, (1,) + self.pad)
         self.one = one, origin   # the monomial 1
         # the monomial each symbol denotes
@@ -224,26 +205,35 @@ class _Parser:
         if not field.is_rational:
             self.symbols[field.gen_name] = field.gen(), origin
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def error(self, message: str, index: int, kind=PolyParseError) -> PolyParseError:
+        return kind(message, _offset(self.text, index))
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise PolyParseError(f"expected {kind!r}, found {_shown(tok)}", tok[2])
-        return tok
-
-    def nest(self, position: int) -> None:
+    def nest(self, index: int) -> None:
         """Enter one level of parentheses or unary minus."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise PolyParseError("parentheses and unary minus signs nest deeper "
-                                 f"than the bound {MAX_NESTING}", position)
+            raise self.error("parentheses and unary minus signs nest deeper "
+                             f"than the bound {MAX_NESTING}", index)
+
+    def check_size(self, what: str, degree: int, operands: tuple, index: int,
+                   sparse_terms: float = math.inf) -> None:
+        """Reject a product or power before it is expanded when its degree
+        exceeds MAX_DEGREE or its possible term count exceeds MAX_TERMS; that
+        count is the dense C(n + degree, n) in the n variables the operands
+        use, capped by sparse_terms.  C(n + degree, n) grows with n, so n is
+        only counted when neither sparse_terms nor the count in all of vars
+        is within MAX_TERMS."""
+        if degree > MAX_DEGREE:
+            raise self.error(f"{what} of degree {degree} exceeds the bound {MAX_DEGREE}",
+                             index)
+        vars = self.vars
+        if sparse_terms <= MAX_TERMS or math.comb(len(vars) + degree, len(vars)) <= MAX_TERMS:
+            return
+        n = len(set().union(*(_support(p, vars) for p in operands)))
+        terms = min(math.comb(n + degree, n), sparse_terms)
+        if terms > MAX_TERMS:
+            raise self.error(f"{what} of up to {terms} terms exceeds the bound {MAX_TERMS}",
+                             index)
 
     def as_poly(self, value) -> Poly:
         if value is None:
@@ -255,23 +245,25 @@ class _Parser:
 
     def parse(self) -> Poly:
         value = self.expr()
-        tok = self.peek()
-        if tok[0] != "EOF":
-            raise PolyParseError(
-                f"unexpected {tok[1]!r} (implicit multiplication is not allowed)",
-                tok[2])
+        tok = self.tokens[self.i]
+        if tok != _END:
+            raise self.error(f"unexpected {_shown(tok)} (implicit multiplication is not "
+                             "allowed)", self.i)
         return self.as_poly(value)
 
     def expr(self):
         value = self.term()
-        if self.peek()[0] not in ("+", "-"):
+        tokens = self.tokens
+        sign = tokens[self.i]
+        if sign != "+" and sign != "-":
             return value
         acc: dict[tuple[int, ...], FieldElement] = {}
         self.add_to(acc, value)
-        while self.peek()[0] in ("+", "-"):
-            negate = self.advance()[0] == "-"
+        while sign == "+" or sign == "-":
+            self.i += 1
             value = self.term()
-            self.add_to(acc, self.negated(value) if negate else value)
+            self.add_to(acc, self.negated(value) if sign == "-" else value)
+            sign = tokens[self.i]
         return self.collect(acc)
 
     def add_to(self, acc: dict, value) -> None:
@@ -297,12 +289,13 @@ class _Parser:
         if len(acc) == 1:
             ((k, c),) = acc.items()
             return c, k
-        # a list, not a generator: star-arguments from an iterator of unknown
-        # length build a 10-slot tuple and resize it, which fills CPython's
-        # tuple free lists of the resized lengths until a full collection
-        den = math.lcm(*[c.den for c in acc.values()])
+        # the distinct denominators, not a generator: star-arguments from an
+        # iterator build a 10-slot tuple and resize it, and a dropped tuple
+        # of a resized length, or of length 20, stays in CPython 3.11's tuple
+        # free lists until a full collection
+        den = math.lcm(*{c.den for c in acc.values()})
         return Poly(self.field, self.vars,
-                    {k: c.nums if c.den == den else tuple(x * (den // c.den) for x in c.nums)
+                    {k: c.nums if c.den == den else tuple([x * (den // c.den) for x in c.nums])
                      for k, c in acc.items()}, den)
 
     @staticmethod
@@ -314,46 +307,85 @@ class _Parser:
         return -value[0], value[1]
 
     def term(self):
-        value = self.factor()
-        while self.peek()[0] == "*":
-            pos = self.advance()[2]
-            rhs = self.factor()
-            _check_size("product", max(_degree(value) + _degree(rhs), 0), (value, rhs),
-                        self.vars, pos, _term_count(value) * _term_count(rhs))
-            if value is None or rhs is None:
-                value = None
-            elif isinstance(value, Poly) or isinstance(rhs, Poly):
-                value = self.as_poly(value) * self.as_poly(rhs)
+        tokens, symbols, i = self.tokens, self.symbols, self.i
+        one, origin = self.one
+        star = None   # the index of the '*' before the factor, None for the first
+        while True:
+            tok = tokens[i]
+            outer = self.depth
+            while tok == "-":
+                self.nest(i)
+                i += 1
+                tok = tokens[i]
+            negate = (self.depth - outer) % 2
+            if tok in symbols:
+                factor = symbols[tok]
+                i += 1
+            elif tok.isdigit():
+                num, den = int(tok), 1
+                i += 1
+                if tokens[i] == "/":
+                    i += 1
+                    if not tokens[i].isdigit():
+                        raise self.error(f"expected 'INT', found {_shown(tokens[i])}", i)
+                    den = int(tokens[i])
+                    if den == 0:
+                        raise self.error("zero denominator", i)
+                    i += 1
+                factor = (FieldElement(self.field, (num,) + self.pad, den), origin) \
+                    if num else None
+            elif tok == "(":
+                self.nest(i)
+                self.i = i + 1
+                factor = self.expr()
+                i = self.i
+                if tokens[i] != ")":
+                    raise self.error(f"expected ')', found {_shown(tokens[i])}", i)
+                i += 1
+            elif _is_symbol(tok):
+                raise self.error(f"unknown symbol {tok!r}", i, UnknownSymbol)
             else:
-                value = value[0] * rhs[0], tuple(map(add, value[1], rhs[1]))
-        return value
+                raise self.error(f"unexpected {_shown(tok)}", i)
+            self.depth = outer
+            if tokens[i] == "^":
+                i += 1
+                if tokens[i] == "-":
+                    raise self.error("exponent must be nonnegative", i, NonIntegerExponent)
+                if not tokens[i].isdigit():
+                    raise self.error(f"expected integer exponent, found {_shown(tokens[i])}",
+                                     i)
+                if tokens[i + 1] == "/":
+                    raise self.error("exponent must be an integer", i + 1, NonIntegerExponent)
+                factor = self.power(factor, int(tokens[i]), i)
+                i += 1
+            if negate:
+                factor = self.negated(factor)
+            if star is None:
+                value = factor
+            elif type(value) is tuple and type(factor) is tuple:
+                # two monomials make one term; a variable's coefficient is one
+                (c, e), (d, f) = value, factor
+                exps = tuple([*map(add, e, f)])
+                self.check_size("product", sum(exps), (), star, 1)
+                value = (c if d is one else d if c is one else c * d), exps
+            else:
+                self.check_size("product", max(_degree(value) + _degree(factor), 0),
+                                (value, factor), star, _term_count(value) * _term_count(factor))
+                if value is None or factor is None:
+                    value = None
+                else:
+                    value = self.as_poly(value) * self.as_poly(factor)
+            if tokens[i] != "*":
+                self.i = i
+                return value
+            star = i
+            i += 1
 
-    def factor(self):
-        outer = self.depth
-        while self.peek()[0] == "-":
-            self.nest(self.advance()[2])
-        negate = (self.depth - outer) % 2 == 1
-        value = self.atom()
-        if self.peek()[0] == "^":
-            value = self.power(value)
-        self.depth = outer
-        return self.negated(value) if negate else value
-
-    def power(self, base):
-        self.advance()
-        etok = self.peek()
-        if etok[0] == "-":
-            raise NonIntegerExponent("exponent must be nonnegative", etok[2])
-        if etok[0] != "INT":
-            raise PolyParseError(f"expected integer exponent, found {_shown(etok)}",
-                                 etok[2])
-        self.advance()
-        if self.peek()[0] == "/":
-            raise NonIntegerExponent("exponent must be an integer", self.peek()[2])
-        exponent, degree = etok[1], _degree(base)
+    def power(self, base, exponent: int, index: int):
+        degree = _degree(base)
         # a constant counts as degree one, so its exponent is bounded too; a
         # monomial is held to the dense count C(n + deg, n) like any power
-        _check_size("power", max(degree, 1) * exponent, (base,), self.vars, etok[2])
+        self.check_size("power", max(degree, 1) * exponent, (base,), index)
         if exponent == 0:
             return self.one
         if base is None:
@@ -362,33 +394,27 @@ class _Parser:
             return base ** exponent
         c, exps = base
         if degree == 0:
-            return _constant_power(c, exponent, etok[2]), exps
-        return c ** exponent, tuple(exponent * e for e in exps)
+            return self.constant_power(c, exponent, index), exps
+        # a variable's coefficient is one
+        return (c if c is self.one[0] else c ** exponent), tuple([exponent * e for e in exps])
 
-    def atom(self):
-        tok = kind, value, pos = self.advance()
-        if kind == "INT":
-            den = 1
-            if self.peek()[0] == "/":
-                self.advance()
-                _, den, den_pos = self.expect("INT")
-                if den == 0:
-                    raise PolyParseError("zero denominator", den_pos)
-            if value == 0:
-                return None
-            return FieldElement(self.field, (value,) + self.pad, den), self.origin
-        if kind == "SYM":
-            monomial = self.symbols.get(value)
-            if monomial is None:
-                raise UnknownSymbol(f"unknown symbol {value!r}", pos)
-            return monomial
-        if kind == "(":
-            self.nest(pos)
-            inner = self.expr()
-            self.expect(")")
-            self.depth -= 1
-            return inner
-        raise PolyParseError(f"unexpected {_shown(tok)}", pos)
+    def constant_power(self, c: FieldElement, exponent: int, index: int) -> FieldElement:
+        """c**exponent for exponent >= 1 by square-and-multiply, rejected as
+        soon as a partial power, c itself included, has a numerator or
+        denominator of more than MAX_CONSTANT_BITS bits."""
+        def checked(x: FieldElement) -> FieldElement:
+            if max(x.den, max(map(abs, x.nums))).bit_length() > MAX_CONSTANT_BITS:
+                raise self.error("power of a constant exceeds the bound "
+                                 f"{MAX_CONSTANT_BITS} on its bit length", index)
+            return x
+
+        result = checked(c)
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * c
+            checked(result)
+        return result
 
 
 def parse_poly(text: str, vars, field: NumberField = QQ) -> Poly:
@@ -407,7 +433,7 @@ def field_from_string(text: str) -> NumberField:
     one generator symbol of degree at most MAX_FIELD_DEGREE."""
     if text.strip() == "QQ":
         return QQ
-    names = {value for kind, value, _ in _tokenize(text) if kind == "SYM"}
+    names = {tok for tok in _tokenize(text) if _is_symbol(tok)}
     if len(names) != 1:
         raise ValueError("field text needs exactly one generator symbol, "
                          f"found {len(names)}")

@@ -21,7 +21,7 @@ from etale_forge.endo import (CertificateRequired, DegreeUndetermined,
                               params_from_json, zk_compatible, zk_to_t)
 from etale_forge.family import covering
 from etale_forge.numfield import QQ, FieldElement, NumberField
-from etale_forge.polyalg import Poly, compose, monic, variables
+from etale_forge.polyalg import Poly, compose, kronecker_vanishes, monic, variables
 from etale_forge.polyparse import print_poly
 from etale_forge.reproduce import build_corpus, default_fixture_dir
 from etale_forge.surface import (SurfacePoint, hyper_surface, normal_form,
@@ -292,6 +292,75 @@ def test_certificate_c3_passes_without_the_exact_gcd(monkeypatch):
     cert = etale_certificate(_degree199_params())
     assert cert.checks["C3_separability"]
     assert "C3_separability" not in cert.witnesses
+
+
+RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def _t_poly(field, coeffs):
+    """The polynomial in t over field with the given coefficients, constant first."""
+    t = Poly.variable("t", field)
+    return sum((field.elem(c) * t ** e for e, c in enumerate(coeffs)),
+               Poly.zero(field, ("t",)))
+
+
+@pytest.mark.parametrize("field", [QQ, NumberField([3, 1])])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_c1_kronecker_decision_matches_the_products(field, data):
+    # certified documents, tampered copies whose residual lhs - rhs is one
+    # coefficient c * t^(j+1), and random ones, with negative coefficients
+    # and denominators; over a degree-one field C1 is decided by one Kronecker
+    # evaluation, which must agree with the Poly products
+    t = Poly.variable("t", field)
+    k = data.draw(st.integers(2, 3))
+    r1 = _t_poly(field, [1] + data.draw(st.lists(RATIONAL, max_size=3)))
+    kind = data.draw(st.sampled_from(["certified", "tampered", "chebyshev", "random"]))
+    alpha, r, r2 = 1, data.draw(st.integers(2, 4)), Poly.constant(1, field, ("t",))
+    r0 = endo.exact_div(1 - (1 - t) * r1 ** k, t)
+    if kind == "tampered":
+        c = data.draw(st.sampled_from([1, -1, 2 ** 64, -2 ** 64, 2 ** 200, -2 ** 200]))
+        j = data.draw(st.integers(0, 4))
+        r0 = r0 + c * t ** j
+    elif kind == "chebyshev":
+        p = chebyshev_endo(data.draw(st.sampled_from([3, 5, 7, 9])), field.elem(3))
+        k, r, alpha, r0, r1, r2 = p.k, p.r, p.alpha, p.R0, p.R1, p.R2
+    elif kind == "random":
+        alpha = data.draw(st.integers(0, 1))
+        r = k * data.draw(st.integers(1, 2)) if alpha == 0 else r
+        r0, r2 = (_t_poly(field, data.draw(st.lists(RATIONAL, max_size=3))) for _ in "02")
+    exp = (1 - alpha) * r // k
+    lhs = t * (1 - t) ** exp * r0 * r2 ** r
+    rhs = 1 - (1 - t) ** alpha * r1 ** k
+    holds = lhs == rhs
+    if kind != "random":
+        assert holds == (kind != "tampered")
+    if kind == "tampered":
+        assert lhs - rhs == c * t ** (j + 1)
+    terms = [(1, [(t, 1), (1 - t, exp), (r0, 1), (r2, r)]), (1, [(1 - t, alpha), (r1, k)]),
+             (-1, [])]
+    assert kronecker_vanishes(terms) == holds
+    p = EtaleParams(k=k, r=r, a=1, alpha=alpha, d=1, lam=field.elem(1), R0=r0, R1=r1, R2=r2)
+    cert = etale_certificate(p)
+    assert cert.checks["C1_identity"] == holds
+    assert ("C1_identity" in cert.witnesses) == (not holds)
+
+
+def test_c1_runs_no_poly_product_over_a_degree_one_field(monkeypatch):
+    # a Poly product would decide C1 as well; over QQ the Kronecker
+    # evaluation decides it, and the products build only the witness
+    counted = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: counted.append(1) or mul(a, b))
+    for name, p in build_corpus():
+        if p.field.degree == 1:
+            counted.clear()
+            assert etale_certificate(p).checks["C1_identity"], name
+            assert not counted, name
+    tampered = EtaleParams(k=2, r=2, a=1, alpha=0, d=2, lam=QQ.elem(1),
+                           R0=Poly.constant(4, QQ, ("t",)), R1=1 - 2 * T, R2=1 + T)
+    cert = etale_certificate(tampered)
+    assert cert.witnesses["C1_identity"] == T * (1 - T) * 4 * (1 + T) ** 2 - (1 - (1 - 2 * T) ** 2)
 
 
 def test_params_accept_a_t_polynomial_with_unused_variables():

@@ -12,8 +12,9 @@ from etale_forge.numfield import (QQ, FieldElement, FieldMismatch,
                                   NumberField, cyclotomic_field, small_primes)
 from etale_forge.polyalg import (ArityError, NotDivisible, Poly, compose,
                                  divmod_poly, exact_div, gcd_univariate,
-                                 monic, multiplicity_profile, separable_mod_p,
-                                 squarefree_decomposition, variables)
+                                 kronecker_vanishes, monic, multiplicity_profile,
+                                 separable_mod_p, squarefree_decomposition,
+                                 variables)
 
 X = Poly.variable("x", QQ)
 
@@ -370,6 +371,25 @@ def test_separable_mod_p_examples():
     assert separable_mod_p([Poly.constant(3, QQ, ("t",))])
     with pytest.raises(ArityError):
         separable_mod_p([t, Poly.variable("x", QQ)])
+
+
+def test_kronecker_vanishes_examples():
+    t = Poly.variable("t", QQ)
+    one = Poly.constant(1, QQ, ("t",))
+    assert kronecker_vanishes([(1, [(t, 1), (1 - t, 1)]), (-1, [(t - t ** 2, 1)])])
+    third = Fraction(1, 3)
+    assert kronecker_vanishes([(3, [(third * t + Fraction(1, 2), 2)]),
+                               (-1, [(third * t ** 2 + t + Fraction(3, 4), 1)])])
+    assert kronecker_vanishes([(1, [(one, 0)]), (-1, [])])
+    assert not kronecker_vanishes([(2, []), (-1, [])])
+    # a zero factor: its term adds nothing to the bound, and the other
+    # factor's coefficients are still written in full
+    big = 2 ** 300 * t - 2 ** 299
+    assert kronecker_vanishes([(1, [(Poly.zero(QQ, ("t",)), 1), (big, 3)])])
+    # a residual of one unit in the lowest coefficient, under large ones
+    assert not kronecker_vanishes([(1, [(big, 2)]), (-1, [(big * big + 1, 1)])])
+    assert not kronecker_vanishes([(1, [(big, 2)]), (-1, [(big * big + t ** 5, 1)])])
+    assert not kronecker_vanishes([(1, [(t, 1)])])
 
 
 # -- coercion between QQ and an extension ----------------------------------------
