@@ -439,7 +439,7 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
     nonzero coefficient, (L - R)(2^K) = 2^(jK) (c_j + 2^K m) for an
     integer m, which is not 0 because 0 < |c_j| < 2^K.  The answer is
     exact; nothing is sampled.  (Sides that differ are usually told apart
-    sooner, by L(3) != R(3) modulo the prime 2^61 - 1, which is as exact.)
+    sooner, by L(-1) != R(-1) modulo the prime 2^61 - 1, which is as exact.)
     Only when the sides differ, or over a field of degree > 1, are both
     sides built as Polys; their comparison then decides the check, and
     lhs - rhs is its witness.

@@ -59,11 +59,11 @@ c_j + 2^K * m != 0 because 0 < |c_j| < 2^K.  So P = 0 iff P(2^K) = 0, an
 exact answer from big-integer products.  K is a multiple of 8, at least the
 bit length of every N_f's coefficients too, so that N_f(2^K) is written
 coefficient by coefficient into bytes, in time linear in its size.  Before
-that, P(3) is computed modulo the prime q = 2^61 - 1 in one pass over the
-terms: P has integer coefficients, so P(3) != 0 mod q proves P != 0, and a
-sum that is not zero, such as the two sides of a failing identity, usually
-costs no big-integer product at all.  P(3) = 0 mod q decides nothing; the
-evaluation at 2^K decides.
+that, P(-1) is computed modulo the prime q = 2^61 - 1 from one signed sum
+of each factor's coefficients: P has integer coefficients, so
+P(-1) != 0 mod q proves P != 0, and a sum that is not zero, such as the two
+sides of a failing identity, usually costs no big-integer product at all.
+P(-1) = 0 mod q decides nothing; the evaluation at 2^K decides.
 
 The monomial order is lexicographic in the variable order, so exponent
 tuples compare directly.  Degrees in this project stay small (a few hundred
@@ -692,10 +692,10 @@ def kronecker_vanishes(terms: list[tuple[int, list[tuple[Poly, int]]]]) -> bool:
     scaled = [(c * (m // den), factors) for (c, factors), den in zip(terms, dens)]
     polys = {id(f): f for _, factors in terms for f, _ in factors}
     q = (1 << 61) - 1
-    at3 = {i: sum([c * pow(3, e, q) for (e,), (c,) in f.terms.items()])
-           for i, f in polys.items()}
-    if sum([c * prod([pow(at3[id(f)], e, q) for f, e in factors]) for c, factors in scaled]) % q:
-        return False   # P(3) != 0 mod q proves P != 0
+    at = {i: sum([-c if e & 1 else c for (e,), (c,) in f.terms.items()])
+          for i, f in polys.items()}
+    if sum([c * prod([pow(at[id(f)], e, q) for f, e in factors]) for c, factors in scaled]) % q:
+        return False   # P(-1) != 0 mod q proves P != 0
     norms = {i: sum([abs(c) for (c,) in f.terms.values()]) for i, f in polys.items()}
     bound = sum([abs(c) * prod([norms[id(f)] ** e for f, e in factors]) for c, factors in scaled])
     width = (max([bound, *norms.values()]).bit_length() + 7) // 8

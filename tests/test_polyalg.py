@@ -389,10 +389,10 @@ def test_kronecker_vanishes_examples():
     # a residual of one unit in the lowest coefficient, under large ones
     assert not kronecker_vanishes([(1, [(big, 2)]), (-1, [(big * big + 1, 1)])])
     assert not kronecker_vanishes([(1, [(big, 2)]), (-1, [(big * big + t ** 5, 1)])])
-    # residuals that vanish at t = 3 modulo 2^61 - 1, so the evaluation at
+    # residuals that vanish at t = -1 modulo 2^61 - 1, so the evaluation at
     # 2^K decides
     q = 2 ** 61 - 1
-    for residual in (q * t ** 3, t - 3, -q * 2 ** 64 * t):
+    for residual in (q * t ** 3, t + 1, -q * 2 ** 64 * t, t ** 7 + 1):
         assert not kronecker_vanishes([(1, [(big, 2)]), (-1, [(big * big + residual, 1)])])
     assert not kronecker_vanishes([(1, [(t, 1)])])
 
