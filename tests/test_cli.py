@@ -35,6 +35,7 @@ CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
 FIELD_TOO_BIG = f"theta^{MAX_FIELD_DEGREE + 1} + theta + 1"
 MINPOLY_TOO_BIG = [1, 1] + [0] * (MAX_FIELD_DEGREE - 1) + [1]
 GOLDEN = Path(__file__).parent / "golden" / "reproduce_paper.json"
+VERIFY_ENDO_GOLDEN = Path(__file__).parent / "golden" / "verify_endo.json"
 BIG_FIELD_CONSTANT = "1000000000000000000007"
 BIG_FIELD = f"theta^2 + {BIG_FIELD_CONSTANT}"
 # a certified parameter document, varied into the hostile ones below
@@ -167,19 +168,60 @@ def test_verify_endo_fixture_and_tampered(tmp_path):
     assert "witness" not in json.loads(res.stdout)
 
 
-def test_verify_endo_decides_a_degree_199_separability_quickly(tmp_path):
-    # (1-t)*R0*R1*R2 has degree 199 and is separable; the exact gcd of it
-    # against its derivative takes seconds, the test modulo a prime does not
+def _degree199_document() -> dict:
+    """A document whose (1-t)*R0*R1*R2 has degree 199 and is separable; the
+    exact gcd of it against its derivative takes seconds, the test modulo a
+    prime does not."""
     t = Poly.variable("t", QQ)
-    doc = tmp_path / "deg199.json"
-    doc.write_text(json.dumps({"params": {
+    return {"params": {
         **_CHEB_D3, "R0": print_poly((2 + t) ** 66 + t), "R1": print_poly((3 + t) ** 66 + t),
-        "R2": print_poly((1 + t) ** 66 + 2 * t)}}))
+        "R2": print_poly((1 + t) ** 66 + 2 * t)}}
+
+
+def test_verify_endo_decides_a_degree_199_separability_quickly(tmp_path):
+    doc = tmp_path / "deg199.json"
+    doc.write_text(json.dumps(_degree199_document()))
     res = run_cli("verify-endo", "--params", str(doc), "--json")
     assert res.returncode == 2
     payload = json.loads(res.stdout)
     assert payload["checks"]["C3_separability"] is True
     assert "C3_separability" not in payload["failing"]
+
+
+def _verify_endo_documents() -> list:
+    """(name, document) for the verify-endo golden file: every fixture, a
+    C1- and a C3-tampered copy of each that holds parameters (2*R0 breaks
+    C1 alone; R0*R1 squares R1 in the C3 product), and the degree-199
+    document."""
+    docs = []
+    for path in sorted(default_fixture_dir().glob("*.json")):
+        data = json.loads(path.read_text())
+        docs.append([path.stem, data])
+        if "params" in data:
+            p = data["params"]
+            docs.append([f"{path.stem}~C1", {"params": {**p, "R0": f"2*({p['R0']})"}}])
+            docs.append([f"{path.stem}~C3",
+                         {"params": {**p, "R0": f"({p['R0']})*({p['R1']})"}}])
+    return docs + [["degree199", _degree199_document()]]
+
+
+def _verify_endo_replay(tmp_path, docs) -> list:
+    """[name, document, exit code, stdout] of verify-endo --json per document."""
+    out = []
+    for name, data in docs:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        res = run_cli("verify-endo", "--params", str(path), "--json")
+        out.append([name, data, res.returncode, res.stdout])
+    return out
+
+
+def test_verify_endo_output_matches_golden(tmp_path):
+    # verdicts, witnesses and exit codes, byte for byte
+    golden = json.loads(VERIFY_ENDO_GOLDEN.read_text())
+    docs = _verify_endo_documents()
+    assert [[name, data] for name, data, _, _ in golden] == docs
+    assert _verify_endo_replay(tmp_path, docs) == golden
 
 
 def test_seed_flag_is_a_usage_error():
