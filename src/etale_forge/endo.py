@@ -30,8 +30,8 @@ from fractions import Fraction
 
 from .numfield import (QQ, FieldElement, NumberField, common_field,
                        json_fields, rationals)
-from .polyalg import (Poly, compose, exact_div, gcd_univariate, kronecker_vanishes,
-                      separable_mod_p)
+from .polyalg import (Poly, compose, exact_div, gcd_univariate, kronecker_bits,
+                      kronecker_vanishes, separable_mod_p)
 from .polyparse import (MAX_DEGREE, field_from_string, field_name, parse_poly,
                         print_poly)
 from .surface import (SurfacePoint, SurfaceSpec, hyper_surface, normal_form,
@@ -329,15 +329,25 @@ _PARAM_FIELDS = {"k": int, "r": int, "a": int, "alpha": int, "d": int,
                  "field": str, "lambda": list, "R0": str, "R1": str, "R2": str}
 
 
+# Bounds kronecker_bits of C1, the bit length of the coefficients of
+# lhs - rhs as estimated before any product.  It reads 2,567 for
+# chebyshev_endo(999), the largest construction (66 for Q(zeta_17), at most
+# 173 on the certify benchmark's documents): a margin of about 4.  Just
+# below it, R2 = 511*t + 1 with r = 999 (9,998 bits) fails C1 in about 5 s
+# (2-vCPU Xeon); R2 = 123456789012345678901234567890*t + 1 (96,911) took minutes.
+MAX_C1_BITS = 10_000
+
+
 def params_from_json(data: dict) -> EtaleParams:
     """The inverse of EtaleParams.to_json; a missing or ill-typed field
     raises ValueError naming it.
 
     So that the certificate cannot run away, ValueError also rejects k or r
-    above MAX_DEGREE, and a document where either side of C1,
+    above MAX_DEGREE, a document where either side of C1,
     t (1-t)^((1-alpha)r/k) R0 R2^r or (1-t)^alpha R1^k, would have degree
-    above MAX_DEGREE; those degrees are counted from deg R0, R1, R2 before
-    any power is taken.
+    above MAX_DEGREE, and one whose C1 coefficients may have more than
+    MAX_C1_BITS bits; those degrees and sizes are counted from R0, R1, R2
+    before any power is taken.
     """
     json_fields(data, _PARAM_FIELDS, "parameter document")
     for name in ("k", "r"):
@@ -357,7 +367,20 @@ def params_from_json(data: dict) -> EtaleParams:
     side = max(1 + (1 - p.alpha) * p.r // p.k + d0 + p.r * d2, p.alpha + p.k * d1)
     if side > MAX_DEGREE:
         raise ValueError(f"a side of C1 of degree {side} exceeds the bound {MAX_DEGREE}")
+    bits = kronecker_bits(_c1_terms(p))
+    if bits > MAX_C1_BITS:
+        raise ValueError(f"the coefficients of C1 may have {bits} bits, above the "
+                         f"bound {MAX_C1_BITS}")
     return p
+
+
+def _c1_terms(p: EtaleParams) -> list:
+    """C1's lhs - rhs = t (1-t)^e R0 R2^r + (1-t)^alpha R1^k - 1 as terms of
+    polyalg.kronecker_vanishes, with e = (1-alpha)r/k rounded down."""
+    t = Poly.variable("t", p.field)
+    s = 1 - t
+    return [(1, [(t, 1), (s, (1 - p.alpha) * p.r // p.k), (p.R0, 1), (p.R2, p.r)]),
+            (1, [(s, p.alpha), (p.R1, p.k)]), (-1, [])]
 
 
 def ri_degrees(k: int, r: int, alpha: int, d: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -415,34 +438,15 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
     C5  alpha = 1, or k | r and alpha = 0 (with a = 1)
 
     C3's separability is first decided modulo the field's degree-one prime
-    (p, theta - rho) by polyalg.separable_mod_p: the images of 1-t, R0, R1
-    and R2 in F_p are multiplied, and the check passes when the product
-    keeps its degree and is coprime to its derivative in F_p[t].  That is
-    an exact proof: with P the kernel of Z_(p)[theta] -> F_p, a valuation
-    ring O of the field dominates P (Chevalley); if f = h^2*q with h
-    nonconstant, Gauss's lemma over O makes h primitive with lc(h) a unit,
-    as lc(f) is, so h mod P has positive degree and its square divides
-    f mod P, and gcd(f mod P, (f mod P)') != 1.  Only when the test fails
-    is f built and gcd_univariate(f, f') run, and that gcd decides the
-    check and is its witness.
+    by polyalg.separable_mod_p, an exact proof (see polyalg).  Only when
+    that test fails is f built and gcd_univariate(f, f') run, and that gcd
+    decides the check and is its witness.
 
     Over a degree-one field C1 is decided by one exact Kronecker evaluation
-    (polyalg.kronecker_vanishes).  Write R_i = N_i / D_i with integer
-    numerators N_i and D_i = R_i.den, and e = (1-alpha)r/k.  Multiplied by
-    D0 D2^r D1^k, C1 reads L = R in Z[t] with
-        L = t (1-t)^e N0 N2^r D1^k,  R = D0 D2^r (D1^k - (1-t)^alpha N1^k).
-    As ||fg||_inf <= ||f||_1 ||g||_inf and ||(1-t)^e||_1 = 2^e, every
-    coefficient of L - R is at most
-        B = 2^e ||N0||_1 ||N2||_1^r D1^k + D0 D2^r (D1^k + 2^alpha ||N1||_1^k)
-    in absolute value, and the evaluation point is t = 2^K with 2^K > B.
-    Then L(2^K) = R(2^K) iff L = R: if L - R != 0 and c_j is its lowest
-    nonzero coefficient, (L - R)(2^K) = 2^(jK) (c_j + 2^K m) for an
-    integer m, which is not 0 because 0 < |c_j| < 2^K.  The answer is
-    exact; nothing is sampled.  (Sides that differ are usually told apart
-    sooner, by L(-1) != R(-1) modulo the prime 2^61 - 1, which is as exact.)
-    Only when the sides differ, or over a field of degree > 1, are both
-    sides built as Polys; their comparison then decides the check, and
-    lhs - rhs is its witness.
+    of lhs - rhs (polyalg.kronecker_vanishes of _c1_terms; see polyalg for
+    why it is exact and nothing is sampled).  Only when the sides differ,
+    or over a field of degree > 1, are both sides built as Polys; their
+    comparison then decides the check, and lhs - rhs is its witness.
     """
     field = p.field
     checks: dict[str, bool] = {}
@@ -460,22 +464,20 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
     modulus = p.k * (p.r - 1)
     checks["C4_congruence"] = (p.d - (p.alpha + p.r * (1 - p.alpha))) % modulus == 0
 
-    t = Poly.variable("t", field)
     if not checks["C5_alpha_kr"]:
         checks["C1_identity"] = False
     else:
-        exp = (1 - p.alpha) * p.r // p.k
-        s = 1 - t
-        checks["C1_identity"] = field.degree == 1 and kronecker_vanishes(
-            [(1, [(t, 1), (s, exp), (p.R0, 1), (p.R2, p.r)]), (1, [(s, p.alpha), (p.R1, p.k)]),
-             (-1, [])])
+        terms = _c1_terms(p)
+        checks["C1_identity"] = field.degree == 1 and kronecker_vanishes(terms)
         if not checks["C1_identity"]:
-            lhs = t * s ** exp * p.R0 * p.R2 ** p.r
-            rhs = 1 - s ** p.alpha * p.R1 ** p.k
+            (_, left), (_, right), _ = terms
+            lhs = math.prod([f ** e for f, e in left])
+            rhs = 1 - math.prod([f ** e for f, e in right])
             checks["C1_identity"] = lhs == rhs
             if not checks["C1_identity"]:
                 witnesses["C1_identity"] = lhs - rhs
 
+    t = Poly.variable("t", field)
     checks["C3_separability"] = separable_mod_p([1 - t, p.R0, p.R1, p.R2])
     if not checks["C3_separability"]:
         sep_poly = (1 - t) * p.R0 * p.R1 * p.R2

@@ -25,12 +25,9 @@ compositum).  polyparse reads and writes the text form of a field
 (field_from_string, field_name).
 
 NumberField.degree_one_prime gives a ring map Z_(p)[theta] -> F_p,
-theta -> rho, for the first prime p of one fixed list (the odd primes
-below 2^15, largest first) at which m has a root rho mod p.  The roots
-come from gcd(x^(p-1) - 1, m) and deterministic equal-degree splitting,
-on dense residue lists (mul_mod_p, gcd_mod_p), and the result is cached
-per minimal polynomial.  polyalg.separable_mod_p proves separability with
-it.
+theta -> rho, for the first prime p of one fixed list at which m has a root
+rho mod p (dense.degree_one_prime, cached per minimal polynomial).
+polyalg.separable_mod_p proves separability with it.
 
 The constructor verifies irreducibility of a minimal polynomial up to
 degree 4 (rational-root and cubic-resolvent tests); above that it is taken
@@ -45,6 +42,8 @@ import reprlib
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
+
+from .dense import degree_one_prime, divide, rational_roots, trim
 
 Ints = tuple[int, ...]
 
@@ -70,65 +69,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
-
-
-# -- dense univariate helpers over Q (constant term first) ------------------
-
-def _trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _value(c: list[int], x: int) -> int:
-    acc = 0
-    for coef in reversed(c):
-        acc = acc * x + coef
-    return acc
-
-
-def _root_cells(c: list[int]) -> set[int]:
-    """Integers k such that every real root of the integer polynomial c
-    (constant term first) lies in some [k, k + 1].  Between the cells of
-    its turning points, found by the same routine on the derivative, c is
-    monotone, and integer bisection finds the cell of its one root there; a
-    cell that holds a turning point may hold two roots and is kept whole."""
-    if len(c) <= 1:
-        return set()
-    turning = _root_cells([i * a for i, a in enumerate(c)][1:])
-    bound = 2 + max(abs(a) for a in c[:-1]) // abs(c[-1])   # Cauchy's bound
-    cells = set(turning)
-    ends = sorted({-bound, bound} | turning | {k + 1 for k in turning})
-    for lo, hi in zip(ends, ends[1:]):
-        vlo = _value(c, lo)
-        if vlo * _value(c, hi) > 0:
-            continue
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _value(c, mid) * vlo > 0:
-                lo = mid
-            else:
-                hi = mid
-        cells.add(lo)
-    return cells
-
-
-def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots, ascending, of the polynomial with the given
-    Q-coefficients (constant term first)."""
-    c = _trim(list(coeffs))
-    if len(c) <= 1:
-        return []
-    den = math.lcm(*[f.denominator for f in c])
-    a = [int(f * den) for f in c]
-    g = math.gcd(*a)
-    a = [x // g for x in a]
-    # y = lead * x: the rational roots become the integer roots of a monic
-    # integer polynomial
-    n, lead = len(a) - 1, a[-1]
-    monic = [a[i] * lead ** (n - 1 - i) for i in range(n)] + [1]
-    ys = {k + e for k in _root_cells(monic) for e in (0, 1)}
-    return sorted(Fraction(y, lead) for y in ys if _value(monic, y) == 0)
 
 
 def _is_square_fraction(x: Fraction) -> bool:
@@ -177,132 +117,11 @@ def _is_irreducible_upto_deg4(c: list[Fraction]) -> bool:
     return True
 
 
-# -- dense univariate helpers over F_p (residues, constant term first) -------
-#
-# The primes stay below 2^15, so the product of two residues fits in one
-# 30-bit digit of a CPython int; lists are trimmed (no zero top entry).
-
-
-@lru_cache(maxsize=None)
-def small_primes() -> tuple[int, ...]:
-    """The odd primes below 2^15, largest first: the fixed list from which
-    degree_one_prime takes its prime.  Sieved on first use."""
-    half = 1 << 14
-    odd = bytearray([1]) * half          # odd[i] stands for 2i + 1
-    odd[0] = 0
-    for i in range(1, 91):               # 2*90 + 1 = 181 = isqrt(2^15)
-        if odd[i]:
-            q = 2 * i + 1
-            odd[q * q // 2::q] = bytes(len(range(q * q // 2, half, q)))
-    return tuple([2 * i + 1 for i in range(half - 1, 0, -1) if odd[i]])
-
-
-def mul_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    """The product of two residue lists mod p."""
-    if not a or not b:
-        return []
-    if len(a) > len(b):
-        a, b = b, a
-    nb = len(b)
-    prod = [0] * (len(a) + nb - 1)
-    for i, x in enumerate(a):
-        if x:
-            prod[i:i + nb] = [s + x * y for s, y in zip(prod[i:i + nb], b)]
-    return [s % p for s in prod]
-
-
-def _rem_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    """The remainder of a by a nonzero b mod p, by long division."""
-    nb = len(b) - 1
-    if len(a) <= nb:
-        return a
-    inv = pow(b[-1], -1, p)
-    r = list(a)
-    for s in range(len(r) - 1 - nb, -1, -1):
-        c = r[s + nb] * inv % p
-        if c:
-            r[s:s + nb] = [(x - c * y) % p for x, y in zip(r[s:s + nb], b)]
-    del r[nb:]
-    return _trim(r)
-
-
-def gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    """The monic gcd of two residue lists in F_p[x] by Euclid ([] when both
-    are zero).
-
-    A quotient of degree one, the normal case, takes one pass: with
-    q = q1*x + q0, remainder entry i is a_i - q1*b_(i-1) - q0*b_i (the
-    entry at the degree of b is 0 by the choice of q0)."""
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        if len(a) == len(b) + 1:
-            inv = pow(b[-1], -1, p)
-            q1 = a[-1] * inv % p
-            q0 = (a[-2] - q1 * b[-2]) * inv % p
-            r = [(x - q1 * y - q0 * z) % p for x, y, z in zip(a, [0] + b, b)]
-            r.pop()
-            a, b = b, _trim(r)
-        else:
-            a, b = b, _rem_mod_p(a, b, p)
-    if b:
-        return [1]
-    if not a:
-        return a
-    inv = pow(a[-1], -1, p)
-    return [x * inv % p for x in a]
-
-
-def _powmod_p(a: int, e: int, m: list[int], p: int) -> list[int]:
-    """(x + a)^e - 1 modulo a monic m of degree >= 2, mod p (e >= 1), by
-    square-and-multiply; a multiply by x + a is a shift plus a multiple."""
-    out = [a, 1]
-    for bit in bin(e)[3:]:
-        out = _rem_mod_p(mul_mod_p(out, out, p), m, p)
-        if bit == "1":
-            out = _rem_mod_p([(u + a * v) % p for u, v in zip([0] + out, out + [0])],
-                             m, p)
-    # out is never zero: x + a vanishes at no root of m (m(0) != 0 for a = 0)
-    # or at no more than one of the distinct roots of a splitting g
-    return _trim([(out[0] - 1) % p] + out[1:])
-
-
-def _root_mod_p(g: list[int], p: int) -> int:
-    """A root in F_p of a monic g that splits into distinct linear factors
-    over F_p, by equal-degree splitting: gcd(g, (x + a)^((p-1)/2) - 1) for
-    a = 0, 1, ... until one is a proper factor."""
-    a = 0
-    while len(g) > 2:
-        h = gcd_mod_p(_powmod_p(a, (p - 1) // 2, g, p), g, p)
-        if 1 < len(h) < len(g):
-            g = h
-        a += 1
-    return -g[0] % p
-
-
-@lru_cache(maxsize=256)
-def _degree_one_prime(minpoly: tuple[Fraction, ...]) -> tuple[int, int] | None:
-    primes = small_primes()
-    if len(minpoly) == 2:
-        return primes[0], 0
-    for p in primes:
-        if any(c.denominator % p == 0 for c in minpoly):
-            continue
-        m = [c.numerator * pow(c.denominator, -1, p) % p for c in minpoly]
-        if not m[0]:
-            return p, 0
-        # the nonzero roots of m in F_p are those of gcd(x^(p-1) - 1, m)
-        g = gcd_mod_p(_powmod_p(0, p - 1, m, p), m, p)
-        if len(g) > 1:
-            return p, _root_mod_p(g, p)
-    return None
-
-
 class NumberField:
     """Q[theta]/(m(theta)) for a monic polynomial m, presented by m."""
 
     def __init__(self, minpoly, gen: str = "theta"):
-        coeffs = _trim([_as_fraction(c) for c in minpoly])
+        coeffs = trim([_as_fraction(c) for c in minpoly])
         if len(coeffs) < 2:
             raise ValueError("minimal polynomial must have degree >= 1")
         if coeffs[-1] != 1:
@@ -386,12 +205,10 @@ class NumberField:
         return [tuple([int(c * den) for c in row]) for row in rows], den
 
     def degree_one_prime(self) -> tuple[int, int] | None:
-        """(p, rho) for the first p of small_primes() that divides no
-        denominator of m and at which m has a root rho mod p, so that
-        theta -> rho is a ring map Z_(p)[theta] -> F_p; (small_primes()[0],
-        0) in degree one, where every element is a rational number.  None
-        when no listed prime has a root.  Cached per minimal polynomial."""
-        return _degree_one_prime(self.minpoly)
+        """dense.degree_one_prime of m: theta -> rho is a ring map
+        Z_(p)[theta] -> F_p.  In degree one every element is a rational
+        number.  Cached per minimal polynomial."""
+        return degree_one_prime(self.minpoly)
 
     def mul(self, a: Ints, b: Ints) -> Ints:
         """den times the product of two integer coordinate tuples: the one
@@ -688,19 +505,13 @@ def json_fields(data, fields: dict[str, type], what: str) -> dict:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(k: int) -> tuple[int, ...]:
-    # Phi_k = (x^k - 1) / prod(Phi_d : d | k, d < k), by exact synthetic
+    # Phi_k = (x^k - 1) / prod(Phi_d : d | k, d < k), by exact long
     # division over Z: every Phi_d is monic with integer coefficients
     num = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
         if k % d == 0:
-            div = _cyclotomic_coeffs(d)
-            e = len(div) - 1
-            # in place: the quotient ends in num[e:], the remainder in num[:e]
-            for s in range(len(num) - 1, e - 1, -1):
-                for i in range(e):
-                    num[s - e + i] -= num[s] * div[i]
-            assert not any(num[:e])
-            num = num[e:]
+            num, rem = divide(num, _cyclotomic_coeffs(d))
+            assert not rem
     return tuple(num)
 
 

@@ -19,13 +19,15 @@ return FieldElements.  Operands over two fields, and a Poly times an int,
 Fraction or FieldElement, meet in the field that numfield.common_field
 gives.
 
-gcd_univariate is Euclid on dense lists of a univariate Poly's integer
-numerators (ints over a degree-one field, coordinate tuples otherwise),
-constant term first, without den, since a gcd ignores scalars.  It takes
-pseudo-remainders with NumberField.mul and divides each by the gcd of all
-its integer numerators (over QQ the primitive remainder sequence), so
-every step is exact and stays in ints; the last nonzero remainder is made
-monic with one field inverse.  Yun's squarefree_decomposition builds on it.
+Every walk of a polynomial in one variable as a coefficient list is in the
+dense module; _dense and _poly convert a Poly to a list of its integer
+numerators (ints over a degree-one field, coordinate tuples otherwise)
+without den, and back.  gcd_univariate is Euclid on those lists, since a
+gcd ignores scalars: pseudo-remainders (dense.prem), each divided by the
+gcd of its integer numerators (over QQ the primitive remainder sequence),
+so every step is exact and stays in ints; the last nonzero remainder is
+made monic with one field inverse.  Yun's squarefree_decomposition builds
+on it.
 
 separable_mod_p proves a product f of polynomials in one variable
 separable without building f or running that Euclid.  It takes the field's
@@ -35,7 +37,7 @@ numerators are integer coordinates, so they lie in Z_(p)[theta], and
 theta -> rho is a ring map Z_(p)[theta] -> F_p with a maximal kernel P.
 The images of the factors are multiplied in F_p, and f is proved separable
 when the image of lc(f) is nonzero and gcd(f mod P, (f mod P)') = 1 in
-F_p[t] (numfield.gcd_mod_p).  Why that is exact: a valuation ring O of the
+F_p[t] (dense.gcd_mod_p).  Why that is exact: a valuation ring O of the
 field dominates the localization at P (Chevalley).  Suppose f = h^2*q with
 h nonconstant.  By Gauss's lemma over O, h may be taken primitive, and
 then lc(h) is a unit, because lc(f) is.  So h mod P has positive degree,
@@ -53,27 +55,26 @@ and M the product of all the terms' D, the sum is P / M for the integer
 polynomial P = sum of c * (M / D) * prod(N_f**e).  Since
 ||g*h||_inf <= ||g||_1 * ||h||_inf <= ||g||_1 * ||h||_1, every coefficient
 of P is at most B = sum of |c| * (M / D) * prod(||N_f||_1**e) in absolute
-value.  Take 2^K > B.  If P != 0, let c_j be its lowest nonzero
-coefficient: P(2^K) = 2^(jK) * (c_j + 2^K * m) for an integer m, and
-c_j + 2^K * m != 0 because 0 < |c_j| < 2^K.  So P = 0 iff P(2^K) = 0, an
-exact answer from big-integer products.  K is a multiple of 8, at least the
-bit length of every N_f's coefficients too, so that N_f(2^K) is written
-coefficient by coefficient into bytes, in time linear in its size.  Before
-that, P(-1) is computed modulo the prime q = 2^61 - 1 from one signed sum
-of each factor's coefficients: P has integer coefficients, so
-P(-1) != 0 mod q proves P != 0, and a sum that is not zero, such as the two
-sides of a failing identity, usually costs no big-integer product at all.
-P(-1) = 0 mod q decides nothing; the evaluation at 2^K decides.
+value.  kronecker_bits finds 2^K > B from bit lengths alone, as M / D is
+the product of the other terms' D, a product has at most the summed bit
+lengths of its factors, and a sum of n terms adds at most the bit length
+of n.  If P != 0, let c_j be its lowest nonzero coefficient:
+P(2^K) = 2^(jK) * (c_j + 2^K * m) for an integer m, which is not 0 as
+0 < |c_j| < 2^K.  So P = 0 iff P(2^K) = 0, an exact answer from
+big-integer products.  K also covers every coefficient of every N_f and is
+rounded up to a multiple of 8, so that N_f(2^K) is written coefficient by
+coefficient into bytes (dense.at_power_of_two), in time linear in its size.
 
 The monomial order is lexicographic in the variable order, so exponent
 tuples compare directly.  Degrees in this project stay small (a few hundred
 at most), so the representation favors clarity: dense exponent vectors,
 sparse term maps.  Two operations read the shape of their operands instead.
-A product in one variable, such as every product of the certificate in t,
-accumulates its terms on int exponents and builds the (e,) keys once at the
-end; products in two or more variables add exponent tuples.  A power of one
-term c*m is c**n * m**n, computed without a Poly product (substitute raises
-variables this way); a base of two or more terms goes through numfield.power.
+A product of two Polys of two or more terms in one variable, such as the
+products of the certificate in t, is dense.mul of their lists; other
+products add exponent tuples, so a one-term factor costs one pass over the
+other's terms.  A power of one term c*m is c**n * m**n, computed without a
+Poly product (substitute raises variables this way); a base of two or more
+terms goes through numfield.power.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import add, neg, sub
 
+from .dense import at_power_of_two, derivative, gcd_mod_p, mul, mul_mod_p, prem, value
 from .numfield import (QQ, FieldElement, FieldMismatch, Ints, NumberField,
-                       common_field, gcd_mod_p, mul_mod_p, power)
+                       common_field, power)
 
 
 class ArityError(ValueError):
@@ -193,19 +195,11 @@ class Poly:
 
     def univariate_coeffs(self) -> list[FieldElement]:
         """Dense coefficient list (constant first) of a univariate Poly."""
-        if not self.terms:
-            return []
         if not self.is_univariate():
             raise ArityError(f"{self} is not univariate")
-        used = self.support_variables()
-        if not used:
-            return [self.constant_coeff()]
-        i = self.variables.index(used[0])
-        d = max(k[i] for k in self.terms)
-        out = [self.field.zero()] * (d + 1)
-        for k, c in self.terms.items():
-            out[k[i]] = self._coeff(c)
-        return out
+        if self.field.degree == 1:
+            return [self._coeff((c,)) for c in _dense(self)]
+        return [self._coeff(c) for c in _dense(self)]
 
     # -- alignment ---------------------------------------------------------
 
@@ -299,49 +293,28 @@ class Poly:
         a, b = self._pair(other)
         field = a.field
         den = a.den * b.den * field.den
-        # in one variable the products accumulate on int exponents, and the
-        # (e,) keys are built once at the end
-        one_var = len(a.variables) == 1
-        if field.degree == 1:
-            # NumberField.mul in degree one, inlined: one int per term
-            acc: dict = {}
-            get = acc.get
-            if one_var:
-                bt = [(e2, y) for (e2,), (y,) in b.terms.items()]
-                for (e1,), (x,) in a.terms.items():
-                    for e2, y in bt:
-                        e = e1 + e2
-                        acc[e] = get(e, 0) + x * y
-                terms = {(e,): (c,) for e, c in acc.items() if c}
-            else:
-                bt = [(k2, y) for k2, (y,) in b.terms.items()]
-                for k1, (x,) in a.terms.items():
-                    for k2, y in bt:
-                        k = tuple([*map(add, k1, k2)])
-                        acc[k] = get(k, 0) + x * y
-                terms = {k: (c,) for k, c in acc.items() if c}
-            return Poly(field, a.variables, terms, den)
-        mul = field.mul
-        acc = {}
+        rational = field.degree == 1
+        if len(a.variables) == 1 and len(a.terms) > 1 and len(b.terms) > 1:
+            return _poly(field, a.variables,
+                         mul(_dense(a), _dense(b), None if rational else field.mul), den)
+        acc: dict = {}
         get = acc.get
-        if one_var:
-            bt = [(e2, c2) for (e2,), c2 in b.terms.items()]
-            for (e1,), c1 in a.terms.items():
-                for e2, c2 in bt:
-                    e = e1 + e2
-                    c = mul(c1, c2)
-                    s = get(e)
-                    acc[e] = c if s is None else tuple([*map(add, s, c)])
-            terms = {(e,): c for e, c in acc.items() if any(c)}
-        else:
-            for k1, c1 in a.terms.items():
-                for k2, c2 in b.terms.items():
+        if rational:
+            # NumberField.mul in degree one, inlined: one int per term
+            bt = [(k2, y) for k2, (y,) in b.terms.items()]
+            for k1, (x,) in a.terms.items():
+                for k2, y in bt:
                     k = tuple([*map(add, k1, k2)])
-                    c = mul(c1, c2)
-                    s = get(k)
-                    acc[k] = c if s is None else tuple([*map(add, s, c)])
-            terms = {k: c for k, c in acc.items() if any(c)}
-        return Poly(field, a.variables, terms, den)
+                    acc[k] = get(k, 0) + x * y
+            return Poly(field, a.variables, {k: (c,) for k, c in acc.items() if c}, den)
+        times = field.mul
+        for k1, c1 in a.terms.items():
+            for k2, c2 in b.terms.items():
+                k = tuple([*map(add, k1, k2)])
+                c = times(c1, c2)
+                s = get(k)
+                acc[k] = c if s is None else tuple([*map(add, s, c)])
+        return Poly(field, a.variables, {k: c for k, c in acc.items() if any(c)}, den)
 
     __rmul__ = __mul__
 
@@ -564,94 +537,62 @@ def gcd_univariate(a: Poly, b: Poly) -> Poly:
     The result has the variables and field of a._pair(b): the zero Poly
     when both operands are zero, and the constant 1 when the gcd has degree
     0.  Euclid runs on pseudo-remainders of dense numerator lists (see
-    _dense and _prem); only a gcd of positive degree needs a field inverse,
-    to make it monic.
+    _dense and dense.prem); only a gcd of positive degree needs a field
+    inverse, to make it monic.
     """
     a, b = a._pair(b)
     used = set(a.support_variables()).union(b.support_variables())
     if len(used) > 1:
         raise ArityError("gcd requires univariate polynomials in one variable")
     field = a.field
+    times = None if field.degree == 1 else field.mul
     f, g = _dense(a), _dense(b)
     if len(f) < len(g):
         f, g = g, f
     while g:
-        f, g = g, _prem(field, f, g)
+        f, g = g, prem(f, g, times)
     if not f:
         return a
     if len(f) == 1:
         return Poly.constant(1, field, a.variables)
-    if field.degree == 1:
-        f = [(c,) for c in f]
-    inv, inv_den = field.inv(f[-1])
-    i = a.variables.index(used.pop())
-    terms = {}
-    for e, c in enumerate(f):
-        if any(c):
-            key = [0] * len(a.variables)
-            key[i] = e
-            terms[tuple(key)] = field.mul(c, inv)
-    return Poly(field, a.variables, terms, inv_den * field.den)
+    inv, inv_den = field.inv(f[-1] if times else (f[-1],))
+    f = [times(c, inv) for c in f] if times else [c * inv[0] for c in f]
+    return _poly(field, (used.pop(),), f, inv_den * field.den).with_variables(a.variables)
 
 
 def _dense(p: Poly) -> list:
-    """The coefficient numerators of a Poly in at most one variable,
-    constant term first, without p.den, which a gcd ignores: ints over a
-    degree-one field, integer coordinate tuples otherwise."""
-    rational = p.field.degree == 1
-    out = [0 if rational else (0,) * p.field.degree] * (p.total_degree() + 1)
-    for k, c in p.terms.items():
-        out[sum(k)] = c[0] if rational else c
+    """The coefficient numerators of a Poly in at most one variable as a
+    list (see the dense module), without p.den: ints over a degree-one
+    field, integer coordinate tuples otherwise."""
+    terms = p.terms if len(p.variables) == 1 else {(sum(k),): c for k, c in p.terms.items()}
+    size = max(terms, default=(-1,))[0] + 1
+    if p.field.degree == 1:
+        out = [0] * size
+        for (e,), (c,) in terms.items():
+            out[e] = c
+        return out
+    out = [(0,) * p.field.degree] * size
+    for (e,), c in terms.items():
+        out[e] = c
     return out
 
 
-def _prem(field: NumberField, u: list, v: list) -> list:
-    """The primitive part of a pseudo-remainder of u by v, for dense
-    numerator lists as _dense makes them with len(u) >= len(v) and a
-    nonzero top entry.
-
-    Each step cancels the top entry of r: r <- l*r - c*t^s*v, with l the
-    leading coefficient of v and c that of r, and ends by dividing out the
-    gcd of all integer numerators.  Both steps multiply r by a nonzero
-    constant, so the result is an exact scalar multiple of the remainder of
-    u by v over the field.  Over QQ, l and c are first divided by their
-    gcd, and the entries are plain ints, multiplied without
-    NumberField.mul (as in Poly.__mul__)."""
-    n = len(v) - 1
-    lv, head = v[-1], v[:-1]
-    r = u
+def _poly(field: NumberField, variables: tuple[str, ...], c: list, den: int = 1) -> Poly:
+    """The Poly in the one variable of variables whose numerators over den
+    are the list c, as _dense makes it."""
     if field.degree == 1:
-        while len(r) > n:
-            c, s = r[-1], len(r) - 1 - n
-            g = gcd(lv, c)
-            x, y = lv // g, c // g
-            r = [x * ri for ri in r[:s]] + [x * ri - y * vi for ri, vi in zip(r[s:-1], head)]
-            while r and not r[-1]:
-                r.pop()
-        g = gcd(*r)
-        return [ri // g for ri in r] if g > 1 else r
-    mul = field.mul
-    while len(r) > n:
-        c, s = r[-1], len(r) - 1 - n
-        r = [mul(lv, ri) for ri in r[:s]] + [tuple([*map(sub, mul(lv, ri), mul(c, vi))])
-                                             for ri, vi in zip(r[s:-1], head)]
-        while r and not any(r[-1]):
-            r.pop()
-    g = gcd(*[x for ri in r for x in ri])
-    return [tuple([x // g for x in ri]) for ri in r] if g > 1 else r
+        return Poly(field, variables, {(e,): (x,) for e, x in enumerate(c) if x}, den)
+    return Poly(field, variables, {(e,): x for e, x in enumerate(c) if any(x)}, den)
 
 
 def separable_mod_p(factors: list[Poly]) -> bool:
     """True when the product f of the given polynomials, all in the same
     one variable, is proved separable by its image modulo the degree-one
     prime of their common field; False means only "not proved" (see the
-    module docstring for the proof).
-
-    Each factor's numerators go to F_p by theta -> rho, and the images are
-    multiplied there, so f itself is never built.  The proof needs the
-    image of lc(f) to be nonzero, that is, every factor keeps its degree
-    (a zero factor is never proved), and gcd(f mod P, (f mod P)') = 1 in
-    F_p[t]."""
+    module docstring for the proof).  The images of the factors' numerators
+    under theta -> rho are multiplied in F_p, so f itself is never built;
+    every factor must keep its degree there (a zero factor is never
+    proved)."""
     field = common_field(*[f.field for f in factors])
     variables = factors[0].variables
     if len(variables) != 1 or any(f.variables != variables for f in factors):
@@ -660,25 +601,16 @@ def separable_mod_p(factors: list[Poly]) -> bool:
     if prime is None:
         return False
     p, rho = prime
-    powers = [pow(rho, i, p) for i in range(field.degree)]
     prod = [1]
     for f in factors:
-        if not f.terms:
-            return False
-        image = [0] * (max(f.terms)[0] + 1)
         if f.field.degree == 1:
-            for (e,), (c,) in f.terms.items():
-                image[e] = c % p
+            image = [c % p for c in _dense(f)]
         else:
-            for (e,), c in f.terms.items():
-                image[e] = sum([x * y for x, y in zip(c, powers)]) % p
-        if not image[-1]:
+            image = [value(c, rho) % p for c in _dense(f)]
+        if not image or not image[-1]:
             return False
         prod = mul_mod_p(prod, image, p)
-    derivative = [i * c % p for i, c in enumerate(prod)][1:]
-    while derivative and not derivative[-1]:
-        derivative.pop()
-    return gcd_mod_p(prod, derivative, p) == [1]
+    return gcd_mod_p(prod, derivative(prod, p), p) == [1]
 
 
 def kronecker_vanishes(terms: list[tuple[int, list[tuple[Poly, int]]]]) -> bool:
@@ -688,37 +620,24 @@ def kronecker_vanishes(terms: list[tuple[int, list[tuple[Poly, int]]]]) -> bool:
     module docstring); no product of polynomials is built."""
     dens = [prod([f.den ** e for f, e in factors]) for _, factors in terms]
     m = prod(dens)
-    # the terms of the integer polynomial P, and the distinct factors
-    scaled = [(c * (m // den), factors) for (c, factors), den in zip(terms, dens)]
-    polys = {id(f): f for _, factors in terms for f, _ in factors}
-    q = (1 << 61) - 1
-    at = {i: sum([-c if e & 1 else c for (e,), (c,) in f.terms.items()])
-          for i, f in polys.items()}
-    if sum([c * prod([pow(at[id(f)], e, q) for f, e in factors]) for c, factors in scaled]) % q:
-        return False   # P(-1) != 0 mod q proves P != 0
-    norms = {i: sum([abs(c) for (c,) in f.terms.values()]) for i, f in polys.items()}
-    bound = sum([abs(c) * prod([norms[id(f)] ** e for f, e in factors]) for c, factors in scaled])
-    width = (max([bound, *norms.values()]).bit_length() + 7) // 8
-    total = 0
-    for c, factors in scaled:
-        for f, e in factors:
-            c *= _at_power_of_two(f, width) ** e
-        total += c
-    return total == 0
+    width = (kronecker_bits(terms) + 7) // 8
+    at = {id(f): at_power_of_two(_dense(f), width) for _, factors in terms for f, _ in factors}
+    return sum([c * (m // den) * prod([at[id(f)] ** e for f, e in factors])
+                for (c, factors), den in zip(terms, dens)]) == 0
 
 
-def _at_power_of_two(f: Poly, width: int) -> int:
-    """The integer numerators of f, a polynomial in one variable over a
-    degree-one field, evaluated at t = 2^(8*width) by writing each into its
-    own width bytes; each must be below 2^(8*width) in absolute value."""
-    size = width * (max(f.terms, default=(-1,))[0] + 1)
-    pos, neg = bytearray(size), bytearray(size)
-    for (e,), (c,) in f.terms.items():
-        if c > 0:
-            pos[e * width:(e + 1) * width] = c.to_bytes(width, "little")
-        else:
-            neg[e * width:(e + 1) * width] = (-c).to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+def kronecker_bits(terms: list[tuple[int, list[tuple[Poly, int]]]]) -> int:
+    """A K with 2^K above every coefficient of the integer polynomial P of
+    kronecker_vanishes and of every N_f, from bit lengths alone (see the
+    module docstring); over a field of degree > 1, where every coordinate
+    counts toward ||N_f||_1, a size estimate of the same sum."""
+    den_bits = [sum([e * f.den.bit_length() for f, e in factors]) for _, factors in terms]
+    norm_bits = {id(f): sum([abs(x) for c in f.terms.values() for x in c]).bit_length()
+                 for _, factors in terms for f, _ in factors}
+    total = sum(den_bits)
+    term_bits = [abs(c).bit_length() + total - own + sum([e * norm_bits[id(f)] for f, e in factors])
+                 for (c, factors), own in zip(terms, den_bits)]
+    return max([len(terms).bit_length() + max(term_bits, default=0), *norm_bits.values()])
 
 
 def monic(p: Poly) -> Poly:

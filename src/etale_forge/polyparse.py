@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from functools import lru_cache
 from operator import add
 
 from .numfield import QQ, FieldElement, NumberField, format_terms, power_terms
@@ -428,9 +429,11 @@ def parse_poly(text: str, vars, field: NumberField = QQ) -> Poly:
     return _Parser(text, vars, field).parse()
 
 
+@lru_cache(maxsize=256)
 def field_from_string(text: str) -> NumberField:
     """The field that text names: "QQ", or a monic minimal polynomial in
-    one generator symbol of degree at most MAX_FIELD_DEGREE."""
+    one generator symbol of degree at most MAX_FIELD_DEGREE.  Cached per
+    text, since a NumberField is never mutated (an error is not cached)."""
     if text.strip() == "QQ":
         return QQ
     names = {tok for tok in _tokenize(text) if _is_symbol(tok)}

@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -224,6 +225,19 @@ def test_verify_endo_output_matches_golden(tmp_path):
     assert _verify_endo_replay(tmp_path, docs) == golden
 
 
+def test_verify_endo_rejects_an_oversized_c1_at_once(tmp_path):
+    # a parser-valid document whose failing C1 held the certificate for minutes
+    doc = tmp_path / "c1.json"
+    doc.write_text(json.dumps({**_CHEB_D3, "r": 999, "d": 1999, "lambda": ["1"],
+                               "R0": "1", "R1": "1 - t",
+                               "R2": "123456789012345678901234567890*t + 1"}))
+    start = time.perf_counter()
+    res = run_cli("verify-endo", "--params", str(doc), "--json")
+    assert time.perf_counter() - start < 1
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr.startswith("error: the coefficients of C1 may have ")
+
+
 def test_seed_flag_is_a_usage_error():
     fixture = default_fixture_dir() / "cheb_d3.json"
     res = run_cli("--seed", "1", "verify-endo", "--params", str(fixture), "--json")
@@ -431,15 +445,15 @@ def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
     argv = [a.replace("FIXTURES", str(default_fixture_dir())) for a in argv]
     res = subprocess.run([sys.executable, "-c", _LOADED, *argv],
                          capture_output=True, text=True, check=True, env=CHILD_ENV)
-    shared = {"cli", "numfield", "polyalg", "polyparse"}
+    shared = {"cli", "dense", "numfield", "polyalg", "polyparse"}
     assert res.stdout.split() == ["0"] + sorted(f"etale_forge.{m}"
                                                 for m in shared | loaded)
 
 
 # the README's load order: a module imports only modules of lower rank
-LOAD_ORDER = {"numfield": 0, "polyalg": 1, "polyparse": 2, "chebyshab": 2,
-              "surface": 2, "endo": 3, "miyanishi": 3, "constructor": 4,
-              "family": 5, "reproduce": 6}
+LOAD_ORDER = {"dense": 0, "numfield": 1, "polyalg": 2, "polyparse": 3, "chebyshab": 3,
+              "surface": 3, "endo": 4, "miyanishi": 4, "constructor": 5,
+              "family": 6, "reproduce": 7}
 
 
 def _top_level_imports(module: str) -> set:

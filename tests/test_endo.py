@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from etale_forge import endo
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U, extract_profile, thom_feasible
 from etale_forge.constructor import chebyshev_endo, cyclic_galois_endo
-from etale_forge.endo import (CertificateRequired, DegreeUndetermined,
+from etale_forge.endo import (MAX_C1_BITS, CertificateRequired, DegreeUndetermined,
                               EtaleParams, NotAMorphism,
                               SourceTargetMismatch, apply_map,
                               base_polynomial, build_from_params,
@@ -419,6 +419,21 @@ def test_params_from_json_bounds_the_c1_degrees():
         assert getattr(read, name) == T ** allowed
         with pytest.raises(ValueError, match="C1 of degree 100[12] exceeds the bound 1000"):
             params_from_json({**doc, name: f"t^{refused}"})
+
+
+def test_params_from_json_bounds_the_size_of_c1():
+    # R2^999 with 97-bit coefficients: building its C1 witness took minutes
+    doc = {"k": 2, "r": 999, "a": 1, "alpha": 1, "d": 1999, "field": "QQ",
+           "lambda": ["1"], "R0": "1", "R1": "1 - t"}
+    with pytest.raises(ValueError, match=f"C1 may have 969[0-9]{{2}} bits, above "
+                                         f"the bound {MAX_C1_BITS}"):
+        params_from_json({**doc, "R2": "123456789012345678901234567890*t + 1"})
+    assert params_from_json({**doc, "R2": "7*t + 1"}).R2 == 7 * T + 1
+
+
+def test_documents_naming_one_field_share_it():
+    doc = json.loads((default_fixture_dir() / "galois_k3.json").read_text())["params"]
+    assert params_from_json(doc).field is params_from_json(dict(doc)).field
 
 
 def test_chebyshev_document_at_the_degree_bound_reads_back():

@@ -8,11 +8,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from etale_forge import numfield
+from etale_forge.dense import rational_roots, small_primes
 from etale_forge.endo import SurfaceMap
 from etale_forge.numfield import (QQ, DivisionByZero, FieldElement,
                                   FieldMismatch, NumberField,
-                                  ReduciblePolynomial, cyclotomic_field,
-                                  rational_roots)
+                                  ReduciblePolynomial, cyclotomic_field)
 from etale_forge.polyalg import Poly
 from etale_forge.polyparse import field_from_string, field_name
 from etale_forge.surface import tilde_surface
@@ -480,7 +480,7 @@ def _residues(field, p):
 
 @needs_sympy
 def test_small_primes_are_the_odd_primes_below_2_15_largest_first():
-    assert numfield.small_primes() == tuple(sympy.primerange(3, 2 ** 15))[::-1]
+    assert small_primes() == tuple(sympy.primerange(3, 2 ** 15))[::-1]
 
 
 @needs_sympy
@@ -490,7 +490,7 @@ def test_small_primes_are_the_odd_primes_below_2_15_largest_first():
     NumberField([Fraction(2, 3), Fraction(2, 3), 0, 0, 0, 1])])
 def test_degree_one_prime_is_the_first_listed_prime_with_a_root(field):
     p, rho = field.degree_one_prime()
-    primes = numfield.small_primes()
+    primes = small_primes()
     assert sum(c * pow(rho, i, p) for i, c in enumerate(_residues(field, p))) % p == 0
     x = sympy.Symbol("x")
     for q in primes[:primes.index(p)]:
@@ -501,12 +501,12 @@ def test_degree_one_prime_is_the_first_listed_prime_with_a_root(field):
 
 
 def test_degree_one_prime_examples():
-    first = numfield.small_primes()[0]
+    first = small_primes()[0]
     assert QQ.degree_one_prime() == (first, 0)
     assert NumberField([5, 1]).degree_one_prime() == (first, 0)
     # Q(zeta_17) has a root mod p only for p = 1 mod 17: the 17th listed prime
     p, _ = cyclotomic_field(17).degree_one_prime()
-    assert p % 17 == 1 and numfield.small_primes().index(p) == 16
+    assert p % 17 == 1 and small_primes().index(p) == 16
     # a prime that divides a denominator of m is skipped
     p, rho = NumberField([Fraction(1, first), 0, 1]).degree_one_prime()
     assert p != first and (rho * rho * first + 1) % p == 0

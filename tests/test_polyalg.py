@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U
+from etale_forge.dense import small_primes
 from etale_forge.numfield import (QQ, FieldElement, FieldMismatch,
-                                  NumberField, cyclotomic_field, small_primes)
+                                  NumberField, cyclotomic_field)
 from etale_forge.polyalg import (ArityError, NotDivisible, Poly, compose,
                                  divmod_poly, exact_div, gcd_univariate,
                                  kronecker_vanishes, monic, multiplicity_profile,
