@@ -5,11 +5,10 @@ A list holds the coefficients constant term first, with no zero top entry,
 and [] is the zero polynomial.  Its entries are ints (over Z, or residues
 mod a prime p below 2^15, so that a product of two fits in one 30-bit
 CPython digit), Fractions where a function says so, or the integer
-coordinate tuples of a Poly term over Q(theta), multiplied by a field
-multiply passed as `times` (NumberField.mul).  polyalg._dense and
-polyalg._poly convert a Poly to and from a list.  The algorithms are the
-standard ones (von zur Gathen and Gerhard, Modern Computer Algebra,
-ch. 3-4 and 14).
+coordinate tuples of a Poly term over Q(theta), multiplied by `times`
+(NumberField.mul).  polyalg._dense and polyalg._poly convert a Poly to and
+from a list.  The algorithms are those of von zur Gathen and Gerhard,
+Modern Computer Algebra, ch. 3-4 and 14.
 """
 
 from __future__ import annotations

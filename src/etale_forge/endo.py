@@ -329,12 +329,10 @@ _PARAM_FIELDS = {"k": int, "r": int, "a": int, "alpha": int, "d": int,
                  "field": str, "lambda": list, "R0": str, "R1": str, "R2": str}
 
 
-# Bounds kronecker_bits of C1, the bit length of the coefficients of
-# lhs - rhs as estimated before any product.  It reads 2,567 for
-# chebyshev_endo(999), the largest construction (66 for Q(zeta_17), at most
-# 173 on the certify benchmark's documents): a margin of about 4.  Just
-# below it, R2 = 511*t + 1 with r = 999 (9,998 bits) fails C1 in about 5 s
-# (2-vCPU Xeon); R2 = 123456789012345678901234567890*t + 1 (96,911) took minutes.
+# Bounds kronecker_bits of C1: 2,567 for chebyshev_endo(999), the largest
+# construction, so a margin of about 4.  R2 = 511*t + 1 with r = 999 (9,998)
+# fails C1 in about 5 s (2-vCPU Xeon), R2 = 123456789012345678901234567890*t
+# + 1 (96,911) took minutes.
 MAX_C1_BITS = 10_000
 
 

@@ -30,14 +30,12 @@ made monic with one field inverse.  Yun's squarefree_decomposition builds
 on it.
 
 separable_mod_p proves a product f of polynomials in one variable
-separable without building f or running that Euclid.  It takes the field's
-degree-one prime (p, rho) (NumberField.degree_one_prime): p divides no
-denominator of the minimal polynomial m, and m(rho) = 0 mod p.  The
-numerators are integer coordinates, so they lie in Z_(p)[theta], and
-theta -> rho is a ring map Z_(p)[theta] -> F_p with a maximal kernel P.
-The images of the factors are multiplied in F_p, and f is proved separable
-when the image of lc(f) is nonzero and gcd(f mod P, (f mod P)') = 1 in
-F_p[t] (dense.gcd_mod_p).  Why that is exact: a valuation ring O of the
+separable without building f or running that Euclid.  With the field's
+degree-one prime (p, rho) (NumberField.degree_one_prime), theta -> rho is
+a ring map Z_(p)[theta] -> F_p with a maximal kernel P, and the integer
+coordinates of the numerators lie in Z_(p)[theta].  The images of the
+factors are multiplied in F_p, and f is proved separable when the image of
+lc(f) is nonzero and gcd(f mod P, (f mod P)') = 1 in F_p[t].  Why that is exact: a valuation ring O of the
 field dominates the localization at P (Chevalley).  Suppose f = h^2*q with
 h nonconstant.  By Gauss's lemma over O, h may be taken primitive, and
 then lc(h) is a unit, because lc(f) is.  So h mod P has positive degree,
@@ -197,9 +195,7 @@ class Poly:
         """Dense coefficient list (constant first) of a univariate Poly."""
         if not self.is_univariate():
             raise ArityError(f"{self} is not univariate")
-        if self.field.degree == 1:
-            return [self._coeff((c,)) for c in _dense(self)]
-        return [self._coeff(c) for c in _dense(self)]
+        return [self._coeff(c if isinstance(c, tuple) else (c,)) for c in _dense(self)]
 
     # -- alignment ---------------------------------------------------------
 
@@ -293,10 +289,21 @@ class Poly:
         a, b = self._pair(other)
         field = a.field
         den = a.den * b.den * field.den
-        rational = field.degree == 1
-        if len(a.variables) == 1 and len(a.terms) > 1 and len(b.terms) > 1:
-            return _poly(field, a.variables,
-                         mul(_dense(a), _dense(b), None if rational else field.mul), den)
+        rational, times = field.degree == 1, field.mul
+        if len(a.terms) == 1:
+            a, b = b, a
+        if len(b.terms) == 1:
+            # one term c*m: one product per term of a, nothing to accumulate
+            ((m, c),) = b.terms.items()
+            if rational:
+                terms = {tuple([*map(add, k, m)]): (x * c[0],) for k, (x,) in a.terms.items()}
+            else:
+                terms = {tuple([*map(add, k, m)]): x for k, y in a.terms.items()
+                         if any(x := times(y, c))}
+            return Poly(field, a.variables, terms, den)
+        if len(a.variables) == 1:
+            return _poly(field, a.variables, mul(_dense(a), _dense(b), None if rational else times),
+                         den)
         acc: dict = {}
         get = acc.get
         if rational:
@@ -307,7 +314,6 @@ class Poly:
                     k = tuple([*map(add, k1, k2)])
                     acc[k] = get(k, 0) + x * y
             return Poly(field, a.variables, {k: (c,) for k, c in acc.items() if c}, den)
-        times = field.mul
         for k1, c1 in a.terms.items():
             for k2, c2 in b.terms.items():
                 k = tuple([*map(add, k1, k2)])
@@ -603,10 +609,8 @@ def separable_mod_p(factors: list[Poly]) -> bool:
     p, rho = prime
     prod = [1]
     for f in factors:
-        if f.field.degree == 1:
-            image = [c % p for c in _dense(f)]
-        else:
-            image = [value(c, rho) % p for c in _dense(f)]
+        image = ([c % p for c in _dense(f)] if f.field.degree == 1
+                 else [value(c, rho) % p for c in _dense(f)])
         if not image or not image[-1]:
             return False
         prod = mul_mod_p(prod, image, p)
