@@ -29,20 +29,21 @@ so every step is exact and stays in ints; the last nonzero remainder is
 made monic with one field inverse.  Yun's squarefree_decomposition builds
 on it.
 
-separable_mod_p proves a product f of polynomials in one variable
-separable without building f or running that Euclid.  With the field's
-degree-one prime (p, rho) (NumberField.degree_one_prime), theta -> rho is
-a ring map Z_(p)[theta] -> F_p with a maximal kernel P, and the integer
-coordinates of the numerators lie in Z_(p)[theta].  The images of the
-factors are multiplied in F_p, and f is proved separable when the image of
-lc(f) is nonzero and gcd(f mod P, (f mod P)') = 1 in F_p[t].  Why that is exact: a valuation ring O of the
-field dominates the localization at P (Chevalley).  Suppose f = h^2*q with
-h nonconstant.  By Gauss's lemma over O, h may be taken primitive, and
-then lc(h) is a unit, because lc(f) is.  So h mod P has positive degree,
-its square divides f mod P in the residue field of O, and gcd(f mod P,
-(f mod P)') != 1 there and hence in F_p[t].  A scalar such as den changes
-nothing.  Failure means "not proved", never "not separable": a caller that
-needs the answer, or the repeated factor, then runs gcd_univariate.
+separable_mod_p proves a product f of polynomials in one variable separable
+without building f or running that Euclid.  With the field's degree-one
+prime (p, rho) (NumberField.degree_one_prime), theta -> rho is a ring map
+Z_(p)[theta] -> F_p with a maximal kernel P, and the integer coordinates of
+the numerators lie in Z_(p)[theta].  The images of the factors are
+multiplied in F_p, and f is proved separable when the image of lc(f) is
+nonzero and gcd(f mod P, (f mod P)') = 1 in F_p[t].  Why that is exact: a
+valuation ring O of the field dominates the localization at P (Chevalley).
+Suppose f = h^2*q with h nonconstant.  By Gauss's lemma over O, h may be
+taken primitive, and then lc(h) is a unit, because lc(f) is.  So h mod P
+has positive degree, its square divides f mod P in the residue field of O,
+and gcd(f mod P, (f mod P)') != 1 there and hence in F_p[t].  A scalar such
+as den changes nothing.  Failure means "not proved", never "not separable":
+a caller that needs the answer, or the repeated factor, then runs
+gcd_univariate.
 
 kronecker_vanishes decides whether a sum of terms c * prod(f**e), each f a
 polynomial in one variable over a degree-one field, is zero without
