@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .constructor import PreconditionViolated, factor_through_cover
+from .dense import trim
 from .endo import EtaleParams, SurfaceMap, compose_maps
 from .numfield import QQ, FieldElement
 from .polyalg import ArityError, Poly
@@ -208,8 +209,5 @@ def family_pairwise_distinct(f_list: list[FamilySpec]) -> bool:
     for f in f_list:
         if (f.k, f.rbar) != (k, rbar) or f.base != base:
             raise ValueError("family members must share (k, rbar, base)")
-        av = list(f.avector)
-        while av and av[-1].is_zero():
-            av.pop()
-        canon.add(tuple(av))
+        canon.add(tuple(trim(list(f.avector))))
     return len(canon) == len(f_list)
