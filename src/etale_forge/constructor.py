@@ -55,8 +55,9 @@ def chebyshev_endo(d: int, lam: FieldElement | int = 1) -> EtaleParams:
         raise ValueError("lambda must be nonzero")
     field = lam.field
     z = Poly.variable("z", field)
-    Td = chebyshev_T(d).with_field(field).substitute({"x": z})
-    Ud1 = chebyshev_U(d - 1).with_field(field).substitute({"x": z})
+    Td, Ud1 = (Poly(field, ("z",), T.terms, T.den)
+               for T in (chebyshev_T(d).with_field(field),
+                         chebyshev_U(d - 1).with_field(field)))
     # T_d(z) = z * G(z^2) and U_(d-1)(z) = H(z^2) for odd d
     r1 = zk_to_t(exact_div(Td, z), 2)
     r2 = zk_to_t(Ud1, 2) * Fraction(1, d)

@@ -398,6 +398,9 @@ def ri_degrees(k: int, r: int, alpha: int, d: int) -> tuple[Fraction, Fraction, 
 class EtaleCertificate:
     """Named exact checks; the verdict is their conjunction.
 
+    C3_separability holds by proof when C1_identity and C2_degrees both
+    hold (see etale_certificate); otherwise it is decided by
+    polyalg.separable_mod_p and, when that test fails, by the exact gcd.
     witnesses maps a failing check to why it fails: C1_identity to the
     residual lhs - rhs, C2_degrees to the expected (d0, d1, d2) and the
     actual degrees of (R0, R1, R2), C3_separability to the repeated factor
@@ -435,10 +438,42 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
     C4  d = alpha + r(1-alpha)  mod k(r-1)
     C5  alpha = 1, or k | r and alpha = 0 (with a = 1)
 
-    C3's separability is first decided modulo the field's degree-one prime
-    by polyalg.separable_mod_p, an exact proof (see polyalg).  Only when
-    that test fails is f built and gcd_univariate(f, f') run, and that gcd
-    decides the check and is its witness.
+    When C1 and C2 hold, they prove C3's separability, and nothing is
+    computed for it.  Count roots in an algebraic closure of the field,
+    with eta = 1 - (1-t)^alpha R1^k, e = (1-alpha)r/k and d0, d1, d2 the
+    degrees of R0, R1, R2, and n0, n1 the numbers of distinct roots of
+    eta and eta - 1.
+
+    Lower bound.  By C2 and ri_degrees, k*d1 = d - alpha, so eta has
+    degree alpha + k*d1 = d >= 1 and eta' = (eta - 1)' has degree d - 1.
+    gcd(eta, eta') and gcd(eta - 1, eta') are coprime divisors of eta', of
+    degrees d - n0 and d - n1, so n0 + n1 >= d + 1.
+
+    Upper bound.  By C1, eta = t (1-t)^e R0 R2^r and eta - 1 =
+    -(1-t)^alpha R1^k, so n0 <= 1 + [e > 0] + d0 + d2 and
+    n1 <= alpha + d1.  By ri_degrees that sum is d + 1:
+      alpha = 1: e = 0, d1 = (r-1) d2 and d0 = (k(r-1) - r) d2, so the sum
+        is 2 + k(r-1) d2 = 2 + (d - 1);
+      alpha = 0: C1 holds only with C5, so k | r and e = r/k >= 1;
+        d1 = (r-1) d2 + r/k and d0 = (k d2 + 1)(r - 1 - r/k), so the sum
+        is 2 + k(r-1) d2 + r - 1 = 2 + (d - r) + r - 1.
+
+    Conclusion.  Both bounds are equalities, so the roots they list are
+    distinct: R0 and R2 have simple roots, none shared, none at 0 and,
+    when e > 0, none at 1; R1 has simple roots and, when alpha = 1, none
+    at 1.  As eta and eta - 1 share no root, R1 is prime to R0 R2, and 1,
+    a root of eta when e > 0 and of eta - 1 when alpha = 1 (one of the two
+    holds), is a root of none of R0, R1, R2.  So R0, R1 and R2 are
+    squarefree, pairwise coprime and prime to 1 - t: f = (1-t) R0 R1 R2 is
+    separable.
+    The count assumes that the coefficients form a field, as every other
+    check does (numfield takes a minimal polynomial of degree above 4 to
+    be irreducible).
+
+    When C1 or C2 fails, C3's separability is decided modulo the field's
+    degree-one prime by polyalg.separable_mod_p, an exact proof (see
+    polyalg).  Only when that test fails is f built and gcd_univariate(f,
+    f') run, and that gcd decides the check and is its witness.
 
     Over a degree-one field C1 is decided by one exact Kronecker evaluation
     of lhs - rhs (polyalg.kronecker_vanishes of _c1_terms; see polyalg for
@@ -476,7 +511,9 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
                 witnesses["C1_identity"] = lhs - rhs
 
     t = Poly.variable("t", field)
-    checks["C3_separability"] = separable_mod_p([1 - t, p.R0, p.R1, p.R2])
+    # C1 and C2 prove separability by the root count above
+    checks["C3_separability"] = (checks["C1_identity"] and checks["C2_degrees"]
+                                 or separable_mod_p([1 - t, p.R0, p.R1, p.R2]))
     if not checks["C3_separability"]:
         sep_poly = (1 - t) * p.R0 * p.R1 * p.R2
         repeated = gcd_univariate(sep_poly, sep_poly.derivative())

@@ -43,7 +43,8 @@ has positive degree, its square divides f mod P in the residue field of O,
 and gcd(f mod P, (f mod P)') != 1 there and hence in F_p[t].  A scalar such
 as den changes nothing.  Failure means "not proved", never "not separable":
 a caller that needs the answer, or the repeated factor, then runs
-gcd_univariate.
+gcd_univariate.  endo.etale_certificate calls it only when C1 or C2
+fails: when both hold, a root count proves C3's separability (see there).
 
 kronecker_vanishes decides whether a sum of terms c * prod(f**e), each f a
 polynomial in one variable over a degree-one field, is zero without

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,9 @@ from etale_forge.endo import (MAX_C1_BITS, CertificateRequired, DegreeUndetermin
                               params_from_json, zk_compatible, zk_to_t)
 from etale_forge.family import covering
 from etale_forge.numfield import QQ, FieldElement, NumberField
-from etale_forge.polyalg import Poly, compose, kronecker_vanishes, monic, variables
+from etale_forge.polyalg import (Poly, compose, exact_div, gcd_univariate,
+                                 kronecker_vanishes, monic, separable_mod_p,
+                                 variables)
 from etale_forge.polyparse import print_poly
 from etale_forge.reproduce import build_corpus, default_fixture_dir
 from etale_forge.surface import (SurfacePoint, hyper_surface, normal_form,
@@ -32,6 +35,7 @@ H21 = hyper_surface(2, 1)
 X, Y, Z = (Poly.variable(v, QQ, S22.vars) for v in S22.vars)
 U, V, W = (Poly.variable(v, QQ, H21.vars) for v in H21.vars)
 T = Poly.variable("t", QQ)
+VERIFY_ENDO_GOLDEN = Path(__file__).parent / "golden" / "verify_endo.json"
 
 
 def identity(s):
@@ -284,17 +288,76 @@ def _degree199_params():
 
 def test_certificate_c3_passes_without_the_exact_gcd(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the exact gcd ran on a separable product")
+        raise AssertionError("a C3 test ran on a separable product")
 
+    corpus = build_corpus()
     monkeypatch.setattr(endo, "gcd_univariate", refuse)
-    for name, p in build_corpus():
-        assert etale_certificate(p).verdict, name
+    with monkeypatch.context() as m:
+        # C1 and C2 hold on the corpus, and prove C3's separability
+        m.setattr(endo, "separable_mod_p", refuse)
+        for name, p in corpus:
+            assert etale_certificate(p).verdict, name
     cert = etale_certificate(_degree199_params())
     assert cert.checks["C3_separability"]
     assert "C3_separability" not in cert.witnesses
 
 
+def test_c1_and_c2_imply_separability_by_independent_methods():
+    # the root count of etale_certificate, cross-checked by the modular test
+    # and by the exact gcd on the corpus and the verify-endo golden documents
+    corpus = build_corpus()
+    golden = json.loads(VERIFY_ENDO_GOLDEN.read_text())
+    docs = corpus + [(name, params_from_json(data["params"]))
+                     for name, data, _, _ in golden if "params" in data]
+    proved = 0
+    for name, p in docs:
+        cert = etale_certificate(p)
+        if not (cert.checks["C1_identity"] and cert.checks["C2_degrees"]):
+            continue
+        t = Poly.variable("t", p.field)
+        f = (1 - t) * p.R0 * p.R1 * p.R2
+        assert cert.checks["C3_separability"], name
+        assert separable_mod_p([1 - t, p.R0, p.R1, p.R2]), name
+        assert gcd_univariate(f, f.derivative()).total_degree() == 0, name
+        proved += 1
+    # exactly the certified documents: each tampered copy breaks C1 or C2
+    assert proved == len(corpus) + sum(
+        1 for _, data, code, _ in golden if "params" in data and code == 0)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_c3_is_decided_when_c1_holds_without_c2(d):
+    # R1 = (1 - 3t)^2 satisfies C1 with R2 = 1, but has the wrong degree, so
+    # separability is not proved by the count and its repeated factor shows
+    r1 = (1 - 3 * T) ** 2
+    p = EtaleParams(k=2, r=2, a=1, alpha=1, d=d, lam=QQ.elem(1),
+                    R0=exact_div(1 - (1 - T) * r1 ** 2, T), R1=r1, R2=1)
+    cert = etale_certificate(p)
+    assert cert.checks["C1_identity"] and not cert.checks["C2_degrees"]
+    assert not cert.checks["C3_separability"]
+    assert cert.witnesses["C3_separability"] == T - Fraction(1, 3)
+
+
 RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_c3_decision_matches_the_exact_gcd(data):
+    # documents where C1 holds: C2 holds too on the Chebyshev ones and on
+    # R1 = 1 with d = 1, where the count decides C3, and fails elsewhere
+    if data.draw(st.booleans()):
+        lam = data.draw(RATIONAL.filter(bool))
+        p = chebyshev_endo(2 * data.draw(st.integers(0, 7)) + 1, QQ.elem(lam))
+    else:
+        k = data.draw(st.integers(2, 3))
+        r1 = _t_poly(QQ, [1] + data.draw(st.lists(RATIONAL, max_size=3)))
+        p = EtaleParams(k=k, r=data.draw(st.integers(2, 3)), a=1, alpha=1,
+                        d=data.draw(st.integers(1, 9)), lam=QQ.elem(1),
+                        R0=exact_div(1 - (1 - T) * r1 ** k, T), R1=r1, R2=1)
+    f = (1 - T) * p.R0 * p.R1 * p.R2
+    assert etale_certificate(p).checks["C3_separability"] == (
+        gcd_univariate(f, f.derivative()).total_degree() == 0)
 
 
 def _t_poly(field, coeffs):
