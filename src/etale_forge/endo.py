@@ -465,10 +465,9 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
     a root of eta when e > 0 and of eta - 1 when alpha = 1 (one of the two
     holds), is a root of none of R0, R1, R2.  So R0, R1 and R2 are
     squarefree, pairwise coprime and prime to 1 - t: f = (1-t) R0 R1 R2 is
-    separable.
-    The count assumes that the coefficients form a field, as every other
-    check does (numfield takes a minimal polynomial of degree above 4 to
-    be irreducible).
+    separable.  The count assumes that the coefficients form a field, as
+    every other check does (numfield takes a minimal polynomial of degree
+    above 4 to be irreducible).
 
     When C1 or C2 fails, C3's separability is decided modulo the field's
     degree-one prime by polyalg.separable_mod_p, an exact proof (see

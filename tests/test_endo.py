@@ -345,13 +345,18 @@ RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 @given(data=st.data())
 def test_c3_decision_matches_the_exact_gcd(data):
     # documents where C1 holds: C2 holds too on the Chebyshev ones and on
-    # R1 = 1 with d = 1, where the count decides C3, and fails elsewhere
+    # R1 = 1 with d = 1, where the count decides C3, and fails elsewhere;
+    # R1 is a product of factors 1 - c*t, so a repeated c, or c = 1 (the
+    # root of 1 - t), makes the product inseparable
     if data.draw(st.booleans()):
         lam = data.draw(RATIONAL.filter(bool))
         p = chebyshev_endo(2 * data.draw(st.integers(0, 7)) + 1, QQ.elem(lam))
     else:
         k = data.draw(st.integers(2, 3))
-        r1 = _t_poly(QQ, [1] + data.draw(st.lists(RATIONAL, max_size=3)))
+        r1 = Poly.constant(1, QQ, ("t",))
+        for c in data.draw(st.lists(st.sampled_from([1, -2, Fraction(1, 3)]) | RATIONAL,
+                                    max_size=3)):
+            r1 = r1 * (1 - c * T)
         p = EtaleParams(k=k, r=data.draw(st.integers(2, 3)), a=1, alpha=1,
                         d=data.draw(st.integers(1, 9)), lam=QQ.elem(1),
                         R0=exact_div(1 - (1 - T) * r1 ** k, T), R1=r1, R2=1)
