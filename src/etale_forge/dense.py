@@ -143,15 +143,30 @@ def prem(u: list, v: list, times=None) -> list:
 
 
 def at_power_of_two(c: list[int], width: int) -> int:
-    """c(2^(8*width)), by writing each coefficient into its own width bytes;
-    each must be below 2^(8*width) in absolute value."""
-    pos, neg = bytearray(width * len(c)), bytearray(width * len(c))
-    for e, x in enumerate(c):
-        if x > 0:
-            pos[e * width:(e + 1) * width] = x.to_bytes(width, "little")
-        elif x:
-            neg[e * width:(e + 1) * width] = (-x).to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """c(2^(8*width)), each coefficient below 2^(8*width - 1) in absolute
+    value: each coefficient plus 2^(8*width - 1) is written into its own
+    width bytes, and that offset is taken off every place at once."""
+    half = 1 << (8 * width - 1)
+    return (int.from_bytes(b"".join([(x + half).to_bytes(width, "little") for x in c]), "little")
+            - int.from_bytes(half.to_bytes(width, "little") * len(c), "little"))
+
+
+def from_power_of_two(v: int, width: int) -> list[int]:
+    """The list c with at_power_of_two(c, width) == v whose entries are
+    below 2^(8*width - 1) in absolute value: the balanced base-2^(8*width)
+    digits of v, from one to_bytes of |v| and a carry loop over its
+    width-byte chunks.  Unique when such a c exists; -v has the negated
+    digits."""
+    half = 1 << (8 * width - 1)
+    full = half << 1
+    n = abs(v).bit_length() // (8 * width) + 1
+    raw = abs(v).to_bytes(n * width, "little")
+    out, carry = [], 0
+    for i in range(0, n * width, width):
+        x = int.from_bytes(raw[i:i + width], "little") + carry
+        carry = x >= half
+        out.append(x - full if carry else x)
+    return trim(out if v > 0 else [-x for x in out])
 
 
 # -- roots --------------------------------------------------------------------

@@ -27,11 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .numfield import (QQ, FieldElement, NumberField, common_field,
                        json_fields, rationals)
 from .polyalg import (Poly, compose, exact_div, gcd_univariate, kronecker_bits,
-                      kronecker_vanishes, separable_mod_p)
+                      kronecker_sum, separable_mod_p)
 from .polyparse import (MAX_DEGREE, field_from_string, field_name, parse_poly,
                         print_poly)
 from .surface import (SurfacePoint, SurfaceSpec, hyper_surface, normal_form,
@@ -267,10 +268,12 @@ def degree_of(m: SurfaceMap) -> int:
 
 def _as_t_poly(p, field: NumberField) -> Poly:
     if isinstance(p, Poly):
-        q = p.with_field(field).drop_unused()
-        if q.variables not in ((), ("t",)):
-            raise ValueError(f"{p} is not a polynomial in t")
-        return q.with_variables(("t",))
+        if p.variables != ("t",):
+            q = p.drop_unused()
+            if q.variables not in ((), ("t",)):
+                raise ValueError(f"{p} is not a polynomial in t")
+            p = q.with_variables(("t",))
+        return p.with_field(field)
     return Poly.constant(field.elem(p), field, ("t",))
 
 
@@ -313,6 +316,22 @@ class EtaleParams:
     def field(self) -> NumberField:
         return self.lam.field
 
+    @cached_property
+    def c1_terms(self) -> list:
+        """C1's lhs - rhs = t (1-t)^e R0 R2^r + (1-t)^alpha R1^k - 1 as terms
+        of polyalg.kronecker_sum, with e = (1-alpha)r/k rounded down."""
+        t = Poly.variable("t", self.field)
+        s = 1 - t
+        return [(1, [(t, 1), (s, (1 - self.alpha) * self.r // self.k), (self.R0, 1),
+                     (self.R2, self.r)]),
+                (1, [(s, self.alpha), (self.R1, self.k)]), (-1, [])]
+
+    @cached_property
+    def c1_bits(self) -> int:
+        """kronecker_bits of c1_terms: the input bound of params_from_json,
+        and the size of C1's evaluation in etale_certificate."""
+        return kronecker_bits(self.c1_terms)
+
     def to_json(self) -> dict:
         return {
             "k": self.k, "r": self.r, "a": self.a,
@@ -329,10 +348,10 @@ _PARAM_FIELDS = {"k": int, "r": int, "a": int, "alpha": int, "d": int,
                  "field": str, "lambda": list, "R0": str, "R1": str, "R2": str}
 
 
-# Bounds kronecker_bits of C1: 2,567 for chebyshev_endo(999), the largest
+# Bounds EtaleParams.c1_bits: 2,567 for chebyshev_endo(999), the largest
 # construction, so a margin of about 4.  R2 = 511*t + 1 with r = 999 (9,998)
-# fails C1 in about 5 s (2-vCPU Xeon), R2 = 123456789012345678901234567890*t
-# + 1 (96,911) took minutes.
+# fails C1 in about 1.3 s (2-vCPU Xeon), R2 = 123456789012345678901234567890*t
+# + 1 (96,911) took minutes when its witness was built by Poly products.
 MAX_C1_BITS = 10_000
 
 
@@ -365,33 +384,33 @@ def params_from_json(data: dict) -> EtaleParams:
     side = max(1 + (1 - p.alpha) * p.r // p.k + d0 + p.r * d2, p.alpha + p.k * d1)
     if side > MAX_DEGREE:
         raise ValueError(f"a side of C1 of degree {side} exceeds the bound {MAX_DEGREE}")
-    bits = kronecker_bits(_c1_terms(p))
+    bits = p.c1_bits
     if bits > MAX_C1_BITS:
         raise ValueError(f"the coefficients of C1 may have {bits} bits, above the "
                          f"bound {MAX_C1_BITS}")
     return p
 
 
-def _c1_terms(p: EtaleParams) -> list:
-    """C1's lhs - rhs = t (1-t)^e R0 R2^r + (1-t)^alpha R1^k - 1 as terms of
-    polyalg.kronecker_vanishes, with e = (1-alpha)r/k rounded down."""
-    t = Poly.variable("t", p.field)
-    s = 1 - t
-    return [(1, [(t, 1), (s, (1 - p.alpha) * p.r // p.k), (p.R0, 1), (p.R2, p.r)]),
-            (1, [(s, p.alpha), (p.R1, p.k)]), (-1, [])]
-
-
-def ri_degrees(k: int, r: int, alpha: int, d: int) -> tuple[Fraction, Fraction, Fraction]:
-    """The derived degrees (d0, d1, d2) as exact fractions.
+def ri_degrees(k: int, r: int, alpha: int, d: int) -> tuple[int | Fraction, ...]:
+    """The derived degrees (d0, d1, d2), each an int when it is integral and
+    a Fraction otherwise.
 
     d2 = (d - alpha - r(1-alpha)) / (k(r-1)),
     d1 = d2 (r-1) + (1-alpha) r/k,
     d0 = (d2 k + 1 - alpha)(r - 1 - r/k).
+
+    They are computed in integers over the common denominator m = k(r-1):
+    with n2 = d - alpha - r(1-alpha), d2 = n2/m, d1 = (d - alpha)/k =
+    (d - alpha)(r-1)/m and, as d2 k = n2/(r-1) and r - 1 - r/k = (m - r)/k,
+    d0 = (n2 + (1-alpha)(r-1))(m - r)/m.
     """
-    d2 = Fraction(d - alpha - r * (1 - alpha), k * (r - 1))
-    d1 = d2 * (r - 1) + Fraction((1 - alpha) * r, k)
-    d0 = (d2 * k + 1 - alpha) * (r - 1 - Fraction(r, k))
-    return d0, d1, d2
+    m = k * (r - 1)
+    n2 = d - alpha - r * (1 - alpha)
+    out = []
+    for n in ((n2 + (1 - alpha) * (r - 1)) * (m - r), (d - alpha) * (r - 1), n2):
+        q, rem = divmod(n, m)
+        out.append(Fraction(n, m) if rem else q)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -402,7 +421,8 @@ class EtaleCertificate:
     hold (see etale_certificate); otherwise it is decided by
     polyalg.separable_mod_p and, when that test fails, by the exact gcd.
     witnesses maps a failing check to why it fails: C1_identity to the
-    residual lhs - rhs, C2_degrees to the expected (d0, d1, d2) and the
+    residual lhs - rhs, read off the one evaluation that decides C1 (see
+    etale_certificate), C2_degrees to the expected (d0, d1, d2) and the
     actual degrees of (R0, R1, R2), C3_separability to the repeated factor
     gcd(f, f') of f = (1-t) R0 R1 R2.  C1_identity has no witness when its
     exponent (1-alpha)r/k is not an integer; the other checks have none.
@@ -474,11 +494,17 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
     polyalg).  Only when that test fails is f built and gcd_univariate(f,
     f') run, and that gcd decides the check and is its witness.
 
-    Over a degree-one field C1 is decided by one exact Kronecker evaluation
-    of lhs - rhs (polyalg.kronecker_vanishes of _c1_terms; see polyalg for
-    why it is exact and nothing is sampled).  Only when the sides differ,
-    or over a field of degree > 1, are both sides built as Polys; their
-    comparison then decides the check, and lhs - rhs is its witness.
+    C1 has one method on every field: one exact Kronecker evaluation of
+    lhs - rhs at t = 2^K (polyalg.kronecker_sum of p.c1_terms), with K a
+    multiple of 8 above p.c1_bits, the bound params_from_json checks.  Over
+    Q(theta) each factor is evaluated coordinate by coordinate and the
+    field's products run on those big integers.  Every coordinate of every
+    coefficient of M*(lhs - rhs), M the product of the denominators, is
+    below 2^(K-1) in absolute value by the bound proved in polyalg, which
+    takes the field's growth per product from NumberField.mul_norm.  So the
+    value is zero iff C1 holds, and when it is not, its balanced base-2^K
+    digits are the coefficients of the witness lhs - rhs; no product of
+    polynomials is built and nothing is sampled.
     """
     field = p.field
     checks: dict[str, bool] = {}
@@ -488,8 +514,8 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
 
     expected = ri_degrees(p.k, p.r, p.alpha, p.d)
     actual = tuple([R.total_degree() for R in (p.R0, p.R1, p.R2)])
-    checks["C2_degrees"] = all(x.denominator == 1 and x >= 0 for x in expected) \
-        and actual == expected
+    # the actual degrees are ints, and -1 only for a zero R_i
+    checks["C2_degrees"] = actual == expected and min(actual) >= 0
     if not checks["C2_degrees"]:
         witnesses["C2_degrees"] = (expected, actual)
 
@@ -499,15 +525,10 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
     if not checks["C5_alpha_kr"]:
         checks["C1_identity"] = False
     else:
-        terms = _c1_terms(p)
-        checks["C1_identity"] = field.degree == 1 and kronecker_vanishes(terms)
+        residual = kronecker_sum(p.c1_terms, p.c1_bits)
+        checks["C1_identity"] = residual.is_zero()
         if not checks["C1_identity"]:
-            (_, left), (_, right), _ = terms
-            lhs = math.prod([f ** e for f, e in left])
-            rhs = 1 - math.prod([f ** e for f, e in right])
-            checks["C1_identity"] = lhs == rhs
-            if not checks["C1_identity"]:
-                witnesses["C1_identity"] = lhs - rhs
+            witnesses["C1_identity"] = residual
 
     t = Poly.variable("t", field)
     # C1 and C2 prove separability by the root count above

@@ -11,7 +11,8 @@ implementation of multiplication and inversion, on integer tuples:
 mul(a, b) is the product times NumberField.den, the common denominator of
 the reduction rows theta^n, ..., theta^(2n-2) (so 1 for every monic
 integral m), and inv(a) returns the inverse as (numerators, denominator).
-FieldElement and Poly both call them.
+FieldElement and Poly both call them, and NumberField.mul_norm bounds how
+much mul can grow the l1 norm of the coordinates (see mul).
 
 The rationals are the degree-one field QQ = Q[theta]/(theta).  Every
 degree-one presentation is Q as well: its elements are stored by their
@@ -41,7 +42,7 @@ import math
 import reprlib
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add, mul, sub
 
 from .dense import degree_one_prime, divide, rational_roots, trim
 
@@ -131,6 +132,8 @@ class NumberField:
         # every degree-one field is Q (see the module docstring)
         self._key = () if self.degree == 1 else (self.minpoly, gen)
         self._tail, self.den = self._power_tail()
+        # ||mul(a, b)||_1 <= mul_norm * ||a||_1 * ||b||_1 (see mul)
+        self.mul_norm = max([self.den, *[sum(map(abs, row)) for row in self._tail]])
         if self.degree <= 4 and not _is_irreducible_upto_deg4(list(coeffs)):
             raise ReduciblePolynomial(f"{self.minpoly_str()} is reducible over Q")
 
@@ -212,7 +215,16 @@ class NumberField:
 
     def mul(self, a: Ints, b: Ints) -> Ints:
         """den times the product of two integer coordinate tuples: the one
-        field multiply."""
+        field multiply.
+
+        It is bilinear over Z, so it multiplies tuples of any integers the
+        same way, such as the values at t = 2^K that polyalg.kronecker_sum
+        multiplies.  With p the product of a and b as polynomials in theta,
+        entry i < n of the result is den*p_i + sum_j p_(n+j)*T_j[i] for the
+        rows T_j of _power_tail, so in the l1 norm of the coordinates
+        ||mul(a, b)||_1 <= max(den, ||T_j||_1) * ||p||_1 <= mul_norm *
+        ||a||_1 * ||b||_1.  The bound is reached by a = theta^(n-1) and
+        b = theta, whose product is T_0, when ||T_0||_1 is the largest."""
         n = len(a)
         if n == 1:
             return (a[0] * b[0],)
@@ -324,8 +336,9 @@ def format_terms(terms) -> str:
     return "".join(parts) if parts else "0"
 
 
-def power(base, n: int):
-    """base**n for n >= 1 by left-to-right square-and-multiply.
+def power(base, n: int, times=mul):
+    """base**n for n >= 1 by left-to-right square-and-multiply, with times
+    as the product (polyalg raises coordinate tuples with NumberField.mul).
 
     Makes exactly n.bit_length() + n.bit_count() - 2 multiplies and returns
     base itself for n = 1, which is safe because neither FieldElement nor
@@ -335,9 +348,9 @@ def power(base, n: int):
     """
     result = base
     for bit in bin(n)[3:]:
-        result = result * result
+        result = times(result, result)
         if bit == "1":
-            result = result * base
+            result = times(result, base)
     return result
 
 

@@ -46,24 +46,38 @@ a caller that needs the answer, or the repeated factor, then runs
 gcd_univariate.  endo.etale_certificate calls it only when C1 or C2
 fails: when both hold, a root count proves C3's separability (see there).
 
-kronecker_vanishes decides whether a sum of terms c * prod(f**e), each f a
-polynomial in one variable over a degree-one field, is zero without
-building a product of polynomials: Kronecker substitution (von zur Gathen
-and Gerhard, Modern Computer Algebra, section 8.4), used only to compare.
-With N_f the integer numerators of f, D the product of a term's f.den**e
-and M the product of all the terms' D, the sum is P / M for the integer
-polynomial P = sum of c * (M / D) * prod(N_f**e).  Since
-||g*h||_inf <= ||g||_1 * ||h||_inf <= ||g||_1 * ||h||_1, every coefficient
-of P is at most B = sum of |c| * (M / D) * prod(||N_f||_1**e) in absolute
-value.  kronecker_bits finds 2^K > B from bit lengths alone, as M / D is
-the product of the other terms' D, a product has at most the summed bit
-lengths of its factors, and a sum of n terms adds at most the bit length
-of n.  If P != 0, let c_j be its lowest nonzero coefficient:
-P(2^K) = 2^(jK) * (c_j + 2^K * m) for an integer m, which is not 0 as
-0 < |c_j| < 2^K.  So P = 0 iff P(2^K) = 0, an exact answer from
-big-integer products.  K also covers every coefficient of every N_f and is
-rounded up to a multiple of 8, so that N_f(2^K) is written coefficient by
-coefficient into bytes (dense.at_power_of_two), in time linear in its size.
+kronecker_sum computes a sum of terms c * prod(f**e), each f a polynomial in
+one variable over the field, without building a product of polynomials:
+Kronecker substitution (von zur Gathen and Gerhard, Modern Computer Algebra,
+section 8.4).  Let N_f be the integer numerators of f, coordinate tuples of
+its coefficients, E the sum of a term's exponents e, D_F = NumberField.den,
+D the product of a term's f.den**e and D_F**(E-1), and M the product of all
+the terms' D.  NumberField.mul multiplies coordinate tuples and scales each
+product by D_F, so a term's E factors take E - 1 products, and the sum is
+P / M for the polynomial P = sum of c * (M / D) * prod(N_f**e) with
+integer coordinates, its products taken by NumberField.mul.  The bound:
+write ||g||_1 for the sum of the absolute values of all coordinates of all
+coefficients of g.  Coefficient k of g*h is the sum of mul(g_i, h_j) over
+i + j = k, so ||g*h||_1 <= L * ||g||_1 * ||h||_1 with L =
+NumberField.mul_norm (proved there; L = 1 over Q, and for theta^2 + 7 it
+is 7, reached by theta*theta).  So every coordinate of P is at most
+B = sum of |c| * (M / D) * L**(E-1) * prod(||N_f||_1**e) in absolute value.
+kronecker_bits finds 2^K > B from bit lengths alone, as M / D is the product
+of the other terms' D, a product has at most the summed bit lengths of its
+factors (a factor of 1 adds none), and a sum of n terms adds at most the
+bit length of n.  Then with K' = 8*width >= K + 1, each N_f is written at
+t = 2^K' coordinate by coordinate, each coefficient into its own width bytes
+(dense.at_power_of_two, linear in its size; K also exceeds every
+||N_f||_1, so each coordinate fits).  mul is bilinear over Z, so
+the same products and sums of these tuples of big integers give coordinate
+i of P(2^K') as the sum of rho_(j,i) * 2^(j*K') over j, where rho_(j,i) is
+coordinate i of coefficient j of P.  Since |rho_(j,i)| <= B < 2^(K'-1),
+those are exactly the balanced base-2^K' digits of that integer
+(dense.from_power_of_two): P = 0 iff every coordinate of the value is 0,
+an exact answer from big-integer products, and otherwise P, and with it
+the sum P / M, is read off the digits of the same value.  endo decides C1
+this way on every field, and a failing C1's residual lhs - rhs is its
+witness.
 
 The monomial order is lexicographic in the variable order, so exponent
 tuples compare directly.  Degrees in this project stay small (a few hundred
@@ -80,10 +94,13 @@ terms goes through numfield.power.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import add, neg, sub
 
-from .dense import at_power_of_two, derivative, gcd_mod_p, mul, mul_mod_p, prem, value
+from .dense import (at_power_of_two, derivative, from_power_of_two, gcd_mod_p, mul,
+                    mul_mod_p, prem, value)
 from .numfield import (QQ, FieldElement, FieldMismatch, Ints, NumberField,
                        common_field, power)
 
@@ -165,7 +182,7 @@ class Poly:
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(k) for k in self.terms)
+        return max(map(sum, self.terms))
 
     def degree_in(self, name: str) -> int:
         if not self.terms:
@@ -619,30 +636,78 @@ def separable_mod_p(factors: list[Poly]) -> bool:
     return gcd_mod_p(prod, derivative(prod, p), p) == [1]
 
 
-def kronecker_vanishes(terms: list[tuple[int, list[tuple[Poly, int]]]]) -> bool:
-    """True iff the sum of c * prod(f**e) over the terms (c, [(f, e), ...])
-    is the zero polynomial, for polynomials in one same variable over a
-    degree-one field, decided by one exact evaluation at t = 2^K (see the
-    module docstring); no product of polynomials is built."""
-    dens = [prod([f.den ** e for f, e in factors]) for _, factors in terms]
+def kronecker_sum(terms: list[tuple[int, list[tuple[Poly, int]]]],
+                  bits: int | None = None) -> Poly:
+    """The sum of c * prod(f**e) over the terms (c, [(f, e), ...]), for
+    polynomials in one same variable over one field, from one exact
+    evaluation at t = 2^K (see the module docstring): no product of
+    polynomials is built, and a nonzero sum is read off the balanced digits
+    of the value.  bits is kronecker_bits(terms), when the caller has it."""
+    field, steps = _kronecker_shape(terms)
+    variables = next((f.variables for _, factors in terms for f, _ in factors), ())
+    n, times = field.degree, field.mul
+    # 8*width >= K + 1: every coordinate of P is below 2^(8*width - 1)
+    width = (kronecker_bits(terms) if bits is None else bits) // 8 + 1
+    at = {}
+    for _, factors in terms:
+        for f, e in factors:
+            if e and id(f) not in at:
+                nums = _dense(f.with_field(field))
+                at[id(f)] = (at_power_of_two(nums, width),) if n == 1 else tuple(
+                    [at_power_of_two(col, width) for col in (zip(*nums) if nums else [()] * n)])
+    dens = [prod([f.den ** e for f, e in factors]) * field.den ** s
+            for (_, factors), s in zip(terms, steps)]
     m = prod(dens)
-    width = (kronecker_bits(terms) + 7) // 8
-    at = {id(f): at_power_of_two(_dense(f), width) for _, factors in terms for f, _ in factors}
-    return sum([c * (m // den) * prod([at[id(f)] ** e for f, e in factors])
-                for (c, factors), den in zip(terms, dens)]) == 0
+    total = (0,) * n
+    for (c, factors), den in zip(terms, dens):
+        powers = [power(at[id(f)], e, times) for f, e in factors if e]
+        v = reduce(times, powers) if powers else (1,) + (0,) * (n - 1)
+        total = tuple([*map(add, total, [c * (m // den) * x for x in v])])
+    if not any(total):
+        return Poly(field, variables, {})
+    if n == 1:
+        coeffs = from_power_of_two(total[0], width)
+    else:
+        digits = [from_power_of_two(x, width) for x in total]
+        coeffs = [tuple([d[j] if j < len(d) else 0 for d in digits])
+                  for j in range(max(map(len, digits)))]
+    if not variables:   # no factor: the sum is a constant
+        return Poly.constant(FieldElement(field, (coeffs[0],) if n == 1 else coeffs[0], m))
+    return _poly(field, variables, coeffs, m)
+
+
+def _kronecker_shape(terms: list[tuple[int, list[tuple[Poly, int]]]]
+                     ) -> tuple[NumberField, list[int]]:
+    """The common field of the factors (QQ when there is none), and the
+    number of field products of each term: E - 1 for E factors counted with
+    their exponents, 0 for none."""
+    fields = [f.field for _, factors in terms for f, _ in factors]
+    steps = [max(sum([e for _, e in factors]) - 1, 0) for _, factors in terms]
+    return (common_field(*fields) if fields else QQ), steps
 
 
 def kronecker_bits(terms: list[tuple[int, list[tuple[Poly, int]]]]) -> int:
-    """A K with 2^K above every coefficient of the integer polynomial P of
-    kronecker_vanishes and of every N_f, from bit lengths alone (see the
-    module docstring); over a field of degree > 1, where every coordinate
-    counts toward ||N_f||_1, a size estimate of the same sum."""
-    den_bits = [sum([e * f.den.bit_length() for f, e in factors]) for _, factors in terms]
-    norm_bits = {id(f): sum([abs(x) for c in f.terms.values() for x in c]).bit_length()
-                 for _, factors in terms for f, _ in factors}
+    """A K with 2^K above every coefficient coordinate of the integer
+    polynomial P of kronecker_sum and of every N_f, from bit lengths alone
+    (see the module docstring)."""
+    field, steps = _kronecker_shape(terms)
+    # a factor of 1 adds no bits
+    growth, fden = ((x.bit_length() if x > 1 else 0) for x in (field.mul_norm, field.den))
+    norm_bits, den_bits, own_bits = {}, [], []
+    for (c, factors), s in zip(terms, steps):
+        dbits, nbits = s * fden, abs(c).bit_length() + s * growth
+        for f, e in factors:
+            b = norm_bits.get(id(f))
+            if b is None:
+                b = norm_bits[id(f)] = sum(map(abs, chain.from_iterable(f.terms.values()))
+                                           ).bit_length()
+            dbits += e * f.den.bit_length()
+            nbits += e * b
+        den_bits.append(dbits)
+        own_bits.append(nbits)
+    # M / D is the product of the other terms' D
     total = sum(den_bits)
-    term_bits = [abs(c).bit_length() + total - own + sum([e * norm_bits[id(f)] for f, e in factors])
-                 for (c, factors), own in zip(terms, den_bits)]
+    term_bits = [b + total - d for b, d in zip(own_bits, den_bits)]
     return max([len(terms).bit_length() + max(term_bits, default=0), *norm_bits.values()])
 
 

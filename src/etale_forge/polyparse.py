@@ -22,16 +22,24 @@ separates tokens.  An ASCII text of accepted characters needs one more
 match to be known clean; any other text is checked token by token, so that
 a bad character anywhere is the error reported, before anything is
 evaluated.  The parser walks the token list by index.  A term reads its
-factors in one loop, each factor's minus signs, number or symbol and
-exponent inline, and only parentheses recurse.  An error names a token
+factors in one loop, each factor's minus signs, number or variable and
+exponent inline (the generator and parentheses through atom), and only
+parentheses recurse.  An error names a token
 index, and its character offset is found, by matching the text again, only
 when the error is raised.
 
-The parser evaluates term by term as it reads.  A value of at most one term
-is a monomial, a coefficient with an exponent tuple: monomials multiply and
-raise to powers directly, the terms of one sum are added into one term map,
-and one Poly is built per sum of two or more terms.  Only operands of two or
-more terms, such as (1 + x*y)^3, go through the Poly ring operations.
+The parser evaluates term by term as it reads.  A term whose factors are
+numbers and declared variables, each perhaps with an exponent, is read into
+a running monomial of ints, a rational coefficient num/den and a list of
+exponents, with the minus sign of its sum folded into num; one FieldElement
+is built when the term ends, and no power or check_size call is made, since
+a power of a number or a variable and a product of monomials are bounded by
+their degree alone, checked inline at the same token.  A value of at most
+one term is a monomial, a coefficient with an exponent tuple: monomials
+multiply and raise to powers directly, the terms of one sum are added into
+one term map, and one Poly is built per sum of two or more terms.  Only
+operands of two or more terms, such as (1 + x*y)^3, go through the Poly
+ring operations.
 A product or power is rejected before it is expanded when its degree would
 exceed MAX_DEGREE or its possible term count would exceed MAX_TERMS.  That
 count is the dense C(n + deg, n) in the n variables its operands use, for a
@@ -187,7 +195,8 @@ class _Parser:
     terms when an operand has, so only a sum can collapse its value.
 
     expr reads a sum and term a product, whose factors it reads in one
-    loop; only parentheses recurse, through expr."""
+    loop, into a running monomial of ints while they are numbers and
+    declared variables; only parentheses recurse, through expr."""
 
     def __init__(self, text: str, vars: tuple[str, ...], field: NumberField):
         self.text = text
@@ -200,11 +209,10 @@ class _Parser:
         origin = (0,) * len(vars)
         one = FieldElement(field, (1,) + self.pad)
         self.one = one, origin   # the monomial 1
-        # the monomial each symbol denotes
-        self.symbols = {v: (one, origin[:i] + (1,) + origin[i + 1:])
-                        for i, v in enumerate(vars)}
-        if not field.is_rational:
-            self.symbols[field.gen_name] = field.gen(), origin
+        # the position of each declared variable, and the monomial the
+        # generator denotes
+        self.index = {v: i for i, v in enumerate(vars)}
+        self.symbols = {} if field.is_rational else {field.gen_name: (field.gen(), origin)}
 
     def error(self, message: str, index: int, kind=PolyParseError) -> PolyParseError:
         return kind(message, _offset(self.text, index))
@@ -262,8 +270,7 @@ class _Parser:
         self.add_to(acc, value)
         while sign == "+" or sign == "-":
             self.i += 1
-            value = self.term()
-            self.add_to(acc, self.negated(value) if sign == "-" else value)
+            self.add_to(acc, self.term(-1 if sign == "-" else 1))
             sign = tokens[self.i]
         return self.collect(acc)
 
@@ -307,9 +314,25 @@ class _Parser:
             return -value
         return -value[0], value[1]
 
-    def term(self):
-        tokens, symbols, i = self.tokens, self.symbols, self.i
-        one, origin = self.one
+    def monomial(self, num: int, den: int, exps: list[int]):
+        """The value num/den * vars^exps: None for num = 0, and the shared
+        coefficient one for num = den = 1."""
+        if num == den == 1:
+            return self.one[0], tuple(exps)
+        return (FieldElement(self.field, (num,) + self.pad, den), tuple(exps)) if num else None
+
+    def term(self, sign: int = 1):
+        """sign times a product, whose factors are read in one loop.  While
+        they are numbers and declared variables, the product is a running
+        monomial num/den * vars^exps of ints, of degree deg (-1 once it is
+        zero), and one FieldElement is built when the term ends; from the
+        first other factor (the generator or parentheses) on, the product is
+        a value, which product() multiplies.  Each bound is checked at the
+        same token either way."""
+        tokens, index, i = self.tokens, self.index, self.i
+        num, den, exps, deg = sign, 1, [0] * len(self.vars), 0
+        value = None
+        running = True
         star = None   # the index of the '*' before the factor, None for the first
         while True:
             tok = tokens[i]
@@ -319,34 +342,26 @@ class _Parser:
                 i += 1
                 tok = tokens[i]
             negate = (self.depth - outer) % 2
-            if tok in symbols:
-                factor = symbols[tok]
+            # a number or declared variable is fn/fd * vars[pos]^fe; fn is None
+            # for another factor, whose value is factor
+            pos = index.get(tok)
+            if pos is not None:
+                fn, fd, fe = 1, 1, 1
                 i += 1
             elif tok.isdigit():
-                num, den = int(tok), 1
+                fn, fd, fe = int(tok), 1, 0
                 i += 1
                 if tokens[i] == "/":
                     i += 1
                     if not tokens[i].isdigit():
                         raise self.error(f"expected 'INT', found {_shown(tokens[i])}", i)
-                    den = int(tokens[i])
-                    if den == 0:
+                    fd = int(tokens[i])
+                    if fd == 0:
                         raise self.error("zero denominator", i)
                     i += 1
-                factor = (FieldElement(self.field, (num,) + self.pad, den), origin) \
-                    if num else None
-            elif tok == "(":
-                self.nest(i)
-                self.i = i + 1
-                factor = self.expr()
-                i = self.i
-                if tokens[i] != ")":
-                    raise self.error(f"expected ')', found {_shown(tokens[i])}", i)
-                i += 1
-            elif _is_symbol(tok):
-                raise self.error(f"unknown symbol {tok!r}", i, UnknownSymbol)
             else:
-                raise self.error(f"unexpected {_shown(tok)}", i)
+                fn = None
+                factor, i = self.atom(tok, i)
             self.depth = outer
             if tokens[i] == "^":
                 i += 1
@@ -357,30 +372,82 @@ class _Parser:
                                      i)
                 if tokens[i + 1] == "/":
                     raise self.error("exponent must be an integer", i + 1, NonIntegerExponent)
-                factor = self.power(factor, int(tokens[i]), i)
+                e = int(tokens[i])
+                if fn is None:
+                    factor = self.power(factor, e, i)
+                elif e > MAX_DEGREE:
+                    # power() of a number or a variable checks only this
+                    raise self.error(f"power of degree {e} exceeds the bound {MAX_DEGREE}", i)
+                elif pos is not None:
+                    fe = e
+                elif e == 0:
+                    fn = fd = 1
+                elif fn:
+                    c = self.constant_power(FieldElement(self.field, (fn,) + self.pad, fd), e, i)
+                    fn, fd = c.nums[0], c.den
                 i += 1
-            if negate:
-                factor = self.negated(factor)
-            if star is None:
-                value = factor
-            elif type(value) is tuple and type(factor) is tuple:
-                # two monomials make one term; a variable's coefficient is one
-                (c, e), (d, f) = value, factor
-                exps = tuple([*map(add, e, f)])
-                self.check_size("product", sum(exps), (), star, 1)
-                value = (c if d is one else d if c is one else c * d), exps
-            else:
-                self.check_size("product", max(_degree(value) + _degree(factor), 0),
-                                (value, factor), star, _term_count(value) * _term_count(factor))
-                if value is None or factor is None:
-                    value = None
+            if fn is None:
+                if negate:
+                    factor = self.negated(factor)
+                if running:
+                    # nothing read before but the sign, or a running monomial
+                    value = (factor if num == 1 else self.negated(factor)) if star is None \
+                        else self.product(self.monomial(num, den, exps), factor, star)
+                    running = False
                 else:
-                    value = self.as_poly(value) * self.as_poly(factor)
+                    value = self.product(value, factor, star)
+            elif running:
+                d = deg + (fe if fn else -1)
+                if d > MAX_DEGREE:   # never for the first factor: fe <= MAX_DEGREE
+                    raise self.error(f"product of degree {d} exceeds the bound {MAX_DEGREE}",
+                                     star)
+                num, den = -num * fn if negate else num * fn, den * fd
+                if fe:
+                    exps[pos] += fe
+                deg = d if num else -1
+            else:
+                unit = [0] * len(exps)
+                if fe:
+                    unit[pos] = fe
+                value = self.product(value, self.monomial(-fn if negate else fn, fd, unit), star)
             if tokens[i] != "*":
                 self.i = i
-                return value
+                return self.monomial(num, den, exps) if running else value
             star = i
             i += 1
+
+    def atom(self, tok: str, i: int):
+        """The value of the generator or a parenthesized expr at token i, and
+        the index after it; any other token there is an error."""
+        if tok in self.symbols:
+            return self.symbols[tok], i + 1
+        if tok == "(":
+            self.nest(i)
+            self.i = i + 1
+            value = self.expr()
+            i = self.i
+            if self.tokens[i] != ")":
+                raise self.error(f"expected ')', found {_shown(self.tokens[i])}", i)
+            self.depth -= 1
+            return value, i + 1
+        if _is_symbol(tok):
+            raise self.error(f"unknown symbol {tok!r}", i, UnknownSymbol)
+        raise self.error(f"unexpected {_shown(tok)}", i)
+
+    def product(self, value, factor, star: int):
+        """value * factor, checked at the '*' with index star."""
+        if type(value) is tuple and type(factor) is tuple:
+            # two monomials make one term
+            (c, e), (d, f) = value, factor
+            exps = tuple([*map(add, e, f)])
+            self.check_size("product", sum(exps), (), star, 1)
+            one = self.one[0]
+            return (c if d is one else d if c is one else c * d), exps
+        self.check_size("product", max(_degree(value) + _degree(factor), 0),
+                        (value, factor), star, _term_count(value) * _term_count(factor))
+        if value is None or factor is None:
+            return None
+        return self.as_poly(value) * self.as_poly(factor)
 
     def power(self, base, exponent: int, index: int):
         degree = _degree(base)
@@ -396,8 +463,7 @@ class _Parser:
         c, exps = base
         if degree == 0:
             return self.constant_power(c, exponent, index), exps
-        # a variable's coefficient is one
-        return (c if c is self.one[0] else c ** exponent), tuple([exponent * e for e in exps])
+        return c ** exponent, tuple([exponent * e for e in exps])
 
     def constant_power(self, c: FieldElement, exponent: int, index: int) -> FieldElement:
         """c**exponent for exponent >= 1 by square-and-multiply, rejected as

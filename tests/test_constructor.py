@@ -13,7 +13,7 @@ from etale_forge.constructor import (BadEpsilon, InfeasibleDegree,
                                      chebyshev_endo, cyclic_galois_endo,
                                      factor_through_cover, kr32_condition,
                                      solve_kr32)
-from etale_forge.endo import (base_polynomial, build_from_params,
+from etale_forge.endo import (EtaleParams, base_polynomial, build_from_params,
                               compose_maps, degree_of, etale_certificate,
                               jacobian_spotcheck, make_map,
                               maps_equal, cstar_equivariant, ri_degrees)
@@ -32,6 +32,40 @@ def test_ri_degrees_examples():
     assert ri_degrees(3, 2, 1, 4) == (1, 1, 1)
     # d = 2 fails the congruence d = 1 mod 2: d2 is not an integer
     assert ri_degrees(2, 2, 1, 2)[2].denominator != 1
+
+
+def test_ri_degrees_match_the_fraction_formula():
+    # ri_degrees computes in integers; each degree must equal the formula in
+    # Fractions, and be an int exactly when it is integral
+    negative = non_integral = alpha0_k_not_dividing_r = 0
+    for k in range(2, 7):
+        for r in range(2, 7):
+            for alpha in (0, 1):
+                for d in range(1, 61):
+                    d2 = Fraction(d - alpha - r * (1 - alpha), k * (r - 1))
+                    d1 = d2 * (r - 1) + Fraction((1 - alpha) * r, k)
+                    d0 = (d2 * k + 1 - alpha) * (r - 1 - Fraction(r, k))
+                    got = ri_degrees(k, r, alpha, d)
+                    assert got == (d0, d1, d2), (k, r, alpha, d)
+                    for x, want in zip(got, (d0, d1, d2)):
+                        assert type(x) is (int if want.denominator == 1 else Fraction)
+                    negative += d2 < 0
+                    non_integral += d2.denominator != 1
+                    alpha0_k_not_dividing_r += alpha == 0 and r % k != 0
+    assert negative and non_integral and alpha0_k_not_dividing_r
+
+
+def test_c2_witness_keeps_its_text():
+    # (k, r, alpha, d) = (2, 2, 0, 1): d2 = -1/2 and d1 = 1/2; (2, 3, 1, 2):
+    # every degree is a fraction; (2, 2, 0, 4): integral, as in the golden
+    # replay of verify-endo
+    base = dict(k=2, a=1, lam=QQ.elem(1), R0=4, R1=1 - 2 * T, R2=1 + T)
+    for r, alpha, d, expected in ((2, 0, 1, ["0", "1/2", "-1/2"]),
+                                  (3, 1, 2, ["1/4", "1/2", "1/4"]),
+                                  (2, 0, 4, ["0", "2", "1"])):
+        cert = etale_certificate(EtaleParams(r=r, alpha=alpha, d=d, **base))
+        assert cert.witness_json()["C2_degrees"] == {"expected": expected,
+                                                     "actual": [0, 1, 1]}
 
 
 def test_chebyshev_endo_examples():

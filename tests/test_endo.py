@@ -1,5 +1,6 @@
 """Surface maps, equivariance, degrees, the certificate, the Jacobian oracle."""
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -21,9 +22,9 @@ from etale_forge.endo import (MAX_C1_BITS, CertificateRequired, DegreeUndetermin
                               map_from_json, map_to_json, maps_equal,
                               params_from_json, zk_compatible, zk_to_t)
 from etale_forge.family import covering
-from etale_forge.numfield import QQ, FieldElement, NumberField
+from etale_forge.numfield import QQ, FieldElement, NumberField, cyclotomic_field
 from etale_forge.polyalg import (Poly, compose, exact_div, gcd_univariate,
-                                 kronecker_vanishes, monic, separable_mod_p,
+                                 kronecker_sum, monic, separable_mod_p,
                                  variables)
 from etale_forge.polyparse import print_poly
 from etale_forge.reproduce import build_corpus, default_fixture_dir
@@ -372,25 +373,35 @@ def _t_poly(field, coeffs):
                Poly.zero(field, ("t",)))
 
 
-@pytest.mark.parametrize("field", [QQ, NumberField([3, 1])])
+def _elements(field):
+    """Field elements with rational coordinates, negative ones included."""
+    return st.lists(RATIONAL, min_size=field.degree, max_size=field.degree).map(
+        field.from_coords)
+
+
+@pytest.mark.parametrize("field", [QQ, NumberField([3, 1]), NumberField([7, 0, 1]),
+                                   cyclotomic_field(5)])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_c1_kronecker_decision_matches_the_products(field, data):
     # certified documents, tampered copies whose residual lhs - rhs is one
-    # coefficient c * t^(j+1), and random ones, with negative coefficients
-    # and denominators; over a degree-one field C1 is decided by one Kronecker
-    # evaluation, which must agree with the Poly products.  A residual that is
-    # a multiple of the prime 2^61 - 1 vanishes in the modular reject and so
-    # reaches the evaluation at 2^K
+    # coefficient c * t^(j+1), and random ones, with negative coordinates and
+    # denominators; on every field C1 is decided by one Kronecker evaluation,
+    # whose verdict and witness must agree with the Poly products.  A
+    # residual that is a multiple of the prime 2^61 - 1 vanishes in a
+    # modular reject and so must reach the evaluation at 2^K
     t = Poly.variable("t", field)
     k = data.draw(st.integers(2, 3))
-    r1 = _t_poly(field, [1] + data.draw(st.lists(RATIONAL, max_size=3)))
+    r1 = _t_poly(field, [1] + data.draw(st.lists(_elements(field), max_size=3)))
     kind = data.draw(st.sampled_from(["certified", "tampered", "chebyshev", "random"]))
     alpha, r, r2 = 1, data.draw(st.integers(2, 4)), Poly.constant(1, field, ("t",))
     r0 = endo.exact_div(1 - (1 - t) * r1 ** k, t)
     if kind == "tampered":
         c = data.draw(st.sampled_from([1, -1, 2 ** 64, -2 ** 64, 2 ** 200, -2 ** 200]))
         c *= data.draw(st.sampled_from([1, 2 ** 61 - 1]))
+        if field.degree > 1:
+            c *= data.draw(st.sampled_from([field.gen(), -field.gen() ** (field.degree - 1),
+                                            field.from_coords([-1] * field.degree)]))
         j = data.draw(st.integers(0, 4))
         r0 = r0 + c * t ** j
     elif kind == "chebyshev":
@@ -399,7 +410,8 @@ def test_c1_kronecker_decision_matches_the_products(field, data):
     elif kind == "random":
         alpha = data.draw(st.integers(0, 1))
         r = k * data.draw(st.integers(1, 2)) if alpha == 0 else r
-        r0, r2 = (_t_poly(field, data.draw(st.lists(RATIONAL, max_size=3))) for _ in "02")
+        r0, r2 = (_t_poly(field, data.draw(st.lists(_elements(field), max_size=3)))
+                  for _ in "02")
     exp = (1 - alpha) * r // k
     lhs = t * (1 - t) ** exp * r0 * r2 ** r
     rhs = 1 - (1 - t) ** alpha * r1 ** k
@@ -410,28 +422,40 @@ def test_c1_kronecker_decision_matches_the_products(field, data):
         assert lhs - rhs == c * t ** (j + 1)
     terms = [(1, [(t, 1), (1 - t, exp), (r0, 1), (r2, r)]), (1, [(1 - t, alpha), (r1, k)]),
              (-1, [])]
-    assert kronecker_vanishes(terms) == holds
+    assert kronecker_sum(terms) == lhs - rhs
     p = EtaleParams(k=k, r=r, a=1, alpha=alpha, d=1, lam=field.elem(1), R0=r0, R1=r1, R2=r2)
     cert = etale_certificate(p)
     assert cert.checks["C1_identity"] == holds
-    assert ("C1_identity" in cert.witnesses) == (not holds)
+    assert cert.witnesses.get("C1_identity", 0) == lhs - rhs
 
 
-def test_c1_runs_no_poly_product_over_a_degree_one_field(monkeypatch):
-    # a Poly product would decide C1 as well; over QQ the Kronecker
-    # evaluation decides it, and the products build only the witness
+def test_c1_runs_no_poly_product_over_any_field(monkeypatch):
+    # a Poly product would decide C1 as well; on every field the Kronecker
+    # evaluation decides it, and a failing C1 reads its witness off the same
+    # value, so the certificate multiplies no Polys for C1 (nor for C3's
+    # separability on these documents: by proof from C1 and C2 on a
+    # certified one, modulo a prime on the tampered ones)
     counted = []
-    mul = Poly.__mul__
+    mul, pow_ = Poly.__mul__, Poly.__pow__
     monkeypatch.setattr(Poly, "__mul__", lambda a, b: counted.append(1) or mul(a, b))
+    monkeypatch.setattr(Poly, "__pow__", lambda a, n: counted.append(1) or pow_(a, n))
+    degrees = set()
     for name, p in build_corpus():
-        if p.field.degree == 1:
-            counted.clear()
-            assert etale_certificate(p).checks["C1_identity"], name
-            assert not counted, name
+        degrees.add(p.field.degree)
+        counted.clear()
+        assert etale_certificate(p).checks["C1_identity"], name
+        assert not counted, name
+    assert len(degrees) > 1
     tampered = EtaleParams(k=2, r=2, a=1, alpha=0, d=2, lam=QQ.elem(1),
                            R0=Poly.constant(4, QQ, ("t",)), R1=1 - 2 * T, R2=1 + T)
-    cert = etale_certificate(tampered)
-    assert cert.witnesses["C1_identity"] == T * (1 - T) * 4 * (1 + T) ** 2 - (1 - (1 - 2 * T) ** 2)
+    galois = cyclic_galois_endo(3)[0]
+    zeta = galois.field.gen()
+    for p in (tampered, dataclasses.replace(galois, R1=galois.R1 + zeta)):
+        lhs = T * (1 - T) ** (p.r // p.k) * p.R0 * p.R2 ** p.r
+        rhs = 1 - p.R1 ** p.k
+        counted.clear()
+        assert etale_certificate(p).witnesses["C1_identity"] == lhs - rhs
+        assert not counted
 
 
 def test_params_accept_a_t_polynomial_with_unused_variables():

@@ -13,7 +13,8 @@ from etale_forge.numfield import (QQ, FieldElement, FieldMismatch,
                                   NumberField, cyclotomic_field)
 from etale_forge.polyalg import (ArityError, NotDivisible, Poly, compose,
                                  divmod_poly, exact_div, gcd_univariate,
-                                 kronecker_vanishes, monic, multiplicity_profile,
+                                 kronecker_bits, kronecker_sum, monic,
+                                 multiplicity_profile,
                                  separable_mod_p, squarefree_decomposition,
                                  variables)
 
@@ -375,27 +376,64 @@ def test_separable_mod_p_examples():
 
 
 def test_kronecker_vanishes_examples():
+    # kronecker_sum is zero exactly when the sum vanishes, and otherwise
+    # reads the sum off the digits of the same value
     t = Poly.variable("t", QQ)
     one = Poly.constant(1, QQ, ("t",))
-    assert kronecker_vanishes([(1, [(t, 1), (1 - t, 1)]), (-1, [(t - t ** 2, 1)])])
+    assert kronecker_sum([(1, [(t, 1), (1 - t, 1)]), (-1, [(t - t ** 2, 1)])]).is_zero()
     third = Fraction(1, 3)
-    assert kronecker_vanishes([(3, [(third * t + Fraction(1, 2), 2)]),
-                               (-1, [(third * t ** 2 + t + Fraction(3, 4), 1)])])
-    assert kronecker_vanishes([(1, [(one, 0)]), (-1, [])])
-    assert not kronecker_vanishes([(2, []), (-1, [])])
+    assert kronecker_sum([(3, [(third * t + Fraction(1, 2), 2)]),
+                          (-1, [(third * t ** 2 + t + Fraction(3, 4), 1)])]).is_zero()
+    assert kronecker_sum([(1, [(one, 0)]), (-1, [])]).is_zero()
+    assert kronecker_sum([(2, []), (-1, [])]) == Poly.constant(1)
     # a zero factor: its term adds nothing to the bound, and the other
     # factor's coefficients are still written in full
     big = 2 ** 300 * t - 2 ** 299
-    assert kronecker_vanishes([(1, [(Poly.zero(QQ, ("t",)), 1), (big, 3)])])
+    assert kronecker_sum([(1, [(Poly.zero(QQ, ("t",)), 1), (big, 3)])]).is_zero()
     # a residual of one unit in the lowest coefficient, under large ones
-    assert not kronecker_vanishes([(1, [(big, 2)]), (-1, [(big * big + 1, 1)])])
-    assert not kronecker_vanishes([(1, [(big, 2)]), (-1, [(big * big + t ** 5, 1)])])
-    # residuals that vanish at t = -1 modulo 2^61 - 1, so the evaluation at
-    # 2^K decides
+    for residual in (1, t ** 5, -t ** 4 + third):
+        assert kronecker_sum([(1, [(big, 2)]), (-1, [(big * big + residual, 1)])]) == -residual
+    # residuals that vanish at t = -1 modulo 2^61 - 1
     q = 2 ** 61 - 1
     for residual in (q * t ** 3, t + 1, -q * 2 ** 64 * t, t ** 7 + 1):
-        assert not kronecker_vanishes([(1, [(big, 2)]), (-1, [(big * big + residual, 1)])])
-    assert not kronecker_vanishes([(1, [(t, 1)])])
+        assert kronecker_sum([(1, [(big, 2)]), (-1, [(big * big + residual, 1)])]) == -residual
+    assert kronecker_sum([(1, [(t, 1)])]) == t
+
+
+@pytest.mark.parametrize("field", [NumberField([7, 0, 1]), cyclotomic_field(5),
+                                   NumberField([Fraction(-1, 2), 0, 1])],
+                         ids=["theta^2 + 7", "zeta_5", "theta^2 - 1/2"])
+def test_kronecker_sum_matches_the_products_over_a_field(field):
+    t = Poly.variable("t", field)
+    theta = field.gen()
+    f = theta * t ** 3 - (2 * theta - Fraction(1, 3)) * t + theta ** 2
+    g = (theta ** (field.degree - 1) - 5) * t ** 2 + Fraction(7, 2) * theta
+    terms = [(3, [(f, 4), (g, 1)]), (-2, [(g, 3), (t, 2)]), (1, [(f, 2)]), (-5, [])]
+    expected = 3 * f ** 4 * g - 2 * g ** 3 * t ** 2 + f ** 2 - 5
+    assert kronecker_sum(terms) == expected
+    assert kronecker_sum(terms + [(-1, [(expected, 1)])]).is_zero()
+
+
+def test_kronecker_bound_is_nearly_tight_over_a_field():
+    # over theta^2 + 7, ||mul(a, b)||_1 <= 7 * ||a||_1 * ||b||_1 is reached by
+    # theta*theta = -7: with a = (2^200 - 1)*theta*t the one coefficient of
+    # a^2 is -7*(2^200 - 1)^2, exactly the proved bound, and kronecker_bits
+    # exceeds its bit length by the rounding of bit lengths alone
+    field = NumberField([7, 0, 1])
+    assert field.mul_norm == 7
+    t = Poly.variable("t", field)
+    a = Poly.constant(field.gen() * (2 ** 200 - 1), field, ("t",)) * t
+    terms = [(1, [(a, 2)])]
+    coefficient = -7 * (2 ** 200 - 1) ** 2
+    assert a ** 2 == Poly.constant(coefficient, field, ("t",)) * t ** 2
+    bits = kronecker_bits(terms)
+    assert abs(coefficient).bit_length() <= bits <= abs(coefficient).bit_length() + 3
+    assert kronecker_sum(terms) == a ** 2
+    # the balanced digits take one more bit than the bound: a coefficient
+    # just below 2^bits in absolute value, of either sign, reads back
+    for c in (2 ** bits - 1, -(2 ** bits - 1)):
+        p = Poly.constant(c, field, ("t",)) * t ** 3 + Poly.constant(-c, field, ("t",))
+        assert kronecker_sum([(1, [(p, 1)])], bits=bits) == p
 
 
 # -- coercion between QQ and an extension ----------------------------------------

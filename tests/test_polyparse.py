@@ -428,3 +428,39 @@ def test_constant_power_bit_bound():
                         ("theta^1000*t", NumberField([10 ** 21, 0, 1]))):
         with pytest.raises(PolyParseError, match=f"bound {MAX_CONSTANT_BITS}"):
             parse_poly(text, ["t"], field)
+
+
+def test_term_bounds_and_signs_are_pinned():
+    # a term of numbers and variables is read with a running monomial: each
+    # bound is still checked at its token, with the same message and offset,
+    # and a minus sign still binds looser than '^'
+    errors = (("x^600*x^600", "product of degree 1200 exceeds the bound 1000 (offset 5)"),
+              ("2*y*x^600*x^600", "product of degree 1201 exceeds the bound 1000 (offset 9)"),
+              ("x^1000*x*0", "product of degree 1001 exceeds the bound 1000 (offset 6)"),
+              ("3*t^1001*t", "power of degree 1001 exceeds the bound 1000 (offset 4)"),
+              ("t - 2*t^1001", "power of degree 1001 exceeds the bound 1000 (offset 8)"),
+              ("1/0*t", "zero denominator (offset 2)"),
+              ("t - 2*t/3", "unexpected '/' (implicit multiplication is not allowed) "
+                            "(offset 7)"))
+    for text, message in errors:
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, ("x", "y", "t"))
+        assert type(err.value) is PolyParseError and str(err.value) == message, text
+    values = (("-2^2*t", "-4*t"), ("t - -2^2*t^3", "4*t^3 + t"), ("-2^0*t", "-t"),
+              ("- - 2*t", "2*t"), ("0^0*t", "t"), ("-0^0*t", "-t"), ("3*t^0", "3"),
+              ("0*x^600*x^600", "0"), ("0^5*t^1000*t", "0"), ("1/2*4/6*t", "1/3*t"),
+              ("2 - 3*t*x - 4/6", "-3*x*t + 4/3"), ("-(1 + t)^2", "-t^2 - 2*t - 1"),
+              ("t*theta*t^2 - 3/4*theta^2*t^3", "(3/2 + theta)*t^3"),
+              ("-theta*2*t", "(-2*theta)*t"), ("t^2*(1 + t)*3 - t^3", "2*t^3 + 3*t^2"))
+    for text, printed in values:
+        assert print_poly(parse_poly(text, ("x", "y", "t"), F_SQRT_M2)) == printed, text
+
+
+def test_minus_signs_nest_only_inside_their_factor():
+    # an even run of minus signs nests as deeply as an odd one, and each
+    # factor's run ends with the factor
+    t = Poly.variable("t", QQ)
+    for run in ("-", "--"):
+        text = "*".join([run + "t"] * MAX_NESTING) + " - " + " - ".join([run + "(t)"] * 60)
+        sign = -1 if run == "-" else 1
+        assert parse_poly(text, ["t"]) == sign ** MAX_NESTING * t ** MAX_NESTING - 60 * sign * t
