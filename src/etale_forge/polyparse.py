@@ -24,9 +24,9 @@ a bad character anywhere is the error reported, before anything is
 evaluated.  The parser walks the token list by index.  A term reads its
 factors in one loop, each factor's minus signs, number or variable and
 exponent inline (the generator and parentheses through atom), and only
-parentheses recurse.  An error names a token
-index, and its character offset is found, by matching the text again, only
-when the error is raised.
+parentheses recurse.  An error names a token index, and its character
+offset is found, by matching the text again, only when the error is
+raised.
 
 The parser evaluates term by term as it reads.  A term whose factors are
 numbers and declared variables, each perhaps with an exponent, is read into
