@@ -278,6 +278,72 @@ def _parse_result(text: str) -> str:
         return f"{type(e).__name__}: {e}"
 
 
+# The fields of the one-variable corpus: QQ, a quadratic field whose
+# generator squares to a non-unit, and a quartic one named zeta.
+_ONE_VARIABLE_FIELDS = (QQ, NumberField([7, 0, 1]), cyclotomic_field(5))
+# Edits taken two times in five, else one of _CORPUS_TOKENS: a degree and a
+# denominator out of bounds, a digit run longer than int() converts, a tab, a
+# doubled space, a doubled minus, a generator power at the degree of a
+# quadratic field, a variable meant for inside parentheses and a decimal
+# digit outside ASCII.
+_ONE_VARIABLE_EDITS = ["^1001", "/0", "9" * 4301, "\t", "  ", "- -", "theta^2", "(t)", "٣"]
+
+
+def _one_variable_texts() -> list[str]:
+    """Seeded texts in t: print_poly of random one-variable polys over each
+    field of _ONE_VARIABLE_FIELDS, each with and without one random edit
+    (after an opening parenthesis in a third of the texts that have one),
+    and a 701-term print longer than int() converts, with and without one."""
+    rnd = random.Random(2026)
+
+    def rational():
+        if rnd.random() < 0.3:
+            return Fraction(0)
+        if rnd.random() < 0.05:
+            return Fraction(rnd.randint(-10 ** 30, 10 ** 30), rnd.choice((1, 7)))
+        return Fraction(rnd.randint(-40, 40), rnd.choice((1, 1, 1, 2, 3, 12)))
+
+    def poly(field):
+        n = rnd.choice((0, 1, 2, 3, 4, 5, 6, 40))
+        terms = []
+        for j in range(n + 1):
+            if rnd.random() < 0.7:
+                rational_only = rnd.random() < 0.4
+                coords = [rational() if i == 0 or not rational_only else Fraction(0)
+                          for i in range(field.degree)]
+                terms.append((coords, (j,)))
+        return _poly(field, ("t",), terms)
+
+    def edit(text):
+        piece = rnd.choice(_ONE_VARIABLE_EDITS if rnd.random() < 0.4 else _CORPUS_TOKENS)
+        opens = [i + 1 for i, c in enumerate(text) if c == "("]
+        i = rnd.choice(opens) if opens and rnd.random() < 1 / 3 else rnd.randrange(len(text) + 1)
+        return rnd.choice((text[:i] + piece + text[i:], text[:i] + text[i + 1:],
+                           text[:i] + piece + text[i + 1:]))
+
+    texts = []
+    for field in _ONE_VARIABLE_FIELDS:
+        for _ in range(120):
+            text = print_poly(poly(field))
+            texts += [text, edit(text)]
+    long = print_poly(_poly(QQ, ("t",), [([Fraction(rnd.randint(1, 99))], (j,))
+                                          for j in range(701)]))
+    return texts + [long, edit(long)]
+
+
+def _one_variable_results(text: str) -> list[str]:
+    """The value of text in t over each field of _ONE_VARIABLE_FIELDS, or
+    its error; a digit run longer than int() converts raises int()'s own
+    ValueError."""
+    out = []
+    for field in _ONE_VARIABLE_FIELDS:
+        try:
+            out.append(print_poly(parse_poly(text, ("t",), field)))
+        except ValueError as e:
+            out.append(f"{type(e).__name__}: {e}")
+    return out
+
+
 def _field_result(text: str) -> str:
     try:
         return field_name(field_from_string(text))
@@ -292,6 +358,10 @@ def test_parse_corpus_matches_golden():
     assert [text for text, _ in golden["field"]] == _field_texts()
     assert [[text, _parse_result(text)] for text, _ in golden["poly"]] == golden["poly"]
     assert [[text, _field_result(text)] for text, _ in golden["field"]] == golden["field"]
+    # the one-variable language that print_poly writes, in t over three fields
+    assert [text for text, _ in golden["one_variable"]] == _one_variable_texts()
+    assert [[text, _one_variable_results(text)]
+            for text, _ in golden["one_variable"]] == golden["one_variable"]
 
 
 def test_field_coefficient_printing_round_trip():
