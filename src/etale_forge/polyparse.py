@@ -49,6 +49,19 @@ its exponent is bounded too, and a power of a constant is rejected as soon
 as a partial power has more than MAX_CONSTANT_BITS bits.  Parentheses and
 unary minus signs nest at most MAX_NESTING deep.
 
+Text in one declared variable that print_poly could have written is read
+without the parser: terms [-]c[*v[^e]] or v[^e] joined by " + " and " - ",
+c being INT[/INT] or, over an extension field, a parenthesized sum of such
+terms in the generator.  One regular expression matches each term, the text
+is in this language when the matches cover it, and their digits go straight
+into integer numerators over one common denominator.  The reader never
+raises: it declines, and _Parser reads the text, for other white space or
+symbols, the generator outside parentheses or to a power of at least the
+field degree, parentheses over QQ, an exponent above MAX_DEGREE, a zero
+denominator, and non-ASCII text or text longer than int() converts.  So
+every error, message and offset is _Parser's, the reference it is tested
+against.
+
 A field is written "QQ" or as its monic minimal polynomial in one generator
 symbol, under the same grammar and bounds (field_from_string, field_name);
 its degree is bounded by MAX_FIELD_DEGREE.
@@ -484,15 +497,67 @@ class _Parser:
         return result
 
 
+# One match per term of the language print_poly writes for a one-variable
+# Poly (see the module docstring), in groups: the term, its sign, its
+# coefficient (a number, or a parenthesized sum of numbers times generator
+# powers), numerator, denominator, parenthesized sum, symbol and exponent.
+# After a coefficient the symbol needs a '*'; without one it makes the term.
+_PART = r"(?:[0-9]+(?:/[0-9]+)?(?:\*[A-Za-z_]\w*(?:\^[0-9]+)?)?|[A-Za-z_]\w*(?:\^[0-9]+)?)"
+_PRINTED_TERM = re.compile(rf"((^-?| [+-] )(([0-9]+)(?:/([0-9]+))?|\((-?{_PART}"
+                           rf"(?: [+-] {_PART})*)\))?(?:(?(3)\*)([A-Za-z_]\w*)(?:\^([0-9]+))?)?)")
+
+
+def _read_printed(text: str, var: str, field: NumberField) -> Poly | None:
+    """The Poly of text in var over field when the matches of its terms
+    cover text and it is inside every bound, else None."""
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < len(text) or not text.isascii():
+        return None
+    terms = _PRINTED_TERM.findall(text)
+    if sum([len(m[0]) for m in terms]) != len(text):
+        return None
+    n, gen = field.degree, field.gen_name
+    read = []   # (exponent, [(coordinate, signed numerator, denominator)]) per term
+    for _, sign, coeff, a, b, inner, sym, e in terms:
+        if not (coeff or sym) or sym and sym != var or e and int(e) > MAX_DEGREE \
+                or b and not int(b) or inner and n == 1:
+            return None
+        sign = -1 if "-" in sign else 1
+        if not inner:
+            parts = [(0, sign * int(a or 1), int(b or 1))]
+        else:
+            parts = []
+            for _, s, _, c, d, _, g, j in _PRINTED_TERM.findall(inner):
+                power = int(j) if j else 1 if g else 0
+                if g and g != gen or power >= n or d and not int(d):
+                    return None
+                parts.append((power, (-sign if "-" in s else sign) * int(c or 1), int(d or 1)))
+        read.append((int(e) if e else 1 if sym else 0, parts))
+    den = math.lcm(*{d for _, parts in read for _, _, d in parts})
+    # a zero term adds no key, so the terms keep the order _Parser gives them
+    acc: dict[int, list[int]] = {}
+    for k, parts in read:
+        row = [0] * n
+        for j, x, d in parts:
+            row[j] += x * (den // d)
+        if any(row):
+            old = acc.get(k)
+            acc[k] = row if old is None else [*map(add, old, row)]
+    return Poly(field, (var,), {(k,): tuple(row) for k, row in acc.items() if any(row)}, den)
+
+
 def parse_poly(text: str, vars, field: NumberField = QQ) -> Poly:
     """Parse text into an exact Poly over the given field and variables.
     The generator of an extension field may not share a name with a
-    variable, or print_poly would print text that reads back otherwise."""
+    variable, or print_poly would print text that reads back otherwise.
+    Text in one variable that print_poly could have written is read by
+    _read_printed; every other text, and every error, is _Parser's."""
     vars = tuple(vars)
     if not field.is_rational and field.gen_name in vars:
         raise PolyParseError(f"field generator {field.gen_name!r} is also a "
                              "variable", 0)
-    return _Parser(text, vars, field).parse()
+    p = _read_printed(text, vars[0], field) if len(vars) == 1 else None
+    return _Parser(text, vars, field).parse() if p is None else p
 
 
 @lru_cache(maxsize=256)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etale_forge import endo
+from etale_forge import endo, polyparse
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U, extract_profile, thom_feasible
-from etale_forge.constructor import chebyshev_endo, cyclic_galois_endo
+from etale_forge.constructor import chebyshev_endo, cyclic_galois_endo, solve_kr32
 from etale_forge.endo import (MAX_C1_BITS, CertificateRequired, DegreeUndetermined,
                               EtaleParams, NotAMorphism,
                               SourceTargetMismatch, apply_map,
@@ -27,7 +27,7 @@ from etale_forge.polyalg import (Poly, compose, exact_div, gcd_univariate,
                                  kronecker_sum, monic, separable_mod_p,
                                  variables)
 from etale_forge.polyparse import print_poly
-from etale_forge.reproduce import build_corpus, default_fixture_dir
+from etale_forge.reproduce import _alpha0_22_params, build_corpus, default_fixture_dir
 from etale_forge.surface import (SurfacePoint, hyper_surface, normal_form,
                                  tilde_surface)
 
@@ -526,6 +526,33 @@ def test_params_from_json_bounds_the_size_of_c1():
 def test_documents_naming_one_field_share_it():
     doc = json.loads((default_fixture_dir() / "galois_k3.json").read_text())["params"]
     assert params_from_json(doc).field is params_from_json(dict(doc)).field
+
+
+def test_parameter_documents_take_the_printed_reader(monkeypatch):
+    # R0, R1, R2 and the field text of the parameter documents the project
+    # writes are read by polyparse's one-variable reader, never by the token
+    # loop; the golden file's ~C1 and ~C3 copies wrap R0 in a product, which
+    # is left to the parser, so only its untampered inputs are read here
+    docs = []
+    for path in sorted(default_fixture_dir().glob("*.json")):
+        data = json.loads(path.read_text())
+        docs += [data[key] for key in ("params", "base") if key in data]
+    docs += [data["params"] for name, data, _, _ in json.loads(VERIFY_ENDO_GOLDEN.read_text())
+             if "params" in data and "~" not in name]
+    params = ([chebyshev_endo(d) for d in range(3, 62, 2)]
+              + [cyclic_galois_endo(k)[0] for k in range(2, 9)]
+              + solve_kr32(1) + solve_kr32(2) + [_alpha0_22_params(m) for m in range(2, 11)])
+    docs += [p.to_json() for p in params]
+
+    def token_loop(parser):
+        raise AssertionError(f"{parser.text!r} reached the token loop")
+
+    monkeypatch.setattr(polyparse._Parser, "parse", token_loop)
+    polyparse.field_from_string.cache_clear()
+    fields = {doc["field"] for doc in docs}
+    assert len(docs) == 71 and len(fields) == 9, sorted(fields)
+    read = [params_from_json(doc) for doc in docs]
+    assert [p.to_json() for p in read] == docs
 
 
 def test_chebyshev_document_at_the_degree_bound_reads_back():

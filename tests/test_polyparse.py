@@ -15,9 +15,9 @@ from etale_forge.numfield import QQ, NumberField, cyclotomic_field
 from etale_forge.polyalg import Poly
 from etale_forge.polyparse import (MAX_CONSTANT_BITS, MAX_DEGREE, MAX_NESTING,
                                    MAX_TERMS, NonIntegerExponent,
-                                   PolyParseError, UnknownSymbol,
-                                   field_from_string, field_name, parse_poly,
-                                   print_poly)
+                                   PolyParseError, UnknownSymbol, _Parser,
+                                   _read_printed, field_from_string, field_name,
+                                   parse_poly, print_poly)
 
 F_SQRT_M2 = NumberField([2, 0, 1])
 CORPUS = Path(__file__).parent / "golden" / "parse_corpus.json"
@@ -534,3 +534,53 @@ def test_minus_signs_nest_only_inside_their_factor():
         text = "*".join([run + "t"] * MAX_NESTING) + " - " + " - ".join([run + "(t)"] * 60)
         sign = -1 if run == "-" else 1
         assert parse_poly(text, ["t"]) == sign ** MAX_NESTING * t ** MAX_NESTING - 60 * sign * t
+
+
+def _same_poly(p: Poly, q: Poly) -> bool:
+    """Equal terms in the same order, the same den and the same field object."""
+    return (list(p.terms.items()) == list(q.terms.items()) and p.den == q.den
+            and p.field is q.field and p.variables == q.variables)
+
+
+@pytest.mark.parametrize("field", _ONE_VARIABLE_FIELDS, ids=["QQ", "theta^2 + 7", "zeta_5"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_printed_reader_matches_the_parser(field, data):
+    # print_poly's one-variable texts take the reader with the reference
+    # parser's result; an edit of one either keeps that or is declined
+    small = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    coord = st.one_of(st.just(Fraction(0)), small, st.integers(-10 ** 30, 10 ** 30).map(Fraction))
+    term = st.tuples(st.lists(coord, min_size=field.degree, max_size=field.degree),
+                     st.tuples(st.integers(0, 8)))
+    p = _poly(field, ("t",), data.draw(st.lists(term, max_size=5)))
+    text = print_poly(p)
+    got = _read_printed(text, "t", field)
+    assert got is not None and _same_poly(got, _Parser(text, ("t",), field).parse()), text
+    i = data.draw(st.integers(0, len(text)))
+    piece = data.draw(st.sampled_from(_CORPUS_TOKENS + _ONE_VARIABLE_EDITS
+                                      + [" + t", " - 1/2", " + 0*t^3", "zeta", "(1 + zeta)*"]))
+    edited = data.draw(st.sampled_from([text[:i] + piece + text[i:], text[:i] + text[i + 1:],
+                                        text[:i] + piece + text[i + 1:]]))
+    got = _read_printed(edited, "t", field)
+    if got is not None:
+        assert _same_poly(got, _Parser(edited, ("t",), field).parse()), edited
+
+
+def test_printed_reader_declines_outside_the_plain_case():
+    f7, z5 = _ONE_VARIABLE_FIELDS[1:]
+    # texts print_poly never writes that are still read: repeated and
+    # cancelling terms keep the parser's term order, and zero terms add none
+    for text, field in (("t - t + 1 + t", QQ), ("0*t + t^2 + 3*t", QQ), ("-0", QQ),
+                        ("(theta - theta)*t + t^2 + (1)*t", f7), ("007/003*t^0", QQ),
+                        ("-(1 - theta^0)*t + (-1/2*theta)", f7), ("(zeta^3)*t^1000", z5)):
+        got = _read_printed(text, "t", field)
+        assert got is not None and _same_poly(got, _Parser(text, ("t",), field).parse()), text
+    # every bound, error and unusual spelling is left to the parser
+    for text, field in (("t^1001", QQ), ("1/0*t", QQ), ("(1/0 + theta)", f7),
+                        ("t + 1 ", QQ), ("t\t+ 1", QQ), ("t  + 1", QQ), ("t+1", QQ),
+                        ("t - -1", QQ), ("--t", QQ), ("(theta^2)*t", f7), ("(t)*t", f7),
+                        ("((theta))", f7), ("(1)*t", QQ), ("theta*t", f7), ("x", QQ),
+                        ("2^3*t", QQ), ("(1 + t)^2", QQ), ("3*t*t", QQ), ("٣*t", QQ),
+                        ("té", QQ), ("9" * 4301, QQ), (" + ".join(["t"] * 1500), QQ),
+                        ("", QQ), ("(zeta^4)", z5), ("(theta)", z5)):
+        assert _read_printed(text, "t", field) is None, text
