@@ -537,7 +537,7 @@ def test_minus_signs_nest_only_inside_their_factor():
 
 
 def _same_poly(p: Poly, q: Poly) -> bool:
-    """Equal terms in the same order, the same den and the same field object."""
+    """Equal terms in the same order, den and variables, and the same field object."""
     return (list(p.terms.items()) == list(q.terms.items()) and p.den == q.den
             and p.field is q.field and p.variables == q.variables)
 
