@@ -344,6 +344,69 @@ def _one_variable_results(text: str) -> list[str]:
     return out
 
 
+# Exponents at the degree bound, and below it for sums, which stay cheap
+_BOUND_POWERS = ("", "", "", "^0", "^1", "^2", "^999", "^1000", "^1001", "^500", "^600")
+_SUM_POWERS = ("", "^0", "^1", "^2", "^3", "^7")
+
+
+def _bounds_texts() -> list[str]:
+    """Seeded texts in x, y, t at the edges of the bounds: numbers,
+    variables and theta to the powers 0, 1, 999, 1000 and 1001, zero
+    factors among high powers, constant powers around 2^9999, zero
+    denominators, and runs of 1-3 and 99-101 minus signs before a factor.
+    A power of a sum is at most ^7, and each term's constant stays far
+    below the digits print_poly can write."""
+    rnd = random.Random(2027)
+    texts = ["x^1000*0*x^1000", "0*x^600*x^600", "x^600*x^600*0", "x^600*0*x^600",
+             "x^1000*x^0*y^0", "x^999*y", "x^1000*y", "x*y^1000", "t^1000*0^1001",
+             "(2^99)^101", "(2^100)^100", "(3^60)^100", "(2^99)^101*t", "-(1/2^99)^101",
+             "2^9999", "2^10000", "theta^1000", "theta^1001", "theta^999*x",
+             "(theta^1000)^1000", "1/0", "x/0", "0/0", "3/0*x^1000", "0^0", "-0^0*t",
+             "(x^500 + y^500)^2", "(x^500 + 1)^2", "x*" + "-" * 100 + "y^1000",
+             "(" + "-" * 99 + "x)", "(" + "-" * 100 + "x)"]
+    texts += ["-" * n + "x" for n in (1, 2, 3, 99, 100, 101)]
+    for _ in range(60):
+        c = rnd.choice(("2", "3", "1/2", "2/3", "0"))
+        a, b = rnd.choice((60, 99, 100, 101)), rnd.choice((60, 99, 100, 101))
+        texts.append(f"{rnd.choice(('', '-'))}({c}^{a})^{b}"
+                     f"{rnd.choice(('', '*t', '*x^1000', '*0', '*x^1001'))}")
+
+    def minus():
+        return "-" * rnd.choice((0,) * 12 + (1, 2, 3, 99, 100, 101))
+
+    def small_sum():
+        return " + ".join(rnd.choice(("1", "2", "x", "y", "t", "theta")) +
+                          rnd.choice(("", "^2", "^3", "^500", "^999"))
+                          for _ in range(rnd.randint(1, 3)))
+
+    def factor():
+        kind = rnd.random()
+        atom = rnd.choice(("0", "1", "2", "3", "1/2", "2/3", "3/0", "x", "y", "t", "theta"))
+        if kind < 0.15:
+            return minus() + f"({small_sum()}){rnd.choice(_SUM_POWERS)}"
+        if kind < 0.3:
+            inner = atom + rnd.choice(_BOUND_POWERS)
+            return minus() + f"({inner}){rnd.choice(('', '^0', '^1', '^2', '^1000', '^1001'))}"
+        return minus() + atom + rnd.choice(_BOUND_POWERS)
+
+    for _ in range(340):
+        terms = ["*".join(factor() for _ in range(rnd.randint(1, 3)))
+                 for _ in range(rnd.randint(1, 3))]
+        texts.append(terms[0] + "".join(f" {rnd.choice('+-')} {t}" for t in terms[1:]))
+    return texts
+
+
+def _bounds_results(text: str) -> list[str]:
+    """The value of text in x, y, t over QQ and over theta^2 + 2, or its error."""
+    out = []
+    for field in (QQ, F_SQRT_M2):
+        try:
+            out.append(print_poly(parse_poly(text, ("x", "y", "t"), field)))
+        except ValueError as e:
+            out.append(f"{type(e).__name__}: {e}")
+    return out
+
+
 def _field_result(text: str) -> str:
     try:
         return field_name(field_from_string(text))
@@ -362,6 +425,9 @@ def test_parse_corpus_matches_golden():
     assert [text for text, _ in golden["one_variable"]] == _one_variable_texts()
     assert [[text, _one_variable_results(text)]
             for text, _ in golden["one_variable"]] == golden["one_variable"]
+    # the degree, constant and nesting bounds, in x, y, t over two fields
+    assert [text for text, _ in golden["bounds"]] == _bounds_texts()
+    assert [[text, _bounds_results(text)] for text, _ in golden["bounds"]] == golden["bounds"]
 
 
 def test_field_coefficient_printing_round_trip():
