@@ -172,6 +172,8 @@ def miy_b_find(n: int) -> MiyParams:
     roots in Q[x]/(U_(n-1)) need factoring machinery), so only user-supplied
     b is verified there.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if n == 2:
         field = NumberField([1, 0, 1])       # theta^2 + 1, theta = i
         b = Poly.constant(field.gen(), field, ("x",))

@@ -22,32 +22,20 @@ separates tokens.  An ASCII text of accepted characters needs one more
 match to be known clean; any other text is checked token by token, so that
 a bad character anywhere is the error reported, before anything is
 evaluated.  The parser walks the token list by index.  A term reads its
-factors in one loop, each factor's minus signs, number or variable and
-exponent inline (the generator and parentheses through atom), and only
+factors in one loop, each factor's minus signs, atom and exponent, and only
 parentheses recurse.  An error names a token index, and its character
 offset is found, by matching the text again, only when the error is
 raised.
 
-The parser evaluates term by term as it reads.  A term whose factors are
-numbers and declared variables, each perhaps with an exponent, is read into
-a running monomial of ints, a rational coefficient num/den and a list of
-exponents, with the minus sign of its sum folded into num; one FieldElement
-is built when the term ends, and no power or check_size call is made, since
-a power of a number or a variable and a product of monomials are bounded by
-their degree alone, checked inline at the same token.  A value of at most
-one term is a monomial, a coefficient with an exponent tuple: monomials
-multiply and raise to powers directly, the terms of one sum are added into
-one term map, and one Poly is built per sum of two or more terms.  Only
-operands of two or more terms, such as (1 + x*y)^3, go through the Poly
-ring operations.
-A product or power is rejected before it is expanded when its degree would
-exceed MAX_DEGREE or its possible term count would exceed MAX_TERMS.  That
-count is the dense C(n + deg, n) in the n variables its operands use, for a
-power of one term too; for a product it is capped by the product of the
-operands' term counts.  In a power a constant counts as degree one, so
-its exponent is bounded too, and a power of a constant is rejected as soon
-as a partial power has more than MAX_CONSTANT_BITS bits.  Parentheses and
-unary minus signs nest at most MAX_NESTING deep.
+Each rule returns a Poly, and the size bounds are checked in product and
+power.  A product or power is rejected before it is expanded when its
+degree would exceed MAX_DEGREE or its possible term count would exceed
+MAX_TERMS.  That count is the dense C(n + deg, n) in the n variables its
+operands use, for a power of one term too; for a product it is capped by
+the product of the operands' term counts.  In a power a constant counts as
+degree one, so its exponent is bounded too, and a power of a constant is
+rejected as soon as a partial power has more than MAX_CONSTANT_BITS bits.
+Parentheses and unary minus signs nest at most MAX_NESTING deep.
 
 Text in one declared variable that print_poly could have written is read
 without the parser: terms [-]c[*v[^e]] or v[^e] joined by " + " and " - ",
@@ -72,6 +60,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
@@ -173,43 +162,13 @@ def _shown(tok: str) -> str:
     return repr(int(tok)) if tok.isdigit() else repr(tok)
 
 
-def _degree(value) -> int:
-    """Total degree of a parsed value (see _Parser); -1 for zero."""
-    if value is None:
-        return -1
-    return value.total_degree() if isinstance(value, Poly) else sum(value[1])
-
-
-def _term_count(value) -> int:
-    if value is None:
-        return 0
-    return len(value.terms) if isinstance(value, Poly) else 1
-
-
-def _support(value, vars: tuple[str, ...]) -> set[str]:
-    """The variables a parsed value uses."""
-    if value is None:
-        return set()
-    if isinstance(value, Poly):
-        return set(value.support_variables())
-    return {v for v, e in zip(vars, value[1]) if e}
-
-
 class _Parser:
     """Recursive descent that evaluates as it parses, over vars and field.
 
-    Each rule returns its value term by term: None for zero, a monomial
-    (c, exps) with a nonzero FieldElement c and an exponent tuple for one
-    term, and a Poly for two or more terms.  Monomials multiply and raise
-    to powers directly, and the terms of one sum go into one term map, which
-    becomes one Poly only when two or more terms are left; so only operands
-    of two or more terms reach the Poly ring operations.  Over a field, a
-    product or power of nonzero values is nonzero, and it has two or more
-    terms when an operand has, so only a sum can collapse its value.
-
-    expr reads a sum and term a product, whose factors it reads in one
-    loop, into a running monomial of ints while they are numbers and
-    declared variables; only parentheses recurse, through expr."""
+    Every rule returns a Poly, the zero Poly for zero.  expr reads a sum,
+    whose terms go into one term map, and term a product, whose factors it
+    reads in one loop; only parentheses recurse, through expr.  Products go
+    through product() and powers through power(), which check every bound."""
 
     def __init__(self, text: str, vars: tuple[str, ...], field: NumberField):
         self.text = text
@@ -218,14 +177,10 @@ class _Parser:
         self.vars = vars
         self.field = field
         self.depth = 0
-        self.pad = (0,) * (field.degree - 1)
-        origin = (0,) * len(vars)
-        one = FieldElement(field, (1,) + self.pad)
-        self.one = one, origin   # the monomial 1
-        # the position of each declared variable, and the monomial the
-        # generator denotes
-        self.index = {v: i for i, v in enumerate(vars)}
-        self.symbols = {} if field.is_rational else {field.gen_name: (field.gen(), origin)}
+        # the value of the generator and of each declared variable
+        self.symbols = {} if field.is_rational else {
+            field.gen_name: Poly.constant(field.gen(), field, vars)}
+        self.symbols.update((v, Poly.variable(v, field, vars)) for v in vars)
 
     def error(self, message: str, index: int, kind=PolyParseError) -> PolyParseError:
         return kind(message, _offset(self.text, index))
@@ -237,7 +192,7 @@ class _Parser:
             raise self.error("parentheses and unary minus signs nest deeper "
                              f"than the bound {MAX_NESTING}", index)
 
-    def check_size(self, what: str, degree: int, operands: tuple, index: int,
+    def check_size(self, what: str, degree: int, operands: tuple[Poly, ...], index: int,
                    sparse_terms: float = math.inf) -> None:
         """Reject a product or power before it is expanded when its degree
         exceeds MAX_DEGREE or its possible term count exceeds MAX_TERMS; that
@@ -251,19 +206,11 @@ class _Parser:
         vars = self.vars
         if sparse_terms <= MAX_TERMS or math.comb(len(vars) + degree, len(vars)) <= MAX_TERMS:
             return
-        n = len(set().union(*(_support(p, vars) for p in operands)))
+        n = len(set().union(*(p.support_variables() for p in operands)))
         terms = min(math.comb(n + degree, n), sparse_terms)
         if terms > MAX_TERMS:
             raise self.error(f"{what} of up to {terms} terms exceeds the bound {MAX_TERMS}",
                              index)
-
-    def as_poly(self, value) -> Poly:
-        if value is None:
-            return Poly(self.field, self.vars, {})
-        if isinstance(value, Poly):
-            return value
-        c, exps = value
-        return Poly(self.field, self.vars, {exps: c.nums}, c.den)
 
     def parse(self) -> Poly:
         value = self.expr()
@@ -271,81 +218,41 @@ class _Parser:
         if tok != _END:
             raise self.error(f"unexpected {_shown(tok)} (implicit multiplication is not "
                              "allowed)", self.i)
-        return self.as_poly(value)
+        return value
 
-    def expr(self):
-        value = self.term()
-        tokens = self.tokens
-        sign = tokens[self.i]
-        if sign != "+" and sign != "-":
-            return value
+    def expr(self) -> Poly:
+        """A sum.  Its terms go into one term map, so that a term that
+        cancels keeps its place, and one Poly is built from the nonzero
+        coefficients over the lcm of their denominators."""
+        field, tokens = self.field, self.tokens
         acc: dict[tuple[int, ...], FieldElement] = {}
-        self.add_to(acc, value)
-        while sign == "+" or sign == "-":
-            self.i += 1
-            self.add_to(acc, self.term(-1 if sign == "-" else 1))
+        sign = "+"
+        while True:
+            value = self.term()
+            if sign == "-":
+                value = -value
+            for k, c in value.terms.items():
+                c = FieldElement(field, c, value.den)
+                s = acc.get(k)
+                acc[k] = c if s is None else s + c
             sign = tokens[self.i]
-        return self.collect(acc)
-
-    def add_to(self, acc: dict, value) -> None:
-        """Add the terms of value into the term map acc."""
-        if value is None:
-            return
-        if isinstance(value, Poly):
-            field, den = self.field, value.den
-            items = [(k, FieldElement(field, c, den)) for k, c in value.terms.items()]
-        else:
-            c, k = value
-            items = ((k, c),)
-        for k, c in items:
-            s = acc.get(k)
-            acc[k] = c if s is None else s + c
-
-    def collect(self, acc: dict):
-        """The value of a term map; a Poly over the lcm of the coefficient
-        denominators for two or more nonzero terms."""
+            if sign != "+" and sign != "-":
+                break
+            self.i += 1
         acc = {k: c for k, c in acc.items() if any(c.nums)}
-        if not acc:
-            return None
-        if len(acc) == 1:
-            ((k, c),) = acc.items()
-            return c, k
         # the distinct denominators, not a generator: star-arguments from an
         # iterator build a 10-slot tuple and resize it, and a dropped tuple
         # of a resized length, or of length 20, stays in CPython 3.11's tuple
         # free lists until a full collection
         den = math.lcm(*{c.den for c in acc.values()})
-        return Poly(self.field, self.vars,
+        return Poly(field, self.vars,
                     {k: c.nums if c.den == den else tuple([x * (den // c.den) for x in c.nums])
                      for k, c in acc.items()}, den)
 
-    @staticmethod
-    def negated(value):
-        if value is None:
-            return None
-        if isinstance(value, Poly):
-            return -value
-        return -value[0], value[1]
-
-    def monomial(self, num: int, den: int, exps: list[int]):
-        """The value num/den * vars^exps: None for num = 0, and the shared
-        coefficient one for num = den = 1."""
-        if num == den == 1:
-            return self.one[0], tuple(exps)
-        return (FieldElement(self.field, (num,) + self.pad, den), tuple(exps)) if num else None
-
-    def term(self, sign: int = 1):
-        """sign times a product, whose factors are read in one loop.  While
-        they are numbers and declared variables, the product is a running
-        monomial num/den * vars^exps of ints, of degree deg (-1 once it is
-        zero), and one FieldElement is built when the term ends; from the
-        first other factor (the generator or parentheses) on, the product is
-        a value, which product() multiplies.  Each bound is checked at the
-        same token either way."""
-        tokens, index, i = self.tokens, self.index, self.i
-        num, den, exps, deg = sign, 1, [0] * len(self.vars), 0
-        value = None
-        running = True
+    def term(self) -> Poly:
+        """A product, whose factors are read in one loop: each factor's
+        minus signs, atom and exponent."""
+        tokens, i = self.tokens, self.i
         star = None   # the index of the '*' before the factor, None for the first
         while True:
             tok = tokens[i]
@@ -355,26 +262,7 @@ class _Parser:
                 i += 1
                 tok = tokens[i]
             negate = (self.depth - outer) % 2
-            # a number or declared variable is fn/fd * vars[pos]^fe; fn is None
-            # for another factor, whose value is factor
-            pos = index.get(tok)
-            if pos is not None:
-                fn, fd, fe = 1, 1, 1
-                i += 1
-            elif tok.isdigit():
-                fn, fd, fe = int(tok), 1, 0
-                i += 1
-                if tokens[i] == "/":
-                    i += 1
-                    if not tokens[i].isdigit():
-                        raise self.error(f"expected 'INT', found {_shown(tokens[i])}", i)
-                    fd = int(tokens[i])
-                    if fd == 0:
-                        raise self.error("zero denominator", i)
-                    i += 1
-            else:
-                fn = None
-                factor, i = self.atom(tok, i)
+            factor, i = self.atom(tok, i)
             self.depth = outer
             if tokens[i] == "^":
                 i += 1
@@ -385,98 +273,66 @@ class _Parser:
                                      i)
                 if tokens[i + 1] == "/":
                     raise self.error("exponent must be an integer", i + 1, NonIntegerExponent)
-                e = int(tokens[i])
-                if fn is None:
-                    factor = self.power(factor, e, i)
-                elif e > MAX_DEGREE:
-                    # power() of a number or a variable checks only this
-                    raise self.error(f"power of degree {e} exceeds the bound {MAX_DEGREE}", i)
-                elif pos is not None:
-                    fe = e
-                elif e == 0:
-                    fn = fd = 1
-                elif fn:
-                    c = self.constant_power(FieldElement(self.field, (fn,) + self.pad, fd), e, i)
-                    fn, fd = c.nums[0], c.den
+                factor = self.power(factor, int(tokens[i]), i)
                 i += 1
-            if fn is None:
-                if negate:
-                    factor = self.negated(factor)
-                if running:
-                    # nothing read before but the sign, or a running monomial
-                    value = (factor if num == 1 else self.negated(factor)) if star is None \
-                        else self.product(self.monomial(num, den, exps), factor, star)
-                    running = False
-                else:
-                    value = self.product(value, factor, star)
-            elif running:
-                d = deg + (fe if fn else -1)
-                if d > MAX_DEGREE:   # never for the first factor: fe <= MAX_DEGREE
-                    raise self.error(f"product of degree {d} exceeds the bound {MAX_DEGREE}",
-                                     star)
-                num, den = -num * fn if negate else num * fn, den * fd
-                if fe:
-                    exps[pos] += fe
-                deg = d if num else -1
-            else:
-                unit = [0] * len(exps)
-                if fe:
-                    unit[pos] = fe
-                value = self.product(value, self.monomial(-fn if negate else fn, fd, unit), star)
+            if negate:
+                factor = -factor
+            value = factor if star is None else self.product(value, factor, star)
             if tokens[i] != "*":
                 self.i = i
-                return self.monomial(num, den, exps) if running else value
+                return value
             star = i
             i += 1
 
-    def atom(self, tok: str, i: int):
-        """The value of the generator or a parenthesized expr at token i, and
-        the index after it; any other token there is an error."""
-        if tok in self.symbols:
-            return self.symbols[tok], i + 1
+    def atom(self, tok: str, i: int) -> tuple[Poly, int]:
+        """The value of the number, symbol or parenthesized expr at token i,
+        and the index after it; any other token there is an error."""
+        value = self.symbols.get(tok)
+        if value is not None:
+            return value, i + 1
+        tokens = self.tokens
+        if tok.isdigit():
+            num, den = int(tok), 1
+            i += 1
+            if tokens[i] == "/":
+                i += 1
+                if not tokens[i].isdigit():
+                    raise self.error(f"expected 'INT', found {_shown(tokens[i])}", i)
+                den = int(tokens[i])
+                if den == 0:
+                    raise self.error("zero denominator", i)
+                i += 1
+            return Poly.constant(Fraction(num, den), self.field, self.vars), i
         if tok == "(":
             self.nest(i)
             self.i = i + 1
             value = self.expr()
             i = self.i
-            if self.tokens[i] != ")":
-                raise self.error(f"expected ')', found {_shown(self.tokens[i])}", i)
+            if tokens[i] != ")":
+                raise self.error(f"expected ')', found {_shown(tokens[i])}", i)
             self.depth -= 1
             return value, i + 1
         if _is_symbol(tok):
             raise self.error(f"unknown symbol {tok!r}", i, UnknownSymbol)
         raise self.error(f"unexpected {_shown(tok)}", i)
 
-    def product(self, value, factor, star: int):
+    def product(self, value: Poly, factor: Poly, star: int) -> Poly:
         """value * factor, checked at the '*' with index star."""
-        if type(value) is tuple and type(factor) is tuple:
-            # two monomials make one term
-            (c, e), (d, f) = value, factor
-            exps = tuple([*map(add, e, f)])
-            self.check_size("product", sum(exps), (), star, 1)
-            one = self.one[0]
-            return (c if d is one else d if c is one else c * d), exps
-        self.check_size("product", max(_degree(value) + _degree(factor), 0),
-                        (value, factor), star, _term_count(value) * _term_count(factor))
-        if value is None or factor is None:
-            return None
-        return self.as_poly(value) * self.as_poly(factor)
+        self.check_size("product", max(value.total_degree() + factor.total_degree(), 0),
+                        (value, factor), star, len(value.terms) * len(factor.terms))
+        return value * factor
 
-    def power(self, base, exponent: int, index: int):
-        degree = _degree(base)
-        # a constant counts as degree one, so its exponent is bounded too; a
-        # monomial is held to the dense count C(n + deg, n) like any power
+    def power(self, base: Poly, exponent: int, index: int) -> Poly:
+        """base**exponent, checked at the exponent with index index.  A
+        constant counts as degree one, so its exponent is bounded too, and a
+        nonzero one is raised by constant_power; every power is held to the
+        dense count C(n + deg, n), a power of one term too."""
+        degree = base.total_degree()
         self.check_size("power", max(degree, 1) * exponent, (base,), index)
-        if exponent == 0:
-            return self.one
-        if base is None:
-            return None
-        if isinstance(base, Poly):
-            return base ** exponent
-        c, exps = base
-        if degree == 0:
-            return self.constant_power(c, exponent, index), exps
-        return c ** exponent, tuple([exponent * e for e in exps])
+        if degree == 0 and exponent:
+            c = self.constant_power(base.constant_coeff(), exponent, index)
+            return Poly.constant(c, self.field, self.vars)
+        return base ** exponent
 
     def constant_power(self, c: FieldElement, exponent: int, index: int) -> FieldElement:
         """c**exponent for exponent >= 1 by square-and-multiply, rejected as

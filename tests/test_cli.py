@@ -350,6 +350,7 @@ def test_usage_errors_exit_one():
     (["chebyshev", "T", "--n", str(MAX_DEGREE + 1)], {}, "--n"),
     (["miyanishi", "check", "--n", "100000", "--b", "1"], {}, "--n"),
     (["miyanishi", "eta0", "--n", "100000", "--b", "1"], {}, "--n"),
+    (["miyanishi", "find-b", "--n", "1"], {}, "n must be >= 2"),
     # phi(37) = 36 and phi(61) = 60; 10^30 is refused without counting
     (["construct", "cyclic-galois", "--k", "37"], {}, f"bound {MAX_FIELD_DEGREE}"),
     (["construct", "cyclic-galois", "--k", str(10 ** 30)], {}, "--k"),
@@ -405,6 +406,7 @@ def test_usage_errors_exit_one():
         "candidate-missing-a1", "lam-zero-denominator", "d-above-cap", "d-zero",
         "d-negative",
         "n-above-cap", "miyanishi-check-n-above-cap", "miyanishi-eta0-n-above-cap",
+        "miyanishi-find-b-n-below-two",
         "cyclic-galois-k-above-cap", "cyclic-galois-k-huge", "family-gen-k-above-cap",
         "family-distinct-k-above-cap", "family-gen-avec-above-cap",
         "family-distinct-avec-above-cap", "field-text-above-cap", "document-field-above-cap",

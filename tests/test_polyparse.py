@@ -515,8 +515,8 @@ def test_one_term_power_keeps_the_dense_size_rule():
 
 
 def test_cancelling_sums_collapse():
-    # a sum that cancels is the zero Poly; one that leaves one term is a
-    # monomial, and so is its power
+    # a sum that cancels is the zero Poly, and one that leaves one term is a
+    # one-term Poly, whose power is one term
     assert parse_poly("t - t + 0*t^5", ["t"]) == Poly.zero(QQ, ("t",))
     assert parse_poly("t - t + 0*t^5", ["t"]).is_zero()
     t = Poly.variable("t", QQ)
@@ -567,9 +567,9 @@ def test_constant_power_bit_bound():
 
 
 def test_term_bounds_and_signs_are_pinned():
-    # a term of numbers and variables is read with a running monomial: each
-    # bound is still checked at its token, with the same message and offset,
-    # and a minus sign still binds looser than '^'
+    # a term's factors are multiplied one by one in product(), whose checks
+    # name the '*' before the factor that breaks a bound, and power()'s name
+    # the exponent; a minus sign binds looser than '^'
     errors = (("x^600*x^600", "product of degree 1200 exceeds the bound 1000 (offset 5)"),
               ("2*y*x^600*x^600", "product of degree 1201 exceeds the bound 1000 (offset 9)"),
               ("x^1000*x*0", "product of degree 1001 exceeds the bound 1000 (offset 6)"),
