@@ -323,10 +323,10 @@ class _Parser:
         return value * factor
 
     def power(self, base: Poly, exponent: int, index: int) -> Poly:
-        """base**exponent, checked at the exponent with index index.  A
-        constant counts as degree one, so its exponent is bounded too, and a
-        nonzero one is raised by constant_power; every power is held to the
-        dense count C(n + deg, n), a power of one term too."""
+        """base**exponent, checked at the exponent, token index.  A constant
+        counts as degree one, so its exponent is bounded too, and a nonzero
+        one is raised by constant_power; every power is held to the dense
+        count C(n + deg, n), a power of one term too."""
         degree = base.total_degree()
         self.check_size("power", max(degree, 1) * exponent, (base,), index)
         if degree == 0 and exponent:
