@@ -105,7 +105,8 @@ def _cmd_construct(args) -> int:
             built = build_from_params(params)
             payload["tilde_map"] = map_to_json(built.tilde_map)
     elif args.what == "cyclic-galois":
-        params, j = cyclic_galois_endo(_roots_of_unity_arg(args.k, "--k"), args.eps)
+        params = cyclic_galois_endo(_roots_of_unity_arg(args.k, "--k"), args.eps)
+        j = build_from_params(params).j
         payload = {"params": params.to_json(), "j": map_to_json(j)}
     else:  # kr32
         candidates = None
@@ -129,12 +130,17 @@ def _cmd_construct(args) -> int:
 
 
 def _family_base(args):
-    """The --base parameters, else the cyclic Galois endomorphism of degree
-    --k."""
+    """The --base parameters, which must pass the certificate, else the
+    cyclic Galois endomorphism of degree --k."""
     from .constructor import cyclic_galois_endo
     if args.base:
-        return _load_params(args.base)
-    return cyclic_galois_endo(_roots_of_unity_arg(args.k, "--k"))[0]
+        from .endo import CertificateRequired, etale_certificate
+        base = _load_params(args.base)
+        cert = etale_certificate(base)
+        if not cert.verdict:
+            raise CertificateRequired(cert)
+        return base
+    return cyclic_galois_endo(_roots_of_unity_arg(args.k, "--k"))
 
 
 def _family_spec(args, base, avec, what: str):

@@ -1,4 +1,6 @@
-"""Closed-form constructors for the explicit endomorphism families.
+"""Closed-form constructors for the parameters of the explicit
+endomorphism families; endo.build_from_params builds their maps, and for
+alpha = 0 the factorization j through the covering.
 
 Three families have closed forms: the Chebyshev endomorphisms of
 tilde(2, 2), the cyclic Galois endomorphisms of the hypersurface models
@@ -20,12 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chebyshab import chebyshev_T, chebyshev_U
-from .endo import EtaleParams, SurfaceMap, etale_certificate, zk_to_t
+from .endo import EtaleParams, etale_certificate, zk_to_t
 from .numfield import (QQ, FieldElement, NumberField, cyclotomic_field,
                        rational_roots)
-from .polyalg import (NotDivisible, Poly, compose, divmod_poly, exact_div, monic,
-                      variables)
-from .surface import hyper_surface, tilde_surface
+from .polyalg import NotDivisible, Poly, divmod_poly, exact_div, monic, variables
 
 
 class InfeasibleDegree(ValueError):
@@ -66,9 +66,10 @@ def chebyshev_endo(d: int, lam: FieldElement | int = 1) -> EtaleParams:
                        lam=field.elem(d) / lam, R0=r0, R1=r1, R2=r2)
 
 
-def cyclic_galois_endo(k: int, eps_power: int = 1) -> tuple[EtaleParams, SurfaceMap]:
-    """The degree-k endomorphism with cyclic Galois base map, and its
-    factorizing open embedding j: hyper(k, 1) -> tilde(k, k).
+def cyclic_galois_endo(k: int, eps_power: int = 1) -> EtaleParams:
+    """Parameters of the degree-k endomorphism with cyclic Galois base map;
+    build_from_params gives its maps, among them the factorizing open
+    embedding j: hyper(k, 1) -> tilde(k, k).
 
     R1 = (eps - 1) t + 1 for the chosen primitive-power root of unity and
     R0 = (R1^k - 1)/(t(t-1)) by exact division; the base map is
@@ -83,31 +84,8 @@ def cyclic_galois_endo(k: int, eps_power: int = 1) -> tuple[EtaleParams, Surface
     t = Poly.variable("t", field)
     r1 = (eps - 1) * t + 1
     r0 = exact_div(r1 ** k - 1, t * (t - 1))
-    params = EtaleParams(k=k, r=k, a=1, alpha=0, d=k, lam=field.elem(1),
-                         R0=r0, R1=r1, R2=Poly.constant(1, field, ("t",)))
-    return params, factor_through_cover(params)
-
-
-def factor_through_cover(p: EtaleParams) -> SurfaceMap:
-    """The factorization j: hyper(k, rbar) -> tilde(k, rbar*k) with
-    pi o j = eta, available exactly when alpha = 0 (so a = 1 and k | r);
-    deg j = d/k, congruent to rbar mod (r - 1).  j is a morphism by C1 with
-    alpha = 0, since w^r*v = -t*(1-t)^(r/k) for t = -u^rbar*v."""
-    cert = etale_certificate(p)
-    if not cert.verdict:
-        raise PreconditionViolated(f"params fail the certificate: {cert.failing()}")
-    if p.alpha != 0:
-        raise PreconditionViolated("factorization requires alpha = 0")
-    rbar = p.r // p.k
-    field = p.field
-    source = hyper_surface(p.k, rbar)
-    target = tilde_surface(p.k, p.r)
-    u, v, w = (Poly.variable(name, field, source.vars) for name in source.vars)
-    t = -(u ** rbar) * v
-    j1 = w * compose(p.R2, t) * p.lam
-    j2 = v * compose(p.R0, t) * (p.lam ** (-p.r))
-    j3 = compose(p.R1, t)
-    return SurfaceMap(source, target, (j1, j2, j3), cached_degree=p.d // p.k)
+    return EtaleParams(k=k, r=k, a=1, alpha=0, d=k, lam=field.elem(1),
+                       R0=r0, R1=r1, R2=Poly.constant(1, field, ("t",)))
 
 
 # -- the (k, r) = (3, 2) solver ---------------------------------------------------

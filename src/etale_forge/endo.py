@@ -554,14 +554,18 @@ def etale_certificate(p: EtaleParams) -> EtaleCertificate:
 class BuildResult:
     tilde_map: SurfaceMap
     hyper_map: SurfaceMap | None
+    j: SurfaceMap | None
 
 
 def build_from_params(p: EtaleParams) -> BuildResult:
-    """The lift on tilde(k, r), and the descended self-map of the
-    hypersurface model when a = 1 and k | r; by C1 both are morphisms.
-    Tilde, t = 1 - z^k: x^r*y = -t and z^(r(1-alpha)) = (1-t)^((1-alpha)r/k),
-    so X^r*Y - Z^k + 1 = rhs - lhs.  Hyper, t = -u^rbar*v:
-    H1*(1 + H1^rbar*H2) - H3^k = (lam*R1*R2)^k * (u*(1 + u^rbar*v) - w^k)."""
+    """The lift on tilde(k, r), the descended self-map of the hypersurface
+    model when a = 1 and k | r, and, when alpha = 0 (so a = 1 and k | r),
+    j: hyper(k, rbar) -> tilde(k, r) with pi o j = eta for the covering pi;
+    by C1 all three are morphisms.  Tilde, t = 1 - z^k: x^r*y = -t and
+    z^(r(1-alpha)) = (1-t)^((1-alpha)r/k), so X^r*Y - Z^k + 1 = rhs - lhs.
+    Hyper, t = -u^rbar*v: H1*(1 + H1^rbar*H2) - H3^k = (lam*R1*R2)^k *
+    (u*(1 + u^rbar*v) - w^k).  j, alpha = 0: w^r*v = -t*(1-t)^(r/k), so
+    J1^r*J2 - J3^k + 1 = rhs - lhs; deg j = d/k = rbar mod (r - 1) by C4."""
     cert = etale_certificate(p)
     if not cert.verdict:
         raise CertificateRequired(cert)
@@ -576,18 +580,20 @@ def build_from_params(p: EtaleParams) -> BuildResult:
     eta3 = z ** alpha * compose(p.R1, tz)
     tilde_map = SurfaceMap(s, s, (eta1, eta2, eta3))
 
-    hyper_map = None
+    hyper_map = j = None
     if p.a == 1 and r % k == 0:
         rbar = r // k
         h = hyper_surface(k, rbar)
         u, v, w = (Poly.variable(n, field, h.vars) for n in h.vars)
         tu = -(u ** rbar) * v
-        r2t = compose(p.R2, tu)
+        r2t, r1t = compose(p.R2, tu), compose(p.R1, tu)
         h1 = u * (1 - tu) ** (1 - alpha) * (r2t ** k) * (p.lam ** k)
         h2 = v * compose(p.R0, tu) * (p.lam ** (-r))
-        h3 = w * compose(p.R1, tu) * r2t * p.lam
+        h3 = w * r1t * r2t * p.lam
         hyper_map = SurfaceMap(h, h, (h1, h2, h3))
-    return BuildResult(tilde_map, hyper_map)
+        if alpha == 0:
+            j = SurfaceMap(h, s, (w * r2t * p.lam, h2, r1t), cached_degree=p.d // k)
+    return BuildResult(tilde_map, hyper_map, j)
 
 
 # -- independent Jacobian oracle -----------------------------------------------------

@@ -9,7 +9,8 @@ with the middle coordinate expanded so the binomial terms cancel the
 x^(-r); it satisfies the group law Theta^P o Theta^Q = Theta^(P+Q) and is
 an automorphism.  A family member is pi o Theta^F(a) o j, where j is the
 factorization of a certified alpha = 0 endomorphism through the covering
-pi(x, y, z) = (x^k, y, x*z), and F(a) = 1 + sum a_i x^(r i).
+pi(x, y, z) = (x^k, y, x*z), read from endo.build_from_params, and
+F(a) = 1 + sum a_i x^(r i).
 
 Two deformation polynomials are equivalent modulo pre/post-composition by
 automorphisms iff F1(x) = lam^r F2(lam x) for some lam != 0; since both lie
@@ -22,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constructor import PreconditionViolated, factor_through_cover
+from .constructor import PreconditionViolated
 from .dense import trim
-from .endo import EtaleParams, SurfaceMap, compose_maps
+from .endo import EtaleParams, SurfaceMap, build_from_params, compose_maps
 from .numfield import QQ, FieldElement
 from .polyalg import ArityError, Poly
 from .polyparse import MAX_DEGREE
@@ -102,7 +103,10 @@ def _deformation(base: EtaleParams, avector) -> Poly:
 def _member(base: EtaleParams, F: Poly) -> SurfaceMap:
     """pi o Theta^F o j on hyper(k, r/k), reduced to normal form."""
     k, r = base.k, base.r
-    th_j = compose_maps(theta(F, tilde_surface(k, r)), factor_through_cover(base))
+    j = build_from_params(base).j
+    if j is None:
+        raise PreconditionViolated("family base must have alpha = 0, a = 1")
+    th_j = compose_maps(theta(F, tilde_surface(k, r)), j)
     return compose_maps(covering(k, r // k), th_j)
 
 

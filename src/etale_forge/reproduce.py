@@ -19,13 +19,12 @@ from pathlib import Path
 
 from .chebyshab import (RamificationProfile, chebyshev_T, chebyshev_U,
                         extract_profile, thom_feasible)
-from .constructor import (chebyshev_endo, cyclic_galois_endo,
-                          factor_through_cover, kr32_condition, solve_kr32)
-from .endo import (BuildResult, EtaleParams, SurfaceMap, apply_map,
-                   base_polynomial, build_from_params, compose_maps,
-                   cstar_equivariant, degree_of, jacobian_det_at,
-                   jacobian_spotcheck, make_map, map_from_json, maps_equal,
-                   params_from_json, ri_degrees, zk_compatible)
+from .constructor import (chebyshev_endo, cyclic_galois_endo, kr32_condition,
+                          solve_kr32)
+from .endo import (BuildResult, EtaleParams, apply_map, base_polynomial,
+                   build_from_params, compose_maps, cstar_equivariant, degree_of,
+                   jacobian_det_at, jacobian_spotcheck, make_map, map_from_json,
+                   maps_equal, params_from_json, ri_degrees, zk_compatible)
 from .family import (FamilySpec, covering, ec_equivalent, family_member,
                      family_member_symbolic, family_pairwise_distinct, theta)
 from .miyanishi import MiyParams, miy_lift_check
@@ -165,7 +164,7 @@ def _alpha0_22_params(m: int) -> EtaleParams:
                        R0=Poly.constant(4 * m * m, QQ, ("t",)), R1=r1, R2=r2)
 
 
-Galois = Callable[[int], tuple[EtaleParams, SurfaceMap]]
+Galois = Callable[[int], EtaleParams]
 Kr32 = Callable[[int], list[EtaleParams]]
 
 
@@ -178,8 +177,7 @@ def build_corpus(galois: Galois = cyclic_galois_endo,
         for lam in (1, 2):
             corpus.append((f"cheb_d{d}_lam{lam}", chebyshev_endo(d, QQ.elem(lam))))
     for k in (2, 3, 4, 5, 6):
-        params, _ = galois(k)
-        corpus.append((f"galois_k{k}", params))
+        corpus.append((f"galois_k{k}", galois(k)))
     for i, params in enumerate(kr32(1)):
         corpus.append((f"kr32_d01_{i}", params))
     for i, params in enumerate(kr32(2)):
@@ -248,7 +246,7 @@ def check_oracle_cross_validation(corpus: list[CorpusEntry], galois: Galois) -> 
             _assert_oracle_etale(f"{name}/{tag}", m)
             total += 1
     # family members go through the oracle too
-    base, _ = galois(2)
+    base = galois(2)
     avectors = ((), (QQ.elem(1),), (QQ.elem(2),), (QQ.elem(1), QQ.elem(1)))
     for i, av in enumerate(avectors):
         _assert_oracle_etale(f"family member {i}", family_member(FamilySpec(2, 1, base, av)))
@@ -288,18 +286,18 @@ def _verify_params_fixture(data: dict, build: Build) -> str:
 def _check_s2_galois(fixture_dir: Path, build: Build, galois: Galois) -> str:
     data = _load(fixture_dir, "s2_galois.json")
     params = params_from_json(data["params"])
-    built_params, j = galois(2)
-    assert built_params == params, "constructor differs from fixture"
+    assert galois(2) == params, "constructor differs from fixture"
+    built = build(params)
     h = hyper_surface(2, 1)
     u, v, w = (Poly.variable(n, QQ, h.vars) for n in h.vars)
     expected_j = make_map(h, tilde_surface(2, 2), (w, 4 * v, 1 + 2 * u * v))
-    assert maps_equal(j, expected_j), "j != (w, 4v, 1+2uv)"
-    eta = build(params).hyper_map
+    assert maps_equal(built.j, expected_j), "j != (w, 4v, 1+2uv)"
+    eta = built.hyper_map
     expected_eta = make_map(h, h, (u * (1 + u * v), 4 * v, w * (1 + 2 * u * v)))
     assert maps_equal(eta, expected_eta), "eta != (u(1+uv), 4v, w(1+2uv))"
     assert degree_of(eta) == 2
     pi = covering(2, 1)
-    assert maps_equal(compose_maps(pi, j), eta), "pi o j != eta"
+    assert maps_equal(compose_maps(pi, built.j), eta), "pi o j != eta"
     # base map both ways: 4t(1-t) = 1 - (1-2t)^2
     t = Poly.variable("t", QQ)
     eta_rho = base_polynomial(eta)
@@ -373,27 +371,17 @@ def _check_kr32_d02(fixture_dir: Path, build: Build) -> str:
 
 
 def _check_factorization_law(build: Build, galois: Galois) -> str:
-    count = 0
-    for k in (2, 3, 4, 5, 6):
-        params, j = galois(k)
-        _assert_factorization(params, j, build)
-        count += 1
-    for m in (2, 3):
-        params = _alpha0_22_params(m)
-        j = factor_through_cover(params)
-        _assert_factorization(params, j, build)
-        count += 1
-    return f"{count} alpha = 0 builds"
-
-
-def _assert_factorization(params: EtaleParams, j, build: Build) -> None:
-    rbar = params.r // params.k
-    pi = covering(params.k, rbar)
-    eta = build(params).hyper_map
-    assert maps_equal(compose_maps(pi, j), eta), "pi o j != eta"
-    dj = degree_of(j)
-    assert dj == params.d // params.k
-    assert (dj - rbar) % (params.r - 1) == 0, "deg j != rbar mod (r-1)"
+    alpha0 = ([galois(k) for k in (2, 3, 4, 5, 6)]
+              + [_alpha0_22_params(m) for m in (2, 3)])
+    for params in alpha0:
+        rbar = params.r // params.k
+        built = build(params)
+        pi = covering(params.k, rbar)
+        assert maps_equal(compose_maps(pi, built.j), built.hyper_map), "pi o j != eta"
+        dj = degree_of(built.j)
+        assert dj == params.d // params.k
+        assert (dj - rbar) % (params.r - 1) == 0, "deg j != rbar mod (r-1)"
+    return f"{len(alpha0)} alpha = 0 builds"
 
 
 def _check_family(fixture_dir: Path) -> str:

@@ -41,6 +41,8 @@ BIG_FIELD_CONSTANT = "1000000000000000000007"
 BIG_FIELD = f"theta^2 + {BIG_FIELD_CONSTANT}"
 # a certified parameter document, varied into the hostile ones below
 _CHEB_D3 = json.loads((default_fixture_dir() / "cheb_d3.json").read_text())["params"]
+_BAD_BASE = {"k": 2, "r": 2, "a": 1, "alpha": 0, "d": 2, "field": "QQ", "lambda": ["1"],
+             "R0": "5", "R1": "-2*t + 1", "R2": "1"}
 
 
 def run_cli(*args):
@@ -400,6 +402,13 @@ def test_usage_errors_exit_one():
      "generator 't' is also a variable"),
     # str.isdigit accepts '²' but int() does not; only ASCII 0-9 are digits
     (["shabat", "extract", "--poly", "t^²"], {}, "unexpected character '²' (offset 2)"),
+    # the k = 2 cyclic Galois base with R0 = 5 fails C1
+    (["family", "distinct", "--k", "2", "--rbar", "1", "--avecs", "[[1],[2]]",
+      "--base", "TMP/bad.json"], {"bad.json": json.dumps(_BAD_BASE)},
+     "certificate verdict false; failing: C1_identity"),
+    (["family", "gen", "--k", "2", "--rbar", "1", "--avec", "[1]",
+      "--base", "TMP/bad.json"], {"bad.json": json.dumps(_BAD_BASE)},
+     "certificate verdict false; failing: C1_identity"),
 ], ids=["other-fixture", "missing-field", "not-an-object", "avecs-not-nested",
         "avec-not-a-list", "profile-missing-field", "profile-not-an-object",
         "profile-partition-not-int", "candidates-not-an-object",
@@ -413,7 +422,8 @@ def test_usage_errors_exit_one():
         "candidate-minpoly-above-cap", "product-above-cap", "field-reducible",
         "parentheses-above-cap", "minus-signs-above-cap", "constant-power-above-cap",
         "document-k-above-cap", "document-r-above-cap", "document-c1-above-cap",
-        "generator-named-like-a-variable", "superscript-digit-exponent"])
+        "generator-named-like-a-variable", "superscript-digit-exponent",
+        "family-distinct-uncertified-base", "family-gen-uncertified-base"])
 def test_malformed_input_is_one_error_line(tmp_path, argv, docs, names):
     for name, text in docs.items():
         (tmp_path / name).write_text(text)

@@ -1,5 +1,6 @@
 """Closed-form constructors and the (3,2) solver."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,20 +9,20 @@ from hypothesis import strategies as st
 
 from etale_forge.chebyshab import chebyshev_T, chebyshev_U
 from etale_forge.constructor import (BadEpsilon, InfeasibleDegree,
-                                     PreconditionViolated,
                                      _kr32_d01_eliminant, _kr32_params_from_r1_poly,
                                      chebyshev_endo, cyclic_galois_endo,
-                                     factor_through_cover, kr32_condition,
-                                     solve_kr32)
+                                     kr32_condition, solve_kr32)
 from etale_forge.endo import (EtaleParams, base_polynomial, build_from_params,
                               compose_maps, degree_of, etale_certificate,
                               jacobian_spotcheck, make_map,
-                              maps_equal, cstar_equivariant, ri_degrees)
+                              maps_equal, cstar_equivariant, params_from_json,
+                              ri_degrees)
 from etale_forge.family import covering
 from etale_forge.numfield import QQ, NumberField, cyclotomic_field
 from etale_forge.polyalg import (Poly, compose, divmod_poly, exact_div,
                                  gcd_univariate, monic, squarefree_decomposition)
 from etale_forge.polyparse import parse_poly
+from etale_forge.reproduce import build_corpus
 from etale_forge.surface import hyper_surface, tilde_surface
 
 T = Poly.variable("t", QQ)
@@ -111,13 +112,13 @@ def test_chebyshev_base_map_is_one_minus_td_squared():
 
 
 def test_cyclic_galois_examples():
-    params, j = cyclic_galois_endo(2)
+    j = build_from_params(cyclic_galois_endo(2)).j
     h = hyper_surface(2, 1)
     u, v, w = (Poly.variable(name, QQ, h.vars) for name in h.vars)
     expected = make_map(h, tilde_surface(2, 2), (w, 4 * v, 1 + 2 * u * v))
     assert maps_equal(j, expected)
     # k = 3: R0 = (((zeta-1)t+1)^3 - 1)/(t(t-1)) has degree 1 over Q(zeta_3)
-    params3, j3 = cyclic_galois_endo(3)
+    params3 = cyclic_galois_endo(3)
     assert params3.R0.total_degree() == 1
     assert etale_certificate(params3).verdict
     zeta = cyclotomic_field(3).gen()
@@ -133,7 +134,7 @@ def test_cyclic_galois_examples():
 def test_cyclic_galois_single_critical_point():
     # eta_rho' is a unit times R1^(k-1): exactly one multiple critical point
     for k in (2, 3, 4):
-        params, _ = cyclic_galois_endo(k)
+        params = cyclic_galois_endo(k)
         eta_rho = 1 - params.R1 ** k
         deriv = eta_rho.derivative()
         ratio = exact_div(deriv, params.R1 ** (k - 1))
@@ -144,7 +145,7 @@ def test_cyclic_galois_single_critical_point():
 
 def test_cyclic_galois_base_map():
     for k in (2, 3, 4):
-        params, j = cyclic_galois_endo(k)
+        params = cyclic_galois_endo(k)
         built = build_from_params(params)
         eta_rho = base_polynomial(built.hyper_map)
         assert eta_rho == 1 - params.R1 ** k
@@ -239,22 +240,23 @@ def test_solve_kr32_d0_2_rejects_bad_candidates():
     assert solve_kr32(2, bad) == []
 
 
-def test_factor_through_cover_examples():
-    params, j = cyclic_galois_endo(2)
+def test_build_j_examples():
+    params = cyclic_galois_endo(2)
+    j = build_from_params(params).j
     assert degree_of(j) == 1
-    j2 = factor_through_cover(params)
+    # the same j from the parameter document read back
+    j2 = build_from_params(params_from_json(params.to_json())).j
     assert maps_equal(j, j2)
     # alpha = 1 parameters cannot factor
-    with pytest.raises(PreconditionViolated):
-        factor_through_cover(chebyshev_endo(3))
+    assert build_from_params(chebyshev_endo(3)).j is None
 
 
-def test_factor_through_cover_degree_4():
+def test_build_j_degree_4():
     # externally supplied R-triple for (k, r, alpha, d) = (2, 2, 0, 4)
     from etale_forge.reproduce import _alpha0_22_params
     params = _alpha0_22_params(2)
     assert etale_certificate(params).verdict
-    j = factor_through_cover(params)
+    j = build_from_params(params).j
     assert degree_of(j) == 2
     assert (degree_of(j) - 1) % 1 == 0   # deg j = rbar mod (r - 1): 2 = 1 mod 1
     pi = covering(2, 1)
@@ -262,8 +264,56 @@ def test_factor_through_cover_degree_4():
     assert maps_equal(compose_maps(pi, j), eta)
 
 
+def _reference_j(p: EtaleParams):
+    """j by its closed form, (w*R2(t)*lam, v*R0(t)*lam^-r, R1(t)) at
+    t = -u^rbar*v, through the morphism gate."""
+    h = hyper_surface(p.k, p.r // p.k)
+    u, v, w = (Poly.variable(n, p.field, h.vars) for n in h.vars)
+    t = -(u ** (p.r // p.k)) * v
+    coords = (w * compose(p.R2, t) * p.lam, v * compose(p.R0, t) * p.lam ** (-p.r),
+              compose(p.R1, t))
+    return make_map(h, tilde_surface(p.k, p.r), coords)
+
+
+def test_build_j_exactly_when_alpha_is_zero():
+    for name, p in build_corpus():
+        j = build_from_params(p).j
+        assert (j is None) == (p.alpha == 1), name
+        if j is not None:
+            assert degree_of(j) == p.d // p.k, name
+
+
+def test_build_j_matches_the_closed_form():
+    alpha0 = [(name, p) for name, p in build_corpus() if p.alpha == 0]
+    assert len(alpha0) == 7
+    for name, p in alpha0:
+        for scaled in (p, dataclasses.replace(p, lam=p.lam * 2)):
+            j, want = build_from_params(scaled).j, _reference_j(scaled)
+            assert j.coords == want.coords, name
+            assert maps_equal(j, want), name
+
+
+def test_only_the_build_certifies(monkeypatch):
+    from etale_forge import constructor, endo
+    calls = []
+    original = endo.etale_certificate
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(endo, "etale_certificate", counting)
+    monkeypatch.setattr(constructor, "etale_certificate", counting)
+    for k in (2, 3, 5):
+        params = cyclic_galois_endo(k)
+        assert calls == []
+        build_from_params(params)
+        assert calls == [params]
+        calls.clear()
+
+
 def test_constructor_outputs_pass_everything():
-    for params in (chebyshev_endo(5), cyclic_galois_endo(3)[0], solve_kr32(1)[0]):
+    for params in (chebyshev_endo(5), cyclic_galois_endo(3), solve_kr32(1)[0]):
         assert etale_certificate(params).verdict
         built = build_from_params(params)
         assert cstar_equivariant(built.tilde_map)

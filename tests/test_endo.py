@@ -88,7 +88,7 @@ def test_apply_examples():
 
 
 def test_compose_examples():
-    pi, j = covering(2, 1), cyclic_galois_endo(2)[1]
+    pi, j = covering(2, 1), build_from_params(cyclic_galois_endo(2)).j
     assert maps_equal(j, make_map(H21, S22, (W, 4 * V, 1 + 2 * U * V)))
     eta = compose_maps(pi, j)
     expected = make_map(H21, H21, (U * (1 + U * V), 4 * V, W * (1 + 2 * U * V)))
@@ -448,7 +448,7 @@ def test_c1_runs_no_poly_product_over_any_field(monkeypatch):
     assert len(degrees) > 1
     tampered = EtaleParams(k=2, r=2, a=1, alpha=0, d=2, lam=QQ.elem(1),
                            R0=Poly.constant(4, QQ, ("t",)), R1=1 - 2 * T, R2=1 + T)
-    galois = cyclic_galois_endo(3)[0]
+    galois = cyclic_galois_endo(3)
     zeta = galois.field.gen()
     for p in (tampered, dataclasses.replace(galois, R1=galois.R1 + zeta)):
         lhs = T * (1 - T) ** (p.r // p.k) * p.R0 * p.R2 ** p.r
@@ -540,7 +540,7 @@ def test_parameter_documents_take_the_printed_reader(monkeypatch):
     docs += [data["params"] for name, data, _, _ in json.loads(VERIFY_ENDO_GOLDEN.read_text())
              if "params" in data and "~" not in name]
     params = ([chebyshev_endo(d) for d in range(3, 62, 2)]
-              + [cyclic_galois_endo(k)[0] for k in range(2, 9)]
+              + [cyclic_galois_endo(k) for k in range(2, 9)]
               + solve_kr32(1) + solve_kr32(2) + [_alpha0_22_params(m) for m in range(2, 11)])
     docs += [p.to_json() for p in params]
 
@@ -584,7 +584,7 @@ def test_certified_builds_small_grid():
     # has the declared degree and passes the spot-check
     from etale_forge.constructor import chebyshev_endo, cyclic_galois_endo
     cases = [chebyshev_endo(d) for d in (1, 3, 5, 7, 9, 11)]
-    cases += [cyclic_galois_endo(k)[0] for k in (2, 3, 4, 5)]
+    cases += [cyclic_galois_endo(k) for k in (2, 3, 4, 5)]
     for params in cases:
         assert params.d <= 12 and params.k <= 5 and params.r <= 5
         built = build_from_params(params)
@@ -687,10 +687,10 @@ def test_jacobian_det_matches_sympy_elimination():
     from etale_forge.surface import sample_point
     maps = [make_map(S22, S22, (X, Y * (Z ** 2 + 1), Z ** 2))]
     for params in (chebyshev_endo(3), chebyshev_endo(5, QQ.elem(2)),
-                   cyclic_galois_endo(2)[0]):
+                   cyclic_galois_endo(2)):
         built = build_from_params(params)
         maps += [built.tilde_map, built.hyper_map]
-    maps.append(family_member(FamilySpec(2, 1, cyclic_galois_endo(2)[0],
+    maps.append(family_member(FamilySpec(2, 1, cyclic_galois_endo(2),
                                          (QQ.elem(1),))))
     maps += _middle_variable_maps()
     checked = 0
@@ -717,7 +717,7 @@ def test_jacobian_on_the_oracle_corpus_is_lam_power_times_r0_at_0():
     corpus = _built_corpus(build_from_params, cyclic_galois_endo, solve_kr32)
     cases = [(m, predicted(p)) for _, p, built in corpus
              for m in (built.tilde_map, built.hyper_map) if m is not None]
-    base, _ = cyclic_galois_endo(2)
+    base = cyclic_galois_endo(2)
     cases += [(family_member(FamilySpec(2, 1, base, av)), predicted(base)) for av in
               ((), (QQ.elem(1),), (QQ.elem(2),), (QQ.elem(1), QQ.elem(1)))]
     assert len(cases) == 45

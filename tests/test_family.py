@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etale_forge.constructor import cyclic_galois_endo
-from etale_forge.endo import (apply_map, compose_maps, cstar_equivariant,
-                              degree_of, jacobian_spotcheck,
+from etale_forge.endo import (apply_map, build_from_params, compose_maps,
+                              cstar_equivariant, degree_of, jacobian_spotcheck,
                               make_map, maps_equal)
 from etale_forge.family import (EcEquivalence, FamilySpec, covering,
                                 ec_equivalent, family_member,
@@ -73,7 +73,7 @@ def test_covering_examples():
 
 
 def s2_members():
-    base, _ = cyclic_galois_endo(2)
+    base = cyclic_galois_endo(2)
     avs = [(), (QQ.elem(1),), (QQ.elem(2),), (QQ.elem(1), QQ.elem(1))]
     return [FamilySpec(2, 1, base, av) for av in avs]
 
@@ -90,7 +90,7 @@ def test_family_member_formulas_and_point():
     img = apply_map(m0, pt)
     assert [c.as_fraction() for c in img.coords] == [4, 30, 22]
     # chart chase: j, Theta^1, pi step by step
-    base, j = cyclic_galois_endo(2)
+    j = build_from_params(cyclic_galois_endo(2)).j
     q1 = apply_map(j, pt)
     assert [c.as_fraction() for c in q1.coords] == [2, 12, 7]
     q2 = apply_map(theta(1, S22), q1)
@@ -102,7 +102,7 @@ def test_family_member_formulas_and_point():
 
 
 def test_eta2_formula_with_one_parameter():
-    base, _ = cyclic_galois_endo(2)
+    base = cyclic_galois_endo(2)
     m = family_member(FamilySpec(2, 1, base, (QQ.elem(5),)))
     uvw = ("u", "v", "w")
     want = parse_poly(
@@ -122,7 +122,7 @@ def test_family_members_degrees_and_oracle():
 def test_symbolic_member_jacobian_is_free_of_parameters(k, n):
     # J of pi o Theta^F(a1..an) o j is one constant for every a: each member
     # is etale, with the J of the base map
-    base, _ = cyclic_galois_endo(k)
+    base = cyclic_galois_endo(k)
     verdict = jacobian_spotcheck(family_member_symbolic(base, n))
     zeta = cyclotomic_field(3).from_coords([0, 1])
     want = {2: QQ.elem(4), 3: 3 - 3 * zeta}[k]
@@ -132,7 +132,7 @@ def test_symbolic_member_jacobian_is_free_of_parameters(k, n):
 @settings(max_examples=10, deadline=None)
 @given(av=st.lists(HEIGHT_9.map(QQ.elem), min_size=1, max_size=3).map(tuple))
 def test_no_equivariant_member_for_random_nonzero_vectors(av):
-    base, _ = cyclic_galois_endo(2)
+    base = cyclic_galois_endo(2)
     assert not cstar_equivariant(family_member(FamilySpec(2, 1, base, av)))
 
 
@@ -148,8 +148,8 @@ def test_family_pairwise_distinct_examples():
 
 def _bases():
     # (k, rbar, base, coefficient pool): QQ at k = 2, Q(zeta_3) at k = 3
-    qq_base, _ = cyclic_galois_endo(2)
-    z3_base, _ = cyclic_galois_endo(3)
+    qq_base = cyclic_galois_endo(2)
+    z3_base = cyclic_galois_endo(3)
     zeta = z3_base.field.gen()
     return [(2, 1, qq_base, [QQ.elem(c) for c in (0, 1, -1, 2)]),
             (3, 1, z3_base, [z3_base.field.elem(0), z3_base.field.elem(1),
@@ -179,7 +179,7 @@ def test_family_pairwise_distinct_matches_pairwise_equivalence(case, data):
 
 
 def test_symbolic_family_matches_printed_formulas():
-    base, _ = cyclic_galois_endo(2)
+    base = cyclic_galois_endo(2)
     sym = family_member_symbolic(base, 3)
     uvwa = ("u", "v", "w", "a1", "a2", "a3")
     qa = "a1 + a2*w^2 + a3*w^4"
@@ -259,3 +259,6 @@ def test_family_spec_preconditions():
     from etale_forge.constructor import chebyshev_endo, PreconditionViolated
     with pytest.raises(PreconditionViolated):
         FamilySpec(2, 1, chebyshev_endo(3), ())
+    # an alpha = 1 base has no factorization j, so no member either
+    with pytest.raises(PreconditionViolated):
+        family_member_symbolic(chebyshev_endo(3), 1)

@@ -13,7 +13,7 @@ import functools
 
 import pytest
 
-from etale_forge.constructor import chebyshev_endo, cyclic_galois_endo, factor_through_cover
+from etale_forge.constructor import chebyshev_endo, cyclic_galois_endo
 from etale_forge.endo import build_from_params, compose_maps, make_map
 from etale_forge.family import (FamilySpec, covering, family_member,
                                 family_member_symbolic, theta)
@@ -48,7 +48,7 @@ def _cases():
             for scale in (1, 2):
                 scaled = dataclasses.replace(params, lam=params.lam * scale)
                 cases.append((f"{name}-j-lam*{scale}",
-                              lambda p=scaled: factor_through_cover(p)))
+                              lambda p=scaled: build_from_params(p).j))
     cases += _theta_cases()
     cases += [(f"covering-{k}{rbar}", lambda k=k, rbar=rbar: covering(k, rbar))
               for k in (2, 3, 4) for rbar in (1, 2)]
@@ -57,9 +57,9 @@ def _cases():
               ("identity-hyper21", lambda: build_from_params(chebyshev_endo(1)).hyper_map)]
     for k, avector in ((2, ()), (2, (1, 2)), (3, (1, 0, 2))):
         cases.append((f"family-k{k}-{len(avector)}", lambda k=k, avector=avector:
-                      family_member(FamilySpec(k, 1, cyclic_galois_endo(k)[0], avector))))
+                      family_member(FamilySpec(k, 1, cyclic_galois_endo(k), avector))))
     cases += [(f"family-symbolic-k{k}", lambda k=k:
-               family_member_symbolic(cyclic_galois_endo(k)[0], 3)) for k in (2, 3)]
+               family_member_symbolic(cyclic_galois_endo(k), 3)) for k in (2, 3)]
     cases.append(("compose-cheb3-cheb5", lambda: compose_maps(
         _built("cheb_d3_lam2").tilde_map, _built("cheb_d5_lam1").tilde_map)))
     cases += [(f"chebyshev-d{d}-lam2", lambda d=d:
