@@ -37,6 +37,7 @@ FIELD_TOO_BIG = f"theta^{MAX_FIELD_DEGREE + 1} + theta + 1"
 MINPOLY_TOO_BIG = [1, 1] + [0] * (MAX_FIELD_DEGREE - 1) + [1]
 GOLDEN = Path(__file__).parent / "golden" / "reproduce_paper.json"
 VERIFY_ENDO_GOLDEN = Path(__file__).parent / "golden" / "verify_endo.json"
+FAMILY_GOLDEN = Path(__file__).parent / "golden" / "family_cli.json"
 BIG_FIELD_CONSTANT = "1000000000000000000007"
 BIG_FIELD = f"theta^2 + {BIG_FIELD_CONSTANT}"
 # a certified parameter document, varied into the hostile ones below
@@ -225,6 +226,45 @@ def test_verify_endo_output_matches_golden(tmp_path):
     docs = _verify_endo_documents()
     assert [[name, data] for name, data, _, _ in golden] == docs
     assert _verify_endo_replay(tmp_path, docs) == golden
+
+
+S2_AVECS = ("[]", "[1]", "[2]", "[1, 1]")
+
+
+def _family_argv() -> list:
+    """The argv of the family golden file: family gen on the default base
+    for k = 2..5, on family_s2.json as given (not a parameter document) and
+    on its base alone (TMP/s2_base.json), and the README's family distinct."""
+    argv = [["family", "gen", "--k", str(k), "--rbar", "1", "--avec", avec, "--json"]
+            for k in (2, 3, 4, 5) for avec in S2_AVECS]
+    argv.append(["family", "gen", "--k", "2", "--rbar", "1", "--avec", "[1]",
+                 "--base", "FIXTURES/family_s2.json", "--json"])
+    argv += [["family", "gen", "--k", "2", "--rbar", "1", "--avec", avec,
+              "--base", "TMP/s2_base.json", "--json"] for avec in S2_AVECS]
+    readme = ["family", "distinct", "--k", "2", "--rbar", "1",
+              "--avecs", "[[], [1], [2], [1, 1]]"]
+    return argv + [readme, readme + ["--json"],
+                   readme + ["--base", "TMP/s2_base.json", "--json"]]
+
+
+def _family_replay(tmp_path) -> list:
+    """[argv, exit code, stdout, stderr] of each argv of _family_argv."""
+    base = json.loads((default_fixture_dir() / "family_s2.json").read_text())["base"]
+    (tmp_path / "s2_base.json").write_text(json.dumps(base))
+    out = []
+    for argv in _family_argv():
+        res = run_cli(*(a.replace("FIXTURES", str(default_fixture_dir()))
+                        .replace("TMP", str(tmp_path)) for a in argv))
+        out.append([argv, res.returncode, res.stdout,
+                    res.stderr.replace(str(tmp_path), "TMP")])
+    return out
+
+
+def test_family_output_matches_golden(tmp_path):
+    # members, degrees, decisions and errors, byte for byte
+    golden = json.loads(FAMILY_GOLDEN.read_text())
+    assert [argv for argv, *_ in golden] == _family_argv()
+    assert _family_replay(tmp_path) == golden
 
 
 def test_verify_endo_rejects_an_oversized_c1_at_once(tmp_path):
