@@ -130,31 +130,27 @@ def _cmd_construct(args) -> int:
 
 
 def _family_base(args):
-    """The --base parameters, which must pass the certificate, else the
-    cyclic Galois endomorphism of degree --k."""
-    from .constructor import cyclic_galois_endo
-    if args.base:
-        from .endo import CertificateRequired, etale_certificate
-        base = _load_params(args.base)
-        cert = etale_certificate(base)
-        if not cert.verdict:
-            raise CertificateRequired(cert)
-        return base
-    return cyclic_galois_endo(_roots_of_unity_arg(args.k, "--k"))
-
-
-def _family_spec(args, base, avec, what: str):
-    from .family import FamilySpec
-    return FamilySpec(args.k, args.rbar, base,
-                      tuple(map(base.field.elem, rationals(avec, what))))
+    """j of the --base parameters, else of the cyclic Galois endomorphism
+    of degree --k; the base must pass the certificate, have alpha = 0 and
+    be for tilde(--k, --rbar * --k)."""
+    from .constructor import PreconditionViolated, cyclic_galois_endo
+    from .endo import build_from_params
+    base = (_load_params(args.base) if args.base
+            else cyclic_galois_endo(_roots_of_unity_arg(args.k, "--k")))
+    j = build_from_params(base).j
+    if j is None:
+        raise PreconditionViolated("family base must have alpha = 0, a = 1")
+    if (base.k, base.r) != (args.k, args.rbar * args.k):
+        raise PreconditionViolated(f"base parameters are for tilde({base.k},{base.r})")
+    return j
 
 
 def _cmd_family(args) -> int:
     from .endo import degree_of, map_to_json
     from .family import ec_equivalent, family_member, family_pairwise_distinct
     if args.what == "gen":
-        spec = _family_spec(args, _family_base(args), json.loads(args.avec), "--avec")
-        member = family_member(spec)
+        member = family_member(_family_base(args),
+                               rationals(json.loads(args.avec), "--avec"))
         payload = {"map": map_to_json(member), "degree": degree_of(member)}
         _emit(payload, args)
         return EXIT_OK
@@ -171,13 +167,12 @@ def _cmd_family(args) -> int:
         _emit(payload, args)
         return EXIT_OK if res.equivalent else EXIT_FALSE
     # distinct
-    base = _family_base(args)
+    j = _family_base(args)
     avecs = json.loads(args.avecs)
     if not isinstance(avecs, list):
         raise ValueError("--avecs must be a list of a-vectors, "
                          f"got {type(avecs).__name__}")
-    specs = [_family_spec(args, base, av, "an a-vector") for av in avecs]
-    distinct = family_pairwise_distinct(specs)
+    distinct = family_pairwise_distinct(j, [rationals(av, "an a-vector") for av in avecs])
     _emit({"pairwise_distinct": distinct}, args)
     return EXIT_OK if distinct else EXIT_FALSE
 

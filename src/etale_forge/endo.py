@@ -642,8 +642,7 @@ def _in_chart(p: Poly, e: int, top: Poly) -> tuple[Poly, int]:
 
 
 def jacobian_det_at(m: SurfaceMap, pt: SurfacePoint) -> FieldElement:
-    """J at pt, zero exactly where m is not etale; the determinant of m in
-    the coordinates (first, last) times first^e / f1^e' where those are nonzero."""
+    """J of jacobian_spotcheck(m) at pt: zero exactly where m is not etale."""
     return jacobian_spotcheck(m).J.evaluate(dict(zip(m.source.vars, pt.coords)))
 
 

@@ -7,10 +7,11 @@ The additive shear Theta^P acts on tilde(k, r) by
 
 with the middle coordinate expanded so the binomial terms cancel the
 x^(-r); it satisfies the group law Theta^P o Theta^Q = Theta^(P+Q) and is
-an automorphism.  A family member is pi o Theta^F(a) o j, where j is the
+an automorphism.  A family member is pi o Theta^F(a) o j, with
+F(a) = 1 + sum a_i x^(r i).  j: hyper(k, rbar) -> tilde(k, r) is the
 factorization of a certified alpha = 0 endomorphism through the covering
-pi(x, y, z) = (x^k, y, x*z), read from endo.build_from_params, and
-F(a) = 1 + sum a_i x^(r i).
+pi(x, y, z) = (x^k, y, x*z), the j of the base's endo.BuildResult; the
+caller passes it in, and k, rbar and r are read off j.
 
 Two deformation polynomials are equivalent modulo pre/post-composition by
 automorphisms iff F1(x) = lam^r F2(lam x) for some lam != 0; since both lie
@@ -24,8 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .constructor import PreconditionViolated
-from .dense import trim
-from .endo import EtaleParams, SurfaceMap, build_from_params, compose_maps
+from .endo import SurfaceMap, compose_maps
 from .numfield import QQ, FieldElement
 from .polyalg import ArityError, Poly
 from .polyparse import MAX_DEGREE
@@ -62,64 +62,34 @@ def covering(k: int, rbar: int) -> SurfaceMap:
     return SurfaceMap(source, target, (x ** k, y, x * z), cached_degree=k)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A deformed endomorphism of hyper(k, rbar): pi o Theta^F(a) o j_base.
-
-    F(a) has degree r * len(a), which must not exceed MAX_DEGREE.
-    """
-    k: int
-    rbar: int
-    base: EtaleParams
-    avector: tuple[FieldElement, ...]
-
-    def __post_init__(self):
-        if self.base.alpha != 0:
-            raise PreconditionViolated("family base must have alpha = 0, a = 1")
-        if self.base.k != self.k or self.base.r != self.rbar * self.k:
-            raise PreconditionViolated(
-                f"base parameters are for tilde({self.base.k},{self.base.r})")
-        degree = self.base.r * len(self.avector)
-        if degree > MAX_DEGREE:
-            raise PreconditionViolated(f"the a-vector gives F of degree {degree}, "
-                                       f"which exceeds the bound {MAX_DEGREE}")
-        object.__setattr__(self, "avector",
-                           tuple(self.base.field.elem(a) for a in self.avector))
-
-    def deformation_poly(self) -> Poly:
-        """F(a) = 1 + sum a_i x^(r i) with r = rbar*k."""
-        return _deformation(self.base, self.avector)
-
-
-def _deformation(base: EtaleParams, avector) -> Poly:
-    """1 + sum a_i x^(r i) for field elements or parameter Polys a_i."""
-    x = Poly.variable("x", base.field)
-    F = Poly.constant(1, base.field, ("x",))
+def deformation_poly(j: SurfaceMap, avector) -> Poly:
+    """F(a) = 1 + sum a_i x^(r i) for the tilde(k, r) that j maps into;
+    each a_i is a parameter Poly or a number, taken into j's field.  F has
+    degree r * len(a), which must not exceed MAX_DEGREE."""
+    r, field = j.target.r, j.field
+    degree = r * len(avector)
+    if degree > MAX_DEGREE:
+        raise PreconditionViolated(f"the a-vector gives F of degree {degree}, "
+                                   f"which exceeds the bound {MAX_DEGREE}")
+    x = Poly.variable("x", field)
+    F = Poly.constant(1, field, ("x",))
     for i, ai in enumerate(avector, start=1):
-        F = F + ai * x ** (base.r * i)
+        F = F + (ai if isinstance(ai, Poly) else field.elem(ai)) * x ** (r * i)
     return F
 
 
-def _member(base: EtaleParams, F: Poly) -> SurfaceMap:
-    """pi o Theta^F o j on hyper(k, r/k), reduced to normal form."""
-    k, r = base.k, base.r
-    j = build_from_params(base).j
-    if j is None:
-        raise PreconditionViolated("family base must have alpha = 0, a = 1")
-    th_j = compose_maps(theta(F, tilde_surface(k, r)), j)
-    return compose_maps(covering(k, r // k), th_j)
-
-
-def family_member(f: FamilySpec) -> SurfaceMap:
+def family_member(j: SurfaceMap, avector) -> SurfaceMap:
     """The self-map pi o Theta^F(a) o j of hyper(k, rbar), reduced to
     normal form; its degree is k * deg(j)."""
-    return _member(f.base, f.deformation_poly())
+    s = j.target
+    th_j = compose_maps(theta(deformation_poly(j, avector), s), j)
+    return compose_maps(covering(s.k, j.source.r), th_j)
 
 
-def family_member_symbolic(base: EtaleParams, nparams: int) -> SurfaceMap:
+def family_member_symbolic(j: SurfaceMap, nparams: int) -> SurfaceMap:
     """A family member with formal parameters a1..an (torus weight zero)."""
-    avector = [Poly.variable(f"a{i}", base.field) for i in range(1, nparams + 1)]
-    return _member(base, _deformation(base, avector))
+    return family_member(j, [Poly.variable(f"a{i}", j.field)
+                             for i in range(1, nparams + 1)])
 
 
 # -- equivalence modulo automorphisms ----------------------------------------------
@@ -198,20 +168,12 @@ def ec_equivalent(P1: Poly, P2: Poly, r: int) -> EcEquivalence:
     return EcEquivalence(True, lam=lam, lam_pow_r=mu)
 
 
-def family_pairwise_distinct(f_list: list[FamilySpec]) -> bool:
-    """True iff all members are pairwise inequivalent modulo automorphisms.
+def family_pairwise_distinct(j: SurfaceMap, avectors) -> bool:
+    """True iff the members of j with these a-vectors are pairwise
+    inequivalent modulo automorphisms.
 
     Every deformation polynomial has F(0) = 1 and lies in C[x^r], so
     F1(x) = lam^r F2(lam x) forces lam^r = 1 and then F1 = F2: members are
-    equivalent exactly when their a-vectors agree after stripping trailing
-    zeros.
+    equivalent exactly when their deformation polynomials are equal.
     """
-    if not f_list:
-        return True
-    k, rbar, base = f_list[0].k, f_list[0].rbar, f_list[0].base
-    canon = set()
-    for f in f_list:
-        if (f.k, f.rbar) != (k, rbar) or f.base != base:
-            raise ValueError("family members must share (k, rbar, base)")
-        canon.add(tuple(trim(list(f.avector))))
-    return len(canon) == len(f_list)
+    return len({deformation_poly(j, av) for av in avectors}) == len(avectors)

@@ -21,11 +21,12 @@ from .chebyshab import (RamificationProfile, chebyshev_T, chebyshev_U,
                         extract_profile, thom_feasible)
 from .constructor import (chebyshev_endo, cyclic_galois_endo, kr32_condition,
                           solve_kr32)
-from .endo import (BuildResult, EtaleParams, apply_map, base_polynomial,
-                   build_from_params, compose_maps, cstar_equivariant, degree_of,
-                   jacobian_det_at, jacobian_spotcheck, make_map, map_from_json,
-                   maps_equal, params_from_json, ri_degrees, zk_compatible)
-from .family import (FamilySpec, covering, ec_equivalent, family_member,
+from .endo import (BuildResult, EtaleParams, SurfaceMap, apply_map,
+                   base_polynomial, build_from_params, compose_maps,
+                   cstar_equivariant, degree_of, jacobian_spotcheck, make_map,
+                   map_from_json, maps_equal, params_from_json, ri_degrees,
+                   zk_compatible)
+from .family import (covering, ec_equivalent, family_member,
                      family_member_symbolic, family_pairwise_distinct, theta)
 from .miyanishi import MiyParams, miy_lift_check
 from .numfield import QQ, NumberField, cyclotomic_field
@@ -237,7 +238,9 @@ def _assert_oracle_etale(label: str, m) -> None:
     assert verdict, f"{label}: J = {verdict.J} is not a nonzero constant"
 
 
-def check_oracle_cross_validation(corpus: list[CorpusEntry], galois: Galois) -> str:
+def check_oracle_cross_validation(corpus: list[CorpusEntry], j: SurfaceMap) -> str:
+    """Every corpus map and four members of j have a nonzero constant J;
+    the ramified non-example does not."""
     total = 0
     for name, _, built in corpus:
         for tag, m in (("tilde", built.tilde_map), ("hyper", built.hyper_map)):
@@ -246,10 +249,8 @@ def check_oracle_cross_validation(corpus: list[CorpusEntry], galois: Galois) -> 
             _assert_oracle_etale(f"{name}/{tag}", m)
             total += 1
     # family members go through the oracle too
-    base = galois(2)
-    avectors = ((), (QQ.elem(1),), (QQ.elem(2),), (QQ.elem(1), QQ.elem(1)))
-    for i, av in enumerate(avectors):
-        _assert_oracle_etale(f"family member {i}", family_member(FamilySpec(2, 1, base, av)))
+    for i, av in enumerate(((), (1,), (2,), (1, 1))):
+        _assert_oracle_etale(f"family member {i}", family_member(j, av))
         total += 1
     assert total >= 30, f"corpus too small: {total}"
     # the deliberately ramified non-example: J = 2*z vanishes exactly on z = 0
@@ -384,15 +385,18 @@ def _check_factorization_law(build: Build, galois: Galois) -> str:
     return f"{len(alpha0)} alpha = 0 builds"
 
 
-def _check_family(fixture_dir: Path) -> str:
+def _check_family(fixture_dir: Path, build: Build) -> str:
     data = _load(fixture_dir, "family_s2.json")
     base = params_from_json(data["base"])
+    j = build(base).j
+    assert j is not None, "family base must have alpha = 0, a = 1"
+    assert (base.k, base.r) == (data["k"], data["rbar"] * data["k"]), \
+        f"base parameters are for tilde({base.k},{base.r})"
     field = base.field
     avectors = [tuple(field.from_coords([Fraction(c) for c in coords])
                       for coords in av) for av in data["avectors"]]
-    specs = [FamilySpec(data["k"], data["rbar"], base, av) for av in avectors]
-    members = [family_member(f) for f in specs]
-    assert family_pairwise_distinct(specs), "members not pairwise distinct"
+    members = [family_member(j, av) for av in avectors]
+    assert family_pairwise_distinct(j, avectors), "members not pairwise distinct"
     for m in members:
         assert degree_of(m) == 2
         _assert_oracle_etale("family member", m)
@@ -403,7 +407,7 @@ def _check_family(fixture_dir: Path) -> str:
     got = [str(c.as_fraction()) for c in img.coords]
     assert got == data["point"]["image"], f"point fixture: {got}"
     # symbolic match against the printed formulas, a-vector length 3
-    sym = family_member_symbolic(base, 3)
+    sym = family_member_symbolic(j, 3)
     uvwa = ("u", "v", "w", "a1", "a2", "a3")
     qa = "a1 + a2*w^2 + a3*w^4"
     printed = (
@@ -436,9 +440,11 @@ def _check_ramified(fixture_dir: Path) -> str:
     data = _load(fixture_dir, "ramified_nonexample.json")
     m = map_from_json(data["map"])
     assert maps_equal(m, ramified_nonexample())
+    J = jacobian_spotcheck(m).J
     for coords in data["locus_points"]:
         pt = SurfacePoint(m.source, tuple(QQ.elem(Fraction(c)) for c in coords))
-        assert jacobian_det_at(m, pt).is_zero(), "determinant nonzero on locus"
+        assert J.evaluate(dict(zip(m.source.vars, pt.coords))).is_zero(), \
+            "determinant nonzero on locus"
     return f"{len(data['locus_points'])} locus points detected"
 
 
@@ -477,14 +483,14 @@ def reproduce_paper(fixture_dir: Path | None = None, seed: int = 0,
         ("kr32_d02_verification", lambda: _check_kr32_d02(fdir, build)),
         ("alpha0_k2r2_d4", lambda: params_fixture("alpha0_k2r2_d4.json")),
         ("factorization_law", lambda: _check_factorization_law(build, galois)),
-        ("deformation_family", lambda: _check_family(fdir)),
+        ("deformation_family", lambda: _check_family(fdir, build)),
         ("remark_cube_roots", check_remark_cube_roots),
         ("theta_group_law", check_theta_group_law),
         ("miyanishi_n2", lambda: _check_miyanishi(fdir, "miy_n2.json")),
         ("miyanishi_n3", lambda: _check_miyanishi(fdir, "miy_n3.json")),
         ("profile_consistency", lambda: check_profile_consistency(corpus())),
         ("oracle_cross_validation",
-         lambda: check_oracle_cross_validation(corpus(), galois)),
+         lambda: check_oracle_cross_validation(corpus(), build(galois(2)).j)),
         ("ramified_nonexample", lambda: _check_ramified(fdir)),
     ]
     items = []

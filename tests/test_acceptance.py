@@ -11,6 +11,7 @@ provably violate them.
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,7 +113,8 @@ def test_report_matches_golden_bytes(report):
 
 
 def _record_calls(monkeypatch, name):
-    """The argument tuples of every call the report makes to name."""
+    """The argument tuples of every call the report makes to name, through
+    any module of the package that binds it."""
     calls = []
     original = getattr(reproduce, name)
 
@@ -120,7 +122,10 @@ def _record_calls(monkeypatch, name):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(reproduce, name, recording)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("etale_forge") \
+                and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, recording)
     return calls
 
 
@@ -131,6 +136,8 @@ def test_report_builds_each_corpus_map_once(monkeypatch):
     assert reproduce_paper()["all_pass"]
     counts = {name: built.count((params,)) for name, params in build_corpus()}
     assert counts == dict.fromkeys(counts, 1)
+    # fixtures and family members included, no parameter set is built twice
+    assert len(built) == len(set(built)) == 22
     # one constructor call per distinct argument: k = 2..6 and d0 = 1, 2
     assert sorted(galois) == [(k,) for k in range(2, 7)]
     assert sorted(kr32) == [(1,), (2,)]

@@ -449,6 +449,13 @@ def test_usage_errors_exit_one():
     (["family", "gen", "--k", "2", "--rbar", "1", "--avec", "[1]",
       "--base", "TMP/bad.json"], {"bad.json": json.dumps(_BAD_BASE)},
      "certificate verdict false; failing: C1_identity"),
+    # the base is checked before any a-vector is read, so also with none
+    (["family", "distinct", "--k", "2", "--rbar", "2", "--avecs", "[]"], {},
+     "base parameters are for tilde(2,2)"),
+    # the output of construct chebyshev --d 3 --json: alpha = 1, so no j
+    (["family", "distinct", "--k", "2", "--rbar", "1", "--avecs", "[]",
+      "--base", "TMP/cheb3.json"], {"cheb3.json": json.dumps({"params": _CHEB_D3})},
+     "family base must have alpha = 0, a = 1"),
 ], ids=["other-fixture", "missing-field", "not-an-object", "avecs-not-nested",
         "avec-not-a-list", "profile-missing-field", "profile-not-an-object",
         "profile-partition-not-int", "candidates-not-an-object",
@@ -463,7 +470,8 @@ def test_usage_errors_exit_one():
         "parentheses-above-cap", "minus-signs-above-cap", "constant-power-above-cap",
         "document-k-above-cap", "document-r-above-cap", "document-c1-above-cap",
         "generator-named-like-a-variable", "superscript-digit-exponent",
-        "family-distinct-uncertified-base", "family-gen-uncertified-base"])
+        "family-distinct-uncertified-base", "family-gen-uncertified-base",
+        "family-distinct-no-avecs-other-base", "family-distinct-no-avecs-alpha1-base"])
 def test_malformed_input_is_one_error_line(tmp_path, argv, docs, names):
     for name, text in docs.items():
         (tmp_path / name).write_text(text)

@@ -683,15 +683,15 @@ def _sympy_jacobian(m, pt, sympy):
 def test_jacobian_det_matches_sympy_elimination():
     sympy = pytest.importorskip("sympy")
     from etale_forge.constructor import chebyshev_endo, cyclic_galois_endo
-    from etale_forge.family import FamilySpec, family_member
+    from etale_forge.family import family_member
     from etale_forge.surface import sample_point
     maps = [make_map(S22, S22, (X, Y * (Z ** 2 + 1), Z ** 2))]
     for params in (chebyshev_endo(3), chebyshev_endo(5, QQ.elem(2)),
                    cyclic_galois_endo(2)):
         built = build_from_params(params)
         maps += [built.tilde_map, built.hyper_map]
-    maps.append(family_member(FamilySpec(2, 1, cyclic_galois_endo(2),
-                                         (QQ.elem(1),))))
+    maps.append(family_member(build_from_params(cyclic_galois_endo(2)).j,
+                              (QQ.elem(1),)))
     maps += _middle_variable_maps()
     checked = 0
     for i, m in enumerate(maps):
@@ -709,7 +709,7 @@ def test_jacobian_on_the_oracle_corpus_is_lam_power_times_r0_at_0():
     # of C1 at t = 0 is R0(0) = alpha - k*R1'(0); the hyper map and the family
     # members (pi o Theta^F o j, with Theta^F of J = 1) share that constant
     from etale_forge.constructor import cyclic_galois_endo, solve_kr32
-    from etale_forge.family import FamilySpec, family_member
+    from etale_forge.family import family_member
     from etale_forge.reproduce import _built_corpus
     def predicted(p):
         return p.lam ** (1 - p.r) * p.R0.constant_coeff()
@@ -718,7 +718,8 @@ def test_jacobian_on_the_oracle_corpus_is_lam_power_times_r0_at_0():
     cases = [(m, predicted(p)) for _, p, built in corpus
              for m in (built.tilde_map, built.hyper_map) if m is not None]
     base = cyclic_galois_endo(2)
-    cases += [(family_member(FamilySpec(2, 1, base, av)), predicted(base)) for av in
+    j = build_from_params(base).j
+    cases += [(family_member(j, av), predicted(base)) for av in
               ((), (QQ.elem(1),), (QQ.elem(2),), (QQ.elem(1), QQ.elem(1)))]
     assert len(cases) == 45
     for m, want in cases:

@@ -11,7 +11,7 @@ from etale_forge.constructor import cyclic_galois_endo
 from etale_forge.endo import (apply_map, build_from_params, compose_maps,
                               cstar_equivariant, degree_of, jacobian_spotcheck,
                               make_map, maps_equal)
-from etale_forge.family import (EcEquivalence, FamilySpec, covering,
+from etale_forge.family import (EcEquivalence, covering, deformation_poly,
                                 ec_equivalent, family_member,
                                 family_member_symbolic,
                                 family_pairwise_distinct, theta)
@@ -72,15 +72,16 @@ def test_covering_examples():
     assert degree_of(covering(3, 1)) == 3
 
 
-def s2_members():
-    base = cyclic_galois_endo(2)
-    avs = [(), (QQ.elem(1),), (QQ.elem(2),), (QQ.elem(1), QQ.elem(1))]
-    return [FamilySpec(2, 1, base, av) for av in avs]
+S2_AVECS = [(), (QQ.elem(1),), (QQ.elem(2),), (QQ.elem(1), QQ.elem(1))]
+
+
+def galois_j(k):
+    """j of the cyclic Galois endomorphism of degree k, on tilde(k, k)."""
+    return build_from_params(cyclic_galois_endo(k)).j
 
 
 def test_family_member_formulas_and_point():
-    specs = s2_members()
-    m0 = family_member(specs[0])
+    m0 = family_member(galois_j(2), ())
     u, v, w = (Poly.variable(n, QQ, H21.vars) for n in H21.vars)
     expected = make_map(H21, H21, (w ** 2,
                                    4 * v + 2 * (1 + 2 * u * v) + w ** 2,
@@ -90,7 +91,7 @@ def test_family_member_formulas_and_point():
     img = apply_map(m0, pt)
     assert [c.as_fraction() for c in img.coords] == [4, 30, 22]
     # chart chase: j, Theta^1, pi step by step
-    j = build_from_params(cyclic_galois_endo(2)).j
+    j = galois_j(2)
     q1 = apply_map(j, pt)
     assert [c.as_fraction() for c in q1.coords] == [2, 12, 7]
     q2 = apply_map(theta(1, S22), q1)
@@ -102,8 +103,7 @@ def test_family_member_formulas_and_point():
 
 
 def test_eta2_formula_with_one_parameter():
-    base = cyclic_galois_endo(2)
-    m = family_member(FamilySpec(2, 1, base, (QQ.elem(5),)))
+    m = family_member(galois_j(2), (QQ.elem(5),))
     uvw = ("u", "v", "w")
     want = parse_poly(
         "4*v + 2*(1 + 2*u*v)*(1 + 5*w^2) + w^2*(1 + 5*w^2)^2", uvw)
@@ -111,8 +111,9 @@ def test_eta2_formula_with_one_parameter():
 
 
 def test_family_members_degrees_and_oracle():
-    for spec in s2_members():
-        m = family_member(spec)
+    j = galois_j(2)
+    for av in S2_AVECS:
+        m = family_member(j, av)
         assert degree_of(m) == 2
         assert jacobian_spotcheck(m)
         assert not cstar_equivariant(m)
@@ -122,8 +123,7 @@ def test_family_members_degrees_and_oracle():
 def test_symbolic_member_jacobian_is_free_of_parameters(k, n):
     # J of pi o Theta^F(a1..an) o j is one constant for every a: each member
     # is etale, with the J of the base map
-    base = cyclic_galois_endo(k)
-    verdict = jacobian_spotcheck(family_member_symbolic(base, n))
+    verdict = jacobian_spotcheck(family_member_symbolic(galois_j(k), n))
     zeta = cyclotomic_field(3).from_coords([0, 1])
     want = {2: QQ.elem(4), 3: 3 - 3 * zeta}[k]
     assert verdict.J == Poly.constant(want) and verdict.jacobian == want
@@ -132,28 +132,26 @@ def test_symbolic_member_jacobian_is_free_of_parameters(k, n):
 @settings(max_examples=10, deadline=None)
 @given(av=st.lists(HEIGHT_9.map(QQ.elem), min_size=1, max_size=3).map(tuple))
 def test_no_equivariant_member_for_random_nonzero_vectors(av):
-    base = cyclic_galois_endo(2)
-    assert not cstar_equivariant(family_member(FamilySpec(2, 1, base, av)))
+    assert not cstar_equivariant(family_member(galois_j(2), av))
 
 
 def test_family_pairwise_distinct_examples():
-    specs = s2_members()
-    assert family_pairwise_distinct(specs)
-    base = specs[0].base
-    dup = FamilySpec(2, 1, base, (QQ.elem(1),))
-    assert not family_pairwise_distinct([specs[1], dup])
-    padded = FamilySpec(2, 1, base, (QQ.elem(1), QQ.elem(0)))
-    assert not family_pairwise_distinct([specs[1], padded])
+    j = galois_j(2)
+    assert family_pairwise_distinct(j, S2_AVECS)
+    dup = (QQ.elem(1),)
+    assert not family_pairwise_distinct(j, [S2_AVECS[1], dup])
+    padded = (QQ.elem(1), QQ.elem(0))
+    assert not family_pairwise_distinct(j, [S2_AVECS[1], padded])
 
 
 def _bases():
-    # (k, rbar, base, coefficient pool): QQ at k = 2, Q(zeta_3) at k = 3
-    qq_base = cyclic_galois_endo(2)
-    z3_base = cyclic_galois_endo(3)
-    zeta = z3_base.field.gen()
-    return [(2, 1, qq_base, [QQ.elem(c) for c in (0, 1, -1, 2)]),
-            (3, 1, z3_base, [z3_base.field.elem(0), z3_base.field.elem(1),
-                             zeta, zeta * zeta, -zeta])]
+    # (k, rbar, j, coefficient pool): QQ at k = 2, Q(zeta_3) at k = 3
+    qq_j = galois_j(2)
+    z3_j = galois_j(3)
+    zeta = z3_j.field.gen()
+    return [(2, 1, qq_j, [QQ.elem(c) for c in (0, 1, -1, 2)]),
+            (3, 1, z3_j, [z3_j.field.elem(0), z3_j.field.elem(1),
+                          zeta, zeta * zeta, -zeta])]
 
 
 BASES = _bases()
@@ -166,21 +164,19 @@ def test_family_pairwise_distinct_matches_pairwise_equivalence(case, data):
     # a-vectors drawn from a small pool, so duplicates, trailing-zero
     # padding and interior zeros all occur; the reference is the pairwise
     # decision modulo automorphisms
-    k, rbar, base, pool = BASES[case]
+    k, rbar, j, pool = BASES[case]
     entry = st.sampled_from(pool)
     avec = st.tuples(st.lists(entry, max_size=2),
                      st.integers(0, 2)).map(lambda p: tuple(p[0]) + (pool[0],) * p[1])
     avecs = data.draw(st.lists(avec, max_size=4))
-    specs = [FamilySpec(k, rbar, base, av) for av in avecs]
-    polys = [f.deformation_poly() for f in specs]
-    reference = not any(ec_equivalent(polys[i], polys[j], rbar * k).equivalent
-                        for i in range(len(polys)) for j in range(i + 1, len(polys)))
-    assert family_pairwise_distinct(specs) == reference
+    polys = [deformation_poly(j, av) for av in avecs]
+    reference = not any(ec_equivalent(polys[a], polys[b], rbar * k).equivalent
+                        for a in range(len(polys)) for b in range(a + 1, len(polys)))
+    assert family_pairwise_distinct(j, avecs) == reference
 
 
 def test_symbolic_family_matches_printed_formulas():
-    base = cyclic_galois_endo(2)
-    sym = family_member_symbolic(base, 3)
+    sym = family_member_symbolic(galois_j(2), 3)
     uvwa = ("u", "v", "w", "a1", "a2", "a3")
     qa = "a1 + a2*w^2 + a3*w^4"
     printed = (
@@ -255,10 +251,8 @@ def test_ec_equivalent_requires_x_power_r():
         ec_equivalent(Poly.zero(QQ, ("x",)), 1 + X ** 2, 2)
 
 
-def test_family_spec_preconditions():
-    from etale_forge.constructor import chebyshev_endo, PreconditionViolated
-    with pytest.raises(PreconditionViolated):
-        FamilySpec(2, 1, chebyshev_endo(3), ())
-    # an alpha = 1 base has no factorization j, so no member either
-    with pytest.raises(PreconditionViolated):
-        family_member_symbolic(chebyshev_endo(3), 1)
+def test_an_alpha1_base_has_no_j():
+    # a member needs j, and only an alpha = 0 base has one; the CLI refuses
+    # such a base (test_cli's family-distinct-no-avecs-alpha1-base)
+    from etale_forge.constructor import chebyshev_endo
+    assert build_from_params(chebyshev_endo(3)).j is None

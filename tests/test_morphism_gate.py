@@ -15,7 +15,7 @@ import pytest
 
 from etale_forge.constructor import chebyshev_endo, cyclic_galois_endo
 from etale_forge.endo import build_from_params, compose_maps, make_map
-from etale_forge.family import (FamilySpec, covering, family_member,
+from etale_forge.family import (covering, family_member,
                                 family_member_symbolic, theta)
 from etale_forge.numfield import QQ
 from etale_forge.polyalg import Poly
@@ -57,9 +57,10 @@ def _cases():
               ("identity-hyper21", lambda: build_from_params(chebyshev_endo(1)).hyper_map)]
     for k, avector in ((2, ()), (2, (1, 2)), (3, (1, 0, 2))):
         cases.append((f"family-k{k}-{len(avector)}", lambda k=k, avector=avector:
-                      family_member(FamilySpec(k, 1, cyclic_galois_endo(k), avector))))
-    cases += [(f"family-symbolic-k{k}", lambda k=k:
-               family_member_symbolic(cyclic_galois_endo(k), 3)) for k in (2, 3)]
+                      family_member(build_from_params(cyclic_galois_endo(k)).j,
+                                    avector)))
+    cases += [(f"family-symbolic-k{k}", lambda k=k: family_member_symbolic(
+               build_from_params(cyclic_galois_endo(k)).j, 3)) for k in (2, 3)]
     cases.append(("compose-cheb3-cheb5", lambda: compose_maps(
         _built("cheb_d3_lam2").tilde_map, _built("cheb_d5_lam1").tilde_map)))
     cases += [(f"chebyshev-d{d}-lam2", lambda d=d:
