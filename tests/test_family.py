@@ -76,7 +76,7 @@ S2_AVECS = [(), (QQ.elem(1),), (QQ.elem(2),), (QQ.elem(1), QQ.elem(1))]
 
 
 def galois_j(k):
-    """j of the cyclic Galois endomorphism of degree k, on tilde(k, k)."""
+    """j: hyper(k, 1) -> tilde(k, k) of the cyclic Galois endomorphism of degree k."""
     return build_from_params(cyclic_galois_endo(k)).j
 
 
