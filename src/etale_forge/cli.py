@@ -131,18 +131,15 @@ def _cmd_construct(args) -> int:
 
 def _family_base(args):
     """j of the --base parameters, else of the cyclic Galois endomorphism
-    of degree --k; the base must pass the certificate, have alpha = 0 and
-    be for tilde(--k, --rbar * --k)."""
-    from .constructor import PreconditionViolated, cyclic_galois_endo
+    of degree --k; check_family_base checks the base before it is built,
+    and the build checks its certificate."""
+    from .constructor import cyclic_galois_endo
     from .endo import build_from_params
+    from .family import check_family_base
     base = (_load_params(args.base) if args.base
             else cyclic_galois_endo(_roots_of_unity_arg(args.k, "--k")))
-    j = build_from_params(base).j
-    if j is None:
-        raise PreconditionViolated("family base must have alpha = 0, a = 1")
-    if (base.k, base.r) != (args.k, args.rbar * args.k):
-        raise PreconditionViolated(f"base parameters are for tilde({base.k},{base.r})")
-    return j
+    check_family_base(base, args.k, args.rbar)
+    return build_from_params(base).j
 
 
 def _cmd_family(args) -> int:

@@ -196,6 +196,15 @@ def zk_compatible(m: SurfaceMap, a: int) -> ZkCompat:
 # -- degree through the base polynomial ------------------------------------------
 
 
+def covering(k: int, rbar: int) -> SurfaceMap:
+    """The degree-k quotient covering tilde(k, rbar*k) -> hyper(k, rbar),
+    which pulls the relation back to x^k times the relation."""
+    source = tilde_surface(k, rbar * k)
+    target = hyper_surface(k, rbar)
+    x, y, z = (Poly.variable(v, QQ, source.vars) for v in source.vars)
+    return SurfaceMap(source, target, (x ** k, y, x * z), cached_degree=k)
+
+
 def base_polynomial(m: SurfaceMap) -> Poly:
     """The induced polynomial on the base line, as a polynomial in t.
 
@@ -219,12 +228,11 @@ def base_polynomial(m: SurfaceMap) -> Poly:
         # is already in normal form
         q = 1 - normal_form(m.coords[2], s) ** k
     else:
-        cover = tilde_surface(k, s.r * k)
-        x, y, z = (Poly.variable(v, field, cover.vars) for v in cover.vars)
-        sub = {"u": x ** k, "v": y, "w": x * z}
+        cover = covering(k, s.r)
+        sub = dict(zip(s.vars, cover.coords))
         psi1 = m.coords[0].substitute(sub)
         psi2 = m.coords[1].substitute(sub)
-        q = normal_form(-(psi1 ** s.r) * psi2, cover)
+        q = normal_form(-(psi1 ** s.r) * psi2, cover.source)
     if q.is_zero():
         raise DegreeUndetermined("degenerate (non-dominant) map")
     return zk_to_t(q.with_field(field), k)

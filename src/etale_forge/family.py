@@ -1,5 +1,5 @@
-"""Deformation machinery: shear automorphisms, the covering map, the
-deformed family, and the equivalence decision modulo automorphisms.
+"""Deformation machinery: shear automorphisms, the deformed family with
+its base check, and the equivalence decision modulo automorphisms.
 
 The additive shear Theta^P acts on tilde(k, r) by
 
@@ -10,8 +10,8 @@ x^(-r); it satisfies the group law Theta^P o Theta^Q = Theta^(P+Q) and is
 an automorphism.  A family member is pi o Theta^F(a) o j, with
 F(a) = 1 + sum a_i x^(r i).  j: hyper(k, rbar) -> tilde(k, r) is the
 factorization of a certified alpha = 0 endomorphism through the covering
-pi(x, y, z) = (x^k, y, x*z), the j of the base's endo.BuildResult; the
-caller passes it in, and k, rbar and r are read off j.
+pi(x, y, z) = (x^k, y, x*z), the j of the base's endo.BuildResult, whose
+base check_family_base checks first; k, rbar and r are read off j.
 
 Two deformation polynomials are equivalent modulo pre/post-composition by
 automorphisms iff F1(x) = lam^r F2(lam x) for some lam != 0; since both lie
@@ -25,11 +25,11 @@ import math
 from dataclasses import dataclass
 
 from .constructor import PreconditionViolated
-from .endo import SurfaceMap, compose_maps
+from .endo import EtaleParams, SurfaceMap, compose_maps, covering
 from .numfield import QQ, FieldElement
 from .polyalg import ArityError, Poly
 from .polyparse import MAX_DEGREE
-from .surface import SurfaceSpec, hyper_surface, tilde_surface
+from .surface import SurfaceSpec
 
 
 def theta(P, s: SurfaceSpec) -> SurfaceMap:
@@ -53,13 +53,13 @@ def theta(P, s: SurfaceSpec) -> SurfaceMap:
     return SurfaceMap(s, s, (x, y + shift, z + P * x ** r), cached_degree=1)
 
 
-def covering(k: int, rbar: int) -> SurfaceMap:
-    """The degree-k quotient covering tilde(k, rbar*k) -> hyper(k, rbar),
-    which pulls the relation back to x^k times the relation."""
-    source = tilde_surface(k, rbar * k)
-    target = hyper_surface(k, rbar)
-    x, y, z = (Poly.variable(v, QQ, source.vars) for v in source.vars)
-    return SurfaceMap(source, target, (x ** k, y, x * z), cached_degree=k)
+def check_family_base(base: EtaleParams, k: int, rbar: int) -> None:
+    """Refuse a base without j (alpha = 1) or not for tilde(k, rbar*k) from
+    its parameters alone; the build of j then checks its certificate."""
+    if base.alpha != 0:
+        raise PreconditionViolated("family base must have alpha = 0, a = 1")
+    if (base.k, base.r) != (k, rbar * k):
+        raise PreconditionViolated(f"base parameters are for tilde({base.k},{base.r})")
 
 
 def deformation_poly(j: SurfaceMap, avector) -> Poly:

@@ -11,13 +11,16 @@ provably violate them.
 
 import dataclasses
 import json
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
-from etale_forge import reproduce
-from etale_forge.reproduce import build_corpus, reproduce_paper
+from etale_forge import endo, reproduce
+from etale_forge.constructor import chebyshev_endo
+from etale_forge.numfield import QQ
+from etale_forge.reproduce import build_corpus, default_fixture_dir, reproduce_paper
 
 GOLDEN = Path(__file__).parent / "golden" / "reproduce_paper.json"
 
@@ -112,11 +115,12 @@ def test_report_matches_golden_bytes(report):
     assert text == GOLDEN.read_text()
 
 
-def _record_calls(monkeypatch, name):
-    """The argument tuples of every call the report makes to name, through
-    any module of the package that binds it."""
+def _record_calls(monkeypatch, name, home=reproduce):
+    """The argument tuples of every call the report makes to name, the
+    function that home binds, through any module of the package that
+    binds it."""
     calls = []
-    original = getattr(reproduce, name)
+    original = getattr(home, name)
 
     def recording(*args):
         calls.append(args)
@@ -133,7 +137,12 @@ def test_report_builds_each_corpus_map_once(monkeypatch):
     built = _record_calls(monkeypatch, "build_from_params")
     galois = _record_calls(monkeypatch, "cyclic_galois_endo")
     kr32 = _record_calls(monkeypatch, "solve_kr32")
+    oracle = _record_calls(monkeypatch, "jacobian_spotcheck")
+    members = _record_calls(monkeypatch, "family_member")
+    certificates = _record_calls(monkeypatch, "etale_certificate", endo)
     assert reproduce_paper()["all_pass"]
+    # the 22 builds and the 4 solutions that solve_kr32 certifies
+    assert len(certificates) == 26
     counts = {name: built.count((params,)) for name, params in build_corpus()}
     assert counts == dict.fromkeys(counts, 1)
     # fixtures and family members included, no parameter set is built twice
@@ -141,6 +150,49 @@ def test_report_builds_each_corpus_map_once(monkeypatch):
     # one constructor call per distinct argument: k = 2..6 and d0 = 1, 2
     assert sorted(galois) == [(k,) for k in range(2, 7)]
     assert sorted(kr32) == [(1,), (2,)]
+    # one verdict per map: the 41 corpus maps (the fixture items share
+    # theirs), the 4 family members and the ramified non-example
+    assert len(oracle) == len({id(m) for m, in oracle}) == 46
+    # the 4 members and the symbolic one
+    assert len(members) == 5
+
+
+def _fixture_copy(tmp_path) -> Path:
+    fdir = tmp_path / "fixtures"
+    shutil.copytree(default_fixture_dir(), fdir)
+    return fdir
+
+
+def test_an_outside_fixture_map_keeps_its_oracle_check(tmp_path, monkeypatch):
+    # lambda = 3 is not in the corpus, so the oracle runs once more
+    fdir = _fixture_copy(tmp_path)
+    path = fdir / "cheb_d3.json"
+    data = json.loads(path.read_text())
+    data["params"] = chebyshev_endo(3, QQ.elem(3)).to_json()
+    path.write_text(json.dumps(data))
+    oracle = _record_calls(monkeypatch, "jacobian_spotcheck")
+    by_name = {item["name"]: item for item in reproduce_paper(fdir)["items"]}
+    assert by_name["cheb_d3"]["status"] == "pass"
+    assert len(oracle) == len({id(m) for m, in oracle}) == 47
+
+
+@pytest.mark.parametrize("fixture,item", [
+    ("s2_galois.json", "s2_galois"),
+    ("kr32_d01_plus.json", "kr32_d01_solver"),
+    ("kr32_d01_minus.json", "kr32_d01_solver"),
+    ("kr32_d02.json", "kr32_d02_verification"),
+])
+def test_a_flipped_zk_kind_fails_its_item(tmp_path, fixture, item):
+    fdir = _fixture_copy(tmp_path)
+    path = fdir / fixture
+    data = json.loads(path.read_text())
+    flip = {"invariant": "equivariant", "equivariant": "invariant"}
+    data["expect"]["zk_kind"] = flip[data["expect"]["zk_kind"]]
+    path.write_text(json.dumps(data))
+    by_name = {i["name"]: i for i in reproduce_paper(fdir)["items"]}
+    assert by_name[item]["status"] == "fail"
+    assert by_name[item]["detail"].startswith("zk ")
+    assert [name for name, i in by_name.items() if i["status"] != "pass"] == [item]
 
 
 def test_failed_corpus_build_fails_both_corpus_items(monkeypatch):

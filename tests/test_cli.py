@@ -320,6 +320,24 @@ def test_family_avec_at_the_degree_bound_is_accepted():
     assert res.returncode == 0 and json.loads(res.stdout)["pairwise_distinct"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["family", "gen", "--k", "2", "--rbar", "1", "--avec", "[]"],
+    ["family", "distinct", "--k", "2", "--rbar", "1", "--avecs", "[]"],
+], ids=["gen", "distinct"])
+def test_an_alpha1_family_base_is_refused_before_it_is_built(tmp_path, monkeypatch, argv):
+    from etale_forge import endo
+
+    def no_build(params):
+        raise AssertionError("the base was built")
+
+    monkeypatch.setattr(endo, "build_from_params", no_build)
+    (tmp_path / "cheb3.json").write_text(json.dumps({"params": _CHEB_D3}))
+    res = run_cli(*argv, "--base", str(tmp_path / "cheb3.json"))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == "error: family base must have alpha = 0, a = 1\n"
+
+
 def test_miyanishi_subcommands():
     res = run_cli("miyanishi", "find-b", "--n", "2", "--json")
     assert res.returncode == 0

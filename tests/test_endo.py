@@ -633,7 +633,7 @@ def test_oracle_witness_for_ramified_map():
     assert verdict.J == 2 * Z
     # a report item that meets this map names J
     with pytest.raises(AssertionError, match=r"J = 2\*z is not a nonzero constant"):
-        _assert_oracle_etale("ramified", bad)
+        _assert_oracle_etale("ramified", bad, jacobian_spotcheck)
 
 
 def _middle_variable_maps():
