@@ -38,6 +38,7 @@ MINPOLY_TOO_BIG = [1, 1] + [0] * (MAX_FIELD_DEGREE - 1) + [1]
 GOLDEN = Path(__file__).parent / "golden" / "reproduce_paper.json"
 VERIFY_ENDO_GOLDEN = Path(__file__).parent / "golden" / "verify_endo.json"
 FAMILY_GOLDEN = Path(__file__).parent / "golden" / "family_cli.json"
+CONSTRUCT_GOLDEN = Path(__file__).parent / "golden" / "construct_cli.json"
 BIG_FIELD_CONSTANT = "1000000000000000000007"
 BIG_FIELD = f"theta^2 + {BIG_FIELD_CONSTANT}"
 # a certified parameter document, varied into the hostile ones below
@@ -265,6 +266,35 @@ def test_family_output_matches_golden(tmp_path):
     golden = json.loads(FAMILY_GOLDEN.read_text())
     assert [argv for argv, *_ in golden] == _family_argv()
     assert _family_replay(tmp_path) == golden
+
+
+def _construct_argv() -> list:
+    """The argv of the construct golden file: chebyshev at small and mid
+    degrees, with and without the map, at a unit and a non-unit lambda;
+    cyclic-galois for k = 2..6 at every power of the root from 0 (refused)
+    to k - 1; and both kr32 solvers."""
+    argv = [["construct", "chebyshev", "--d", str(d), f"--lam={lam}", *with_map, "--json"]
+            for d in (1, 3, 5, 15, 99) for lam in ("1", "-3/2")
+            for with_map in ([], ["--with-map"])]
+    argv += [["construct", "cyclic-galois", "--k", str(k), "--eps", str(eps), "--json"]
+             for k in range(2, 7) for eps in range(k)]
+    return argv + [["construct", "kr32", "--d0", str(d0), "--json"] for d0 in (1, 2)]
+
+
+def _construct_replay() -> list:
+    """[argv, exit code, stdout, stderr] of each argv of _construct_argv."""
+    out = []
+    for argv in _construct_argv():
+        res = run_cli(*argv)
+        out.append([argv, res.returncode, res.stdout, res.stderr])
+    return out
+
+
+def test_construct_output_matches_golden():
+    # parameters, tilde maps, j maps and errors, byte for byte
+    golden = json.loads(CONSTRUCT_GOLDEN.read_text())
+    assert [argv for argv, *_ in golden] == _construct_argv()
+    assert _construct_replay() == golden
 
 
 def test_verify_endo_rejects_an_oversized_c1_at_once(tmp_path):
