@@ -22,10 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chebyshab import chebyshev_T, chebyshev_U
-from .endo import EtaleParams, etale_certificate, zk_to_t
+from .endo import EtaleParams, etale_certificate
 from .numfield import (QQ, FieldElement, NumberField, cyclotomic_field,
                        rational_roots)
-from .polyalg import NotDivisible, Poly, divmod_poly, exact_div, monic, variables
+from .polyalg import NotDivisible, Poly, divmod_poly, exact_div, flip, monic, variables
 
 
 class InfeasibleDegree(ValueError):
@@ -53,17 +53,11 @@ def chebyshev_endo(d: int, lam: FieldElement | int = 1) -> EtaleParams:
     lam = lam if isinstance(lam, FieldElement) else QQ.elem(lam)
     if lam.is_zero():
         raise ValueError("lambda must be nonzero")
-    field = lam.field
-    z = Poly.variable("z", field)
-    Td, Ud1 = (Poly(field, ("z",), T.terms, T.den)
-               for T in (chebyshev_T(d).with_field(field),
-                         chebyshev_U(d - 1).with_field(field)))
-    # T_d(z) = z * G(z^2) and U_(d-1)(z) = H(z^2) for odd d
-    r1 = zk_to_t(exact_div(Td, z), 2)
-    r2 = zk_to_t(Ud1, 2) * Fraction(1, d)
-    r0 = Poly.constant(d * d, field, ("t",))
-    return EtaleParams(k=2, r=2, a=1, alpha=1, d=d,
-                       lam=field.elem(d) / lam, R0=r0, R1=r1, R2=r2)
+    # T_d(x) = x*G(x^2) and U_(d-1)(x) = H(x^2) for odd d: R1 = G(1 - t), R2 = H(1 - t)/d
+    r1 = flip(exact_div(chebyshev_T(d), Poly.variable("x")), 2, "t")
+    r2 = flip(chebyshev_U(d - 1), 2, "t") * Fraction(1, d)
+    return EtaleParams(k=2, r=2, a=1, alpha=1, d=d, lam=lam.field.elem(d) / lam,
+                       R0=d * d, R1=r1, R2=r2)
 
 
 def cyclic_galois_endo(k: int, eps_power: int = 1) -> EtaleParams:

@@ -6,9 +6,10 @@ and [] is the zero polynomial.  Its entries are ints (over Z, or residues
 mod a prime p below 2^15, so that a product of two fits in one 30-bit
 CPython digit), Fractions where a function says so, or the integer
 coordinate tuples of a Poly term over Q(theta), multiplied by `times`
-(NumberField.mul).  polyalg._dense and polyalg._poly convert a Poly to and
-from a list.  The algorithms are those of von zur Gathen and Gerhard,
-Modern Computer Algebra, ch. 3-4 and 14.
+(NumberField.mul); reflect, c(1 - x) by additions alone, takes either
+without `times`.  polyalg._dense and polyalg._poly convert a Poly to and
+from a list, and polyalg.flip is reflect on a Poly.  The algorithms are
+those of von zur Gathen and Gerhard, Modern Computer Algebra, ch. 3-4 and 14.
 """
 
 from __future__ import annotations
@@ -31,6 +32,17 @@ def derivative(c: list, p: int = 0) -> list:
     """The derivative of c over Z or Q, or mod p when p is given."""
     d = [i * x for i, x in enumerate(c)][1:]
     return trim([x % p for x in d]) if p else d
+
+
+def reflect(c: list) -> list:
+    """c(1 - x), an involution: the Taylor shift c(1 + x) by Horner's rule,
+    then x -> -x.  No product, so entries may be ints or coordinate tuples."""
+    c, tuples = list(c), bool(c) and isinstance(c[0], tuple)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] = tuple([*map(add, c[j], c[j + 1])]) if tuples else c[j] + c[j + 1]
+    return [e if j % 2 == 0 else tuple([-x for x in e]) if tuples else -e
+            for j, e in enumerate(c)]
 
 
 def value(c: list, x: int) -> int:

@@ -31,7 +31,7 @@ from functools import cached_property
 
 from .numfield import (QQ, FieldElement, NumberField, common_field,
                        json_fields, rationals)
-from .polyalg import (Poly, compose, exact_div, gcd_univariate, kronecker_bits,
+from .polyalg import (Poly, exact_div, flip, gcd_univariate, kronecker_bits,
                       kronecker_sum, separable_mod_p)
 from .polyparse import (MAX_DEGREE, field_from_string, field_name, parse_poly,
                         print_poly)
@@ -239,19 +239,13 @@ def base_polynomial(m: SurfaceMap) -> Poly:
 
 
 def zk_to_t(q: Poly, k: int) -> Poly:
-    """Rewrite q, a polynomial in z^k, as a polynomial in t = 1 - z^k: the
-    polynomial in s = z^k composed with 1 - t by Horner's rule."""
+    """q = g(z^k) as g(1 - t), t = 1 - z^k: polyalg.flip, an involution that
+    build_from_params runs the other way, reflects integer numerators by additions."""
     if any(v != "z" for v in q.support_variables()):
         raise DegreeUndetermined(f"{q} is not a function of z alone")
-    i = q.variables.index("z") if "z" in q.variables else None
-    terms = {}
-    for key, c in q.terms.items():
-        e = 0 if i is None else key[i]
-        if e % k != 0:
-            raise DegreeUndetermined(f"{q} is not a polynomial in z^{k}")
-        terms[(e // k,)] = c
-    t = Poly.variable("t", q.field)
-    return compose(Poly(q.field, ("s",), terms, q.den), 1 - t)
+    if any(e % k for key in q.terms for e in key):
+        raise DegreeUndetermined(f"{q} is not a polynomial in z^{k}")
+    return flip(q, k, "t")
 
 
 def degree_of(m: SurfaceMap) -> int:
@@ -328,8 +322,9 @@ class EtaleParams:
     def c1_terms(self) -> list:
         """C1's lhs - rhs = t (1-t)^e R0 R2^r + (1-t)^alpha R1^k - 1 as terms
         of polyalg.kronecker_sum, with e = (1-alpha)r/k rounded down."""
-        t = Poly.variable("t", self.field)
-        s = 1 - t
+        one = (1,) + (0,) * (self.field.degree - 1)
+        t = Poly(self.field, ("t",), {(1,): one})
+        s = Poly(self.field, ("t",), {(0,): one, (1,): (-1,) + one[1:]})
         return [(1, [(t, 1), (s, (1 - self.alpha) * self.r // self.k), (self.R0, 1),
                      (self.R2, self.r)]),
                 (1, [(s, self.alpha), (self.R1, self.k)]), (-1, [])]
@@ -573,7 +568,9 @@ def build_from_params(p: EtaleParams) -> BuildResult:
     z^(r(1-alpha)) = (1-t)^((1-alpha)r/k), so X^r*Y - Z^k + 1 = rhs - lhs.
     Hyper, t = -u^rbar*v: H1*(1 + H1^rbar*H2) - H3^k = (lam*R1*R2)^k *
     (u*(1 + u^rbar*v) - w^k).  j, alpha = 0: w^r*v = -t*(1-t)^(r/k), so
-    J1^r*J2 - J3^k + 1 = rhs - lhs; deg j = d/k = rbar mod (r - 1) by C4."""
+    J1^r*J2 - J3^k + 1 = rhs - lhs; deg j = d/k = rbar mod (r - 1) by C4.
+    A, H, B = R2, R0, R1 at t = 1 - z^k, one flip each (zk_to_t's involution: additions, no
+    field product); the hyper map and j take R_i(-u^rbar*v) by substitute (monomial powers)."""
     cert = etale_certificate(p)
     if not cert.verdict:
         raise CertificateRequired(cert)
@@ -582,11 +579,9 @@ def build_from_params(p: EtaleParams) -> BuildResult:
 
     s = tilde_surface(k, r)
     x, y, z = (Poly.variable(v, field, s.vars) for v in s.vars)
-    tz = 1 - z ** k
-    eta1 = x * z ** (1 - alpha) * compose(p.R2, tz) * p.lam
-    eta2 = y * compose(p.R0, tz) * (p.lam ** (-r))
-    eta3 = z ** alpha * compose(p.R1, tz)
-    tilde_map = SurfaceMap(s, s, (eta1, eta2, eta3))
+    A, H, B = (flip(R, 1, "z", k) for R in (p.R2, p.R0, p.R1))
+    tilde_map = SurfaceMap(s, s, (x * z ** (1 - alpha) * p.lam * A, y * p.lam ** (-r) * H,
+                                  z ** alpha * B))
 
     hyper_map = j = None
     if p.a == 1 and r % k == 0:
@@ -594,9 +589,9 @@ def build_from_params(p: EtaleParams) -> BuildResult:
         h = hyper_surface(k, rbar)
         u, v, w = (Poly.variable(n, field, h.vars) for n in h.vars)
         tu = -(u ** rbar) * v
-        r2t, r1t = compose(p.R2, tu), compose(p.R1, tu)
+        r2t, r0t, r1t = (R.substitute({"t": tu}) for R in (p.R2, p.R0, p.R1))
         h1 = u * (1 - tu) ** (1 - alpha) * (r2t ** k) * (p.lam ** k)
-        h2 = v * compose(p.R0, tu) * (p.lam ** (-r))
+        h2 = v * r0t * (p.lam ** (-r))
         h3 = w * r1t * r2t * p.lam
         hyper_map = SurfaceMap(h, h, (h1, h2, h3))
         if alpha == 0:

@@ -100,7 +100,7 @@ from math import gcd, lcm, prod
 from operator import add, neg, sub
 
 from .dense import (at_power_of_two, derivative, from_power_of_two, gcd_mod_p, mul,
-                    mul_mod_p, prem, value)
+                    mul_mod_p, prem, reflect, value)
 from .numfield import (QQ, FieldElement, FieldMismatch, Ints, NumberField,
                        common_field, power)
 
@@ -490,6 +490,13 @@ def compose(outer: Poly, inner: Poly) -> Poly:
     return acc
 
 
+def flip(p: Poly, k_in: int, name: str, k_out: int = 1) -> Poly:
+    """g(1 - name^k_out) for p = g(v^k_in) in at most one variable v (entries
+    off the multiples of k_in are not read): one dense.reflect, spread by
+    k_out.  An involution: flip(flip(p, 1, "z", k), k, "t") == p for p in t."""
+    return _poly(p.field, (name,), reflect(_dense(p)[::k_in]), p.den, k_out)
+
+
 def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Multivariate division by a single divisor in lex order.
 
@@ -602,12 +609,13 @@ def _dense(p: Poly) -> list:
     return out
 
 
-def _poly(field: NumberField, variables: tuple[str, ...], c: list, den: int = 1) -> Poly:
+def _poly(field: NumberField, variables: tuple[str, ...], c: list, den: int = 1,
+          step: int = 1) -> Poly:
     """The Poly in the one variable of variables whose numerators over den
-    are the list c, as _dense makes it."""
+    are the list c, as _dense makes it, entry e at exponent step*e."""
     if field.degree == 1:
-        return Poly(field, variables, {(e,): (x,) for e, x in enumerate(c) if x}, den)
-    return Poly(field, variables, {(e,): x for e, x in enumerate(c) if any(x)}, den)
+        return Poly(field, variables, {(step * e,): (x,) for e, x in enumerate(c) if x}, den)
+    return Poly(field, variables, {(step * e,): x for e, x in enumerate(c) if any(x)}, den)
 
 
 def separable_mod_p(factors: list[Poly]) -> bool:

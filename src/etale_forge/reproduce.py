@@ -266,9 +266,9 @@ def _verify_params_fixture(data: dict, build: Build, oracle: Oracle) -> str:
     assert cstar_equivariant(built.tilde_map)
     if "zk_kind" in expect:
         details.append(_assert_zk_kind(params, built, expect))
-    if expect.get("has_hyper"):
-        assert built.hyper_map is not None
-        assert degree_of(built.hyper_map) == params.d
+    if "has_hyper" in expect:
+        assert (built.hyper_map is not None) == expect["has_hyper"], "has_hyper"
+        assert built.hyper_map is None or degree_of(built.hyper_map) == params.d
     _assert_oracle_etale("tilde map", built.tilde_map, oracle)
     return ", ".join(details) or "certified"
 
@@ -277,8 +277,9 @@ def _check_s2_galois(fixture_dir: Path, build: Build, galois: Galois) -> str:
     data = _load(fixture_dir, "s2_galois.json")
     params = params_from_json(data["params"])
     assert galois(2) == params, "constructor differs from fixture"
-    built = build(params)
-    _assert_zk_kind(params, built, data["expect"])
+    built, expect = build(params), data["expect"]
+    _assert_zk_kind(params, built, expect)
+    assert (built.hyper_map is not None) == expect["has_hyper"], "has_hyper"
     h = hyper_surface(2, 1)
     u, v, w = (Poly.variable(n, QQ, h.vars) for n in h.vars)
     expected_j = make_map(h, tilde_surface(2, 2), (w, 4 * v, 1 + 2 * u * v))
@@ -291,7 +292,8 @@ def _check_s2_galois(fixture_dir: Path, build: Build, galois: Galois) -> str:
     eta_rho = base_polynomial(eta)
     assert eta_rho == 4 * t * (1 - t)
     assert eta_rho == 1 - (1 - 2 * t) ** 2
-    return "j, eta, degree 2, base map both ways"
+    assert eta_rho.total_degree() == expect["degree"], f"degree {eta_rho.total_degree()}"
+    return f"j, eta, degree {expect['degree']}, base map both ways"
 
 
 def _check_cheb_point(fixture_dir: Path, build: Build) -> str:
@@ -316,15 +318,18 @@ def _kr32_remainder(r1: Poly) -> Poly:
 def _check_kr32_solver(fixture_dir: Path, build: Build, kr32: Kr32) -> str:
     plus = _load(fixture_dir, "kr32_d01_plus.json")
     minus = _load(fixture_dir, "kr32_d01_minus.json")
-    expect = {params_from_json(doc["params"]): doc["expect"] for doc in (plus, minus)}
+    docs = {params_from_json(doc["params"]): doc for doc in (plus, minus)}
     got = set(kr32(1))
-    assert got == set(expect), "solver output differs from fixtures"
+    assert got == set(docs), "solver output differs from fixtures"
     for params in got:
         built = build(params)   # raises CertificateRequired unless certified
-        _assert_zk_kind(params, built, expect[params])
-        assert params.d == 4
+        _assert_zk_kind(params, built, docs[params]["expect"])
+        assert params.d == docs[params]["expect"]["degree"], f"d = {params.d}"
         d0, d1, d2 = ri_degrees(params.k, params.r, params.alpha, params.d)
         assert (d0, d1, d2) == (1, 1, 1)
+        # each published R0 is reproduced exactly by its corrected pair
+        assert params.R0 == parse_poly(docs[params]["paper_R0"], ("t",), params.field), \
+            "R0 differs from print"
     # the printed value of a1 (without the factor 4) violates the printed
     # divisibility condition -- documented erratum
     field = NumberField([2, 0, 1])
@@ -332,12 +337,8 @@ def _check_kr32_solver(fixture_dir: Path, build: Build, kr32: Kr32) -> str:
     a1_printed = field.from_coords([Fraction(-7, 3), Fraction(1, 3)])
     assert not _kr32_remainder(a1_printed * t + 1).is_zero(), \
         "printed a1 unexpectedly satisfies the condition"
-    # the published R0 is reproduced exactly by the corrected pair
-    r0_paper = parse_poly(plus["paper_R0"], ("t",), field)
-    match = [p for p in got
-             if p.R1.univariate_coeffs()[1] ==
-             field.from_coords([Fraction(-7, 3), Fraction(4, 3)])]
-    assert len(match) == 1 and match[0].R0 == r0_paper, "R0 differs from print"
+    assert {p.R1.univariate_coeffs()[1] for p in got} == {
+        field.from_coords([Fraction(-7, 3), Fraction(s, 3)]) for s in (4, -4)}
     return "conjugate pair (-7 +- 4i sqrt2)/3; printed R0 reproduced"
 
 
@@ -349,7 +350,7 @@ def _check_kr32_d02(fixture_dir: Path, build: Build) -> str:
     assert _kr32_remainder(params.R1).is_zero(), "divisibility fails"
     built = build(params)   # raises CertificateRequired unless certified
     _assert_zk_kind(params, built, data["expect"])
-    assert params.d == 7
+    assert params.d == data["expect"]["degree"], f"d = {params.d}"
     r0_paper = parse_poly(data["paper_R0"], ("t",), field)
     assert params.R0 == r0_paper, "R0 differs from print"
     # as printed (a1 and a2 transposed) the condition fails -- documented erratum
@@ -388,7 +389,7 @@ def _check_family(fixture_dir: Path, build: Build, oracle: Oracle) -> str:
         assert not cstar_equivariant(m)
     h = hyper_surface(2, 1)
     pt = SurfacePoint(h, tuple(QQ.elem(Fraction(c)) for c in data["point"]["at"]))
-    img = apply_map(members[0], pt)
+    img = apply_map(members[data["point"]["member"]], pt)
     got = [str(c.as_fraction()) for c in img.coords]
     assert got == data["point"]["image"], f"point fixture: {got}"
     # symbolic match against the printed formulas, a-vector length 3

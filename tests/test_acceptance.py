@@ -10,6 +10,7 @@ provably violate them.
 """
 
 import dataclasses
+import functools
 import json
 import shutil
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from etale_forge import endo, reproduce
-from etale_forge.constructor import chebyshev_endo
+from etale_forge.constructor import chebyshev_endo, cyclic_galois_endo, solve_kr32
 from etale_forge.numfield import QQ
 from etale_forge.reproduce import build_corpus, default_fixture_dir, reproduce_paper
 
@@ -193,6 +194,50 @@ def test_a_flipped_zk_kind_fails_its_item(tmp_path, fixture, item):
     assert by_name[item]["status"] == "fail"
     assert by_name[item]["detail"].startswith("zk ")
     assert [name for name, i in by_name.items() if i["status"] != "pass"] == [item]
+
+
+def _run_item(item: str, fdir: Path) -> dict:
+    """The one report item that reads the fixtures of fdir, run alone."""
+    build, oracle = endo.build_from_params, endo.jacobian_spotcheck
+    runs = {
+        "s2_galois": lambda: reproduce._check_s2_galois(fdir, build, cyclic_galois_endo),
+        "kr32_d01_solver": lambda: reproduce._check_kr32_solver(fdir, build, solve_kr32),
+        "kr32_d02_verification": lambda: reproduce._check_kr32_d02(fdir, build),
+        "deformation_family": lambda: reproduce._check_family(fdir, build, oracle),
+    }
+    run = runs.get(item) or (lambda: reproduce._verify_params_fixture(
+        reproduce._load(fdir, f"{item}.json"), build, oracle))
+    return reproduce._item(item, run)
+
+
+# (fixture, key path, changed value, the item that reads it)
+FIXTURE_VALUES = [
+    ("s2_galois.json", ("expect", "degree"), 3, "s2_galois"),
+    ("s2_galois.json", ("expect", "has_hyper"), False, "s2_galois"),
+    ("kr32_d01_plus.json", ("expect", "degree"), 5, "kr32_d01_solver"),
+    ("kr32_d01_minus.json", ("expect", "degree"), 5, "kr32_d01_solver"),
+    ("kr32_d01_plus.json", ("paper_R0",), "(6 + 12*theta)*t + (8 - 5*theta)",
+     "kr32_d01_solver"),
+    ("kr32_d01_minus.json", ("paper_R0",), "(6 - 12*theta)*t + (8 + 5*theta)",
+     "kr32_d01_solver"),
+    ("kr32_d02.json", ("expect", "degree"), 8, "kr32_d02_verification"),
+    ("family_s2.json", ("point", "member"), 1, "deformation_family"),
+] + [(f"{item}.json", ("expect", "has_hyper"), False, item)
+     for item in ("galois_k3", "cheb_d3", "cheb_d5", "cheb_d7", "cheb_d9", "alpha0_k2r2_d4")]
+
+
+@pytest.mark.parametrize("fixture,keys,value,item", FIXTURE_VALUES)
+def test_a_changed_fixture_value_fails_its_item(tmp_path, fixture, keys, value, item):
+    fdir = _fixture_copy(tmp_path)
+    assert _run_item(item, fdir)["status"] == "pass"
+    path = fdir / fixture
+    data = json.loads(path.read_text())
+    *parents, last = keys
+    node = functools.reduce(lambda d, key: d[key], parents, data)
+    assert node[last] != value
+    node[last] = value
+    path.write_text(json.dumps(data))
+    assert _run_item(item, fdir)["status"] == "fail"
 
 
 def test_failed_corpus_build_fails_both_corpus_items(monkeypatch):

@@ -275,6 +275,38 @@ def _reference_j(p: EtaleParams):
     return make_map(h, tilde_surface(p.k, p.r), coords)
 
 
+def test_build_tilde_and_hyper_maps_match_horner():
+    # the parent's formulas, R_i composed with 1 - z^k and -u^rbar*v by
+    # Horner on three-variable Polys, term for term
+    for name, p in build_corpus():
+        built = build_from_params(p)
+        s = tilde_surface(p.k, p.r)
+        x, y, z = (Poly.variable(v, p.field, s.vars) for v in s.vars)
+        tz = 1 - z ** p.k
+        want = (x * z ** (1 - p.alpha) * compose(p.R2, tz) * p.lam,
+                y * compose(p.R0, tz) * p.lam ** (-p.r), z ** p.alpha * compose(p.R1, tz))
+        assert built.tilde_map.coords == want, name
+        if built.hyper_map is None:
+            continue
+        h = hyper_surface(p.k, p.r // p.k)
+        u, v, w = (Poly.variable(n, p.field, h.vars) for n in h.vars)
+        t = -(u ** (p.r // p.k)) * v
+        want = (u * (1 - t) ** (1 - p.alpha) * compose(p.R2, t) ** p.k * p.lam ** p.k,
+                v * compose(p.R0, t) * p.lam ** (-p.r),
+                w * compose(p.R1, t) * compose(p.R2, t) * p.lam)
+        assert built.hyper_map.coords == want, name
+
+
+def test_every_corpus_tilde_map_satisfies_the_triple_identity():
+    # (x*A, y*H, B) is a morphism of x^r*y = z^k - 1: B^k - 1 = (z^k - 1)*A^r*H
+    for name, p in build_corpus():
+        coords = build_from_params(p).tilde_map.coords
+        x, y, z = (Poly.variable(v, p.field, coords[0].variables) for v in "xyz")
+        A, H, B = exact_div(coords[0], x), exact_div(coords[1], y), coords[2]
+        assert set(A.support_variables()) | set(H.support_variables()) <= {"z"}, name
+        assert B ** p.k - 1 == (z ** p.k - 1) * A ** p.r * H, name
+
+
 def test_build_j_exactly_when_alpha_is_zero():
     for name, p in build_corpus():
         j = build_from_params(p).j

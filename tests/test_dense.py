@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from etale_forge.dense import (_root_mod_p, at_power_of_two, derivative, divide,
                                gcd_mod_p, mul, mul_mod_p, prem, rational_roots,
-                               small_primes, trim, value)
+                               reflect, small_primes, trim, value)
 from etale_forge.numfield import QQ, FieldElement, NumberField, cyclotomic_field
 from etale_forge.polyalg import Poly, _dense, _poly
 
@@ -51,6 +51,32 @@ def test_product_matches_sympy(a, b):
     assert trim(mul(a, b)) == _list(_zz(a) * _zz(b))
     ra, rb = [x % P for x in a], [x % P for x in b]
     assert mul_mod_p(trim(ra), trim(rb), P) == _list(_gf(ra) * _gf(rb), P)
+
+
+def _reflected(c):
+    """c(1 - t) by sympy, as a constant-first list."""
+    return _list(sympy.Poly(sympy.expand(sympy.sympify(_expr(c)).subs(T, 1 - T)), T, domain="ZZ"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=INTS)
+def test_reflect_matches_sympy(c):
+    assert reflect(c) == _reflected(c)
+    assert reflect(reflect(c)) == c
+
+
+COORD_LISTS = st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-10**6, 10**6)] * n), max_size=12).map(lambda c: trim(c, (0,) * n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=COORD_LISTS)
+def test_reflect_of_coordinate_tuples_matches_sympy_per_coordinate(c):
+    r = reflect(c)
+    assert len(r) == len(c) and all(isinstance(e, tuple) for e in r)
+    for i in range(len(c[0]) if c else 0):
+        assert trim([e[i] for e in r]) == _reflected(trim([e[i] for e in c]))
+    assert reflect(r) == c
 
 
 def test_product_walks_the_sparse_operand():

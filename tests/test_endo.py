@@ -23,7 +23,7 @@ from etale_forge.endo import (MAX_C1_BITS, CertificateRequired, DegreeUndetermin
                               params_from_json, zk_compatible, zk_to_t)
 from etale_forge.family import covering
 from etale_forge.numfield import QQ, FieldElement, NumberField, cyclotomic_field
-from etale_forge.polyalg import (Poly, compose, exact_div, gcd_univariate,
+from etale_forge.polyalg import (Poly, compose, exact_div, flip, gcd_univariate,
                                  kronecker_sum, monic, separable_mod_p,
                                  variables)
 from etale_forge.polyparse import print_poly
@@ -196,7 +196,10 @@ def test_zk_to_t_matches_per_term_expansion(field, k, data):
     q = Poly.zero(field, ("z",))
     for j, c in cs.items():
         q = q + Poly.constant(field.from_coords(c), field, ("z",)) * z ** (k * j)
-    assert zk_to_t(q, k) == _zk_to_t_per_term(q, k)
+    r = zk_to_t(q, k)
+    assert r == _zk_to_t_per_term(q, k)
+    # the builders' direction, t -> 1 - z^k, is the same flip, checked by Horner
+    assert flip(r, 1, "z", k) == q == compose(r, 1 - z ** k)
 
 
 def test_base_polynomial_identity_both_ways():
