@@ -239,8 +239,8 @@ def base_polynomial(m: SurfaceMap) -> Poly:
 
 
 def zk_to_t(q: Poly, k: int) -> Poly:
-    """q = g(z^k) as g(1 - t), t = 1 - z^k: polyalg.flip, an involution that
-    build_from_params runs the other way, reflects integer numerators by additions."""
+    """g(1 - t) for q = g(z^k), t = 1 - z^k: polyalg.flip, an involution (build_from_params runs
+    it the other way) that only adds integer numerators, so needs no field product."""
     if any(v != "z" for v in q.support_variables()):
         raise DegreeUndetermined(f"{q} is not a function of z alone")
     if any(e % k for key in q.terms for e in key):
