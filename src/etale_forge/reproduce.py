@@ -338,7 +338,7 @@ def _check_kr32_solver(fixture_dir: Path, build: Build, kr32: Kr32) -> str:
     assert not _kr32_remainder(a1_printed * t + 1).is_zero(), \
         "printed a1 unexpectedly satisfies the condition"
     assert {p.R1.univariate_coeffs()[1] for p in got} == {
-        field.from_coords([Fraction(-7, 3), Fraction(s, 3)]) for s in (4, -4)}
+        field.from_coords([Fraction(-7, 3), Fraction(s, 3)]) for s in (4, -4)}, "a1 pair"
     return "conjugate pair (-7 +- 4i sqrt2)/3; printed R0 reproduced"
 
 
